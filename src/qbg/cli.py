@@ -12,17 +12,25 @@ All numeric output uses 6 significant digits for human tables and 12 for
 CSV; CSV is comma-separated with a header row, LF line endings, and a fixed
 row order, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or spec error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or spec error,
+141 standard output closed before all output was written (the status a shell
+reports for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import (
+    ALGEBRA_TOL,
+    ClosedFormPayoff,
     MixingProfile,
     QuantumInitialState,
     closed_form_payoff,
@@ -35,7 +43,10 @@ from .game import find_dominated_rows, find_pure_nash
 from .specfile import GameSpec, SpecError, parse_spec
 from .verification import run_verification
 
-_SWEEP_VARS = ("p", "q", "prob_lh", "prob_hl", "prob_hh")
+EXIT_BROKEN_PIPE = 141
+
+_STATE_VARS = ("prob_lh", "prob_hl", "prob_hh")
+_SWEEP_VARS = ("p", "q") + _STATE_VARS
 
 
 def _fmt(value, precision: int = 6) -> str:
@@ -145,7 +156,6 @@ def cmd_quantize(args) -> int:
         print(f"  {name}: constant={_fmt(form.constant)} coeff_p={_fmt(form.coeff_p)}"
               f" coeff_q={_fmt(form.coeff_q)} coeff_pq={_fmt(form.coeff_pq)}")
     if report is not None:
-        rho = final_density(state, report.candidate)
         print(f"Candidate profile: p={_fmt(report.candidate.p)}, "
               f"q={_fmt(report.candidate.q)}")
         print(f"  policy payoff: trace={_fmt(expected_payoff_trace(vec_row, rho))}, "
@@ -220,10 +230,44 @@ def _parse_axis(text: str) -> _Axis:
     if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
         raise SpecError("axis range must stay within [0, 1]")
     if steps == 1:
+        if lo != hi:
+            raise SpecError(f"axis {text!r} has 1 step, so LO and HI must be equal")
         values = (lo,)
     else:
         values = tuple(lo + (hi - lo) * k / (steps - 1) for k in range(steps))
     return _Axis(var, values)
+
+
+def _state_weights(base_probs, assignment: dict) -> tuple:
+    """The (LL, LH, HL, HH) weights at one grid point: swept weights override
+    the spec's, and the LL weight absorbs the remainder."""
+    probs = {"prob_lh": base_probs[1], "prob_hl": base_probs[2],
+             "prob_hh": base_probs[3]}
+    for key in _STATE_VARS:
+        if key in assignment:
+            probs[key] = assignment[key]
+    prob_ll = 1.0 - sum(probs.values())
+    if prob_ll < -1e-9:
+        where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in assignment.items())
+        raise SpecError(f"state weights exceed 1 at grid point ({where})")
+    return max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"]
+
+
+def _sweep_chunk(forms, p, q):
+    """Both payoffs and verify_nash's weak verdict, elementwise over a chunk.
+
+    ``forms`` holds the (row, column) closed-form coefficients as arrays;
+    payoffs come from ClosedFormPayoff.evaluate and each gap is compared as
+    in verify_nash, so every value and flag equals the scalar path's.
+    """
+    row, col = (ClosedFormPayoff(*coeffs) for coeffs in forms)
+    row_payoff = row.evaluate(p, q)
+    col_payoff = col.evaluate(p, q)
+    weak = True
+    for edge in (0.0, 1.0):
+        weak = weak & (row_payoff - row.evaluate(edge, q) >= -ALGEBRA_TOL)
+        weak = weak & (col_payoff - col.evaluate(p, edge) >= -ALGEBRA_TOL)
+    return row_payoff, col_payoff, weak
 
 
 def cmd_sweep(args) -> int:
@@ -248,45 +292,71 @@ def cmd_sweep(args) -> int:
 
     vec_row, vec_col = spec.payoff_vectors()
 
-    # outer axis slow, inner axis fast
-    grids = [axes[0].values] if len(axes) == 1 else [axes[0].values, axes[1].values]
-    points = []
-    for outer in grids[0]:
-        if len(grids) == 1:
-            points.append((outer,))
-        else:
-            for inner in grids[1]:
-                points.append((outer, inner))
+    p_fixed = candidate.p if candidate else None
+    q_fixed = candidate.q if candidate else None
 
-    rows = []
-    for point in points:
-        assignment = dict(zip(names, point))
-        probs = {"prob_lh": base_probs[1], "prob_hl": base_probs[2],
-                 "prob_hh": base_probs[3]}
-        for key in ("prob_lh", "prob_hl", "prob_hh"):
-            if key in assignment:
-                probs[key] = assignment[key]
-        prob_ll = 1.0 - sum(probs.values())
-        if prob_ll < -1e-9:
-            where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in assignment.items())
-            raise SpecError(f"state weights exceed 1 at grid point ({where})")
-        state = QuantumInitialState.from_probabilities(
-            max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
-        p = assignment.get("p", candidate.p if candidate else None)
-        q = assignment.get("q", candidate.q if candidate else None)
-        profile = MixingProfile(p, q)
-        f_row = closed_form_payoff(state, vec_row)
-        f_col = closed_form_payoff(state, vec_col)
-        report = verify_nash(state, vec_row, vec_col, profile)
-        rows.append(list(point) + [f_row.evaluate(p, q), f_col.evaluate(p, q),
-                                   report.is_nash])
+    # The outer axis varies slowest; a 1-axis sweep is one row.  The state
+    # depends only on the swept weights, so it is keyed by their values.  When
+    # the outer axis is a weight, each row has its own keys, so the per-key
+    # caches below are emptied at every row and never outgrow the inner axis.
+    outer, inner = axes if len(axes) == 2 else (None, axes[0])
+    leads = [(v,) for v in outer.values] if outer else [()]
+    outer_is_state = outer is not None and outer.var in _STATE_VARS
+    inner_is_state = inner.var in _STATE_VARS
+    row_values = inner.values if inner_is_state else inner.values[:1]
 
-    writer = _csv_writer(sys.stdout)
-    writer.writerow(names + ["policy_payoff", "public_payoff", "nash"])
-    for row in rows:
-        formatted = [_fmt(v, 12) for v in row[:-1]]
-        formatted.append("true" if row[-1] else "false")
-        writer.writerow(formatted)
+    def state_key(lead, value):
+        return lead[:outer_is_state] + (value,) * inner_is_state
+
+    # Check every point in row order before writing, so a bad grid fails on
+    # its first bad point with no CSV output.  Weights above 1 and a profile
+    # outside [0, 1] are the only ways a point can fail.
+    checked = set()
+    for lead in leads:
+        if outer_is_state:
+            checked.clear()
+        for value in inner.values:
+            assignment = dict(zip(names, lead + (value,)))
+            key = state_key(lead, value)
+            if key not in checked:
+                _state_weights(base_probs, assignment)
+                checked.add(key)
+            p = assignment.get("p", p_fixed)
+            q = assignment.get("q", q_fixed)
+            if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+                MixingProfile(p, q)          # raises the profile's own error
+
+    # Stream one outer row at a time, evaluated as arrays over the inner axis;
+    # each distinct state and its two closed forms are built once.  No field
+    # can need CSV quoting, so rows are written as joined text.
+    out = sys.stdout
+    out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
+    inner_values = np.array(inner.values)
+    inner_text = [_fmt(v, 12) for v in inner.values]
+    forms = {}
+    for lead in leads:
+        if outer_is_state:
+            forms.clear()
+        keys = [state_key(lead, value) for value in row_values]
+        for key, value in zip(keys, row_values):
+            if key not in forms:
+                state = QuantumInitialState.from_probabilities(*_state_weights(
+                    base_probs, dict(zip(names, lead + (value,)))))
+                forms[key] = np.array(
+                    [[f.constant, f.coeff_p, f.coeff_q, f.coeff_pq]
+                     for f in (closed_form_payoff(state, vec_row),
+                               closed_form_payoff(state, vec_col))])
+        # scalar coefficients when the whole row shares one state
+        row_forms = (np.stack([forms[key] for key in keys], axis=-1)
+                     if inner_is_state else forms[keys[0]])
+        assignment = dict(zip(names, lead + (inner_values,)))
+        row_payoff, col_payoff, weak = _sweep_chunk(
+            row_forms, assignment.get("p", p_fixed), assignment.get("q", q_fixed))
+        prefix = "".join(_fmt(v, 12) + "," for v in lead)
+        out.write("".join(
+            f"{prefix}{text},{r:.12g},{c:.12g},{'true' if ok else 'false'}\n"
+            for text, r, c, ok in zip(inner_text, row_payoff.tolist(),
+                                      col_payoff.tolist(), weak.tolist())))
     return 0
 
 
@@ -319,7 +389,9 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="qbg",
         description="Classical and quantized analysis of the Barro-Gordon "
@@ -361,10 +433,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``qbg sweep ... | head``).  Point the
+        # descriptor at devnull so that the interpreter's final flush of the
+        # unwritten rest cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

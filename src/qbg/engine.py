@@ -36,6 +36,14 @@ PSD_TOL = 1e-10        # eigenvalue floor for positive semidefiniteness
 
 BASIS_LABELS = ("LL", "LH", "HL", "HH")
 
+# Row k lists, for each basis outcome j, the index of the initial-state
+# component that branch operator k moves onto j; the operators are 0/1
+# permutation matrices, so indexing reproduces |U_k @ amps|^2 bit for bit.
+_PERM = np.array([[0, 1, 2, 3],
+                  [2, 3, 0, 1],
+                  [1, 0, 3, 2],
+                  [3, 2, 1, 0]])
+
 
 @dataclass(frozen=True)
 class QuantumInitialState:
@@ -158,6 +166,9 @@ class ClosedFormPayoff:
     """Expected payoff as a bilinear polynomial in the identity probabilities.
 
     evaluate(p, q) = constant + coeff_p*p + coeff_q*q + coeff_pq*p*q
+
+    The coefficients may also be numpy arrays of one shape, holding many
+    forms; evaluate then works elementwise with the same operation order.
     """
 
     constant: float
@@ -167,9 +178,6 @@ class ClosedFormPayoff:
 
     def evaluate(self, p: float, q: float) -> float:
         return self.constant + self.coeff_p * p + self.coeff_q * q + self.coeff_pq * p * q
-
-    def slope_in_p(self, q: float) -> float:
-        return self.coeff_p + self.coeff_pq * q
 
     def slope_in_q(self, p: float) -> float:
         return self.coeff_q + self.coeff_pq * p
@@ -282,11 +290,11 @@ def branch_outcome_matrix(state: QuantumInitialState) -> np.ndarray:
 
     Row k lists |<basis_j| U_k |state>|^2 for the canonical branch operators
     U_k; every row and every column sums to 1 (each row is a permutation of
-    the state's squared magnitudes).
+    the state's squared magnitudes).  The operators only permute basis
+    components, so the rows are read off the squared magnitudes through a
+    fixed index table; ``branch_operators`` stays as the independent check.
     """
-    amps = state.amplitudes()
-    rows = [np.abs(op @ amps) ** 2 for op in branch_operators()]
-    return np.array(rows)
+    return state.probabilities()[_PERM]
 
 
 def closed_form_payoff(state: QuantumInitialState, vec: PayoffVector) -> ClosedFormPayoff:

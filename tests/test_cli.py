@@ -2,10 +2,27 @@
 
 import csv
 import io
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import fresh_rng, random_state, random_vector
+
+from qbg import (
+    MixingProfile,
+    QuantumInitialState,
+    closed_form_payoff,
+    parse_spec,
+    verify_nash,
+)
+from qbg import cli
 from qbg.cli import main
+from qbg.specfile import SpecError
 
 WEAK_SPEC = """\
 [game]
@@ -274,6 +291,171 @@ prob_hh = 0
                                "--axis", "prob_ll=0:1:3")
         assert code == 2
         assert "bad axis" in err
+
+    def test_one_step_axis_needs_equal_bounds(self, capsys, spec_path):
+        path = spec_path(MATCHED_SPEC)
+        code, out, err = run_cli(capsys, "sweep", "--spec", path,
+                                 "--axis", "p=0.2:0.9:1")
+        assert (code, out) == (2, "")
+        assert "1 step" in err
+        code, out, _ = run_cli(capsys, "sweep", "--spec", path,
+                               "--axis", "p=0.2:0.2:1")
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)] == ["p", "0.2"]
+
+    def test_closed_stdout_exits_quietly(self, spec_path):
+        # a 160k-row sweep cannot fit in the pipe, so closing the read end
+        # after the header makes the next write fail
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qbg", "sweep", "--spec", spec_path(MATCHED_SPEC),
+             "--axis", "p=0:1:400", "--axis", "q=0:1:400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert header == b"p,q,policy_payoff,public_payoff,nash\n"
+        assert err == b""
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+
+
+GENERAL_GAME = """\
+[game]
+mode = custom
+row_payoffs = 0.3,-2,1.7,-1
+col_payoffs = 0,-1/3,-1,0.25
+"""
+
+MIXED_SPEC = GENERAL_GAME + """
+[quantum]
+prob_ll = 0.4
+prob_lh = 0.1
+prob_hl = 0.2
+prob_hh = 0.3
+
+[candidate]
+p = 0.3
+q = 2/3
+"""
+
+SIGNED_AMP_SPEC = GENERAL_GAME + """
+[quantum]
+amp_ll = 0.5
+amp_lh = -0.5
+amp_hl = 0.7
+amp_hh = -0.1
+
+[candidate]
+p = 1
+q = 0.7
+"""
+
+
+def reference_sweep(text, axes):
+    """CSV text of a sweep computed point by point: a fresh state, both closed
+    forms and a verify_nash call at every grid point."""
+    spec = parse_spec(text)
+    names = [var for var, _, _, _ in axes]
+    grids = [[lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+             for _, lo, hi, steps in axes]
+    base = spec.to_state().probabilities()
+    candidate = spec.to_candidate()
+    vec_row, vec_col = spec.payoff_vectors()
+    lines = [",".join(names + ["policy_payoff", "public_payoff", "nash"])]
+    for point in itertools.product(*grids):
+        assignment = dict(zip(names, point))
+        probs = {"prob_lh": base[1], "prob_hl": base[2], "prob_hh": base[3]}
+        probs.update((k, v) for k, v in assignment.items() if k in probs)
+        prob_ll = 1.0 - sum(probs.values())
+        if prob_ll < -1e-9:
+            where = ", ".join(f"{n}={v:.12g}" for n, v in assignment.items())
+            raise SpecError(f"state weights exceed 1 at grid point ({where})")
+        state = QuantumInitialState.from_probabilities(
+            max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
+        p = assignment.get("p", candidate and candidate.p)
+        q = assignment.get("q", candidate and candidate.q)
+        report = verify_nash(state, vec_row, vec_col, MixingProfile(p, q))
+        row = closed_form_payoff(state, vec_row).evaluate(p, q)
+        col = closed_form_payoff(state, vec_col).evaluate(p, q)
+        lines.append(",".join([f"{v:.12g}" for v in point]
+                              + [f"{row:.12g}", f"{col:.12g}",
+                                 "true" if report.is_nash else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepGolden:
+    """The streamed, per-state sweep against the per-point reference, byte for byte."""
+
+    @pytest.mark.parametrize("text, axes", [
+        (MATCHED_SPEC, [("prob_hh", 0, 1, 21)]),          # Nash up to weight 1/2
+        (MATCHED_SPEC, [("prob_hh", 0, 1, 9), ("p", 0, 1, 7)]),
+        (MIXED_SPEC, [("p", 0, 1, 5), ("prob_lh", 0, 0.5, 11)]),
+        (MIXED_SPEC, [("prob_lh", 0, 0.3, 4), ("prob_hl", 0.35, 0, 6)]),
+        (MIXED_SPEC, [("p", 0.1, 0.9, 9), ("q", 1, 0, 17)]),
+        (SIGNED_AMP_SPEC, [("p", 0, 1, 9), ("q", 0, 1, 17)]),
+        (SIGNED_AMP_SPEC, [("prob_hh", 0, 0.2, 9), ("q", 0, 1, 17)]),
+        (SIGNED_AMP_SPEC, [("q", 0.3, 0.8, 12)]),
+    ], ids=["hh", "hh-p", "p-lh", "lh-hl", "p-q", "amp-p-q", "amp-hh-q", "amp-q"])
+    def test_matches_per_point_reference(self, capsys, spec_path, text, axes):
+        argv = ["sweep", "--spec", spec_path(text)]
+        for var, lo, hi, steps in axes:
+            argv += ["--axis", f"{var}={lo}:{hi}:{steps}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == reference_sweep(text, axes)
+
+    def test_first_bad_point_fails_before_any_output(self, capsys, spec_path):
+        axes = [("p", 0, 1, 3), ("prob_lh", 0, 1, 5)]
+        with pytest.raises(SpecError) as excinfo:
+            reference_sweep(MATCHED_SPEC, axes)
+        code, out, err = run_cli(capsys, "sweep", "--spec", spec_path(MATCHED_SPEC),
+                                 "--axis", "p=0:1:3", "--axis", "prob_lh=0:1:5")
+        assert (code, out) == (2, "")
+        assert err == f"error: {excinfo.value}\n"
+        assert "(p=0, prob_lh=1)" in err
+
+    def test_chunk_is_bitwise_the_scalar_path(self):
+        # CSV rounding to 12 digits hides last-bit drift, so the array
+        # evaluation is compared with verify_nash at full precision
+        rng = fresh_rng(23)
+        for _ in range(20):
+            vec_row, vec_col = random_vector(rng), random_vector(rng)
+            states = [random_state(rng) for _ in range(30)]
+            forms = np.stack([
+                [[f.constant, f.coeff_p, f.coeff_q, f.coeff_pq]
+                 for f in (closed_form_payoff(state, vec_row),
+                           closed_form_payoff(state, vec_col))]
+                for state in states], axis=-1)
+            p = rng.choice([0.0, 1.0, rng.uniform()], size=30)
+            q = rng.choice([0.0, 1.0, rng.uniform()], size=30)
+            row, col, weak = cli._sweep_chunk(forms, p, q)
+            for k, state in enumerate(states):
+                report = verify_nash(state, vec_row, vec_col,
+                                     MixingProfile(p[k], q[k]))
+                assert (row[k], col[k], weak[k]) == (
+                    report.row_payoff, report.col_payoff, report.is_nash)
+
+
+class TestParser:
+    def test_built_once_with_unchanged_output(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        fresh = cli._build_parser.__wrapped__()
+        for argv in (["--help"], ["sweep", "--help"], ["nope"], [],
+                     ["sweep", "--bogus"]):
+            with pytest.raises(SystemExit) as cached_exit:
+                main(argv)
+            cached = capsys.readouterr()
+            with pytest.raises(SystemExit) as fresh_exit:
+                fresh.parse_args(argv)
+            assert cached == capsys.readouterr()
+            assert cached_exit.value.code == fresh_exit.value.code
 
 
 class TestReproduce:

@@ -238,6 +238,21 @@ class TestBranchOutcomeMatrix:
             assert np.allclose(branch_outcome_matrix(state),
                                np.array(expected), atol=1e-14)
 
+    def test_bitwise_equal_to_kronecker_operator_action(self):
+        # the permutation table must reproduce |U_k @ amps|^2 exactly, not
+        # merely within rounding, on random, rephased and degenerate states
+        rng = fresh_rng(21)
+        states = [QuantumInitialState(*row) for row in np.eye(4)]
+        states.append(QuantumInitialState(0.5, -0.5, 0.7, -0.1))
+        for _ in range(200):
+            state = random_state(rng)
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=4))
+            states += [state, QuantumInitialState(*(state.amplitudes() * phases))]
+        for state in states:
+            amps = state.amplitudes()
+            expected = np.array([np.abs(op @ amps) ** 2 for op in branch_operators()])
+            assert np.array_equal(branch_outcome_matrix(state), expected)
+
 
 class TestClosedForm:
     def test_policy_coefficients_formula(self):
