@@ -29,14 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    ALGEBRA_TOL,
     ClosedFormPayoff,
     MixingProfile,
-    QuantumInitialState,
+    bilinear_coefficients,
     closed_form_payoff,
+    deviation_gaps,
     enumerate_equilibria,
     expected_payoff_trace,
     final_density,
+    normalized_amplitudes,
     verify_nash,
 )
 from .game import find_dominated_rows, find_pure_nash
@@ -47,6 +48,7 @@ EXIT_BROKEN_PIPE = 141
 
 _STATE_VARS = ("prob_lh", "prob_hl", "prob_hh")
 _SWEEP_VARS = ("p", "q") + _STATE_VARS
+_BLOCK_POINTS = 4096   # grid points a sweep evaluates at once (at least one row)
 
 
 def _fmt(value, precision: int = 6) -> str:
@@ -234,40 +236,9 @@ def _parse_axis(text: str) -> _Axis:
             raise SpecError(f"axis {text!r} has 1 step, so LO and HI must be equal")
         values = (lo,)
     else:
-        values = tuple(lo + (hi - lo) * k / (steps - 1) for k in range(steps))
+        # the last value is HI itself: the formula can miss it by an ulp
+        values = tuple(lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)) + (hi,)
     return _Axis(var, values)
-
-
-def _state_weights(base_probs, assignment: dict) -> tuple:
-    """The (LL, LH, HL, HH) weights at one grid point: swept weights override
-    the spec's, and the LL weight absorbs the remainder."""
-    probs = {"prob_lh": base_probs[1], "prob_hl": base_probs[2],
-             "prob_hh": base_probs[3]}
-    for key in _STATE_VARS:
-        if key in assignment:
-            probs[key] = assignment[key]
-    prob_ll = 1.0 - sum(probs.values())
-    if prob_ll < -1e-9:
-        where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in assignment.items())
-        raise SpecError(f"state weights exceed 1 at grid point ({where})")
-    return max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"]
-
-
-def _sweep_chunk(forms, p, q):
-    """Both payoffs and verify_nash's weak verdict, elementwise over a chunk.
-
-    ``forms`` holds the (row, column) closed-form coefficients as arrays;
-    payoffs come from ClosedFormPayoff.evaluate and each gap is compared as
-    in verify_nash, so every value and flag equals the scalar path's.
-    """
-    row, col = (ClosedFormPayoff(*coeffs) for coeffs in forms)
-    row_payoff = row.evaluate(p, q)
-    col_payoff = col.evaluate(p, q)
-    weak = True
-    for edge in (0.0, 1.0):
-        weak = weak & (row_payoff - row.evaluate(edge, q) >= -ALGEBRA_TOL)
-        weak = weak & (col_payoff - col.evaluate(p, edge) >= -ALGEBRA_TOL)
-    return row_payoff, col_payoff, weak
 
 
 def cmd_sweep(args) -> int:
@@ -292,71 +263,62 @@ def cmd_sweep(args) -> int:
 
     vec_row, vec_col = spec.payoff_vectors()
 
-    p_fixed = candidate.p if candidate else None
-    q_fixed = candidate.q if candidate else None
-
-    # The outer axis varies slowest; a 1-axis sweep is one row.  The state
-    # depends only on the swept weights, so it is keyed by their values.  When
-    # the outer axis is a weight, each row has its own keys, so the per-key
-    # caches below are emptied at every row and never outgrow the inner axis.
+    # Unswept variables are scalars.  The grid is evaluated in blocks of
+    # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
+    # array and the inner one a (1, inner) array, and the scalars broadcast
+    # into them, so each distinct state's weights and closed forms are
+    # computed once per block and memory is bounded by the block size.
+    fixed = dict(zip(_STATE_VARS, base_probs[1:]))
+    fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
     outer, inner = axes if len(axes) == 2 else (None, axes[0])
     leads = [(v,) for v in outer.values] if outer else [()]
-    outer_is_state = outer is not None and outer.var in _STATE_VARS
-    inner_is_state = inner.var in _STATE_VARS
-    row_values = inner.values if inner_is_state else inner.values[:1]
+    block_rows = max(1, _BLOCK_POINTS // len(inner.values))
 
-    def state_key(lead, value):
-        return lead[:outer_is_state] + (value,) * inner_is_state
+    def blocks():
+        """(outer values, value of every variable) per block of outer rows;
+        the LL weight absorbs the remainder of the other three."""
+        for start in range(0, len(leads), block_rows):
+            rows = leads[start:start + block_rows]
+            values = dict(fixed)
+            values[inner.var] = np.array([inner.values])
+            if outer:
+                values[outer.var] = np.array(rows)
+            values["prob_ll"] = 1.0 - (values["prob_lh"] + values["prob_hl"]
+                                       + values["prob_hh"])
+            yield rows, values
 
-    # Check every point in row order before writing, so a bad grid fails on
-    # its first bad point with no CSV output.  Weights above 1 and a profile
+    # Check every block before writing, so a bad grid fails on its first bad
+    # point in row order with no CSV output.  Weights above 1 and a profile
     # outside [0, 1] are the only ways a point can fail.
-    checked = set()
-    for lead in leads:
-        if outer_is_state:
-            checked.clear()
-        for value in inner.values:
-            assignment = dict(zip(names, lead + (value,)))
-            key = state_key(lead, value)
-            if key not in checked:
-                _state_weights(base_probs, assignment)
-                checked.add(key)
-            p = assignment.get("p", p_fixed)
-            q = assignment.get("q", q_fixed)
-            if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-                MixingProfile(p, q)          # raises the profile's own error
+    for rows, v in blocks():
+        bad_weights = np.broadcast_to(v["prob_ll"] < -1e-9, (len(rows), len(inner.values)))
+        bad = bad_weights | np.logical_not(
+            (0.0 <= v["p"]) & (v["p"] <= 1.0) & (0.0 <= v["q"]) & (v["q"] <= 1.0))
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            point = dict(zip(names, rows[i] + (inner.values[j],)))
+            if bad_weights[i, j]:
+                where = ", ".join(f"{n}={_fmt(x, 12)}" for n, x in point.items())
+                raise SpecError(f"state weights exceed 1 at grid point ({where})")
+            MixingProfile(point.get("p", fixed["p"]), point.get("q", fixed["q"]))
 
-    # Stream one outer row at a time, evaluated as arrays over the inner axis;
-    # each distinct state and its two closed forms are built once.  No field
-    # can need CSV quoting, so rows are written as joined text.
+    # No field can need CSV quoting, so rows are written as joined text.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
-    inner_values = np.array(inner.values)
-    inner_text = [_fmt(v, 12) for v in inner.values]
-    forms = {}
-    for lead in leads:
-        if outer_is_state:
-            forms.clear()
-        keys = [state_key(lead, value) for value in row_values]
-        for key, value in zip(keys, row_values):
-            if key not in forms:
-                state = QuantumInitialState.from_probabilities(*_state_weights(
-                    base_probs, dict(zip(names, lead + (value,)))))
-                forms[key] = np.array(
-                    [[f.constant, f.coeff_p, f.coeff_q, f.coeff_pq]
-                     for f in (closed_form_payoff(state, vec_row),
-                               closed_form_payoff(state, vec_col))])
-        # scalar coefficients when the whole row shares one state
-        row_forms = (np.stack([forms[key] for key in keys], axis=-1)
-                     if inner_is_state else forms[keys[0]])
-        assignment = dict(zip(names, lead + (inner_values,)))
-        row_payoff, col_payoff, weak = _sweep_chunk(
-            row_forms, assignment.get("p", p_fixed), assignment.get("q", q_fixed))
-        prefix = "".join(_fmt(v, 12) + "," for v in lead)
-        out.write("".join(
-            f"{prefix}{text},{r:.12g},{c:.12g},{'true' if ok else 'false'}\n"
-            for text, r, c, ok in zip(inner_text, row_payoff.tolist(),
-                                      col_payoff.tolist(), weak.tolist())))
+    inner_text = [_fmt(x, 12) for x in inner.values]
+    for rows, v in blocks():
+        # the squared magnitudes of the state from_probabilities would build
+        weights = [a * a for a in normalized_amplitudes(
+            v["prob_ll"], v["prob_lh"], v["prob_hl"], v["prob_hh"])]
+        f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
+                        for vec in (vec_row, vec_col))
+        row_payoff, col_payoff, _, holds = deviation_gaps(f_row, f_col, v["p"], v["q"])
+        for lead, r_row, c_row, ok_row in zip(rows, row_payoff.tolist(), col_payoff.tolist(),
+                                              np.all(holds, axis=0).tolist()):
+            prefix = "".join(_fmt(x, 12) + "," for x in lead)
+            out.write("".join(
+                f"{prefix}{text},{r:.12g},{c:.12g},{'true' if ok else 'false'}\n"
+                for text, r, c, ok in zip(inner_text, r_row, c_row, ok_row)))
     return 0
 
 

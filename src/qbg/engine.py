@@ -16,7 +16,9 @@ with weights (p*q, p*(1-q), (1-p)*q, (1-p)*(1-q)).  Under this pairing the
 trace payoffs agree exactly with the bilinear closed form
 ``constant + coeff_p*p + coeff_q*q + coeff_pq*p*q`` expanded from the
 branch-outcome matrix, which is what all equilibrium conditions are read
-from.
+from.  ``bilinear_coefficients`` computes that form for one state or, on
+numpy arrays, for a whole grid of states, summing in one fixed order so
+that both give the same bits.
 
 Expected payoffs are traces of diagonal payoff operators against the final
 density matrix; because the operators are diagonal, payoffs depend only on
@@ -43,6 +45,23 @@ _PERM = np.array([[0, 1, 2, 3],
                   [2, 3, 0, 1],
                   [1, 0, 3, 2],
                   [3, 2, 1, 0]])
+
+
+def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh, tol: float = 1e-9):
+    """Real amplitudes sqrt(w / total) of the weights (LL, LH, HL, HH).
+
+    Each weight is clipped at 0 and divided by the clipped weights' total,
+    which must be 1 within ``tol``.  The weights may be floats or numpy
+    arrays of one shape; the arithmetic is elementwise, so an array entry
+    gets the same bits as the same weights passed as floats.
+    """
+    probs = [np.maximum(p, 0.0) for p in (p_ll, p_lh, p_hl, p_hh)]
+    total = probs[0] + probs[1] + probs[2] + probs[3]
+    off = np.abs(total - 1.0) > tol
+    if np.any(off):
+        raise ValueError(f"squared magnitudes sum to "
+                         f"{float(np.extract(off, total)[0])!r}, expected 1")
+    return tuple(np.sqrt(p / total) for p in probs)
 
 
 @dataclass(frozen=True)
@@ -82,17 +101,13 @@ class QuantumInitialState:
 
         The four weights must sum to 1 within ``tol`` (decimal input is
         expected to carry rounding fuzz); they are rescaled exactly before
-        taking square roots.
+        taking square roots (see ``normalized_amplitudes``).
         """
         probs = [float(p) for p in (p_ll, p_lh, p_hl, p_hh)]
         for p in probs:
             if not math.isfinite(p) or p < -ALGEBRA_TOL:
                 raise ValueError(f"squared magnitudes must be nonnegative, got {p!r}")
-        probs = [max(p, 0.0) for p in probs]
-        total = sum(probs)
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"squared magnitudes sum to {total!r}, expected 1")
-        return cls(*(complex(math.sqrt(p / total)) for p in probs))
+        return cls(*(complex(a) for a in normalized_amplitudes(*probs, tol=tol)))
 
     def amplitudes(self) -> np.ndarray:
         return np.array([self.amp_ll, self.amp_lh, self.amp_hl, self.amp_hh],
@@ -297,20 +312,32 @@ def branch_outcome_matrix(state: QuantumInitialState) -> np.ndarray:
     return state.probabilities()[_PERM]
 
 
-def closed_form_payoff(state: QuantumInitialState, vec: PayoffVector) -> ClosedFormPayoff:
-    """Expand the branch-weighted expected payoff into its bilinear form.
+def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
+    """(constant, coeff_p, coeff_q, coeff_pq) of the payoff on weights (LL, LH, HL, HH).
 
-    With r = branch_outcome_matrix(state) @ vec and weights
+    With r = branch_outcome_matrix(state) @ vec and branch weights
     (pq, p(1-q), (1-p)q, (1-p)(1-q)), the payoff collects to
     r3 + (r1-r3) p + (r2-r3) q + (r0-r1-r2+r3) pq.
+
+    The weights may be floats or numpy arrays of one shape.  Each r_k is the
+    dot product of row k of ``_PERM`` applied to the weights with ``vec``,
+    written out as terms x0..x3 summed in the fixed order
+    (x0 + x2) + (x1 + x3).  Floating-point addition is not associative, so a
+    fixed order is what makes a grid of states evaluated as arrays agree bit
+    for bit with each state evaluated alone; this pairing also reproduces
+    the 4x4 BLAS product the form was first computed with.
     """
-    r = branch_outcome_matrix(state) @ vec.as_array()
-    return ClosedFormPayoff(
-        constant=float(r[3]),
-        coeff_p=float(r[1] - r[3]),
-        coeff_q=float(r[2] - r[3]),
-        coeff_pq=float(r[0] - r[1] - r[2] + r[3]),
-    )
+    v0, v1, v2, v3 = float(vec.ll), float(vec.lh), float(vec.hl), float(vec.hh)
+    r0 = (w_ll * v0 + w_hl * v2) + (w_lh * v1 + w_hh * v3)
+    r1 = (w_hl * v0 + w_ll * v2) + (w_hh * v1 + w_lh * v3)
+    r2 = (w_lh * v0 + w_hh * v2) + (w_ll * v1 + w_hl * v3)
+    r3 = (w_hh * v0 + w_lh * v2) + (w_hl * v1 + w_ll * v3)
+    return r3, r1 - r3, r2 - r3, r0 - r1 - r2 + r3
+
+
+def closed_form_payoff(state: QuantumInitialState, vec: PayoffVector) -> ClosedFormPayoff:
+    """Expand the branch-weighted expected payoff into its bilinear form."""
+    return ClosedFormPayoff(*bilinear_coefficients(*state.probabilities().tolist(), vec))
 
 
 def payoff_vectors_from_game(game) -> tuple[PayoffVector, PayoffVector]:
@@ -342,6 +369,25 @@ def nash_condition_gap(state: QuantumInitialState, vec_row: PayoffVector,
     return row_gap, col_gap
 
 
+def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q,
+                   tol: float = ALGEBRA_TOL):
+    """Payoffs at (p, q) and what each extreme unilateral deviation loses.
+
+    Returns (row payoff, column payoff, gaps, holds).  ``gaps`` are the
+    payoff losses of the row player moving to p=0 and to p=1 and of the
+    column player moving to q=0 and to q=1, in that order; ``holds`` says,
+    for each, that the deviation gains at most ``tol``.  The weak Nash
+    verdict is that every entry of ``holds`` is true.  The forms and the
+    profile may hold numpy arrays; everything then works elementwise with
+    the operation order of the scalar case.
+    """
+    row_payoff = f_row.evaluate(p, q)
+    col_payoff = f_col.evaluate(p, q)
+    gaps = (row_payoff - f_row.evaluate(0.0, q), row_payoff - f_row.evaluate(1.0, q),
+            col_payoff - f_col.evaluate(p, 0.0), col_payoff - f_col.evaluate(p, 1.0))
+    return row_payoff, col_payoff, gaps, tuple(gap >= -tol for gap in gaps)
+
+
 def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
                 vec_col: PayoffVector, candidate: MixingProfile,
                 tol: float = ALGEBRA_TOL) -> EquilibriumReport:
@@ -352,34 +398,23 @@ def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
     condition for the whole interval.  The weak verdict allows ties; the
     strict verdict requires every actual deviation to lose.
     """
-    f_row = closed_form_payoff(state, vec_row)
-    f_col = closed_form_payoff(state, vec_col)
     p, q = candidate.p, candidate.q
-    row_payoff = f_row.evaluate(p, q)
-    col_payoff = f_col.evaluate(p, q)
+    row_payoff, col_payoff, gaps, holds = deviation_gaps(
+        closed_form_payoff(state, vec_row), closed_form_payoff(state, vec_col),
+        p, q, tol)
 
+    deviations = (("row", "p", p, 0.0), ("row", "p", p, 1.0),
+                  ("column", "q", q, 0.0), ("column", "q", q, 1.0))
     checks = []
-    weak = True
     strict = True
-    for edge in (0.0, 1.0):
-        gap = row_payoff - f_row.evaluate(edge, q)
-        ok = gap >= -tol
-        weak = weak and ok
-        if abs(edge - p) > tol:
+    for (player, var, own, edge), gap, ok in zip(deviations, gaps, holds):
+        if abs(edge - own) > tol:
             strict = strict and gap > tol
         checks.append(ConditionCheck(
-            f"row deviation to p={edge:g} does not gain", gap, ok))
-    for edge in (0.0, 1.0):
-        gap = col_payoff - f_col.evaluate(p, edge)
-        ok = gap >= -tol
-        weak = weak and ok
-        if abs(edge - q) > tol:
-            strict = strict and gap > tol
-        checks.append(ConditionCheck(
-            f"column deviation to q={edge:g} does not gain", gap, ok))
+            f"{player} deviation to {var}={edge:g} does not gain", gap, ok))
 
     return EquilibriumReport(candidate=candidate, row_payoff=row_payoff,
-                             col_payoff=col_payoff, is_nash=weak,
+                             col_payoff=col_payoff, is_nash=all(holds),
                              is_strict_nash=strict, conditions=tuple(checks))
 
 

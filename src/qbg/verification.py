@@ -256,96 +256,63 @@ def _worst(entries):
     return max(entries, key=lambda e: abs(e[0] - e[1]))
 
 
-def _strategy_i_checks() -> list[CheckResult]:
+# One row per strategy family, checked on GRID at the both-keep candidate:
+# the runner, the swept weight, the indices of the two weights that must
+# vanish and of the two that carry the state, the reference policy payoff,
+# public payoff and public margin in the weight w, where both-keep is an
+# equilibrium, and (id suffix, description) of the six checks.
+_STRATEGY_FAMILIES = (
+    ("strategy-i", run_strategy_i, "lh_prob", (0, 3, 1, 2),
+     lambda w: (1.0 - w) - 2.0 * w, -1.0, -1.0, lambda w: False,
+     (("state", "mismatch-only states carry no LL or HH weight"),
+      ("policy-payoff", "policy payoff on mismatch-only states"),
+      ("public-payoff", "public payoff is -1 on every mismatch-only state"),
+      ("policy-condition", "policy stability margin on mismatch-only states"),
+      ("public-condition",
+       "public stability margin is -1: both-keep can never hold"),
+      ("never-nash", "no mismatch-only state admits the both-keep equilibrium"))),
+    ("strategy-ii", run_strategy_ii, "hh_prob", (1, 2, 0, 3),
+     lambda w: -w, 0.0, 1.0, lambda w: w <= 0.5,
+     (("state", "matched-outcome states carry no LH or HL weight"),
+      ("policy-payoff", "policy payoff equals minus the HH weight"),
+      ("public-payoff", "public payoff is 0 on every matched-outcome state"),
+      ("policy-condition", "policy stability margin on matched-outcome states"),
+      ("public-condition",
+       "public stability margin is +1: the column side always holds"),
+      ("nash-threshold", "both-keep is an equilibrium exactly up to HH weight 1/2"))),
+)
+
+
+def _strategy_checks() -> list[CheckResult]:
     policy_vec, public_vec = bg_payoff_vectors()
-    payoff_entries, public_entries, cond_entries, col_entries = [], [], [], []
-    state_error = 0.0
-    nash_count = 0
-    for w in GRID:
-        report = run_strategy_i(w)
-        probs = report.state.probabilities()
-        state_error = max(state_error,
-                          float(probs[0] + probs[3] + abs(probs[1] + probs[2] - 1.0)))
-        detail = f"grid point lh_prob={w:.2f}"
-        payoff_entries.append(((1.0 - w) - 2.0 * w, report.policy_payoff, detail))
-        public_entries.append((-1.0, report.public_payoff, detail))
-        row_gap, col_gap = nash_condition_gap(report.state, policy_vec,
-                                              public_vec, report.candidate,
-                                              MixingProfile(0.0, 0.0))
-        cond_entries.append((2.0 * (1.0 - 2.0 * w), row_gap, detail))
-        col_entries.append((-1.0, col_gap, detail))
-        nash_count += int(report.is_nash)
-
-    worst_pay = _worst(payoff_entries)
-    worst_pub = _worst(public_entries)
-    worst_cond = _worst(cond_entries)
-    worst_col = _worst(col_entries)
-    return [
-        CheckResult("strategy-i.state",
-                    "mismatch-only states carry no LL or HH weight",
-                    0.0, state_error),
-        CheckResult("strategy-i.policy-payoff",
-                    "policy payoff on mismatch-only states",
-                    worst_pay[0], worst_pay[1], detail=worst_pay[2]),
-        CheckResult("strategy-i.public-payoff",
-                    "public payoff is -1 on every mismatch-only state",
-                    worst_pub[0], worst_pub[1], detail=worst_pub[2]),
-        CheckResult("strategy-i.policy-condition",
-                    "policy stability margin on mismatch-only states",
-                    worst_cond[0], worst_cond[1], detail=worst_cond[2]),
-        CheckResult("strategy-i.public-condition",
-                    "public stability margin is -1: both-keep can never hold",
-                    worst_col[0], worst_col[1], detail=worst_col[2]),
-        CheckResult("strategy-i.never-nash",
-                    "no mismatch-only state admits the both-keep equilibrium",
-                    0.0, float(nash_count)),
-    ]
-
-
-def _strategy_ii_checks() -> list[CheckResult]:
-    policy_vec, public_vec = bg_payoff_vectors()
-    payoff_entries, public_entries, cond_entries, col_entries = [], [], [], []
-    state_error = 0.0
-    threshold_misses = 0
-    for w in GRID:
-        report = run_strategy_ii(w)
-        probs = report.state.probabilities()
-        state_error = max(state_error,
-                          float(probs[1] + probs[2] + abs(probs[0] + probs[3] - 1.0)))
-        detail = f"grid point hh_prob={w:.2f}"
-        payoff_entries.append((-w, report.policy_payoff, detail))
-        public_entries.append((0.0, report.public_payoff, detail))
-        row_gap, col_gap = nash_condition_gap(report.state, policy_vec,
-                                              public_vec, report.candidate,
-                                              MixingProfile(0.0, 0.0))
-        cond_entries.append((2.0 * (1.0 - 2.0 * w), row_gap, detail))
-        col_entries.append((1.0, col_gap, detail))
-        threshold_misses += int(report.is_nash != (w <= 0.5))
-
-    worst_pay = _worst(payoff_entries)
-    worst_pub = _worst(public_entries)
-    worst_cond = _worst(cond_entries)
-    worst_col = _worst(col_entries)
-    return [
-        CheckResult("strategy-ii.state",
-                    "matched-outcome states carry no LH or HL weight",
-                    0.0, state_error),
-        CheckResult("strategy-ii.policy-payoff",
-                    "policy payoff equals minus the HH weight",
-                    worst_pay[0], worst_pay[1], detail=worst_pay[2]),
-        CheckResult("strategy-ii.public-payoff",
-                    "public payoff is 0 on every matched-outcome state",
-                    worst_pub[0], worst_pub[1], detail=worst_pub[2]),
-        CheckResult("strategy-ii.policy-condition",
-                    "policy stability margin on matched-outcome states",
-                    worst_cond[0], worst_cond[1], detail=worst_cond[2]),
-        CheckResult("strategy-ii.public-condition",
-                    "public stability margin is +1: the column side always holds",
-                    worst_col[0], worst_col[1], detail=worst_col[2]),
-        CheckResult("strategy-ii.nash-threshold",
-                    "both-keep is an equilibrium exactly up to HH weight 1/2",
-                    0.0, float(threshold_misses)),
-    ]
+    checks = []
+    for (family, run, weight, (z0, z1, s0, s1), policy, public, col_margin,
+         nash, texts) in _STRATEGY_FAMILIES:
+        entries = ([], [], [], [])   # policy payoff, public payoff, both margins
+        state_error = 0.0
+        nash_misses = 0
+        for w in GRID:
+            report = run(w)
+            probs = report.state.probabilities()
+            state_error = max(state_error,
+                              float(probs[z0] + probs[z1] + abs(probs[s0] + probs[s1] - 1.0)))
+            detail = f"grid point {weight}={w:.2f}"
+            row_gap, col_gap = nash_condition_gap(report.state, policy_vec,
+                                                  public_vec, report.candidate,
+                                                  MixingProfile(0.0, 0.0))
+            for bucket, (expected, computed) in zip(entries, (
+                    (policy(w), report.policy_payoff),
+                    (public, report.public_payoff),
+                    (2.0 * (1.0 - 2.0 * w), row_gap),
+                    (col_margin, col_gap))):
+                bucket.append((expected, computed, detail))
+            nash_misses += int(report.is_nash != nash(w))
+        values = ([(0.0, state_error, "")] + [_worst(bucket) for bucket in entries]
+                  + [(0.0, float(nash_misses), "")])
+        checks += [CheckResult(f"{family}.{suffix}", text, expected, computed,
+                               detail=detail)
+                   for (suffix, text), (expected, computed, detail) in zip(texts, values)]
+    return checks
 
 
 def _oracle_checks() -> list[CheckResult]:
@@ -375,7 +342,7 @@ def run_verification(fault_id: str | None = None) -> list[CheckResult]:
     reporting can be exercised; unknown ids raise ValueError.
     """
     checks = (_classical_checks() + _closed_form_checks() + _gap_checks()
-              + _case_checks() + _strategy_i_checks() + _strategy_ii_checks()
+              + _case_checks() + _strategy_checks()
               + _oracle_checks())
     if fault_id is not None:
         ids = [c.check_id for c in checks]

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_rng, random_state, random_vector
+from conftest import fresh_rng, random_vector
 
 from qbg import (
+    ClosedFormPayoff,
     MixingProfile,
     QuantumInitialState,
     closed_form_payoff,
@@ -22,6 +23,7 @@ from qbg import (
 )
 from qbg import cli
 from qbg.cli import main
+from qbg.engine import bilinear_coefficients, deviation_gaps, normalized_amplitudes
 from qbg.specfile import SpecError
 
 WEAK_SPEC = """\
@@ -303,6 +305,18 @@ prob_hh = 0
         assert code == 0
         assert [row[0] for row in parse_csv(out)] == ["p", "0.2"]
 
+    def test_last_axis_value_is_hi(self, capsys, spec_path):
+        # lo + (hi - lo) * k / (steps - 1) misses HI by an ulp on these axes,
+        # once above 1 and once below 0
+        path = spec_path(MATCHED_SPEC)
+        for axis, steps, last in (("p=0.1:1:1755", 1755, "1"),
+                                  ("p=0.1:5e-324:395", 395, "4.94065645841e-324")):
+            code, out, err = run_cli(capsys, "sweep", "--spec", path, "--axis", axis)
+            assert (code, err) == (0, "")
+            rows = parse_csv(out)
+            assert len(rows) == steps + 1
+            assert rows[-1][0] == last
+
     def test_closed_stdout_exits_quietly(self, spec_path):
         # a 160k-row sweep cannot fit in the pipe, so closing the read end
         # after the header makes the next write fail
@@ -363,7 +377,7 @@ def reference_sweep(text, axes):
     forms and a verify_nash call at every grid point."""
     spec = parse_spec(text)
     names = [var for var, _, _, _ in axes]
-    grids = [[lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    grids = [[lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)] + [hi]
              for _, lo, hi, steps in axes]
     base = spec.to_state().probabilities()
     candidate = spec.to_candidate()
@@ -402,7 +416,9 @@ class TestSweepGolden:
         (SIGNED_AMP_SPEC, [("p", 0, 1, 9), ("q", 0, 1, 17)]),
         (SIGNED_AMP_SPEC, [("prob_hh", 0, 0.2, 9), ("q", 0, 1, 17)]),
         (SIGNED_AMP_SPEC, [("q", 0.3, 0.8, 12)]),
-    ], ids=["hh", "hh-p", "p-lh", "lh-hl", "p-q", "amp-p-q", "amp-hh-q", "amp-q"])
+        (MIXED_SPEC, [("prob_hh", 0, 0.3, 7), ("prob_lh", 0.5, 0, 700)]),
+    ], ids=["hh", "hh-p", "p-lh", "lh-hl", "p-q", "amp-p-q", "amp-hh-q", "amp-q",
+            "blocks"])
     def test_matches_per_point_reference(self, capsys, spec_path, text, axes):
         argv = ["sweep", "--spec", spec_path(text)]
         for var, lo, hi, steps in axes:
@@ -421,26 +437,50 @@ class TestSweepGolden:
         assert err == f"error: {excinfo.value}\n"
         assert "(p=0, prob_lh=1)" in err
 
+    def test_first_bad_point_in_a_later_block(self, capsys, spec_path):
+        # an inner axis longer than a block makes each row its own block;
+        # the second row turns bad halfway along
+        steps = cli._BLOCK_POINTS + 1
+        axes = [("prob_hh", 0.5, 0.9, 2), ("prob_lh", 0, 0.2, steps)]
+        with pytest.raises(SpecError) as excinfo:
+            reference_sweep(MATCHED_SPEC, axes)
+        code, out, err = run_cli(capsys, "sweep", "--spec", spec_path(MATCHED_SPEC),
+                                 "--axis", "prob_hh=0.5:0.9:2",
+                                 "--axis", f"prob_lh=0:0.2:{steps}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {excinfo.value}\n"
+        assert "(prob_hh=0.9, prob_lh=0.1" in err
+
     def test_chunk_is_bitwise_the_scalar_path(self):
-        # CSV rounding to 12 digits hides last-bit drift, so the array
-        # evaluation is compared with verify_nash at full precision
+        # CSV rounding to 12 digits hides last-bit drift, so the array core
+        # the sweep runs on is compared with the per-state path at full
+        # precision: normalization, closed forms, payoffs and the weak verdict
         rng = fresh_rng(23)
         for _ in range(20):
             vec_row, vec_col = random_vector(rng), random_vector(rng)
-            states = [random_state(rng) for _ in range(30)]
-            forms = np.stack([
-                [[f.constant, f.coeff_p, f.coeff_q, f.coeff_pq]
-                 for f in (closed_form_payoff(state, vec_row),
-                           closed_form_payoff(state, vec_col))]
-                for state in states], axis=-1)
+            weights = rng.uniform(size=(4, 30)) * (rng.uniform(size=(4, 30)) < 0.7)
+            weights[0, weights.sum(axis=0) == 0] = 1.0
+            weights /= weights.sum(axis=0)
+            states = [QuantumInitialState.from_probabilities(*w) for w in weights.T]
+            squared = [a * a for a in normalized_amplitudes(*weights)]
+            forms = [ClosedFormPayoff(*bilinear_coefficients(*squared, vec))
+                     for vec in (vec_row, vec_col)]
             p = rng.choice([0.0, 1.0, rng.uniform()], size=30)
             q = rng.choice([0.0, 1.0, rng.uniform()], size=30)
-            row, col, weak = cli._sweep_chunk(forms, p, q)
+            row, col, gaps, holds = deviation_gaps(*forms, p, q)
+            weak = np.all(holds, axis=0)
             for k, state in enumerate(states):
+                for form, vec in zip(forms, (vec_row, vec_col)):
+                    scalar = closed_form_payoff(state, vec)
+                    assert (form.constant[k], form.coeff_p[k], form.coeff_q[k],
+                            form.coeff_pq[k]) == (scalar.constant, scalar.coeff_p,
+                                                  scalar.coeff_q, scalar.coeff_pq)
                 report = verify_nash(state, vec_row, vec_col,
                                      MixingProfile(p[k], q[k]))
                 assert (row[k], col[k], weak[k]) == (
                     report.row_payoff, report.col_payoff, report.is_nash)
+                assert [(g[k], h[k]) for g, h in zip(gaps, holds)] == [
+                    (c.value, c.satisfied) for c in report.conditions]
 
 
 class TestParser:
