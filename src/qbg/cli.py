@@ -26,8 +26,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import (
     ClosedFormPayoff,
     MixingProfile,
@@ -49,6 +47,7 @@ EXIT_BROKEN_PIPE = 141
 _STATE_VARS = ("prob_lh", "prob_hl", "prob_hh")
 _SWEEP_VARS = ("p", "q") + _STATE_VARS
 _BLOCK_POINTS = 4096   # grid points a sweep evaluates at once (at least one row)
+_MAX_AXIS_STEPS = 100_000   # values per axis; a larger STEPS exits 2 before any is made
 
 
 def _fmt(value, precision: int = 6) -> str:
@@ -131,13 +130,15 @@ def cmd_quantize(args) -> int:
     report = None
     if candidate is not None:
         rho = final_density(state, candidate)
+        trace_row = expected_payoff_trace(vec_row, rho)
+        trace_col = expected_payoff_trace(vec_col, rho)
         report = verify_nash(state, vec_row, vec_col, candidate)
         rows += [
             ("candidate.p", candidate.p),
             ("candidate.q", candidate.q),
-            ("policy_payoff.trace", expected_payoff_trace(vec_row, rho)),
+            ("policy_payoff.trace", trace_row),
             ("policy_payoff.closed_form", f_row.evaluate(candidate.p, candidate.q)),
-            ("public_payoff.trace", expected_payoff_trace(vec_col, rho)),
+            ("public_payoff.trace", trace_col),
             ("public_payoff.closed_form", f_col.evaluate(candidate.p, candidate.q)),
             ("nash.weak", report.is_nash),
             ("nash.strict", report.is_strict_nash),
@@ -160,9 +161,9 @@ def cmd_quantize(args) -> int:
     if report is not None:
         print(f"Candidate profile: p={_fmt(report.candidate.p)}, "
               f"q={_fmt(report.candidate.q)}")
-        print(f"  policy payoff: trace={_fmt(expected_payoff_trace(vec_row, rho))}, "
+        print(f"  policy payoff: trace={_fmt(trace_row)}, "
               f"closed-form={_fmt(report.row_payoff)}")
-        print(f"  public payoff: trace={_fmt(expected_payoff_trace(vec_col, rho))}, "
+        print(f"  public payoff: trace={_fmt(trace_col)}, "
               f"closed-form={_fmt(report.col_payoff)}")
         print(f"  Nash (weak): {'yes' if report.is_nash else 'no'}")
         print(f"  Nash (strict): {'yes' if report.is_strict_nash else 'no'}")
@@ -229,6 +230,8 @@ def _parse_axis(text: str) -> _Axis:
         raise SpecError(f"bad axis range {rest!r}") from None
     if steps < 1:
         raise SpecError("axis needs at least 1 step")
+    if steps > _MAX_AXIS_STEPS:
+        raise SpecError(f"axis {text!r} has more than {_MAX_AXIS_STEPS} steps")
     if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
         raise SpecError("axis range must stay within [0, 1]")
     if steps == 1:
@@ -242,6 +245,7 @@ def _parse_axis(text: str) -> _Axis:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
     spec = _load_spec(args.spec)
     if not args.axis:
         raise SpecError("sweep needs at least one --axis VAR=LO:HI:STEPS")
@@ -254,7 +258,7 @@ def cmd_sweep(args) -> int:
     if not spec.has_quantum:
         raise SpecError("sweep needs a [quantum] section in the spec")
 
-    base_probs = spec.to_state().probabilities()
+    base_probs = spec.to_state().squared_magnitudes()
     candidate = spec.to_candidate()
     if "p" not in names and candidate is None:
         raise SpecError("p is unresolved: sweep it or provide a [candidate]")

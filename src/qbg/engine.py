@@ -24,14 +24,17 @@ Expected payoffs are traces of diagonal payoff operators against the final
 density matrix; because the operators are diagonal, payoffs depend only on
 squared amplitude magnitudes, so all results are invariant under rephasing
 any amplitude.
+
+The state constructors, the closed form and the Nash tests work on Python
+floats.  numpy is imported on first use: by the density-matrix oracle, by
+the accessors that return arrays, by ``normalized_amplitudes`` when it is
+given arrays, and for the squared magnitudes of complex amplitudes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 ALGEBRA_TOL = 1e-12    # tolerance for algebraic identities (norms, traces, slopes)
 PSD_TOL = 1e-10        # eigenvalue floor for positive semidefiniteness
@@ -41,10 +44,20 @@ BASIS_LABELS = ("LL", "LH", "HL", "HH")
 # Row k lists, for each basis outcome j, the index of the initial-state
 # component that branch operator k moves onto j; the operators are 0/1
 # permutation matrices, so indexing reproduces |U_k @ amps|^2 bit for bit.
-_PERM = np.array([[0, 1, 2, 3],
-                  [2, 3, 0, 1],
-                  [1, 0, 3, 2],
-                  [3, 2, 1, 0]])
+_PERM = ((0, 1, 2, 3),
+         (2, 3, 0, 1),
+         (1, 0, 3, 2),
+         (3, 2, 1, 0))
+
+
+def _clip_float(p):
+    """np.maximum(p, 0.0) on one float, NaN and signed zeros included."""
+    return 0.0 if p <= 0.0 else p
+
+
+def _extract_float(off, total):
+    """np.extract(off, total) on one float."""
+    return (total,) if off else ()
 
 
 def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh, tol: float = 1e-9):
@@ -53,15 +66,21 @@ def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh, tol: float = 1e-9):
     Each weight is clipped at 0 and divided by the clipped weights' total,
     which must be 1 within ``tol``.  The weights may be floats or numpy
     arrays of one shape; the arithmetic is elementwise, so an array entry
-    gets the same bits as the same weights passed as floats.
+    gets the same bits as the same weights passed as floats.  Floats are
+    handled with ``math``, so numpy is imported only when an array is given.
     """
-    probs = [np.maximum(p, 0.0) for p in (p_ll, p_lh, p_hl, p_hh)]
+    weights = (p_ll, p_lh, p_hl, p_hh)
+    if all(isinstance(p, (int, float)) for p in weights):
+        clip, sqrt, extract = _clip_float, math.sqrt, _extract_float
+    else:
+        import numpy as np
+        clip, sqrt, extract = (lambda p: np.maximum(p, 0.0)), np.sqrt, np.extract
+    probs = [clip(p) for p in weights]
     total = probs[0] + probs[1] + probs[2] + probs[3]
-    off = np.abs(total - 1.0) > tol
-    if np.any(off):
-        raise ValueError(f"squared magnitudes sum to "
-                         f"{float(np.extract(off, total)[0])!r}, expected 1")
-    return tuple(np.sqrt(p / total) for p in probs)
+    off = extract(abs(total - 1.0) > tol, total)
+    if len(off):
+        raise ValueError(f"squared magnitudes sum to {float(off[0])!r}, expected 1")
+    return tuple(sqrt(p / total) for p in probs)
 
 
 @dataclass(frozen=True)
@@ -86,13 +105,24 @@ class QuantumInitialState:
 
     @classmethod
     def normalized(cls, amp_ll, amp_lh, amp_hl, amp_hh) -> "QuantumInitialState":
-        """Rescale arbitrary amplitudes to unit norm (rejects the zero vector)."""
-        amps = np.array([amp_ll, amp_lh, amp_hl, amp_hh], dtype=complex)
-        norm = np.linalg.norm(amps)
+        """Rescale arbitrary amplitudes to unit norm (rejects the zero vector).
+
+        The arithmetic is that of ``amps / np.linalg.norm(amps)``, bit for
+        bit: the norm sums the squared real parts and the squared imaginary
+        parts each as (x0 + x2) + (x1 + x3), and dividing a complex number by
+        a real one multiplies both parts by its reciprocal after adding a
+        zero cross term, which fixes the signs of zero parts.
+        """
+        amps = [complex(a) for a in (amp_ll, amp_lh, amp_hl, amp_hh)]
+        re = [a.real * a.real for a in amps]
+        im = [a.imag * a.imag for a in amps]
+        norm = math.sqrt(((re[0] + re[2]) + (re[1] + re[3]))
+                         + ((im[0] + im[2]) + (im[1] + im[3])))
         if norm < 1e-15:
             raise ValueError("cannot normalize the zero vector")
-        amps = amps / norm
-        return cls(*(complex(a) for a in amps))
+        scale = 1.0 / norm
+        return cls(*(complex((a.real + a.imag * 0.0) * scale,
+                             (a.imag - a.real * 0.0) * scale) for a in amps))
 
     @classmethod
     def from_probabilities(cls, p_ll, p_lh, p_hl, p_hh,
@@ -109,13 +139,31 @@ class QuantumInitialState:
                 raise ValueError(f"squared magnitudes must be nonnegative, got {p!r}")
         return cls(*(complex(a) for a in normalized_amplitudes(*probs, tol=tol)))
 
+    def squared_magnitudes(self) -> tuple[float, float, float, float]:
+        """Squared magnitudes in basis order; these drive every payoff.
+
+        numpy computes a complex absolute value as larger * sqrt(1 + ratio**2),
+        with a fused multiply-add where the CPU has one; that is not
+        ``math.hypot``, and the two differ in the last bit for about a third
+        of random complex amplitudes.  States with an imaginary part therefore
+        keep numpy's bits.  Real ones, the only kind a spec file can write,
+        need no numpy: both give |a| there.
+        """
+        amps = [complex(a) for a in (self.amp_ll, self.amp_lh, self.amp_hl, self.amp_hh)]
+        if any(a.imag for a in amps):
+            import numpy as np
+            return tuple((np.abs(np.array(amps)) ** 2).tolist())
+        return tuple([a.real * a.real for a in amps])
+
     def amplitudes(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.amp_ll, self.amp_lh, self.amp_hl, self.amp_hh],
                         dtype=complex)
 
     def probabilities(self) -> np.ndarray:
-        """Squared magnitudes in basis order; these drive every payoff."""
-        return np.abs(self.amplitudes()) ** 2
+        """``squared_magnitudes`` as an array."""
+        import numpy as np
+        return np.array(self.squared_magnitudes())
 
 
 @dataclass(frozen=True)
@@ -142,6 +190,7 @@ class DensityMatrix4:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
@@ -155,6 +204,7 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", m)
 
     def diagonal(self) -> np.ndarray:
+        import numpy as np
         return np.real(np.diag(self.matrix)).copy()
 
 
@@ -173,6 +223,7 @@ class PayoffVector:
                 raise ValueError("payoffs must be finite")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.ll, self.lh, self.hl, self.hh], dtype=float)
 
 
@@ -249,11 +300,13 @@ class EquilibriumRegion:
 
 def flip_operator() -> np.ndarray:
     """Single-qubit strategy swap: unitary, Hermitian, its own inverse."""
+    import numpy as np
     return np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def branch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four conjugation operators in canonical branch order."""
+    import numpy as np
     ident = np.eye(2)
     flip = flip_operator()
     return (np.kron(ident, ident), np.kron(flip, ident),
@@ -262,18 +315,21 @@ def branch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def mixing_weights(mix: MixingProfile) -> np.ndarray:
     """Branch weights (pq, p(1-q), (1-p)q, (1-p)(1-q)); a probability vector."""
+    import numpy as np
     p, q = mix.p, mix.q
     return np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
 
 
 def initial_density(state: QuantumInitialState) -> DensityMatrix4:
     """Rank-1 projector onto the initial state."""
+    import numpy as np
     amps = state.amplitudes()
     return DensityMatrix4(np.outer(amps, amps.conj()))
 
 
 def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
     """Convex combination of the four conjugated initial densities."""
+    import numpy as np
     rho = np.outer(state.amplitudes(), state.amplitudes().conj())
     weights = mixing_weights(mix)
     out = np.zeros((4, 4), dtype=complex)
@@ -285,6 +341,7 @@ def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatr
 
 def payoff_operator(vec: PayoffVector) -> np.ndarray:
     """Diagonal payoff operator in basis order."""
+    import numpy as np
     return np.diag(vec.as_array()).astype(complex)
 
 
@@ -294,6 +351,7 @@ def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
     Raises if the trace carries an imaginary residue above tolerance, which
     would indicate a corrupted density matrix.
     """
+    import numpy as np
     value = complex(np.trace(payoff_operator(vec) @ rho.matrix))
     if abs(value.imag) > ALGEBRA_TOL:
         raise ValueError(f"payoff trace has imaginary residue {value.imag!r}")
@@ -309,7 +367,8 @@ def branch_outcome_matrix(state: QuantumInitialState) -> np.ndarray:
     components, so the rows are read off the squared magnitudes through a
     fixed index table; ``branch_operators`` stays as the independent check.
     """
-    return state.probabilities()[_PERM]
+    import numpy as np
+    return state.probabilities()[np.array(_PERM)]
 
 
 def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
@@ -337,7 +396,7 @@ def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
 
 def closed_form_payoff(state: QuantumInitialState, vec: PayoffVector) -> ClosedFormPayoff:
     """Expand the branch-weighted expected payoff into its bilinear form."""
-    return ClosedFormPayoff(*bilinear_coefficients(*state.probabilities().tolist(), vec))
+    return ClosedFormPayoff(*bilinear_coefficients(*state.squared_magnitudes(), vec))
 
 
 def payoff_vectors_from_game(game) -> tuple[PayoffVector, PayoffVector]:

@@ -72,7 +72,7 @@ def bg_payoff_vectors() -> tuple[PayoffVector, PayoffVector]:
 
 def weak_assumption_holds(state: QuantumInitialState) -> WeakAssumption:
     """Strict test of P(LL) + P(HL) > P(HH) + P(LH), with the gap attached."""
-    p_ll, p_lh, p_hl, p_hh = state.probabilities()
+    p_ll, p_lh, p_hl, p_hh = state.squared_magnitudes()
     gap = float((p_ll + p_hl) - (p_hh + p_lh))
     return WeakAssumption(holds=gap > 0.0, gap=gap)
 
@@ -86,7 +86,7 @@ def _scenario_conditions(state: QuantumInitialState) -> tuple[float, float]:
     """
     policy_vec, _ = bg_payoff_vectors()
     f_policy = closed_form_payoff(state, policy_vec)
-    probs = state.probabilities()
+    probs = state.squared_magnitudes()
     return f_policy.coeff_p, float(probs[1] + probs[2])
 
 

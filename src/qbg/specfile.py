@@ -27,11 +27,14 @@ Grammar (one page, deliberately small):
     q = ...   # column player's identity probability
 
 Parsing keeps exact ``Fraction`` values so that rendering a spec and parsing
-it back reproduces the object exactly.
+it back reproduces the object exactly.  Payoffs and state weights are also
+used as floats, so each of them, and each payoff of a builtin-bg table, must
+lie within the float range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,7 +86,11 @@ class GameSpec:
 
     def to_game(self) -> BimatrixGame:
         if self.mode == "builtin-bg":
-            return build_bg_game(PolicyParams(theta=self.theta, a=self.a, b=self.b))
+            game = build_bg_game(PolicyParams(theta=self.theta, a=self.a, b=self.b))
+            if not _fits_float(v for row in game.payoffs for cell in row for v in cell):
+                raise SpecError("the builtin-bg payoffs for these a and b exceed "
+                                "the float range")
+            return game
         cells_row = self.row_payoffs
         cells_col = self.col_payoffs
         payoffs = tuple(
@@ -120,6 +127,16 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"not a number: {text!r}", line, column) from None
+
+
+def _fits_float(values) -> bool:
+    """Whether every value converts to a float without overflowing."""
+    try:
+        for value in values:
+            float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _parse_labels(text: str, line: int, column: int) -> tuple[str, str]:
@@ -255,17 +272,18 @@ def parse_spec(text: str) -> GameSpec:
                 if value < 0:
                     raise SpecError(f"{key} must be nonnegative",
                                     quantum[key][1], quantum[key][2])
-            total = sum(values)
-            if abs(float(total) - 1.0) > NORMALIZATION_TOL:
-                raise SpecError(
-                    f"[quantum] squared magnitudes sum to {float(total)!r}, expected 1")
-            fields["probabilities"] = tuple(values)
-        else:
-            norm_sq = sum(float(v) ** 2 for v in values)
-            if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-                raise SpecError(
-                    f"[quantum] amplitudes have squared norm {norm_sq!r}, expected 1")
-            fields["amplitudes"] = tuple(values)
+        try:   # a value beyond the float range overflows here, as can a sum or a square
+            size = float(sum(values)) if has_probs else sum(float(v) ** 2 for v in values)
+        except OverflowError:
+            for key, value in zip(family, values):
+                if not _fits_float((value,)):
+                    raise SpecError(f"{key} exceeds the float range",
+                                    quantum[key][1], quantum[key][2]) from None
+            size = math.inf
+        if abs(size - 1.0) > NORMALIZATION_TOL:
+            what = "squared magnitudes sum to" if has_probs else "amplitudes have squared norm"
+            raise SpecError(f"[quantum] {what} {size!r}, expected 1")
+        fields["probabilities" if has_probs else "amplitudes"] = tuple(values)
 
     if "candidate" in sections:
         candidate = dict(sections["candidate"])
@@ -285,6 +303,9 @@ def parse_spec(text: str) -> GameSpec:
             values.append(value)
         fields["candidate"] = (values[0], values[1])
 
+    for key in ("row_payoffs", "col_payoffs"):
+        if key in fields and not _fits_float(fields[key]):
+            raise SpecError(f"{key} exceeds the float range", game[key][1], game[key][2])
     return GameSpec(**fields)
 
 

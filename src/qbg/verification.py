@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import (
     MixingProfile,
     QuantumInitialState,
@@ -293,7 +291,7 @@ def _strategy_checks() -> list[CheckResult]:
         nash_misses = 0
         for w in GRID:
             report = run(w)
-            probs = report.state.probabilities()
+            probs = report.state.squared_magnitudes()
             state_error = max(state_error,
                               float(probs[z0] + probs[z1] + abs(probs[s0] + probs[s1] - 1.0)))
             detail = f"grid point {weight}={w:.2f}"
@@ -316,6 +314,7 @@ def _strategy_checks() -> list[CheckResult]:
 
 
 def _oracle_checks() -> list[CheckResult]:
+    import numpy as np
     rng = np.random.default_rng(20240809)
     policy_vec, public_vec = bg_payoff_vectors()
     worst = 0.0

@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from qbg import (
     MixingProfile,
     QuantumInitialState,
     closed_form_payoff,
+    expected_payoff_trace,
     parse_spec,
     verify_nash,
 )
@@ -158,6 +160,66 @@ class TestClassical:
         assert "theta" in err
 
 
+class TestFloatRange:
+    """Spec numbers that are finite as fractions but overflow a float."""
+
+    @pytest.mark.parametrize("command", ["classical", "quantize", "equilibria"])
+    @pytest.mark.parametrize("text, position", [
+        (ZERO_GAME_SPEC.replace("row_payoffs = 0,0,0,0", "row_payoffs = 1e400,0,0,0")
+         + "\n[quantum]\nprob_ll = 1\nprob_lh = 0\nprob_hl = 0\nprob_hh = 0\n",
+         "line 3, column 14: row_payoffs"),
+        (WEAK_SPEC + "\n[quantum]\namp_ll = 1e400\namp_lh = 0\namp_hl = 0\namp_hh = 0\n",
+         "line 8, column 9: amp_ll"),
+        (WEAK_SPEC + "\n[quantum]\nprob_ll = 1e400\nprob_lh = 0\nprob_hl = 0\nprob_hh = 0\n",
+         "line 8, column 10: prob_ll"),
+    ])
+    def test_out_of_range_number_is_a_spec_error(self, capsys, spec_path, command,
+                                                 text, position):
+        for fmt in ([], ["--csv"]):
+            code, out, err = run_cli(capsys, command, *fmt, "--spec", spec_path(text))
+            assert (code, out) == (2, "")
+            assert err == f"error: {position} exceeds the float range\n"
+
+    @pytest.mark.parametrize("quantum, message", [
+        ("prob_ll = 1e308\nprob_lh = 1e308\nprob_hl = 0\nprob_hh = 0\n",
+         "squared magnitudes sum to inf, expected 1"),
+        ("amp_ll = 1e200\namp_lh = 0\namp_hl = 0\namp_hh = 0\n",
+         "amplitudes have squared norm inf, expected 1"),
+    ])
+    def test_overflowing_sum_is_a_spec_error(self, capsys, spec_path, quantum, message):
+        path = spec_path(WEAK_SPEC + "\n[quantum]\n" + quantum)
+        for command in ("classical", "quantize", "equilibria"):
+            code, out, err = run_cli(capsys, command, "--spec", path)
+            assert (code, out, err) == (2, "", f"error: [quantum] {message}\n")
+
+    @pytest.mark.parametrize("a, b", [("1e-400", "2"), ("2", "1e400"), ("1e100", "1e250")])
+    def test_builtin_payoffs_beyond_float_range(self, capsys, spec_path, a, b):
+        path = spec_path(PURE_LL_SPEC.replace("a = 2", f"a = {a}").replace("b = 2", f"b = {b}"))
+        for command in ("classical", "quantize", "equilibria"):
+            code, out, err = run_cli(capsys, command, "--spec", path)
+            assert (code, out) == (2, "")
+            assert "exceed the float range" in err
+
+    def test_huge_builtin_coefficient_still_works(self, capsys, spec_path):
+        # a = 1e400 only shrinks the payoffs
+        path = spec_path(WEAK_SPEC.replace("a = 2", "a = 1e400"))
+        assert run_cli(capsys, "classical", "--spec", path) == (0, """\
+Payoff table (rows: policy maker, columns: public)
+      L         H         
+  L   (0, 0)    (-0, -0)  
+  H   (0, -0)   (-0, 0)   
+Pure Nash equilibria: (H, H)
+Dominated rows: L (strict)
+""", "")
+        assert run_cli(capsys, "classical", "--csv", "--spec", path) == (0, """\
+row_label,col_label,row_payoff,col_payoff
+L,L,0,0
+L,H,-0,-0
+H,L,0,-0
+H,H,-0,0
+""", "")
+
+
 class TestQuantize:
     def test_matched_state_candidate(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "quantize",
@@ -179,6 +241,20 @@ class TestQuantize:
         assert code == 0
         assert "policy payoff: trace=-0.5, closed-form=-0.5" in out
         assert "public payoff: trace=-0.5, closed-form=-0.5" in out
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]])
+    def test_trace_payoffs_computed_once(self, capsys, spec_path, monkeypatch, fmt):
+        calls = []
+
+        def counting(vec, rho):
+            calls.append(vec)
+            return expected_payoff_trace(vec, rho)
+
+        monkeypatch.setattr(cli, "expected_payoff_trace", counting)
+        code, out, _ = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(MIXED_SPEC))
+        assert code == 0
+        assert len(calls) == 2
+        assert out.count("trace") == 2
 
     def test_csv_items(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "quantize", "--csv",
@@ -316,6 +392,18 @@ prob_hh = 0
             rows = parse_csv(out)
             assert len(rows) == steps + 1
             assert rows[-1][0] == last
+
+    def test_axis_steps_are_bounded(self, capsys, spec_path):
+        # a trillion steps would exhaust memory if the axis were materialized
+        path = spec_path(MATCHED_SPEC)
+        code, out, err = run_cli(capsys, "sweep", "--spec", path,
+                                 "--axis", f"p=0:1:{10 ** 12}")
+        assert (code, out) == (2, "")
+        assert f"more than {cli._MAX_AXIS_STEPS} steps" in err
+        assert cli._MAX_AXIS_STEPS == 100_000
+        assert len(cli._parse_axis(f"q=0:1:{cli._MAX_AXIS_STEPS}").values) == 100_000
+        with pytest.raises(SpecError, match="more than"):
+            cli._parse_axis(f"q=0:1:{cli._MAX_AXIS_STEPS + 1}")
 
     def test_closed_stdout_exits_quietly(self, spec_path):
         # a 160k-row sweep cannot fit in the pipe, so closing the read end
@@ -481,6 +569,38 @@ class TestSweepGolden:
                     report.row_payoff, report.col_payoff, report.is_nash)
                 assert [(g[k], h[k]) for g, h in zip(gaps, holds)] == [
                     (c.value, c.satisfied) for c in report.conditions]
+
+
+NUMPY_PROBE = """\
+import contextlib, io, json, sys
+from qbg.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append((code, "numpy" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+class TestNumpyImport:
+    @pytest.mark.parametrize("command", ["classical", "equilibria", "quantize"])
+    def test_scalar_commands_never_import_numpy(self, spec_path, command):
+        # quantize with a [candidate] runs the density-matrix oracle, which
+        # needs numpy; it comes last, as a check that the probe can see it
+        specs = [spec_path(text.split("\n[candidate]")[0], name)
+                 for text, name in ((MIXED_SPEC, "prob.spec"),
+                                    (SIGNED_AMP_SPEC, "amp.spec"))]
+        argvs = [[command, *fmt, "--spec", path]
+                 for path in specs for fmt in ([], ["--csv"])]
+        argvs.append(["quantize", "--spec", spec_path(MIXED_SPEC)])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == [[0, False]] * 4 + [[0, True]]
 
 
 class TestParser:

@@ -95,6 +95,56 @@ class TestQuantumInitialState:
         with pytest.raises(ValueError):
             QuantumInitialState.from_probabilities(1.2, 0.0, 0.0, -0.2)
 
+    def test_construction_is_bitwise_the_numpy_formulas(self):
+        # the constructors and squared_magnitudes work on Python floats; they
+        # must give the bits of the numpy formulas, signed zeros included
+        def bits(values):
+            return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+        def fields(state):
+            return [state.amp_ll, state.amp_lh, state.amp_hl, state.amp_hh]
+
+        rng = fresh_rng(29)
+        specials = [0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-300, 3.0]
+        checked = 0
+        for k in range(10_500):
+            kind = k % 4
+            if kind == 0:
+                amps = rng.normal(size=4)
+            elif kind == 1:
+                amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            elif kind == 2:
+                amps = rng.choice(specials, size=4)
+            else:
+                amps = rng.choice(specials, size=4) + 1j * rng.choice(specials, size=4)
+            amps = np.where(rng.uniform(size=4) < 0.25, 0.0, amps).astype(complex)
+            norm = np.linalg.norm(amps)
+            if norm >= 1e-15:
+                state = QuantumInitialState.normalized(*amps)
+                expected = amps / norm
+                assert bits(fields(state)) == bits(expected)
+                assert bits(state.squared_magnitudes()) == bits(np.abs(expected) ** 2)
+                checked += 1
+
+            weights = rng.uniform(size=4) * (rng.uniform(size=4) < 0.7)
+            if kind:
+                weights[k % 4] = 0.0
+            weights[(k + 1) % 4] += weights.sum() == 0
+            weights = list(weights / weights.sum())
+            if kind:   # a zero weight written as -0.0, a tiny negative or 0.0
+                weights[k % 4] = (-0.0, -5e-13, 0.0)[kind - 1]
+            if k % 3 == 0:   # decimal rounding fuzz on the positive weights
+                weights = [w + rng.normal() * 1e-10 if w > 0.01 else w for w in weights]
+            probs = [np.maximum(w, 0.0) for w in weights]
+            total = probs[0] + probs[1] + probs[2] + probs[3]
+            if abs(total - 1.0) <= 1e-9:
+                state = QuantumInitialState.from_probabilities(*weights)
+                assert bits(fields(state)) == bits([np.sqrt(p / total) for p in probs])
+                assert bits(state.squared_magnitudes()) == bits(
+                    np.abs(state.amplitudes()) ** 2)
+                checked += 1
+        assert checked >= 20_000
+
 
 class TestDensities:
     def test_initial_density_basis_projector(self):
