@@ -24,7 +24,7 @@ import csv
 import functools
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import (
     ClosedFormPayoff,
@@ -208,10 +208,10 @@ def cmd_equilibria(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Axis:
-    var: str
-    values: tuple[float, ...]
+class _Axis(namedtuple("_Axis", "var values")):
+    """A swept variable (str) and its grid values (tuple of floats)."""
+
+    __slots__ = ()
 
 
 def _parse_axis(text: str) -> _Axis:

@@ -33,8 +33,11 @@ given arrays, and for the squared magnitudes of complex amplitudes.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from ._records import ValidatedRecord
 
 ALGEBRA_TOL = 1e-12    # tolerance for algebraic identities (norms, traces, slopes)
 PSD_TOL = 1e-10        # eigenvalue floor for positive semidefiniteness
@@ -83,17 +86,15 @@ def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh, tol: float = 1e-9):
     return tuple(sqrt(p / total) for p in probs)
 
 
-@dataclass(frozen=True)
-class QuantumInitialState:
+class QuantumInitialState(ValidatedRecord,
+                          namedtuple("QuantumInitialState", "amp_ll amp_lh amp_hl amp_hh")):
     """Normalized amplitudes over the ordered basis (LL, LH, HL, HH)."""
 
-    amp_ll: complex
-    amp_lh: complex
-    amp_hl: complex
-    amp_hh: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        amps = (self.amp_ll, self.amp_lh, self.amp_hl, self.amp_hh)
+    def __new__(cls, amp_ll: complex, amp_lh: complex, amp_hl: complex,
+                amp_hh: complex):
+        amps = (amp_ll, amp_lh, amp_hl, amp_hh)
         for a in amps:
             z = complex(a)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -102,6 +103,7 @@ class QuantumInitialState:
         if abs(norm_sq - 1.0) > ALGEBRA_TOL:
             raise ValueError(
                 f"state not normalized: squared magnitudes sum to {norm_sq!r}")
+        return tuple.__new__(cls, amps)
 
     @classmethod
     def normalized(cls, amp_ll, amp_lh, amp_hl, amp_hh) -> "QuantumInitialState":
@@ -166,20 +168,18 @@ class QuantumInitialState:
         return np.array(self.squared_magnitudes())
 
 
-@dataclass(frozen=True)
-class MixingProfile:
+class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
     """Identity-operator probabilities (p for the row player, q for the column)."""
 
-    p: float
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in (("p", self.p), ("q", self.q)):
+    def __new__(cls, p: float, q: float):
+        for name, value in (("p", p), ("q", q)):
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        return tuple.__new__(cls, (p, q))
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix4:
     """4x4 density matrix over the game basis.
 
@@ -187,11 +187,11 @@ class DensityMatrix4:
     eigenvalues above -1e-10.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)   # read-only, never reassigned; compares by identity
 
-    def __post_init__(self):
+    def __init__(self, matrix: np.ndarray):
         import numpy as np
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
@@ -203,32 +203,38 @@ class DensityMatrix4:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix4(matrix={self.matrix!r})"
+
     def diagonal(self) -> np.ndarray:
         import numpy as np
         return np.real(np.diag(self.matrix)).copy()
 
 
-@dataclass(frozen=True)
-class PayoffVector:
+class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
     """Diagonal of one player's payoff operator, in basis order."""
 
-    ll: float
-    lh: float
-    hl: float
-    hh: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.ll, self.lh, self.hl, self.hh):
+    def __new__(cls, ll: float, lh: float, hl: float, hh: float):
+        values = (ll, lh, hl, hh)
+        for v in values:
             if not math.isfinite(v):
                 raise ValueError("payoffs must be finite")
+        return tuple.__new__(cls, values)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
         return np.array([self.ll, self.lh, self.hl, self.hh], dtype=float)
 
 
-@dataclass(frozen=True)
-class ClosedFormPayoff:
+class ClosedFormPayoff(namedtuple("ClosedFormPayoff", "constant coeff_p coeff_q coeff_pq")):
     """Expected payoff as a bilinear polynomial in the identity probabilities.
 
     evaluate(p, q) = constant + coeff_p*p + coeff_q*q + coeff_pq*p*q
@@ -237,10 +243,7 @@ class ClosedFormPayoff:
     forms; evaluate then works elementwise with the same operation order.
     """
 
-    constant: float
-    coeff_p: float
-    coeff_q: float
-    coeff_pq: float
+    __slots__ = ()
 
     def evaluate(self, p: float, q: float) -> float:
         return self.constant + self.coeff_p * p + self.coeff_q * q + self.coeff_pq * p * q
@@ -249,33 +252,28 @@ class ClosedFormPayoff:
         return self.coeff_q + self.coeff_pq * p
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    description: str
-    value: float
-    satisfied: bool
+class ConditionCheck(namedtuple("ConditionCheck", "description value satisfied")):
+    """One condition: its description (str), value (float), and whether it holds (bool)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(namedtuple("EquilibriumReport", (
+        "candidate",        # MixingProfile
+        "row_payoff",       # float
+        "col_payoff",       # float
+        "is_nash",          # no extreme deviation gains (weak inequalities)
+        "is_strict_nash",   # every actual deviation strictly loses
+        "conditions"))):    # tuple[ConditionCheck, ...]
     """Outcome of testing one candidate profile for Nash stability."""
 
-    candidate: MixingProfile
-    row_payoff: float
-    col_payoff: float
-    is_nash: bool          # no extreme deviation gains (weak inequalities)
-    is_strict_nash: bool   # every actual deviation strictly loses
-    conditions: tuple[ConditionCheck, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EquilibriumRegion:
+class EquilibriumRegion(namedtuple("EquilibriumRegion", "p_min p_max q_min q_max")):
     """Axis-aligned set of equilibrium profiles: point, segment, or rectangle."""
 
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -313,6 +311,20 @@ def branch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             np.kron(ident, flip), np.kron(flip, flip))
 
 
+@functools.cache
+def _branch_conjugations() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(U_k, U_k^dagger) for the branch operators, built on first use.
+
+    The arrays are shared by every call, so they are made read-only;
+    ``branch_operators`` keeps handing out fresh ones.
+    """
+    pairs = tuple((op, op.conj().T) for op in branch_operators())
+    for pair in pairs:
+        for array in pair:
+            array.setflags(write=False)
+    return pairs
+
+
 def mixing_weights(mix: MixingProfile) -> np.ndarray:
     """Branch weights (pq, p(1-q), (1-p)q, (1-p)(1-q)); a probability vector."""
     import numpy as np
@@ -330,12 +342,13 @@ def initial_density(state: QuantumInitialState) -> DensityMatrix4:
 def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
     """Convex combination of the four conjugated initial densities."""
     import numpy as np
-    rho = np.outer(state.amplitudes(), state.amplitudes().conj())
+    amps = state.amplitudes()
+    rho = np.outer(amps, amps.conj())
     weights = mixing_weights(mix)
     out = np.zeros((4, 4), dtype=complex)
-    for w, op in zip(weights, branch_operators()):
+    for w, (op, op_dagger) in zip(weights, _branch_conjugations()):
         if w != 0.0:
-            out += w * (op @ rho @ op.conj().T)
+            out += w * (op @ rho @ op_dagger)
     return DensityMatrix4(out)
 
 

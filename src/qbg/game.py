@@ -13,9 +13,11 @@ exact, so the canonical normalized tables reproduce with zero tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
+
+from ._records import ValidatedRecord
 
 Scalar = Union[int, float, Fraction]
 
@@ -33,8 +35,7 @@ def _is_finite(x: Scalar) -> bool:
     return not (isinstance(x, float) and not math.isfinite(x))
 
 
-@dataclass(frozen=True)
-class PolicyParams:
+class PolicyParams(ValidatedRecord, namedtuple("PolicyParams", "theta a b")):
     """Policy-maker type and utility coefficients.
 
     theta: 1 for the opportunistic ("weak") type that gains from surprise
@@ -42,67 +43,65 @@ class PolicyParams:
     inflation cost, b the surprise-inflation benefit; both must be positive.
     """
 
-    theta: int
-    a: Scalar
-    b: Scalar
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.theta not in (0, 1):
-            raise ValueError(f"theta must be 0 or 1, got {self.theta!r}")
-        if not (_is_finite(self.a) and self.a > 0):
-            raise ValueError(f"a must be positive and finite, got {self.a!r}")
-        if not (_is_finite(self.b) and self.b > 0):
-            raise ValueError(f"b must be positive and finite, got {self.b!r}")
+    def __new__(cls, theta: int, a: Scalar, b: Scalar):
+        if theta not in (0, 1):
+            raise ValueError(f"theta must be 0 or 1, got {theta!r}")
+        if not (_is_finite(a) and a > 0):
+            raise ValueError(f"a must be positive and finite, got {a!r}")
+        if not (_is_finite(b) and b > 0):
+            raise ValueError(f"b must be positive and finite, got {b!r}")
+        return tuple.__new__(cls, (theta, a, b))
 
 
-@dataclass(frozen=True)
-class InflationProfile:
+class InflationProfile(ValidatedRecord,
+                       namedtuple("InflationProfile", "actual expected")):
     """A pair (actual inflation, expected inflation)."""
 
-    actual: Scalar
-    expected: Scalar
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (_is_finite(self.actual) and _is_finite(self.expected)):
+    def __new__(cls, actual: Scalar, expected: Scalar):
+        if not (_is_finite(actual) and _is_finite(expected)):
             raise ValueError("inflation rates must be finite")
+        return tuple.__new__(cls, (actual, expected))
 
 
-@dataclass(frozen=True)
-class PureProfile:
+class PureProfile(ValidatedRecord, namedtuple("PureProfile", "row_index col_index")):
     """Pure strategy pair by table index (0 = first label, 1 = second)."""
 
-    row_index: int
-    col_index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.row_index not in (0, 1) or self.col_index not in (0, 1):
+    def __new__(cls, row_index: int, col_index: int):
+        if row_index not in (0, 1) or col_index not in (0, 1):
             raise ValueError("indices must be 0 or 1")
+        return tuple.__new__(cls, (row_index, col_index))
 
 
-@dataclass(frozen=True)
-class DominatedRow:
-    index: int
-    strict: bool
+class DominatedRow(namedtuple("DominatedRow", "index strict")):
+    """A dominated row: its index (int) and whether the dominance is strict (bool)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BimatrixGame:
+class BimatrixGame(ValidatedRecord,
+                   namedtuple("BimatrixGame", "row_labels col_labels payoffs")):
     """A 2x2 bimatrix game; ``payoffs[r][c]`` is ``(row payoff, col payoff)``."""
 
-    row_labels: tuple[str, str]
-    col_labels: tuple[str, str]
-    payoffs: tuple[tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]],
-                   tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.row_labels) != 2 or len(self.col_labels) != 2:
+    def __new__(cls, row_labels: tuple[str, str], col_labels: tuple[str, str],
+                payoffs: tuple[tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]],
+                               tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]]):
+        if len(row_labels) != 2 or len(col_labels) != 2:
             raise ValueError("need exactly two strategy labels per player")
-        if len(self.payoffs) != 2 or any(len(row) != 2 for row in self.payoffs):
+        if len(payoffs) != 2 or any(len(row) != 2 for row in payoffs):
             raise ValueError("payoff table must be 2x2")
-        for row in self.payoffs:
+        for row in payoffs:
             for cell in row:
                 if len(cell) != 2 or not all(_is_finite(v) for v in cell):
                     raise ValueError("each cell needs two finite payoffs")
+        return tuple.__new__(cls, (row_labels, col_labels, payoffs))
 
     def row_payoff(self, r: int, c: int) -> Scalar:
         return self.payoffs[r][c][0]

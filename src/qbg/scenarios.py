@@ -15,7 +15,7 @@ equilibrium, which the classical game cannot offer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from .engine import (
@@ -41,26 +41,27 @@ NOTE_TIME_CONSISTENT = "time-consistent-commitment-equilibrium"
 NOTE_CLASSICAL_LIMIT = "classical-commitment-recovered"
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    scenario: str
-    state: QuantumInitialState
-    candidate: MixingProfile
-    policy_payoff: float
-    public_payoff: float
-    is_nash: bool
-    is_strict_nash: bool
-    conditions: tuple[ConditionCheck, ...]
-    verdict: str
-    notes: tuple[str, ...] = ()
+class ScenarioReport(namedtuple("ScenarioReport", (
+        "scenario",         # str
+        "state",            # QuantumInitialState
+        "candidate",        # MixingProfile
+        "policy_payoff",    # float
+        "public_payoff",    # float
+        "is_nash",          # bool
+        "is_strict_nash",   # bool
+        "conditions",       # tuple[ConditionCheck, ...]
+        "verdict",          # str
+        "notes"),           # tuple[str, ...]
+        defaults=((),))):
+    """One scenario's candidate, payoffs, verdicts and the conditions behind them."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeakAssumption:
+class WeakAssumption(namedtuple("WeakAssumption", "holds gap")):
     """Whether the state weighs the row player's keep-favoring outcomes more."""
 
-    holds: bool
-    gap: float
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)
@@ -213,4 +214,4 @@ def run_strategy_ii(hh_prob: float) -> ScenarioReport:
         notes.append(NOTE_TIME_CONSISTENT)
     if hh_prob == 0.0:
         notes.append(NOTE_CLASSICAL_LIMIT)
-    return replace(report, notes=tuple(notes))
+    return report._replace(notes=tuple(notes))

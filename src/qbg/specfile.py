@@ -5,8 +5,9 @@ Grammar (one page, deliberately small):
 * A file is a sequence of ``[section]`` headers and ``key = value`` lines.
 * Blank lines and lines starting with ``#`` or ``;`` are ignored.
 * Sections: ``[game]`` (required), ``[quantum]`` and ``[candidate]`` (optional).
-* Values are numbers written as decimals (``0.5``) or simple fractions
-  (``1/2``, ``-3/4``); labels are comma-separated strings.
+* Values are numbers written as decimals (``0.5``, ``25e-2``) or simple
+  fractions (``1/2``, ``-3/4``); labels are comma-separated strings.  A
+  decimal exponent may be at most ``MAX_EXPONENT`` in magnitude.
 
 ``[game]`` keys::
 
@@ -35,7 +36,8 @@ lie within the float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .engine import MixingProfile, PayoffVector, QuantumInitialState
@@ -49,6 +51,11 @@ _AMP_KEYS = ("amp_ll", "amp_lh", "amp_hl", "amp_hh")
 _CANDIDATE_KEYS = ("p", "q")
 
 NORMALIZATION_TOL = 1e-9
+
+# Fraction builds 10**exponent exactly, so a short text like 1e100000000 would
+# stall the parser; numbers with a larger exponent are refused unbuilt.
+MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 class SpecError(ValueError):
@@ -64,21 +71,21 @@ class SpecError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(namedtuple("GameSpec", (
+        "mode",            # str
+        "theta",           # int | None
+        "a", "b",          # Fraction | None
+        "row_labels",      # tuple[str, str]
+        "col_labels",      # tuple[str, str]
+        "row_payoffs",     # tuple of 4 Fractions | None
+        "col_payoffs",     # tuple of 4 Fractions | None
+        "probabilities",   # tuple of 4 Fractions | None
+        "amplitudes",      # tuple of 4 Fractions | None
+        "candidate"),      # tuple[Fraction, Fraction] | None
+        defaults=(None, None, None, ("L", "H"), ("L", "H"), None, None, None, None, None))):
     """Parsed game description; numeric fields are exact fractions."""
 
-    mode: str
-    theta: int | None = None
-    a: Fraction | None = None
-    b: Fraction | None = None
-    row_labels: tuple[str, str] = ("L", "H")
-    col_labels: tuple[str, str] = ("L", "H")
-    row_payoffs: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
-    col_payoffs: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
-    probabilities: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
-    amplitudes: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
-    candidate: tuple[Fraction, Fraction] | None = None
+    __slots__ = ()
 
     @property
     def has_quantum(self) -> bool:
@@ -123,10 +130,19 @@ class GameSpec:
 
 
 def _parse_number(text: str, line: int, column: int) -> Fraction:
+    exponent = _EXPONENT.search(text)
     try:
-        return Fraction(text)
+        too_large = exponent is not None and int(exponent[1]) > MAX_EXPONENT
+    except ValueError:            # more digits than int() converts
+        too_large = True
+    try:   # with too large an exponent, only check that the rest is a number
+        value = Fraction(text[:exponent.start()] + "e0" if too_large else text)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"not a number: {text!r}", line, column) from None
+    if too_large:
+        raise SpecError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude",
+                        line, column)
+    return value
 
 
 def _fits_float(values) -> bool:

@@ -14,7 +14,7 @@ subcommand prints it and exits 0 only if every check passes at 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import (
     MixingProfile,
@@ -47,14 +47,13 @@ _STRONG_TABLE = (((0, 0), (0, -1)), ((-1, -1), (-1, 0)))
 _CELL_NAMES = {(0, 0): "ll", (0, 1): "lh", (1, 0): "hl", (1, 1): "hh"}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    description: str
-    expected: float
-    computed: float
-    tolerance: float = TOLERANCE
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "check_id description expected computed "
+                                            "tolerance detail",
+                             defaults=(TOLERANCE, ""))):
+    """One check: its id and description (str), the expected and computed values
+    and the tolerance between them (float), and a detail note (str)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -347,10 +346,6 @@ def run_verification(fault_id: str | None = None) -> list[CheckResult]:
         ids = [c.check_id for c in checks]
         if fault_id not in ids:
             raise ValueError(f"unknown check id {fault_id!r}")
-        checks = [
-            CheckResult(c.check_id, c.description, c.expected,
-                        c.computed + 1e-3, c.tolerance, c.detail)
-            if c.check_id == fault_id else c
-            for c in checks
-        ]
+        checks = [c._replace(computed=c.computed + 1e-3) if c.check_id == fault_id else c
+                  for c in checks]
     return checks

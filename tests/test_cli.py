@@ -103,6 +103,14 @@ def spec_path(tmp_path):
     return write
 
 
+def child_env():
+    """The environment for a child interpreter that imports qbg from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -218,6 +226,20 @@ L,H,-0,-0
 H,L,0,-0
 H,H,-0,0
 """, "")
+
+
+class TestLargeExponent:
+    def test_refused_before_the_value_is_built(self, spec_path):
+        # Fraction('1e100000000') would build 10**100000000 exactly; the
+        # timeout turns that stall into a failure
+        path = spec_path(WEAK_SPEC.replace("a = 2", "a = 1e100000000"))
+        for command in ("classical", "quantize", "equilibria"):
+            proc = subprocess.run([sys.executable, "-m", "qbg", command, "--spec", path],
+                                  capture_output=True, text=True, env=child_env(),
+                                  timeout=20)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                2, "", "error: line 4, column 4: exponent of '1e100000000' exceeds "
+                       "10000 in magnitude\n")
 
 
 class TestQuantize:
@@ -408,13 +430,10 @@ prob_hh = 0
     def test_closed_stdout_exits_quietly(self, spec_path):
         # a 160k-row sweep cannot fit in the pipe, so closing the read end
         # after the header makes the next write fail
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "qbg", "sweep", "--spec", spec_path(MATCHED_SPEC),
              "--axis", "p=0:1:400", "--axis", "q=0:1:400"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         header = proc.stdout.readline()
         proc.stdout.close()
         try:
@@ -571,16 +590,26 @@ class TestSweepGolden:
                     (c.value, c.satisfied) for c in report.conditions]
 
 
-NUMPY_PROBE = """\
+IMPORT_PROBE = """\
 import contextlib, io, json, sys
 from qbg.cli import main
+watched, argvs = json.loads(sys.argv[1])
 loaded = []
-for argv in json.loads(sys.argv[1]):
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    loaded.append((code, "numpy" in sys.modules))
+    loaded.append((code, [name for name in watched if name in sys.modules]))
 print(json.dumps(loaded))
 """
+
+
+def modules_loaded(watched, argvs):
+    """Run ``argvs`` in turn in one fresh interpreter; after each, its exit code
+    and which of the ``watched`` modules are loaded by then."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps([watched, argvs])],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
 
 
 class TestNumpyImport:
@@ -594,13 +623,20 @@ class TestNumpyImport:
         argvs = [[command, *fmt, "--spec", path]
                  for path in specs for fmt in ([], ["--csv"])]
         argvs.append(["quantize", "--spec", spec_path(MIXED_SPEC)])
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stderr == ""
-        assert json.loads(proc.stdout) == [[0, False]] * 4 + [[0, True]]
+        assert modules_loaded(["numpy"], argvs) == [[0, []]] * 4 + [[0, ["numpy"]]]
+
+
+class TestRecordImport:
+    @pytest.mark.parametrize("command", ["classical", "equilibria"])
+    def test_scalar_commands_never_import_dataclasses(self, spec_path, command):
+        # qbg's records are named tuples: neither dataclasses nor the inspect
+        # module it imports is loaded.  reproduce loads numpy, which imports
+        # inspect; it comes last, as a check that the probe can see it.
+        path = spec_path(MIXED_SPEC.split("\n[candidate]")[0])
+        argvs = [[command, *fmt, "--spec", path] for fmt in ([], ["--csv"])]
+        argvs.append(["reproduce"])
+        assert modules_loaded(["dataclasses", "inspect"], argvs) == (
+            [[0, []]] * 2 + [[0, ["inspect"]]])
 
 
 class TestParser:

@@ -196,6 +196,32 @@ class TestDensities:
             assert abs(np.trace(m).real - 1.0) < 1e-12
             assert np.min(np.linalg.eigvalsh(m)) > -1e-10
 
+    def test_final_density_is_bitwise_the_operator_formula(self):
+        # the conjugation pairs are built once; the sums must not move a bit
+        rng = fresh_rng(15)
+        profiles = [MixingProfile(float(p), float(q)) for p, q in rng.uniform(size=(40, 2))]
+        profiles += [MixingProfile(p, q) for p in (0.0, 1.0) for q in (0.0, 0.5, 1.0)]
+        for mix in profiles:
+            state = random_state(rng)
+            amps = state.amplitudes()
+            rho = np.outer(amps, amps.conj())
+            expected = np.zeros((4, 4), dtype=complex)
+            for w, op in zip(mixing_weights(mix), branch_operators()):
+                if w != 0.0:
+                    expected += w * (op @ rho @ op.conj().T)
+            assert final_density(state, mix).matrix.tobytes() == expected.tobytes()
+
+    def test_branch_operators_are_fresh_arrays(self):
+        ident, flip = np.eye(2), flip_operator()
+        expected = (np.kron(ident, ident), np.kron(flip, ident),
+                    np.kron(ident, flip), np.kron(flip, flip))
+        for op in branch_operators():
+            op[:] = 0.0          # writable, and nobody else's
+        assert all(np.array_equal(op, want)
+                   for op, want in zip(branch_operators(), expected))
+        rho = final_density(QuantumInitialState(1, 0, 0, 0), MixingProfile(0.0, 0.0))
+        assert rho.matrix[3, 3] == 1.0
+
     def test_density_validation_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
             DensityMatrix4(np.eye(4))  # trace 4

@@ -119,6 +119,29 @@ class TestDiagnostics:
         assert err.value.line == 3
         assert err.value.column is not None
 
+    @pytest.mark.parametrize("value", ["1e10000", "1E-10000", "25e+1_0000"])
+    def test_exponent_up_to_the_limit_parses(self, value):
+        assert parse_spec(BUILTIN.replace("a = 2", f"a = {value}")).a == Fraction(value)
+
+    @pytest.mark.parametrize("value", ["1e10001", "1E-10001", "2.5e+1_0001",
+                                       pytest.param("1e" + "9" * 5000, id="5000-digits")])
+    def test_exponent_beyond_the_limit_is_refused(self, value):
+        with pytest.raises(SpecError) as err:
+            parse_spec(BUILTIN.replace("a = 2", f"a = {value}"))
+        assert (err.value.line, err.value.column) == (4, 4)
+        assert str(err.value) == (f"line 4, column 4: exponent of {value!r} exceeds "
+                                  "10000 in magnitude")
+
+    def test_exponent_in_a_number_list_reports_the_line(self):
+        text = CUSTOM.replace("row_payoffs = 3,0,5,1", "row_payoffs = 3,0,5e99999,1")
+        with pytest.raises(SpecError, match=r"^line 5, column 14: exponent of '5e99999'"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize("value", ["x1e99999", "1e5e99999", "1/2e99999", "1e 99999"])
+    def test_malformed_number_with_a_large_exponent_is_not_a_number(self, value):
+        with pytest.raises(SpecError, match=r"^line 4, column 4: not a number"):
+            parse_spec(BUILTIN.replace("a = 2", f"a = {value}"))
+
     def test_duplicate_key(self):
         with pytest.raises(SpecError, match="duplicate key"):
             parse_spec(BUILTIN + "a = 3\n")
