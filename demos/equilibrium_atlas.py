@@ -9,6 +9,8 @@ a few samples with the verifier.
 Run: python3 demos/equilibrium_atlas.py
 """
 
+import numpy as np
+
 from qbg import (
     MixingProfile,
     PayoffVector,
@@ -33,7 +35,7 @@ def describe(region):
 def atlas_entry(label, state, vec_row, vec_col):
     regions = enumerate_equilibria(state, vec_row, vec_col)
     print(f"{label}")
-    print("  state weights:", state.probabilities().round(3))
+    print("  state weights:", np.array(state.squared_magnitudes()).round(3))
     if not regions:
         print("  no equilibria")
     for region in regions:

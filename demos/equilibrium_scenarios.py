@@ -9,6 +9,8 @@ family is where the commitment problem dissolves.
 Run: python3 demos/equilibrium_scenarios.py
 """
 
+import numpy as np
+
 from qbg import (
     QuantumInitialState,
     run_case_a,
@@ -37,7 +39,7 @@ def show(report):
 
 def main():
     state = QuantumInitialState.from_probabilities(0.5, 0.2, 0.2, 0.1)
-    print("Reference state weights (LL, LH, HL, HH):", state.probabilities())
+    print("Reference state weights (LL, LH, HL, HH):", np.array(state.squared_magnitudes()))
     weak = weak_assumption_holds(state)
     print(f"Keep-favoring weight gap (LL+HL vs HH+LH): {weak.gap:+.2f} -> "
           f"{'weak-type preference holds' if weak.holds else 'does not hold'}\n")

@@ -30,7 +30,7 @@ def main():
     print()
 
     state = QuantumInitialState.from_probabilities(0.5, 0.2, 0.2, 0.1)
-    print("Initial state weights (LL, LH, HL, HH):", state.probabilities())
+    print("Initial state weights (LL, LH, HL, HH):", np.array(state.squared_magnitudes()))
     print("Branch-outcome matrix (rows: the four mixing branches):")
     print(branch_outcome_matrix(state))
     print()

@@ -4,37 +4,28 @@ Classical 2x2 payoff tables for the policy maker / public game, an
 operator-mixing quantization over an entangled initial state, exact Nash
 equilibrium analysis, and the named scenarios that resolve the game's time
 inconsistency in the quantum setting.
+
+The package exports the records a user constructs and the functions a user
+calls.  Records that qbg only returns (``ClosedFormPayoff``,
+``EquilibriumReport``, ``ScenarioReport``, ``CheckResult``, ...) and the
+density-matrix oracle's building blocks are imported from their modules.
 """
 
 from .engine import (
-    ClosedFormPayoff,
-    ConditionCheck,
-    DensityMatrix4,
-    EquilibriumRegion,
-    EquilibriumReport,
     MixingProfile,
     PayoffVector,
     QuantumInitialState,
-    branch_operators,
     branch_outcome_matrix,
     closed_form_payoff,
     enumerate_equilibria,
     expected_payoff_trace,
     final_density,
-    flip_operator,
-    initial_density,
-    mixing_weights,
-    nash_condition_gap,
-    payoff_operator,
-    payoff_vectors_from_game,
     verify_nash,
 )
 from .game import (
     BimatrixGame,
-    DominatedRow,
     InflationProfile,
     PolicyParams,
-    PureProfile,
     build_bg_game,
     find_dominated_rows,
     find_pure_nash,
@@ -43,8 +34,6 @@ from .game import (
     public_utility,
 )
 from .scenarios import (
-    ScenarioReport,
-    WeakAssumption,
     bg_payoff_vectors,
     run_case_a,
     run_case_b,
@@ -54,31 +43,20 @@ from .scenarios import (
     weak_assumption_holds,
 )
 from .specfile import GameSpec, SpecError, parse_spec, render_spec
-from .verification import CheckResult, run_verification
+from .verification import run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BimatrixGame",
-    "CheckResult",
-    "ClosedFormPayoff",
-    "ConditionCheck",
-    "DensityMatrix4",
-    "DominatedRow",
-    "EquilibriumRegion",
-    "EquilibriumReport",
     "GameSpec",
     "InflationProfile",
     "MixingProfile",
     "PayoffVector",
     "PolicyParams",
-    "PureProfile",
     "QuantumInitialState",
-    "ScenarioReport",
     "SpecError",
-    "WeakAssumption",
     "bg_payoff_vectors",
-    "branch_operators",
     "branch_outcome_matrix",
     "build_bg_game",
     "closed_form_payoff",
@@ -87,14 +65,8 @@ __all__ = [
     "final_density",
     "find_dominated_rows",
     "find_pure_nash",
-    "flip_operator",
-    "initial_density",
-    "mixing_weights",
-    "nash_condition_gap",
     "optimal_discretionary_inflation",
     "parse_spec",
-    "payoff_operator",
-    "payoff_vectors_from_game",
     "policy_utility",
     "public_utility",
     "render_spec",

@@ -162,11 +162,6 @@ class QuantumInitialState(ValidatedRecord,
         return np.array([self.amp_ll, self.amp_lh, self.amp_hl, self.amp_hh],
                         dtype=complex)
 
-    def probabilities(self) -> np.ndarray:
-        """``squared_magnitudes`` as an array."""
-        import numpy as np
-        return np.array(self.squared_magnitudes())
-
 
 class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
     """Identity-operator probabilities (p for the row player, q for the column)."""
@@ -212,10 +207,6 @@ class DensityMatrix4:
     def __repr__(self) -> str:
         return f"DensityMatrix4(matrix={self.matrix!r})"
 
-    def diagonal(self) -> np.ndarray:
-        import numpy as np
-        return np.real(np.diag(self.matrix)).copy()
-
 
 class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
     """Diagonal of one player's payoff operator, in basis order."""
@@ -247,9 +238,6 @@ class ClosedFormPayoff(namedtuple("ClosedFormPayoff", "constant coeff_p coeff_q 
 
     def evaluate(self, p: float, q: float) -> float:
         return self.constant + self.coeff_p * p + self.coeff_q * q + self.coeff_pq * p * q
-
-    def slope_in_q(self, p: float) -> float:
-        return self.coeff_q + self.coeff_pq * p
 
 
 class ConditionCheck(namedtuple("ConditionCheck", "description value satisfied")):
@@ -381,7 +369,7 @@ def branch_outcome_matrix(state: QuantumInitialState) -> np.ndarray:
     fixed index table; ``branch_operators`` stays as the independent check.
     """
     import numpy as np
-    return state.probabilities()[np.array(_PERM)]
+    return np.array(state.squared_magnitudes())[np.array(_PERM)]
 
 
 def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
@@ -421,24 +409,6 @@ def payoff_vectors_from_game(game) -> tuple[PayoffVector, PayoffVector]:
     row = PayoffVector(*(float(game.row_payoff(r, c)) for r, c in cells))
     col = PayoffVector(*(float(game.col_payoff(r, c)) for r, c in cells))
     return row, col
-
-
-def nash_condition_gap(state: QuantumInitialState, vec_row: PayoffVector,
-                       vec_col: PayoffVector, candidate: MixingProfile,
-                       deviation: MixingProfile) -> tuple[float, float]:
-    """Payoff lost by each player deviating unilaterally from the candidate.
-
-    Returns (row gap, col gap): the row player's payoff at the candidate minus
-    its payoff after moving p to the deviation's p at fixed candidate q, and
-    the column analog.  Nonnegative gaps mean the deviation does not pay.
-    """
-    f_row = closed_form_payoff(state, vec_row)
-    f_col = closed_form_payoff(state, vec_col)
-    row_gap = (f_row.evaluate(candidate.p, candidate.q)
-               - f_row.evaluate(deviation.p, candidate.q))
-    col_gap = (f_col.evaluate(candidate.p, candidate.q)
-               - f_col.evaluate(candidate.p, deviation.q))
-    return row_gap, col_gap
 
 
 def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q,

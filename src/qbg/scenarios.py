@@ -155,7 +155,7 @@ def run_case_c(state: QuantumInitialState) -> ScenarioReport:
     keep_slope, _ = _scenario_conditions(state)
     _, public_vec = bg_payoff_vectors()
     f_public = closed_form_payoff(state, public_vec)
-    public_slope = f_public.slope_in_q(0.5)
+    public_slope = f_public.coeff_q + f_public.coeff_pq * 0.5
     conditions = (
         ConditionCheck("policy indifference: keep-slope == 0",
                        keep_slope, abs(keep_slope) <= ALGEBRA_TOL),

@@ -7,7 +7,8 @@ Grammar (one page, deliberately small):
 * Sections: ``[game]`` (required), ``[quantum]`` and ``[candidate]`` (optional).
 * Values are numbers written as decimals (``0.5``, ``25e-2``) or simple
   fractions (``1/2``, ``-3/4``); labels are comma-separated strings.  A
-  decimal exponent may be at most ``MAX_EXPONENT`` in magnitude.
+  decimal exponent may be at most ``MAX_EXPONENT`` in magnitude, and a
+  value's numerator and denominator must each be writable by ``str()``.
 
 ``[game]`` keys::
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -116,7 +118,7 @@ class GameSpec(namedtuple("GameSpec", (
                 *(float(p) for p in self.probabilities), tol=NORMALIZATION_TOL)
         if self.amplitudes is not None:
             amps = [float(a) for a in self.amplitudes]
-            norm_sq = sum(a * a for a in amps)
+            norm_sq = sum(a ** 2 for a in amps)   # parse_spec's arithmetic, bit for bit
             if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
                 raise SpecError(
                     f"[quantum] amplitudes have squared norm {norm_sq!r}, expected 1")
@@ -142,6 +144,11 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
     if too_large:
         raise SpecError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude",
                         line, column)
+    try:   # render_spec writes the value with str(), which limits an int's digits
+        str(value)
+    except ValueError:
+        raise SpecError(f"{text!r} has more than {sys.get_int_max_str_digits()} digits "
+                        "in its numerator or denominator", line, column) from None
     return value
 
 

@@ -21,9 +21,9 @@ from .engine import (
     QuantumInitialState,
     PayoffVector,
     closed_form_payoff,
+    deviation_gaps,
     expected_payoff_trace,
     final_density,
-    nash_condition_gap,
 )
 from .game import PolicyParams, PureProfile, DominatedRow, build_bg_game, \
     find_dominated_rows, find_pure_nash
@@ -156,14 +156,26 @@ def _closed_form_checks() -> list[CheckResult]:
     return checks
 
 
+def _edge_gaps(state: QuantumInitialState, candidate: MixingProfile):
+    """What the p=0, p=1, q=0 and q=1 deviations from the candidate lose."""
+    policy_vec, public_vec = bg_payoff_vectors()
+    return deviation_gaps(closed_form_payoff(state, policy_vec),
+                          closed_form_payoff(state, public_vec),
+                          candidate.p, candidate.q)[2]
+
+
 def _gap_checks() -> list[CheckResult]:
     state = _reference_state()
     ref = _ReferenceForms(REFERENCE_PROBS)
     policy_vec, public_vec = bg_payoff_vectors()
+    f_row = closed_form_payoff(state, policy_vec)
+    f_col = closed_form_payoff(state, public_vec)
     candidate = MixingProfile(*GENERIC_CANDIDATE)
     deviation = MixingProfile(*GENERIC_DEVIATION)
-    row_gap, col_gap = nash_condition_gap(state, policy_vec, public_vec,
-                                          candidate, deviation)
+    row_gap = (f_row.evaluate(candidate.p, candidate.q)
+               - f_row.evaluate(deviation.p, candidate.q))
+    col_gap = (f_col.evaluate(candidate.p, candidate.q)
+               - f_col.evaluate(candidate.p, deviation.q))
     defn_row = (ref.policy_payoff(candidate.p, candidate.q)
                 - ref.policy_payoff(deviation.p, candidate.q))
     defn_col = (ref.public_payoff(candidate.p, candidate.q)
@@ -188,15 +200,10 @@ def _gap_checks() -> list[CheckResult]:
 def _case_checks() -> list[CheckResult]:
     state = _reference_state()
     ref = _ReferenceForms(REFERENCE_PROBS)
-    policy_vec, public_vec = bg_payoff_vectors()
     checks = []
 
-    def gaps(candidate, p_dev, q_dev):
-        return nash_condition_gap(state, policy_vec, public_vec, candidate,
-                                  MixingProfile(p_dev, q_dev))
-
     report_a = run_case_a(state)
-    row_gap_a, col_gap_a = gaps(report_a.candidate, 0.0, 0.0)
+    row_gap_a, _, col_gap_a, _ = _edge_gaps(state, report_a.candidate)
     checks += [
         CheckResult("case-a.policy-payoff",
                     "policy payoff when both players keep",
@@ -213,7 +220,7 @@ def _case_checks() -> list[CheckResult]:
     ]
 
     report_b = run_case_b(state)
-    row_gap_b, col_gap_b = gaps(report_b.candidate, 1.0, 1.0)
+    _, row_gap_b, _, col_gap_b = _edge_gaps(state, report_b.candidate)
     checks += [
         CheckResult("case-b.policy-payoff",
                     "policy payoff when both players flip",
@@ -230,7 +237,7 @@ def _case_checks() -> list[CheckResult]:
     ]
 
     report_c = run_case_c(state)
-    row_gap_c, col_gap_c = gaps(report_c.candidate, 0.0, 0.0)
+    row_gap_c, _, col_gap_c, _ = _edge_gaps(state, report_c.candidate)
     checks += [
         CheckResult("case-c.policy-payoff",
                     "policy payoff under even mixing is -1/2 on any state",
@@ -281,7 +288,6 @@ _STRATEGY_FAMILIES = (
 
 
 def _strategy_checks() -> list[CheckResult]:
-    policy_vec, public_vec = bg_payoff_vectors()
     checks = []
     for (family, run, weight, (z0, z1, s0, s1), policy, public, col_margin,
          nash, texts) in _STRATEGY_FAMILIES:
@@ -294,9 +300,7 @@ def _strategy_checks() -> list[CheckResult]:
             state_error = max(state_error,
                               float(probs[z0] + probs[z1] + abs(probs[s0] + probs[s1] - 1.0)))
             detail = f"grid point {weight}={w:.2f}"
-            row_gap, col_gap = nash_condition_gap(report.state, policy_vec,
-                                                  public_vec, report.candidate,
-                                                  MixingProfile(0.0, 0.0))
+            row_gap, _, col_gap, _ = _edge_gaps(report.state, report.candidate)
             for bucket, (expected, computed) in zip(entries, (
                     (policy(w), report.policy_payoff),
                     (public, report.public_payoff),

@@ -13,10 +13,8 @@ import numpy as np
 from conftest import fresh_rng, random_state, random_vector
 
 from qbg import (
-    DominatedRow,
     MixingProfile,
     PolicyParams,
-    PureProfile,
     bg_payoff_vectors,
     build_bg_game,
     closed_form_payoff,
@@ -30,6 +28,7 @@ from qbg import (
     verify_nash,
 )
 from qbg.cli import main
+from qbg.game import DominatedRow, PureProfile
 
 WEAK_TABLE = (((0, 0), (-2, -1)), ((1, -1), (-1, 0)))
 STRONG_TABLE = (((0, 0), (0, -1)), ((-1, -1), (-1, 0)))
@@ -86,7 +85,7 @@ def test_criterion_3_closed_form_fidelity():
     rng = fresh_rng(101)
     for _ in range(1000):
         state = random_state(rng)
-        pll, plh, phl, phh = state.probabilities()
+        pll, plh, phl, phh = state.squared_magnitudes()
         form = closed_form_payoff(state, policy_vec)
         assert abs(form.coeff_p - 2 * (pll - phh + phl - plh)) < 1e-12
         assert abs(form.coeff_q - (phl - pll - plh + phh)) < 1e-12
@@ -126,7 +125,7 @@ def test_criterion_5_case_values():
     rng = fresh_rng(103)
     for _ in range(100):
         state = random_state(rng)
-        pll, plh, phl, phh = state.probabilities()
+        pll, plh, phl, phh = state.squared_magnitudes()
         f_policy = closed_form_payoff(state, policy_vec)
         f_public = closed_form_payoff(state, public_vec)
         assert abs(f_policy.evaluate(0.5, 0.5) + 0.5) < 1e-12

@@ -15,7 +15,6 @@ import pytest
 from conftest import fresh_rng, random_vector
 
 from qbg import (
-    ClosedFormPayoff,
     MixingProfile,
     QuantumInitialState,
     closed_form_payoff,
@@ -25,7 +24,8 @@ from qbg import (
 )
 from qbg import cli
 from qbg.cli import main
-from qbg.engine import bilinear_coefficients, deviation_gaps, normalized_amplitudes
+from qbg.engine import (ClosedFormPayoff, bilinear_coefficients, deviation_gaps,
+                        normalized_amplitudes)
 from qbg.specfile import SpecError
 
 WEAK_SPEC = """\
@@ -240,6 +240,14 @@ class TestLargeExponent:
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 2, "", "error: line 4, column 4: exponent of '1e100000000' exceeds "
                        "10000 in magnitude\n")
+
+    def test_more_digits_than_str_writes_exits_2(self, capsys, spec_path):
+        path = spec_path(WEAK_SPEC.replace("a = 2", "a = 1e5000"))
+        for command in ("classical", "quantize", "equilibria"):
+            assert run_cli(capsys, command, "--spec", path) == (
+                2, "", f"error: line 4, column 4: '1e5000' has more than "
+                       f"{sys.get_int_max_str_digits()} digits in its numerator or "
+                       "denominator\n")
 
 
 class TestQuantize:
@@ -486,7 +494,7 @@ def reference_sweep(text, axes):
     names = [var for var, _, _, _ in axes]
     grids = [[lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)] + [hi]
              for _, lo, hi, steps in axes]
-    base = spec.to_state().probabilities()
+    base = spec.to_state().squared_magnitudes()
     candidate = spec.to_candidate()
     vec_row, vec_col = spec.payoff_vectors()
     lines = [",".join(names + ["policy_payoff", "public_payoff", "nash"])]

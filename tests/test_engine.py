@@ -6,23 +6,25 @@ import pytest
 from conftest import fresh_rng, random_state, random_vector
 
 from qbg import (
-    DensityMatrix4,
     MixingProfile,
     PayoffVector,
     QuantumInitialState,
     bg_payoff_vectors,
-    branch_operators,
     branch_outcome_matrix,
     closed_form_payoff,
     enumerate_equilibria,
     expected_payoff_trace,
     final_density,
+    verify_nash,
+)
+from qbg.engine import (
+    DensityMatrix4,
+    branch_operators,
+    deviation_gaps,
     flip_operator,
     initial_density,
     mixing_weights,
-    nash_condition_gap,
     payoff_operator,
-    verify_nash,
 )
 
 KET = {label: np.eye(4)[i] for i, label in enumerate(("LL", "LH", "HL", "HH"))}
@@ -85,7 +87,7 @@ class TestQuantumInitialState:
 
     def test_from_probabilities(self):
         state = QuantumInitialState.from_probabilities(0.5, 0.0, 0.0, 0.5)
-        assert np.allclose(state.probabilities(), [0.5, 0.0, 0.0, 0.5])
+        assert np.allclose(state.squared_magnitudes(), [0.5, 0.0, 0.0, 0.5])
 
     def test_from_probabilities_rejects_bad_total(self):
         with pytest.raises(ValueError):
@@ -288,7 +290,7 @@ class TestBranchOutcomeMatrix:
         rng = fresh_rng(16)
         for _ in range(100):
             state = random_state(rng)
-            pll, plh, phl, phh = state.probabilities()
+            pll, plh, phl, phh = state.squared_magnitudes()
             expected = np.array([
                 [pll, plh, phl, phh],
                 [phl, phh, pll, plh],
@@ -336,7 +338,7 @@ class TestClosedForm:
         rng = fresh_rng(19)
         for _ in range(300):
             state = random_state(rng)
-            pll, plh, phl, phh = state.probabilities()
+            pll, plh, phl, phh = state.squared_magnitudes()
             form = closed_form_payoff(state, policy_vec)
             assert form.coeff_p == pytest.approx(
                 2 * (pll - phh + phl - plh), abs=1e-12)
@@ -351,7 +353,7 @@ class TestClosedForm:
         rng = fresh_rng(20)
         for _ in range(100):
             state = random_state(rng)
-            pll, plh, phl, phh = state.probabilities()
+            pll, plh, phl, phh = state.squared_magnitudes()
             s = plh + phl
             form = closed_form_payoff(state, public_vec)
             for p in (0.0, 0.3, 0.5, 1.0):
@@ -447,46 +449,49 @@ class TestClosedForm:
 
 
 class TestNashMachinery:
-    def test_gap_zero_for_identical_profiles(self):
+    def test_gap_zero_for_deviation_to_the_candidate_itself(self):
+        # at a corner candidate, the deviation to its own edge changes nothing
         rng = fresh_rng(26)
         policy_vec, public_vec = bg_payoff_vectors()
         state = random_state(rng)
-        candidate = MixingProfile(0.3, 0.8)
-        assert nash_condition_gap(state, policy_vec, public_vec, candidate,
-                                  candidate) == (0.0, 0.0)
+        f_row = closed_form_payoff(state, policy_vec)
+        f_col = closed_form_payoff(state, public_vec)
+        for p in (0.0, 1.0):
+            for q in (0.0, 1.0):
+                gaps = deviation_gaps(f_row, f_col, p, q)[2]
+                assert (gaps[int(p)], gaps[2 + int(q)]) == (0.0, 0.0)
 
     def test_row_gap_from_identity_corner(self):
-        # deviating from (1, 1) in p costs 2 * (1 - p) * keep-slope / 2
+        # deviating from (1, 1) to p costs (1 - p) times the keep-slope
         rng = fresh_rng(27)
         policy_vec, public_vec = bg_payoff_vectors()
         for _ in range(100):
             state = random_state(rng)
-            pll, plh, phl, phh = state.probabilities()
+            pll, plh, phl, phh = state.squared_magnitudes()
+            f_row = closed_form_payoff(state, policy_vec)
+            f_col = closed_form_payoff(state, public_vec)
             p_dev = float(rng.uniform())
-            row_gap, _ = nash_condition_gap(
-                state, policy_vec, public_vec, MixingProfile(1.0, 1.0),
-                MixingProfile(p_dev, 1.0))
-            expected = 2 * (1 - p_dev) * (pll - phh + phl - plh)
-            assert row_gap == pytest.approx(expected, abs=1e-12)
+            keep_slope = 2 * (pll - phh + phl - plh)
+            row_gap = f_row.evaluate(1.0, 1.0) - f_row.evaluate(p_dev, 1.0)
+            assert row_gap == pytest.approx((1 - p_dev) * keep_slope, abs=1e-12)
+            edge_gap = deviation_gaps(f_row, f_col, 1.0, 1.0)[2][0]
+            assert edge_gap == pytest.approx(keep_slope, abs=1e-12)
 
     def test_gaps_match_closed_form_differences(self):
+        # each edge gap is the candidate's payoff minus the deviation's, bit for bit
         rng = fresh_rng(28)
         for _ in range(200):
             state = random_state(rng)
-            vec_row = random_vector(rng)
-            vec_col = random_vector(rng)
-            cand = MixingProfile(float(rng.uniform()), float(rng.uniform()))
-            dev = MixingProfile(float(rng.uniform()), float(rng.uniform()))
-            row_gap, col_gap = nash_condition_gap(state, vec_row, vec_col,
-                                                  cand, dev)
-            f_row = closed_form_payoff(state, vec_row)
-            f_col = closed_form_payoff(state, vec_col)
-            assert row_gap == pytest.approx(
-                f_row.evaluate(cand.p, cand.q) - f_row.evaluate(dev.p, cand.q),
-                abs=1e-12)
-            assert col_gap == pytest.approx(
-                f_col.evaluate(cand.p, cand.q) - f_col.evaluate(cand.p, dev.q),
-                abs=1e-12)
+            f_row = closed_form_payoff(state, random_vector(rng))
+            f_col = closed_form_payoff(state, random_vector(rng))
+            p, q = float(rng.uniform()), float(rng.uniform())
+            row_payoff, col_payoff, gaps, _ = deviation_gaps(f_row, f_col, p, q)
+            assert (row_payoff, col_payoff) == (f_row.evaluate(p, q), f_col.evaluate(p, q))
+            assert gaps == (
+                f_row.evaluate(p, q) - f_row.evaluate(0.0, q),
+                f_row.evaluate(p, q) - f_row.evaluate(1.0, q),
+                f_col.evaluate(p, q) - f_col.evaluate(p, 0.0),
+                f_col.evaluate(p, q) - f_col.evaluate(p, 1.0))
 
     def test_verify_nash_matched_outcome_state(self):
         policy_vec, public_vec = bg_payoff_vectors()

@@ -7,10 +7,8 @@ import pytest
 
 from qbg import (
     BimatrixGame,
-    DominatedRow,
     InflationProfile,
     PolicyParams,
-    PureProfile,
     build_bg_game,
     find_dominated_rows,
     find_pure_nash,
@@ -18,6 +16,7 @@ from qbg import (
     policy_utility,
     public_utility,
 )
+from qbg.game import DominatedRow, PureProfile
 
 WEAK = PolicyParams(theta=1, a=2, b=2)
 STRONG = PolicyParams(theta=0, a=2, b=2)

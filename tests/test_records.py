@@ -8,23 +8,23 @@ import pytest
 
 from qbg import (
     BimatrixGame,
-    CheckResult,
-    ClosedFormPayoff,
-    ConditionCheck,
-    DominatedRow,
-    EquilibriumRegion,
-    EquilibriumReport,
     GameSpec,
     InflationProfile,
     MixingProfile,
     PayoffVector,
     PolicyParams,
-    PureProfile,
     QuantumInitialState,
-    ScenarioReport,
-    WeakAssumption,
     final_density,
 )
+from qbg.engine import (
+    ClosedFormPayoff,
+    ConditionCheck,
+    EquilibriumRegion,
+    EquilibriumReport,
+)
+from qbg.game import DominatedRow, PureProfile
+from qbg.scenarios import ScenarioReport, WeakAssumption
+from qbg.verification import CheckResult
 
 WEAK_TABLE = (((0, 0), (-2, -1)), ((1, -1), (-1, 0)))
 

@@ -1,11 +1,15 @@
 """Game description files: parsing, diagnostics, round-trip."""
 
+import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from qbg import GameSpec, SpecError, parse_spec, render_spec
 from qbg.game import PureProfile, find_pure_nash
+from qbg.specfile import NORMALIZATION_TOL
 
 BUILTIN = """\
 [game]
@@ -37,6 +41,37 @@ q = 1
 """
 
 
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift the interpreter's limit on the digits str() writes of an int."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def amplitudes_at_the_tolerance(count=8):
+    """Amplitude pairs (x, y) whose squared norm x**2 + y**2 lies within the
+    normalization tolerance, while x*x + y*y, whose squares can differ from
+    x**2 and y**2 in the last bit, lies outside it."""
+    def within(squares):
+        return abs(sum(squares) - 1.0) <= NORMALIZATION_TOL
+
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(100_000):
+        x = rng.uniform(0.1, 0.99)
+        for bound in (1.0 - NORMALIZATION_TOL, 1.0 + NORMALIZATION_TOL):
+            y0 = math.sqrt(bound - x ** 2)
+            for y in (y0 + k * math.ulp(y0) for k in range(-4, 5)):
+                if within(a ** 2 for a in (x, y)) and not within(a * a for a in (x, y)):
+                    pairs.append((x, y))
+                    if len(pairs) == count:
+                        return pairs
+                    break
+    return pairs
+
+
 class TestParsing:
     def test_builtin_game(self):
         spec = parse_spec(BUILTIN)
@@ -58,7 +93,7 @@ class TestParsing:
         spec = parse_spec(BUILTIN + "\n" + MATCHED_STATE)
         state = spec.to_state()
         assert state is not None
-        probs = state.probabilities()
+        probs = state.squared_magnitudes()
         assert probs[0] == pytest.approx(0.8)
         assert probs[3] == pytest.approx(0.2)
         candidate = spec.to_candidate()
@@ -73,8 +108,22 @@ amp_hl = 0
 amp_hh = 0.8
 """
         state = parse_spec(text).to_state()
-        assert state.probabilities()[0] == pytest.approx(0.36)
-        assert state.probabilities()[3] == pytest.approx(0.64)
+        assert state.squared_magnitudes()[0] == pytest.approx(0.36)
+        assert state.squared_magnitudes()[3] == pytest.approx(0.64)
+
+    def test_amplitudes_accepted_at_the_tolerance_build_a_state(self):
+        pairs = amplitudes_at_the_tolerance()
+        assert len(pairs) == 8
+        for x, y in pairs:
+            spec = parse_spec(BUILTIN + f"[quantum]\namp_ll = {x!r}\namp_lh = 0\n"
+                                        f"amp_hl = 0\namp_hh = {y!r}\n")
+            assert spec.to_state().amp_ll == pytest.approx(x)
+
+    def test_hand_built_amplitudes_are_still_checked(self):
+        spec = GameSpec(mode="builtin-bg", theta=1, a=Fraction(2), b=Fraction(2),
+                        amplitudes=(Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
+        with pytest.raises(SpecError, match=r"squared norm 2\.0, expected 1"):
+            spec.to_state()
 
     def test_fraction_values(self):
         text = BUILTIN + """
@@ -120,7 +169,7 @@ class TestDiagnostics:
         assert err.value.column is not None
 
     @pytest.mark.parametrize("value", ["1e10000", "1E-10000", "25e+1_0000"])
-    def test_exponent_up_to_the_limit_parses(self, value):
+    def test_exponent_up_to_the_limit_parses(self, value, unlimited_int_digits):
         assert parse_spec(BUILTIN.replace("a = 2", f"a = {value}")).a == Fraction(value)
 
     @pytest.mark.parametrize("value", ["1e10001", "1E-10001", "2.5e+1_0001",
@@ -141,6 +190,15 @@ class TestDiagnostics:
     def test_malformed_number_with_a_large_exponent_is_not_a_number(self, value):
         with pytest.raises(SpecError, match=r"^line 4, column 4: not a number"):
             parse_spec(BUILTIN.replace("a = 2", f"a = {value}"))
+
+    @pytest.mark.parametrize("value", ["1e5000", "1e-5000", "-7e5000"])
+    def test_more_digits_than_str_writes_is_refused(self, value):
+        with pytest.raises(SpecError) as err:
+            parse_spec(BUILTIN.replace("a = 2", f"a = {value}"))
+        assert (err.value.line, err.value.column) == (4, 4)
+        assert str(err.value) == (
+            f"line 4, column 4: {value!r} has more than {sys.get_int_max_str_digits()} "
+            "digits in its numerator or denominator")
 
     def test_duplicate_key(self):
         with pytest.raises(SpecError, match="duplicate key"):
@@ -211,6 +269,13 @@ q = 1/3
     def test_render_is_stable(self):
         spec = parse_spec(BUILTIN + "\n" + MATCHED_STATE)
         assert render_spec(spec) == render_spec(parse_spec(render_spec(spec)))
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_value_just_under_the_digit_limit_round_trips(self, sign):
+        # the numerator (or the denominator) has exactly as many digits as str() writes
+        limit = sys.get_int_max_str_digits()
+        spec = parse_spec(BUILTIN.replace("a = 2", f"a = 1e{sign}{limit - 1}"))
+        assert parse_spec(render_spec(spec)) == spec
 
     def test_fractions_survive_round_trip(self):
         spec = GameSpec(mode="builtin-bg", theta=1, a=Fraction(5, 2),
