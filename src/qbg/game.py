@@ -135,32 +135,41 @@ def optimal_discretionary_inflation(params: PolicyParams) -> Scalar:
 def build_bg_game(params: PolicyParams) -> BimatrixGame:
     """Payoff table over the two-point strategy grid {0, b/a} for both players.
 
-    Label L is inflation 0 and H is inflation b/a, for actual (rows) and
-    expected (columns) alike.  Every cell is evaluated from the utility
-    functions; nothing is tabulated by hand.
+    Label L is inflation 0 and H is inflation h = b/a, for actual (rows) and
+    expected (columns) alike.  Cell (x, y) holds ``policy_utility`` and
+    ``public_utility`` at (x, y): ``theta*b*(x - y) - a*x*x/2`` and
+    ``-((x - y)*(x - y))``.  Their three nonzero terms are computed once each,
+    in those functions' order of operations: the gain ``theta*b*h``, the cost
+    ``a*h*h/2`` and the loss ``-(h*h)``, which both mismatched cells share.
+    Every other term is a zero (L - L, H - H, the cost at L) whose sign and
+    type alone reach a cell, so for an int theta and int, Fraction or float
+    coefficients each cell keeps the value, the type and, for floats, the
+    bits and signed zero that the utility functions give; the tests check
+    every cell against them.
     """
-    low = _exact(params.a) * 0
-    high = _exact(params.b) / _exact(params.a)
-    levels = (low, high)
-    rows = []
-    for actual in levels:
-        row = []
-        for expected in levels:
-            profile = InflationProfile(actual, expected)
-            row.append((policy_utility(profile, params), public_utility(profile)))
-        rows.append(tuple(row))
-    return BimatrixGame(row_labels=("L", "H"), col_labels=("L", "H"),
-                        payoffs=tuple(rows))
+    a = _exact(params.a)
+    b = _exact(params.b)
+    low = a * 0                   # inflation 0, a zero typed like a
+    high = b / a
+    InflationProfile(low, high)   # refuses an infinite b/a
+    weight = params.theta * b
+    gain = weight * high
+    cost = a * high * high / 2
+    loss = -(high * high)         # the public's utility at a forecast error of +-h
+    flat = high - high            # a zero typed like h
+    payoffs = (((flat, -low), (weight * (low - high), loss)),
+               ((gain - cost, loss), (flat - cost, -flat)))
+    return BimatrixGame(row_labels=("L", "H"), col_labels=("L", "H"), payoffs=payoffs)
 
 
 def find_pure_nash(game: BimatrixGame) -> frozenset[PureProfile]:
     """All cells where neither player gains by a unilateral switch (weak)."""
+    cells = game.payoffs
     found = set()
     for r in (0, 1):
         for c in (0, 1):
-            row_ok = game.row_payoff(r, c) >= game.row_payoff(1 - r, c)
-            col_ok = game.col_payoff(r, c) >= game.col_payoff(r, 1 - c)
-            if row_ok and col_ok:
+            row, col = cells[r][c]
+            if row >= cells[1 - r][c][0] and col >= cells[r][1 - c][1]:
                 found.add(PureProfile(r, c))
     return frozenset(found)
 
@@ -168,12 +177,12 @@ def find_pure_nash(game: BimatrixGame) -> frozenset[PureProfile]:
 def find_dominated_rows(game: BimatrixGame) -> frozenset[DominatedRow]:
     """Rows dominated by the other row: strict if better against both
     columns, weak if never worse and better against at least one."""
+    rows = [(cells[0][0], cells[1][0]) for cells in game.payoffs]
     found = set()
     for r in (0, 1):
-        other = 1 - r
-        diffs = [game.row_payoff(other, c) - game.row_payoff(r, c) for c in (0, 1)]
-        if all(d > 0 for d in diffs):
+        (own_l, own_h), (other_l, other_h) = rows[r], rows[1 - r]
+        if other_l > own_l and other_h > own_h:
             found.add(DominatedRow(r, strict=True))
-        elif all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
+        elif other_l >= own_l and other_h >= own_h and (other_l > own_l or other_h > own_h):
             found.add(DominatedRow(r, strict=False))
     return frozenset(found)

@@ -3,11 +3,22 @@
 Grammar (one page, deliberately small):
 
 * A file is a sequence of ``[section]`` headers and ``key = value`` lines.
-* Blank lines and lines starting with ``#`` or ``;`` are ignored.
+* Blank lines and lines starting with ``#`` or ``;`` are ignored.  A comment
+  takes a whole line: text after a value is part of the value.
 * Sections: ``[game]`` (required), ``[quantum]`` and ``[candidate]`` (optional).
-* Values are numbers written as decimals (``0.5``, ``25e-2``) or simple
-  fractions (``1/2``, ``-3/4``); labels are comma-separated strings.  A
-  decimal exponent may be at most ``MAX_EXPONENT`` in magnitude, and a
+* Labels are comma-separated strings.  A number is exactly a string that
+  Python 3.11's ``Fraction(str)`` accepts, surrounding whitespace aside::
+
+      number   = [sign] (digits "/" digits | digits ["." [digits]] [exponent]
+                         | "." digits [exponent])
+      exponent = ("e" | "E") [sign] digits
+      digits   = digit {digit} {"_" digit {digit}}
+      sign     = "+" | "-"
+
+  where a digit is any Unicode decimal digit: ``0.25``, ``25e-2``, ``+1/2``,
+  ``1_000``, ``.5``.  ``1/0`` and ``1/2e3`` are not numbers.  In a number
+  list, numbers are separated by commas with optional whitespace around each.
+  A decimal exponent may be at most ``MAX_EXPONENT`` in magnitude, and a
   value's numerator and denominator must each be writable by ``str()``.
 
 ``[game]`` keys::
@@ -54,10 +65,18 @@ _CANDIDATE_KEYS = ("p", "q")
 
 NORMALIZATION_TOL = 1e-9
 
-# Fraction builds 10**exponent exactly, so a short text like 1e100000000 would
-# stall the parser; numbers with a larger exponent are refused unbuilt.
+# A value is built with 10**exponent exactly, so a short text like 1e100000000
+# would stall the parser; numbers with a larger exponent are refused unbuilt.
 MAX_EXPONENT = 10_000
-_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# Exactly the strings Python 3.11's Fraction(str) accepts, matched once.
+_NUMBER = re.compile(r"""
+    \s*(?P<sign>[-+]?)
+    (?=\d|\.\d)                                    # a digit, or a point and a digit
+    (?P<num>\d+(?:_\d+)*)?
+    (?:/(?P<denom>\d+(?:_\d+)*)                    # a fraction n/d, or a decimal:
+      |(?:\.(?P<decimal>\d+(?:_\d+)*)?)?           # optional point and digits,
+       (?:[eE](?P<exp_sign>[-+]?)(?P<exp>\d+(?:_\d+)*))?)   # optional exponent
+    \s*\Z""", re.VERBOSE)
 
 
 class SpecError(ValueError):
@@ -132,18 +151,34 @@ class GameSpec(namedtuple("GameSpec", (
 
 
 def _parse_number(text: str, line: int, column: int) -> Fraction:
-    exponent = _EXPONENT.search(text)
-    try:
-        too_large = exponent is not None and int(exponent[1]) > MAX_EXPONENT
-    except ValueError:            # more digits than int() converts
-        too_large = True
-    try:   # with too large an exponent, only check that the rest is a number
-        value = Fraction(text[:exponent.start()] + "e0" if too_large else text)
-    except (ValueError, ZeroDivisionError):
+    match = _NUMBER.match(text)
+    try:   # int() refuses more digits than sys.get_int_max_str_digits(), as Fraction() does
+        if match is None:
+            raise ValueError(text)
+        sign, num, denom, decimal, exp_sign, exp = match.groups()
+        numerator = int(num or 0)
+        denominator = int(denom or 1)
+        if decimal:
+            decimal = decimal.replace("_", "")
+            denominator = 10 ** len(decimal)
+            numerator = numerator * denominator + int(decimal)
+        if not denominator:
+            raise ValueError(text)
+    except ValueError:
         raise SpecError(f"not a number: {text!r}", line, column) from None
-    if too_large:
-        raise SpecError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude",
-                        line, column)
+    if exp:
+        try:
+            shift = int(exp)
+        except ValueError:            # more digits than int() converts
+            shift = MAX_EXPONENT + 1
+        if shift > MAX_EXPONENT:
+            raise SpecError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude",
+                            line, column)
+        if exp_sign == "-":
+            denominator *= 10 ** shift
+        else:
+            numerator *= 10 ** shift
+    value = Fraction(-numerator if sign == "-" else numerator, denominator)
     try:   # render_spec writes the value with str(), which limits an int's digits
         str(value)
     except ValueError:

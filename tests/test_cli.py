@@ -250,6 +250,18 @@ class TestLargeExponent:
                        "denominator\n")
 
 
+class TestReadmeExample:
+    def test_spec_example_runs(self, capsys, spec_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Spec file format"):]
+        example = section[section.index("```ini\n") + len("```ini\n"):]
+        path = spec_path(example[:example.index("```\n")])
+        for command in ("classical", "quantize", "equilibria"):
+            code, out, err = run_cli(capsys, command, "--spec", path)
+            assert (code, err) == (0, "")
+            assert out
+
+
 class TestQuantize:
     def test_matched_state_candidate(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "quantize",

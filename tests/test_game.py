@@ -111,16 +111,34 @@ class TestTableBuilder:
 
     def test_cells_match_direct_evaluation(self):
         # every cell re-derived from the utility functions at the grid points
-        for params in (PolicyParams(1, 2, 4), PolicyParams(0, 3, 2),
-                       PolicyParams(1, 5, 3)):
-            game = build_bg_game(params)
-            high = Fraction(params.b, params.a)
-            levels = (Fraction(0), high)
-            for r, actual in enumerate(levels):
-                for c, expected in enumerate(levels):
-                    profile = InflationProfile(actual, expected)
-                    assert game.row_payoff(r, c) == policy_utility(profile, params)
-                    assert game.col_payoff(r, c) == public_utility(profile)
+        # {0, b/a}, the optimal discretionary inflation of each type; repr
+        # pins a float's bits and the sign of a zero
+        coefficients = [
+            (2, 4), (3, 2), (5, 3),                        # int
+            (Fraction(3, 7), Fraction(5, 11)),             # Fraction
+            (0.3, 0.7), (2.5, 1e-3), (1e-200, 1e-150),     # float
+            (Fraction(2, 3), 0.1), (0.7, Fraction(1, 3)),  # mixed
+            (2.0, 5e-324),                                 # b/a underflows to 0.0
+            (1e150, 1e-100),                               # a*h*h/2 underflows to 0.0
+        ]
+        for theta in (0, 1):
+            for a, b in coefficients:
+                params = PolicyParams(theta, a, b)
+                game = build_bg_game(params)
+                levels = (optimal_discretionary_inflation(PolicyParams(0, a, b)),
+                          optimal_discretionary_inflation(PolicyParams(1, a, b)))
+                for r, actual in enumerate(levels):
+                    for c, expected in enumerate(levels):
+                        profile = InflationProfile(actual, expected)
+                        for cell, utility in (
+                                (game.row_payoff(r, c), policy_utility(profile, params)),
+                                (game.col_payoff(r, c), public_utility(profile))):
+                            assert type(cell) is type(utility), (params, r, c)
+                            assert repr(cell) == repr(utility), (params, r, c)
+
+    def test_infinite_high_level_is_refused(self):
+        with pytest.raises(ValueError, match="inflation rates must be finite"):
+            build_bg_game(PolicyParams(1, 1e-300, 1e300))
 
 
 class TestPureNash:

@@ -5,8 +5,12 @@
 Builds the seeded operations of the three benchmark workloads (sweep-grid,
 spec-corpus and cold-start, taken from ``qbgbench/`` of this tree, which is
 only read) and adds ``reproduce`` as text and as CSV, each also with an
-injected fault.  The spec files are written once, to one temporary
-directory, so both sides read them at the same paths.  Each tree then runs
+injected fault.  It also runs ``classical``, ``quantize`` and ``equilibria``,
+as text and as CSV, on fixed specs whose numbers are spelled in ways the
+workloads never write (``0.25``, ``25e-2``, ``+1/2``, ``1_000``, spaces in a
+number list, and the refused ``1e10000``, ``1e10001``, ``1/0`` and
+``1/2e3``).  The spec files are written once, to one temporary directory, so
+both sides read them at the same paths.  Each tree then runs
 every operation in one child process of its own, calling ``qbg.cli.main``
 from that tree's ``src/`` once per operation; each demo script of this tree
 also runs once per tree, as its own child.
@@ -37,6 +41,60 @@ REPRODUCE_OPS = [["reproduce"], ["reproduce", "--csv"],
                  ["reproduce", "--csv", "--inject-fault", FAULT_ID]]
 CHILD_TIMEOUT_S = 1800
 
+# Number spellings the workload generators never write, one spec each.
+SPELLING_SPECS = {
+    "decimals": """[game]
+mode = builtin-bg
+theta = 1
+a = 0.25
+b = 25e-2
+
+[quantum]
+prob_ll = 0.25
+prob_lh = 25E-2
+prob_hl = .25
+prob_hh = 2_5/1_00
+
+[candidate]
+p = +1/2
+q = 1.
+""",
+    "signs-and-underscores": """[game]
+mode = builtin-bg
+theta = 0
+a = 1_000
+b = +2.5e+3
+
+[quantum]
+amp_ll = +3/5
+amp_lh = -0
+amp_hl = 0.0
+amp_hh = -8_0e-2
+
+[candidate]
+p = 1.
+q = 0e10000
+""",
+    "spaced-list": """[game]
+mode = custom
+row_payoffs =  1 , -2/4 ,0.5e1,  +3
+col_payoffs = 0,\t-1.25 ,  1_0/4,-0
+
+[quantum]
+prob_ll = 1/2
+prob_lh = 0
+prob_hl = 0
+prob_hh = 1/2
+""",
+    "digit-limit": "[game]\nmode = builtin-bg\ntheta = 1\na = 1e10000\nb = 2\n",
+    "exponent-limit": "[game]\nmode = builtin-bg\ntheta = 1\na = 2\nb = 1e10001\n",
+    "zero-denominator": "[game]\nmode = builtin-bg\ntheta = 1\na = 1/0\nb = 2\n",
+    "fraction-with-exponent": ("[game]\nmode = custom\n"
+                               "row_payoffs = 0,1/2e3,0,0\ncol_payoffs = 0,0,0,0\n"),
+}
+SPELLING_COMMANDS = [[command, *fmt] for command in ("classical", "quantize", "equilibria")
+                     for fmt in ([], ["--csv"])]
+
 # Runs in a child with one tree's src/ on the path: argv lists in, results out.
 RUNNER = """\
 import contextlib, io, json, sys
@@ -65,6 +123,10 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
     for name, run in WORKLOADS.items():
         (work / name).mkdir()
         ops += [(name, op.argv) for op in run.make_ops(random.Random(seed), work / name)]
+    for name, text in SPELLING_SPECS.items():
+        path = work / f"{name}.spec"
+        path.write_text(text, encoding="utf-8")
+        ops += [("spelling", [*argv, "--spec", str(path)]) for argv in SPELLING_COMMANDS]
     return ops + [("reproduce", argv) for argv in REPRODUCE_OPS]
 
 
