@@ -27,6 +27,7 @@ import sys
 from collections import namedtuple
 
 from .engine import (
+    NORMALIZATION_TOL,
     ClosedFormPayoff,
     MixingProfile,
     bilinear_coefficients,
@@ -295,7 +296,8 @@ def cmd_sweep(args) -> int:
     # point in row order with no CSV output.  Weights above 1 and a profile
     # outside [0, 1] are the only ways a point can fail.
     for rows, v in blocks():
-        bad_weights = np.broadcast_to(v["prob_ll"] < -1e-9, (len(rows), len(inner.values)))
+        bad_weights = np.broadcast_to(v["prob_ll"] < -NORMALIZATION_TOL,
+                                      (len(rows), len(inner.values)))
         bad = bad_weights | np.logical_not(
             (0.0 <= v["p"]) & (v["p"] <= 1.0) & (0.0 <= v["q"]) & (v["q"] <= 1.0))
         if bad.any():
@@ -362,34 +364,35 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qbg",
         description="Classical and quantized analysis of the Barro-Gordon "
                     "monetary policy game.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", metavar="PATH",
-                        help="game description file (see README for the grammar)")
-    common.add_argument("--csv", action="store_true",
-                        help="emit machine-readable CSV instead of text")
+    spec_flag = argparse.ArgumentParser(add_help=False)
+    spec_flag.add_argument("--spec", metavar="PATH",
+                           help="game description file (see README for the grammar)")
+    csv_flag = argparse.ArgumentParser(add_help=False)
+    csv_flag.add_argument("--csv", action="store_true",
+                          help="emit machine-readable CSV instead of text")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classical", parents=[common],
+    p = sub.add_parser("classical", parents=[spec_flag, csv_flag],
                        help="payoff table, pure Nash set, dominated strategies")
     p.set_defaults(func=cmd_classical)
 
-    p = sub.add_parser("quantize", parents=[common],
+    p = sub.add_parser("quantize", parents=[spec_flag, csv_flag],
                        help="closed-form payoffs and candidate analysis")
     p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("equilibria", parents=[common],
+    p = sub.add_parser("equilibria", parents=[spec_flag, csv_flag],
                        help="exact Nash regions of the quantized game")
     p.set_defaults(func=cmd_equilibria)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[spec_flag],
                        help="deterministic CSV sweep over p, q, or state weights")
     p.add_argument("--axis", action="append", metavar="VAR=LO:HI:STEPS",
                    help="swept variable (repeat for a 2-axis sweep); VAR is "
                         "one of " + ", ".join(_SWEEP_VARS))
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[csv_flag],
                        help="run the built-in verification check list")
     p.add_argument("--inject-fault", metavar="CHECK_ID", default=None,
                    help=argparse.SUPPRESS)

@@ -39,8 +39,9 @@ from collections import namedtuple
 
 from ._records import ValidatedRecord
 
-ALGEBRA_TOL = 1e-12    # tolerance for algebraic identities (norms, traces, slopes)
-PSD_TOL = 1e-10        # eigenvalue floor for positive semidefiniteness
+ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, slopes)
+NORMALIZATION_TOL = 1e-9   # how far decimal state weights may sum from 1
+PSD_TOL = 1e-10            # eigenvalue floor for positive semidefiniteness
 
 BASIS_LABELS = ("LL", "LH", "HL", "HH")
 
@@ -63,14 +64,14 @@ def _extract_float(off, total):
     return (total,) if off else ()
 
 
-def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh, tol: float = 1e-9):
+def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh):
     """Real amplitudes sqrt(w / total) of the weights (LL, LH, HL, HH).
 
     Each weight is clipped at 0 and divided by the clipped weights' total,
-    which must be 1 within ``tol``.  The weights may be floats or numpy
-    arrays of one shape; the arithmetic is elementwise, so an array entry
-    gets the same bits as the same weights passed as floats.  Floats are
-    handled with ``math``, so numpy is imported only when an array is given.
+    which must be 1 within ``NORMALIZATION_TOL``.  The weights may be floats
+    or numpy arrays of one shape; the arithmetic is elementwise, so an array
+    entry gets the same bits as the same weights passed as floats.  Floats
+    are handled with ``math``, so numpy is imported only when an array is given.
     """
     weights = (p_ll, p_lh, p_hl, p_hh)
     if all(isinstance(p, (int, float)) for p in weights):
@@ -80,7 +81,7 @@ def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh, tol: float = 1e-9):
         clip, sqrt, extract = (lambda p: np.maximum(p, 0.0)), np.sqrt, np.extract
     probs = [clip(p) for p in weights]
     total = probs[0] + probs[1] + probs[2] + probs[3]
-    off = extract(abs(total - 1.0) > tol, total)
+    off = extract(abs(total - 1.0) > NORMALIZATION_TOL, total)
     if len(off):
         raise ValueError(f"squared magnitudes sum to {float(off[0])!r}, expected 1")
     return tuple(sqrt(p / total) for p in probs)
@@ -127,19 +128,18 @@ class QuantumInitialState(ValidatedRecord,
                              (a.imag - a.real * 0.0) * scale) for a in amps))
 
     @classmethod
-    def from_probabilities(cls, p_ll, p_lh, p_hl, p_hh,
-                           tol: float = 1e-9) -> "QuantumInitialState":
+    def from_probabilities(cls, p_ll, p_lh, p_hl, p_hh) -> "QuantumInitialState":
         """State with nonnegative real amplitudes from squared magnitudes.
 
-        The four weights must sum to 1 within ``tol`` (decimal input is
-        expected to carry rounding fuzz); they are rescaled exactly before
-        taking square roots (see ``normalized_amplitudes``).
+        The four weights must sum to 1 within ``NORMALIZATION_TOL`` (decimal
+        input is expected to carry rounding fuzz); they are rescaled exactly
+        before taking square roots (see ``normalized_amplitudes``).
         """
         probs = [float(p) for p in (p_ll, p_lh, p_hl, p_hh)]
         for p in probs:
             if not math.isfinite(p) or p < -ALGEBRA_TOL:
                 raise ValueError(f"squared magnitudes must be nonnegative, got {p!r}")
-        return cls(*(complex(a) for a in normalized_amplitudes(*probs, tol=tol)))
+        return cls(*(complex(a) for a in normalized_amplitudes(*probs)))
 
     def squared_magnitudes(self) -> tuple[float, float, float, float]:
         """Squared magnitudes in basis order; these drive every payoff.
@@ -272,10 +272,6 @@ class EquilibriumRegion(namedtuple("EquilibriumRegion", "p_min p_max q_min q_max
         if p_flat or q_flat:
             return "segment"
         return "rectangle"
-
-    def contains(self, p: float, q: float, tol: float = 0.0) -> bool:
-        return (self.p_min - tol <= p <= self.p_max + tol
-                and self.q_min - tol <= q <= self.q_max + tol)
 
     def sample_points(self) -> list[tuple[float, float]]:
         """Corners plus center; enough to probe a bilinear payoff on the region."""
@@ -411,14 +407,13 @@ def payoff_vectors_from_game(game) -> tuple[PayoffVector, PayoffVector]:
     return row, col
 
 
-def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q,
-                   tol: float = ALGEBRA_TOL):
+def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q):
     """Payoffs at (p, q) and what each extreme unilateral deviation loses.
 
     Returns (row payoff, column payoff, gaps, holds).  ``gaps`` are the
     payoff losses of the row player moving to p=0 and to p=1 and of the
     column player moving to q=0 and to q=1, in that order; ``holds`` says,
-    for each, that the deviation gains at most ``tol``.  The weak Nash
+    for each, that the deviation gains at most ``ALGEBRA_TOL``.  The weak Nash
     verdict is that every entry of ``holds`` is true.  The forms and the
     profile may hold numpy arrays; everything then works elementwise with
     the operation order of the scalar case.
@@ -427,12 +422,11 @@ def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q,
     col_payoff = f_col.evaluate(p, q)
     gaps = (row_payoff - f_row.evaluate(0.0, q), row_payoff - f_row.evaluate(1.0, q),
             col_payoff - f_col.evaluate(p, 0.0), col_payoff - f_col.evaluate(p, 1.0))
-    return row_payoff, col_payoff, gaps, tuple(gap >= -tol for gap in gaps)
+    return row_payoff, col_payoff, gaps, tuple(gap >= -ALGEBRA_TOL for gap in gaps)
 
 
 def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
-                vec_col: PayoffVector, candidate: MixingProfile,
-                tol: float = ALGEBRA_TOL) -> EquilibriumReport:
+                vec_col: PayoffVector, candidate: MixingProfile) -> EquilibriumReport:
     """Test a candidate profile against every unilateral deviation.
 
     Each payoff is affine in the player's own probability at a fixed opponent
@@ -442,16 +436,15 @@ def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
     """
     p, q = candidate.p, candidate.q
     row_payoff, col_payoff, gaps, holds = deviation_gaps(
-        closed_form_payoff(state, vec_row), closed_form_payoff(state, vec_col),
-        p, q, tol)
+        closed_form_payoff(state, vec_row), closed_form_payoff(state, vec_col), p, q)
 
     deviations = (("row", "p", p, 0.0), ("row", "p", p, 1.0),
                   ("column", "q", q, 0.0), ("column", "q", q, 1.0))
     checks = []
     strict = True
     for (player, var, own, edge), gap, ok in zip(deviations, gaps, holds):
-        if abs(edge - own) > tol:
-            strict = strict and gap > tol
+        if abs(edge - own) > ALGEBRA_TOL:
+            strict = strict and gap > ALGEBRA_TOL
         checks.append(ConditionCheck(
             f"{player} deviation to {var}={edge:g} does not gain", gap, ok))
 
@@ -460,16 +453,15 @@ def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
                              is_strict_nash=strict, conditions=tuple(checks))
 
 
-def _best_response_pieces(lin: float, bil: float,
-                          tol: float = ALGEBRA_TOL):
+def _best_response_pieces(lin: float, bil: float):
     """Pieces ((own_lo, own_hi), (other_lo, other_hi)) of a best-response set.
 
     The player's payoff slope in its own probability is ``lin + bil * other``;
     the best response is 1 where the slope is positive, 0 where negative, and
     the whole interval at an exact zero.
     """
-    if abs(bil) <= tol:
-        if abs(lin) <= tol:
+    if abs(bil) <= ALGEBRA_TOL:
+        if abs(lin) <= ALGEBRA_TOL:
             return [((0.0, 1.0), (0.0, 1.0))]
         own = 1.0 if lin > 0 else 0.0
         return [((own, own), (0.0, 1.0))]

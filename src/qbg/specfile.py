@@ -31,8 +31,11 @@ Grammar (one page, deliberately small):
 
 ``[quantum]`` keys (one family or the other, not both)::
 
-    prob_ll, prob_lh, prob_hl, prob_hh   # squared magnitudes, sum 1 (1e-9)
-    amp_ll,  amp_lh,  amp_hl,  amp_hh    # real amplitudes, norm 1 (1e-9)
+    prob_ll, prob_lh, prob_hl, prob_hh   # squared magnitudes, sum 1
+    amp_ll,  amp_lh,  amp_hl,  amp_hh    # real amplitudes, norm 1
+
+The sum (or squared norm) is the state's: the values as floats, added in
+basis order.  It must be 1 within ``engine.NORMALIZATION_TOL``.
 
 ``[candidate]`` keys::
 
@@ -53,7 +56,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import MixingProfile, PayoffVector, QuantumInitialState
+from .engine import NORMALIZATION_TOL, MixingProfile, PayoffVector, QuantumInitialState
 from .game import BimatrixGame, PolicyParams, build_bg_game
 
 _SECTIONS = ("game", "quantum", "candidate")
@@ -62,8 +65,6 @@ _GAME_KEYS = {"mode", "theta", "a", "b",
 _PROB_KEYS = ("prob_ll", "prob_lh", "prob_hl", "prob_hh")
 _AMP_KEYS = ("amp_ll", "amp_lh", "amp_hl", "amp_hh")
 _CANDIDATE_KEYS = ("p", "q")
-
-NORMALIZATION_TOL = 1e-9
 
 # A value is built with 10**exponent exactly, so a short text like 1e100000000
 # would stall the parser; numbers with a larger exponent are refused unbuilt.
@@ -133,8 +134,7 @@ class GameSpec(namedtuple("GameSpec", (
 
     def to_state(self) -> QuantumInitialState | None:
         if self.probabilities is not None:
-            return QuantumInitialState.from_probabilities(
-                *(float(p) for p in self.probabilities), tol=NORMALIZATION_TOL)
+            return QuantumInitialState.from_probabilities(*self.probabilities)
         if self.amplitudes is not None:
             amps = [float(a) for a in self.amplitudes]
             norm_sq = sum(a ** 2 for a in amps)   # parse_spec's arithmetic, bit for bit
@@ -330,8 +330,9 @@ def parse_spec(text: str) -> GameSpec:
                 if value < 0:
                     raise SpecError(f"{key} must be nonnegative",
                                     quantum[key][1], quantum[key][2])
-        try:   # a value beyond the float range overflows here, as can a sum or a square
-            size = float(sum(values)) if has_probs else sum(float(v) ** 2 for v in values)
+        try:   # a value or a square can overflow; the sums are to_state's, bit for bit
+            w = [float(v) for v in values]
+            size = w[0] + w[1] + w[2] + w[3] if has_probs else sum(a ** 2 for a in w)
         except OverflowError:
             for key, value in zip(family, values):
                 if not _fits_float((value,)):

@@ -193,7 +193,8 @@ def test_criterion_8_enumerator_soundness_and_completeness():
                 & (payoff_col >= col_at0 - 1e-9) & (payoff_col >= col_at1 - 1e-9))
         for i, j in zip(*np.nonzero(mask)):
             p, q = float(P[i, j]), float(Q[i, j])
-            assert any(r.contains(p, q, tol=1e-6) for r in regions)
+            assert any(r.p_min - 1e-6 <= p <= r.p_max + 1e-6
+                       and r.q_min - 1e-6 <= q <= r.q_max + 1e-6 for r in regions)
     report(8, f"all {checked_regions} regions over 200 random instances pass "
               "verification; 101x101 grid brute force finds nothing outside them")
 

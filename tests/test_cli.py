@@ -4,9 +4,12 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,74 @@ L,H,-0,-0
 H,L,0,-0
 H,H,-0,0
 """, "")
+
+
+# Its weights sum to 1 - 9.99999933e-10 exactly, inside the 1e-9 tolerance,
+# while their floats, added in basis order, sum to 0.9999999989999999, which
+# is 1 - 1.00000008e-9, outside it.
+BOUNDARY_SPEC = WEAK_SPEC + """
+[quantum]
+prob_ll = 325109190941/5000000000000
+prob_lh = 2585339801697/5000000000000
+prob_hl = 52209682019/312500000000
+prob_hh = 250839218011600067/1000000000000000000
+"""
+
+
+def near_boundary_specs(family, count, seed):
+    """(spec text, verdict of exact arithmetic) for ``count`` seeded specs whose
+    exact prob_* sum, or exact squared amp_* norm, is 1 + d with |d| < 2e-9.
+    Most d lie within 1e-15 of +-1e-9, the normalization tolerance, where
+    exact and float arithmetic can reach different verdicts."""
+    tol = Fraction(1, 10 ** 9)
+    keys = [f"{family}_{basis}" for basis in ("ll", "lh", "hl", "hh")]
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        d = rng.choice((-1, 1)) * (tol + Fraction(rng.randint(-10 ** 4, 10 ** 4), 10 ** 19))
+        values = [Fraction(rng.randint(0, 10 ** 12), 4 * 10 ** 12) for _ in range(3)]
+        if family == "prob":
+            last = 1 + d - sum(values)
+        else:
+            last = Fraction(math.sqrt(1 + d - sum(v * v for v in values)))
+            last += rng.randint(-3, 3) * Fraction(math.ulp(float(last)))
+        values.insert(rng.randrange(4), last)
+        size = sum(values) if family == "prob" else sum(v * v for v in values)
+        if abs(size - 1) < 2 * tol:
+            text = "".join(f"{key} = {value}\n" for key, value in zip(keys, values))
+            specs.append((WEAK_SPEC + "\n[quantum]\n" + text, abs(size - 1) <= tol))
+    return specs
+
+
+class TestNormalizationBoundary:
+    """A spec that parses builds its state: parse_spec checks the prob_* sum
+    and the squared amp_* norm with the float arithmetic of the state."""
+
+    def test_boundary_spec_is_refused_by_every_command(self, capsys, spec_path):
+        path = spec_path(BOUNDARY_SPEC)
+        for command in ("classical", "quantize", "equilibria"):
+            for fmt in ([], ["--csv"]):
+                assert run_cli(capsys, command, *fmt, "--spec", path) == (
+                    2, "", "error: [quantum] squared magnitudes sum to "
+                           "0.9999999989999999, expected 1\n")
+
+    @pytest.mark.parametrize("family", ["prob", "amp"])
+    def test_every_spec_that_parses_builds_its_state(self, capsys, spec_path, family):
+        verdicts_differ = 0
+        for text, exact_verdict in near_boundary_specs(family, 400, seed=7):
+            try:
+                spec = parse_spec(text)
+            except SpecError:
+                accepted = False
+            else:
+                spec.to_state()
+                accepted = True
+            verdicts_differ += accepted != exact_verdict
+            path = spec_path(text)
+            codes = {run_cli(capsys, command, "--spec", path)[0]
+                     for command in ("classical", "quantize", "equilibria")}
+            assert codes == ({0} if accepted else {2}), text
+        assert verdicts_differ   # the search reached the specs the arithmetic decides
 
 
 class TestLargeExponent:
@@ -672,6 +743,21 @@ class TestParser:
                 fresh.parse_args(argv)
             assert cached == capsys.readouterr()
             assert cached_exit.value.code == fresh_exit.value.code
+
+    @pytest.mark.parametrize("command, flag", [("sweep", "--csv"), ("reproduce", "--spec")])
+    def test_commands_have_no_flag_they_would_ignore(self, capsys, spec_path, command, flag):
+        with pytest.raises(SystemExit) as help_exit:
+            main([command, "--help"])
+        assert help_exit.value.code == 0
+        assert flag not in capsys.readouterr().out
+        argv = {"sweep": ["sweep", "--csv", "--spec", spec_path(MATCHED_SPEC),
+                          "--axis", "p=0:1:3"],
+                "reproduce": ["reproduce", "--spec", "/nonexistent"]}[command]
+        with pytest.raises(SystemExit) as usage_exit:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (usage_exit.value.code, out) == (2, "")
+        assert f"error: unrecognized arguments: {flag}" in err
 
 
 class TestReproduce:

@@ -543,7 +543,8 @@ class TestEnumerateEquilibria:
         policy_vec, public_vec = bg_payoff_vectors()
         state = QuantumInitialState.from_probabilities(0.7, 0.0, 0.0, 0.3)
         regions = enumerate_equilibria(state, policy_vec, public_vec)
-        assert any(r.contains(1.0, 1.0) for r in regions)
+        assert any(r.p_min <= 1.0 <= r.p_max and r.q_min <= 1.0 <= r.q_max
+                   for r in regions)
 
     def test_zero_game_full_square(self):
         state = QuantumInitialState(1, 0, 0, 0)
@@ -551,7 +552,8 @@ class TestEnumerateEquilibria:
         regions = enumerate_equilibria(state, zero, zero)
         assert len(regions) == 1
         assert regions[0].kind == "rectangle"
-        assert regions[0].contains(0.37, 0.91)
+        region = regions[0]
+        assert region.p_min <= 0.37 <= region.p_max and region.q_min <= 0.91 <= region.q_max
 
     def test_indifference_fiber_reported_as_segment(self):
         # public slope in q crosses zero at p = 1/2 on matched-outcome states
@@ -599,5 +601,6 @@ class TestEnumerateEquilibria:
                     & (payoff_col >= col_at1 - 1e-9))
             for i, j in zip(*np.nonzero(mask)):
                 p, q = float(P[i, j]), float(Q[i, j])
-                assert any(r.contains(p, q, tol=1e-6) for r in regions), \
-                    f"grid equilibrium ({p}, {q}) not covered"
+                assert any(r.p_min - 1e-6 <= p <= r.p_max + 1e-6
+                           and r.q_min - 1e-6 <= q <= r.q_max + 1e-6
+                           for r in regions), f"grid equilibrium ({p}, {q}) not covered"

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from qbg import GameSpec, SpecError, parse_spec, render_spec
+from qbg.engine import NORMALIZATION_TOL
 from qbg.game import PureProfile, find_pure_nash
-from qbg.specfile import NORMALIZATION_TOL
 
 BUILTIN = """\
 [game]

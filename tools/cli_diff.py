@@ -6,14 +6,17 @@ Builds the seeded operations of the three benchmark workloads (sweep-grid,
 spec-corpus and cold-start, taken from ``qbgbench/`` of this tree, which is
 only read) and adds ``reproduce`` as text and as CSV, each also with an
 injected fault.  It also runs ``classical``, ``quantize`` and ``equilibria``,
-as text and as CSV, on fixed specs whose numbers are spelled in ways the
-workloads never write (``0.25``, ``25e-2``, ``+1/2``, ``1_000``, spaces in a
-number list, and the refused ``1e10000``, ``1e10001``, ``1/0`` and
-``1/2e3``).  The spec files are written once, to one temporary directory, so
-both sides read them at the same paths.  Each tree then runs
-every operation in one child process of its own, calling ``qbg.cli.main``
-from that tree's ``src/`` once per operation; each demo script of this tree
-also runs once per tree, as its own child.
+as text and as CSV, on fixed specs of two kinds: "spelling" specs, whose
+numbers are spelled in ways the workloads never write (``0.25``, ``25e-2``,
+``+1/2``, ``1_000``, spaces in a number list, and the refused ``1e10000``,
+``1e10001``, ``1/0`` and ``1/2e3``), and "normalization" specs, whose
+``prob_*`` weights sum to 1 within 1e-9 exactly but not as floats, to just
+inside 1e-9 either way, or to 1.1.  "flag" operations pass a flag the command
+does not take: ``sweep --csv`` and ``reproduce --spec``.  The spec files are
+written once, to one temporary directory, so both sides read them at the
+same paths.  Each tree then runs every operation in one child process of its
+own, calling ``qbg.cli.main`` from that tree's ``src/`` once per operation;
+each demo script of this tree also runs once per tree, as its own child.
 
 Every operation whose exit code, standard output or standard error differs
 between the trees is listed, with the first differing line of each stream.
@@ -92,8 +95,38 @@ prob_hh = 1/2
     "fraction-with-exponent": ("[game]\nmode = custom\n"
                                "row_payoffs = 0,1/2e3,0,0\ncol_payoffs = 0,0,0,0\n"),
 }
-SPELLING_COMMANDS = [[command, *fmt] for command in ("classical", "quantize", "equilibria")
-                     for fmt in ([], ["--csv"])]
+
+# prob_* sums on both sides of the 1e-9 normalization tolerance.
+_STATE_SPEC = """[game]
+mode = builtin-bg
+theta = 1
+a = 2
+b = 2
+
+[quantum]
+prob_ll = {}
+prob_lh = {}
+prob_hl = {}
+prob_hh = {}
+
+[candidate]
+p = 1
+q = 1
+"""
+NORMALIZATION_SPECS = {
+    # exact sum 1 - 9.99999933e-10 (inside); float sum 1 - 1.00000008e-9 (outside)
+    "boundary": _STATE_SPEC.format("325109190941/5000000000000",
+                                   "2585339801697/5000000000000",
+                                   "52209682019/312500000000",
+                                   "250839218011600067/1000000000000000000"),
+    # exact and float sums 1 - 9.99999e-10 (inside)
+    "inside-boundary": _STATE_SPEC.format("0.1", "0.2", "0.3", "0.399999999000001"),
+    # exact sum 1.1; float sum 1.0999999999999999
+    "off-boundary": _STATE_SPEC.format("0.5", "0.2", "0.2", "0.2"),
+}
+FIXED_SPECS = {"spelling": SPELLING_SPECS, "normalization": NORMALIZATION_SPECS}
+SPEC_COMMANDS = [[command, *fmt] for command in ("classical", "quantize", "equilibria")
+                 for fmt in ([], ["--csv"])]
 
 # Runs in a child with one tree's src/ on the path: argv lists in, results out.
 RUNNER = """\
@@ -123,10 +156,14 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
     for name, run in WORKLOADS.items():
         (work / name).mkdir()
         ops += [(name, op.argv) for op in run.make_ops(random.Random(seed), work / name)]
-    for name, text in SPELLING_SPECS.items():
-        path = work / f"{name}.spec"
-        path.write_text(text, encoding="utf-8")
-        ops += [("spelling", [*argv, "--spec", str(path)]) for argv in SPELLING_COMMANDS]
+    for kind, specs in FIXED_SPECS.items():
+        for name, text in specs.items():
+            path = work / f"{name}.spec"
+            path.write_text(text, encoding="utf-8")
+            ops += [(kind, [*argv, "--spec", str(path)]) for argv in SPEC_COMMANDS]
+    ops += [("flag", ["sweep", "--csv", "--spec", str(work / "inside-boundary.spec"),
+                      "--axis", "p=0:1:3"]),
+            ("flag", ["reproduce", "--spec", "X"])]
     return ops + [("reproduce", argv) for argv in REPRODUCE_OPS]
 
 
