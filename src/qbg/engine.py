@@ -191,7 +191,8 @@ class DensityMatrix4:
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ALGEBRA_TOL or abs(np.trace(m).imag) > ALGEBRA_TOL:
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > ALGEBRA_TOL or abs(trace.imag) > ALGEBRA_TOL:
             raise ValueError("density matrix trace is not 1")
         if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
             raise ValueError("density matrix is not positive semidefinite")
@@ -299,10 +300,13 @@ def branch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def _branch_conjugations() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(U_k, U_k^dagger) for the branch operators, built on first use.
 
+    They are stored as complex128, so ``op @ rho`` does not cast a float
+    operator on every call; the 0/1 entries make the products the same bits.
     The arrays are shared by every call, so they are made read-only;
     ``branch_operators`` keeps handing out fresh ones.
     """
-    pairs = tuple((op, op.conj().T) for op in branch_operators())
+    pairs = tuple((op.astype(complex), op.conj().T.astype(complex))
+                  for op in branch_operators())
     for pair in pairs:
         for array in pair:
             array.setflags(write=False)
@@ -425,6 +429,13 @@ def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q):
     return row_payoff, col_payoff, gaps, tuple(gap >= -ALGEBRA_TOL for gap in gaps)
 
 
+# The extreme deviations in the order of ``deviation_gaps``: (description, edge).
+_EDGE_DEVIATIONS = (("row deviation to p=0 does not gain", 0.0),
+                    ("row deviation to p=1 does not gain", 1.0),
+                    ("column deviation to q=0 does not gain", 0.0),
+                    ("column deviation to q=1 does not gain", 1.0))
+
+
 def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
                 vec_col: PayoffVector, candidate: MixingProfile) -> EquilibriumReport:
     """Test a candidate profile against every unilateral deviation.
@@ -438,15 +449,12 @@ def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
     row_payoff, col_payoff, gaps, holds = deviation_gaps(
         closed_form_payoff(state, vec_row), closed_form_payoff(state, vec_col), p, q)
 
-    deviations = (("row", "p", p, 0.0), ("row", "p", p, 1.0),
-                  ("column", "q", q, 0.0), ("column", "q", q, 1.0))
     checks = []
     strict = True
-    for (player, var, own, edge), gap, ok in zip(deviations, gaps, holds):
+    for (description, edge), own, gap, ok in zip(_EDGE_DEVIATIONS, (p, p, q, q), gaps, holds):
         if abs(edge - own) > ALGEBRA_TOL:
             strict = strict and gap > ALGEBRA_TOL
-        checks.append(ConditionCheck(
-            f"{player} deviation to {var}={edge:g} does not gain", gap, ok))
+        checks.append(ConditionCheck(description, gap, ok))
 
     return EquilibriumReport(candidate=candidate, row_payoff=row_payoff,
                              col_payoff=col_payoff, is_nash=all(holds),

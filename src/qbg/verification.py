@@ -14,6 +14,7 @@ subcommand prints it and exits 0 only if every check passes at 1e-10.
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 
 from .engine import (
@@ -317,17 +318,17 @@ def _strategy_checks() -> list[CheckResult]:
 
 
 def _oracle_checks() -> list[CheckResult]:
-    import numpy as np
-    rng = np.random.default_rng(20240809)
+    # stdlib samples, so that reproduce never pays for importing numpy.random
+    rng = random.Random(20240809)
     policy_vec, public_vec = bg_payoff_vectors()
     worst = 0.0
     for _ in range(50):
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = QuantumInitialState.normalized(*amps)
-        mix = MixingProfile(float(rng.uniform()), float(rng.uniform()))
+        state = QuantumInitialState.normalized(
+            *(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)))
+        mix = MixingProfile(rng.random(), rng.random())
         rho = final_density(state, mix)
         vectors = [policy_vec, public_vec,
-                   PayoffVector(*rng.uniform(-2.0, 2.0, size=4))]
+                   PayoffVector(*(rng.uniform(-2.0, 2.0) for _ in range(4)))]
         for vec in vectors:
             traced = expected_payoff_trace(vec, rho)
             closed = closed_form_payoff(state, vec).evaluate(mix.p, mix.q)

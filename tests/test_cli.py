@@ -1,12 +1,16 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import csv
+import gc
+import importlib
 import io
 import itertools
 import json
 import math
 import os
 import random
+import runpy
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,7 +29,7 @@ from qbg import (
     parse_spec,
     verify_nash,
 )
-from qbg import cli
+from qbg import cli, verification
 from qbg.cli import main
 from qbg.engine import (ClosedFormPayoff, bilinear_coefficients, deviation_gaps,
                         normalized_amplitudes)
@@ -716,6 +720,11 @@ class TestNumpyImport:
         argvs.append(["quantize", "--spec", spec_path(MIXED_SPEC)])
         assert modules_loaded(["numpy"], argvs) == [[0, []]] * 4 + [[0, ["numpy"]]]
 
+    def test_reproduce_never_imports_numpy_random(self):
+        # the oracle check draws its samples with stdlib random; numpy itself
+        # is loaded for the trace oracle, as a check that the probe can see it
+        assert modules_loaded(["numpy", "numpy.random"], [["reproduce"]]) == [[0, ["numpy"]]]
+
 
 class TestRecordImport:
     @pytest.mark.parametrize("command", ["classical", "equilibria"])
@@ -759,6 +768,20 @@ class TestParser:
         assert (usage_exit.value.code, out) == (2, "")
         assert f"error: unrecognized arguments: {flag}" in err
 
+    @pytest.mark.parametrize("argv, usage, extras", [
+        (["reproduce", "--spec", "X"], "qbg reproduce [-h] [--csv]", "--spec X"),
+        (["sweep", "--csv", "--axis", "p=0:1:3"],
+         "qbg sweep [-h] [--spec PATH] [--axis VAR=LO:HI:STEPS]", "--csv"),
+        (["classical", "--spec", "X", "extra"], "qbg classical [-h] [--spec PATH] [--csv]",
+         "extra"),
+    ], ids=["reproduce", "sweep", "classical"])
+    def test_unknown_argument_gets_the_subcommand_usage(self, capsys, argv, usage, extras):
+        with pytest.raises(SystemExit) as usage_exit:
+            main(argv)
+        assert usage_exit.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"usage: {usage}\nqbg {argv[0]}: error: unrecognized arguments: {extras}\n")
+
 
 class TestReproduce:
     def test_passes_and_exits_zero(self, capsys):
@@ -790,3 +813,74 @@ class TestReproduce:
         _, first, _ = run_cli(capsys, "reproduce", "--csv")
         _, second, _ = run_cli(capsys, "reproduce", "--csv")
         assert first == second
+
+    def test_oracle_check_keeps_its_sample_counts(self, monkeypatch):
+        complex_states, traced = [], []
+        real_density, real_trace = verification.final_density, verification.expected_payoff_trace
+
+        def final_density(state, mix):
+            complex_states.append(any(complex(a).imag for a in state))
+            return real_density(state, mix)
+
+        def expected_payoff_trace(vec, rho):
+            traced.append(vec)
+            return real_trace(vec, rho)
+
+        monkeypatch.setattr(verification, "final_density", final_density)
+        monkeypatch.setattr(verification, "expected_payoff_trace", expected_payoff_trace)
+        [check] = verification._oracle_checks()
+        assert check.passed
+        assert complex_states == [True] * 50
+        assert len(traced) == 150
+
+
+def run_module(*argv):
+    """``python -m qbg`` with ``argv``, through the entry function."""
+    return subprocess.run([sys.executable, "-m", "qbg", *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestEntryPoint:
+    def test_multi_block_sweep_writes_every_row(self, capsys, spec_path):
+        argv = ["sweep", "--spec", spec_path(MATCHED_SPEC),
+                "--axis", "p=0:1:101", "--axis", "q=0:1:101"]
+        assert 101 * 101 > 2 * cli._BLOCK_POINTS
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_in_process(capsys, argv)[1]
+        assert proc.stdout.count("\n") == 1 + 101 * 101
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["reproduce", "--help"], 0), ([], 2), (["nope"], 2),
+        (["reproduce", "--spec", "X"], 2), (["classical"], 2),
+        (["reproduce", "--inject-fault", "case-c.policy-payoff"], 1),
+    ], ids=["help", "reproduce-help", "no-command", "bad-command", "unknown-flag",
+            "no-spec", "fault"])
+    def test_codes_and_bytes_pass_through(self, capsys, argv, code):
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(capsys, argv)
+        assert proc.returncode == code
+
+    def test_in_process_main_never_freezes_the_collector(self, capsys):
+        assert run_in_process(capsys, ["reproduce"])[0] == 0
+        assert run_in_process(capsys, ["--help"])[0] == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_script_target_is_the_module_entry(self, monkeypatch):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        target = re.search(r'^\[project\.scripts\]\nqbg = "(.+)"$', pyproject, re.M)[1]
+        module, _, name = target.partition(":")
+        calls = []
+        monkeypatch.setattr(importlib.import_module(module), name, lambda: calls.append(target))
+        monkeypatch.delitem(sys.modules, "qbg.__main__", raising=False)
+        runpy.run_module("qbg", run_name="__main__")
+        assert calls == [target]

@@ -15,8 +15,12 @@ inside 1e-9 either way, or to 1.1.  "flag" operations pass a flag the command
 does not take: ``sweep --csv`` and ``reproduce --spec``.  The spec files are
 written once, to one temporary directory, so both sides read them at the
 same paths.  Each tree then runs every operation in one child process of its
-own, calling ``qbg.cli.main`` from that tree's ``src/`` once per operation;
-each demo script of this tree also runs once per tree, as its own child.
+own, calling ``qbg.cli.main`` from that tree's ``src/`` once per operation.
+"child" operations go through the entry point instead, one ``python -m qbg``
+process each: every subcommand as text and as CSV, ``--help`` and a usage
+error; a "closed-pipe" operation runs a long sweep whose reader keeps the
+first line and closes the pipe (exit 141).  Each demo script of this tree
+also runs once per tree, as its own child.
 
 Every operation whose exit code, standard output or standard error differs
 between the trees is listed, with the first differing line of each stream.
@@ -167,6 +171,31 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
     return ops + [("reproduce", argv) for argv in REPRODUCE_OPS]
 
 
+def build_child_ops(work: Path) -> list[tuple[str, list[str]]]:
+    """(kind, argv) of the ``python -m qbg`` operations, on a spec ``build_ops`` wrote."""
+    spec = str(work / "decimals.spec")
+    ops = [[*argv, "--spec", spec] for argv in SPEC_COMMANDS]
+    ops += [["sweep", "--spec", spec, "--axis", "p=0:1:5"], ["reproduce"], ["reproduce", "--csv"],
+            ["--help"], ["nope"]]
+    return [("child", argv) for argv in ops] + [
+        ("closed-pipe", ["sweep", "--spec", spec, "--axis", "p=0:1:400", "--axis", "q=0:1:400"])]
+
+
+def run_module(tree: Path, kind: str, argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of one ``python -m qbg`` child against ``tree``;
+    for a "closed-pipe" operation, stdout is the one line read before closing."""
+    proc = subprocess.Popen([sys.executable, "-m", "qbg", *argv], cwd=tree, env=child_env(tree),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    with proc:
+        if kind == "closed-pipe":
+            out = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        else:
+            out, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+        return [proc.wait(timeout=CHILD_TIMEOUT_S), out, err]
+
+
 def run_tree(tree: Path, ops_path: Path) -> list:
     """[exit code, stdout, stderr] per operation, run in one child against ``tree``."""
     results_path = ops_path.with_name("results.json")
@@ -210,6 +239,10 @@ def main() -> int:
         ops_path = work / "ops.json"
         ops_path.write_text(json.dumps([argv for _, argv in ops]), encoding="utf-8")
         results = list(zip(run_tree(parent, ops_path), run_tree(ROOT, ops_path)))
+        child_ops = build_child_ops(work)
+        ops += child_ops
+        results += [(run_module(parent, kind, argv), run_module(ROOT, kind, argv))
+                    for kind, argv in child_ops]
     demos = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
     ops += [("demo", ["demos/" + name]) for name in demos]
     results = [*results, *((run_demo(parent, name), run_demo(ROOT, name)) for name in demos)]
