@@ -16,6 +16,7 @@ from qbg import (
     PayoffVector,
     QuantumInitialState,
     bg_payoff_vectors,
+    closed_form_payoff,
     enumerate_equilibria,
     verify_nash,
 )
@@ -33,14 +34,16 @@ def describe(region):
 
 
 def atlas_entry(label, state, vec_row, vec_col):
-    regions = enumerate_equilibria(state, vec_row, vec_col)
+    f_row = closed_form_payoff(state, vec_row)
+    f_col = closed_form_payoff(state, vec_col)
+    regions = enumerate_equilibria(f_row, f_col)
     print(f"{label}")
     print("  state weights:", np.array(state.squared_magnitudes()).round(3))
     if not regions:
         print("  no equilibria")
     for region in regions:
         sample = region.sample_points()[0]
-        report = verify_nash(state, vec_row, vec_col, MixingProfile(*sample))
+        report = verify_nash(f_row, f_col, MixingProfile(*sample))
         confirmed = "confirmed" if report.is_nash else "REJECTED"
         print(f"  {describe(region)}  [{confirmed}, payoffs "
               f"({report.row_payoff:+.3f}, {report.col_payoff:+.3f})]")

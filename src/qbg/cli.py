@@ -134,14 +134,14 @@ def cmd_quantize(args) -> int:
         rho = final_density(state, candidate)
         trace_row = expected_payoff_trace(vec_row, rho)
         trace_col = expected_payoff_trace(vec_col, rho)
-        report = verify_nash(state, vec_row, vec_col, candidate)
+        report = verify_nash(f_row, f_col, candidate)
         rows += [
             ("candidate.p", candidate.p),
             ("candidate.q", candidate.q),
             ("policy_payoff.trace", trace_row),
-            ("policy_payoff.closed_form", f_row.evaluate(candidate.p, candidate.q)),
+            ("policy_payoff.closed_form", report.row_payoff),
             ("public_payoff.trace", trace_col),
-            ("public_payoff.closed_form", f_col.evaluate(candidate.p, candidate.q)),
+            ("public_payoff.closed_form", report.col_payoff),
             ("nash.weak", report.is_nash),
             ("nash.strict", report.is_strict_nash),
         ]
@@ -182,7 +182,8 @@ def cmd_equilibria(args) -> int:
         raise SpecError("equilibria needs a [quantum] section in the spec")
     state = spec.to_state()
     vec_row, vec_col = spec.payoff_vectors()
-    regions = enumerate_equilibria(state, vec_row, vec_col)
+    regions = enumerate_equilibria(closed_form_payoff(state, vec_row),
+                                   closed_form_payoff(state, vec_col))
 
     if args.csv:
         writer = _csv_writer(sys.stdout)

@@ -3,9 +3,10 @@
 The joint strategy space is the 4-dimensional Hilbert space with ordered
 basis (LL, LH, HL, HH); the first letter is the row player's strategy, the
 second the column player's.  Starting from a fixed normalized initial state,
-the row player keeps the identity with probability p and the column player
-with probability q, the alternative being the strategy-flip operator C with
-C|L> = |H> and C|H> = |L>.
+the row player chooses p and the column player chooses q.  Under the branch
+pairing below, p is the probability that the column (second) qubit keeps the
+identity and q the probability that the row (first) qubit does; the
+alternative is the strategy-flip operator C with C|L> = |H> and C|H> = |L>.
 
 Mixing produces a convex combination of four conjugated densities.  The
 canonical branch order is
@@ -164,7 +165,12 @@ class QuantumInitialState(ValidatedRecord,
 
 
 class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
-    """Identity-operator probabilities (p for the row player, q for the column)."""
+    """The row player's choice p and the column player's choice q, both in [0, 1].
+
+    p is the probability that the column (second) qubit keeps the identity,
+    q the probability that the row (first) qubit does (see the module
+    docstring for the branch pairing).
+    """
 
     __slots__ = ()
 
@@ -436,18 +442,19 @@ _EDGE_DEVIATIONS = (("row deviation to p=0 does not gain", 0.0),
                     ("column deviation to q=1 does not gain", 1.0))
 
 
-def verify_nash(state: QuantumInitialState, vec_row: PayoffVector,
-                vec_col: PayoffVector, candidate: MixingProfile) -> EquilibriumReport:
+def verify_nash(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff,
+                candidate: MixingProfile) -> EquilibriumReport:
     """Test a candidate profile against every unilateral deviation.
 
-    Each payoff is affine in the player's own probability at a fixed opponent
-    probability, so checking the two extreme deviations (0 and 1) decides the
-    condition for the whole interval.  The weak verdict allows ties; the
-    strict verdict requires every actual deviation to lose.
+    ``f_row`` and ``f_col`` are the two players' closed forms, as
+    ``closed_form_payoff(state, vec)`` builds them.  Each payoff is affine in
+    the player's own probability at a fixed opponent probability, so checking
+    the two extreme deviations (0 and 1) decides the condition for the whole
+    interval.  The weak verdict allows ties; the strict verdict requires every
+    actual deviation to lose.
     """
     p, q = candidate.p, candidate.q
-    row_payoff, col_payoff, gaps, holds = deviation_gaps(
-        closed_form_payoff(state, vec_row), closed_form_payoff(state, vec_col), p, q)
+    row_payoff, col_payoff, gaps, holds = deviation_gaps(f_row, f_col, p, q)
 
     checks = []
     strict = True
@@ -492,16 +499,14 @@ def _intersect(a: tuple[float, float], b: tuple[float, float]):
     return (lo, hi) if lo <= hi else None
 
 
-def enumerate_equilibria(state: QuantumInitialState, vec_row: PayoffVector,
-                         vec_col: PayoffVector) -> tuple[EquilibriumRegion, ...]:
-    """All Nash profiles, described exactly as points, segments, and rectangles.
+def enumerate_equilibria(f_row: ClosedFormPayoff,
+                         f_col: ClosedFormPayoff) -> tuple[EquilibriumRegion, ...]:
+    """All Nash profiles of the two closed forms, as points, segments, and rectangles.
 
     Both best-response correspondences are piecewise constant with at most one
     indifference crossing, so each player's graph is a union of at most three
     axis-aligned pieces; the equilibrium set is the pairwise intersection.
     """
-    f_row = closed_form_payoff(state, vec_row)
-    f_col = closed_form_payoff(state, vec_col)
     row_pieces = _best_response_pieces(f_row.coeff_p, f_row.coeff_pq)   # own = p
     col_pieces = _best_response_pieces(f_col.coeff_q, f_col.coeff_pq)   # own = q
     regions = set()

@@ -4,7 +4,8 @@ Each function runs one candidate profile or one family of initial states
 through the engine and packages the result as a ``ScenarioReport``.  Every
 number in a report is recomputed through the engine; the module stores no
 payoff constants of its own (the payoff vectors are derived from the
-classical table builder).
+classical table builder).  Every Nash verdict is ``verify_nash``'s; a
+report's two conditions restate it in the paper's terms.
 
 The headline story lives in ``run_strategy_ii``: on states mixing only the
 matched outcomes LL and HH, the both-keep profile is a Nash equilibrium
@@ -19,7 +20,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .engine import (
-    ALGEBRA_TOL,
     ConditionCheck,
     MixingProfile,
     PayoffVector,
@@ -78,26 +78,41 @@ def weak_assumption_holds(state: QuantumInitialState) -> WeakAssumption:
     return WeakAssumption(holds=gap > 0.0, gap=gap)
 
 
-def _scenario_conditions(state: QuantumInitialState) -> tuple[float, float]:
-    """The two quantities every candidate check reduces to for this game.
-
-    Returns (keep_slope, mismatch_weight): the policy payoff's slope in p
-    (independent of q here because the bilinear term cancels), and the total
-    weight on the mismatched outcomes LH and HL.
-    """
-    policy_vec, _ = bg_payoff_vectors()
-    f_policy = closed_form_payoff(state, policy_vec)
+def _mismatch_weight(state: QuantumInitialState, f_public) -> float:
+    """P_LH + P_HL, the weight on the outcomes where the public guesses wrong."""
     probs = state.squared_magnitudes()
-    return f_policy.coeff_p, float(probs[1] + probs[2])
+    return float(probs[1] + probs[2])
+
+
+def _public_slope_at_even_mix(state: QuantumInitialState, f_public) -> float:
+    """The public payoff's slope in q at p = 1/2."""
+    return f_public.coeff_q + f_public.coeff_pq * 0.5
 
 
 def _run_candidate(scenario: str, state: QuantumInitialState,
-                   candidate: MixingProfile,
-                   conditions: tuple[ConditionCheck, ...],
+                   candidate: MixingProfile, policy_condition: str,
+                   public_condition: str, public_value=_mismatch_weight,
                    verdict: str | None = None,
                    notes: tuple[str, ...] = ()) -> ScenarioReport:
+    """Decide ``candidate`` on ``state`` with ``verify_nash`` and restate the verdict.
+
+    Both closed forms are built once.  The policy condition carries the
+    keep-slope, the policy payoff's slope in p (independent of q here because
+    the bilinear term cancels), and holds when neither of the policy maker's
+    extreme deviations gains; the public condition carries
+    ``public_value(state, f_public)`` and holds when neither of the public's
+    does.  So ``is_nash`` is exactly that both conditions hold.
+    """
     policy_vec, public_vec = bg_payoff_vectors()
-    report = verify_nash(state, policy_vec, public_vec, candidate)
+    f_policy = closed_form_payoff(state, policy_vec)
+    f_public = closed_form_payoff(state, public_vec)
+    report = verify_nash(f_policy, f_public, candidate)
+    holds = [check.satisfied for check in report.conditions]
+    conditions = (
+        ConditionCheck(policy_condition, f_policy.coeff_p, holds[0] and holds[1]),
+        ConditionCheck(public_condition, public_value(state, f_public),
+                       holds[2] and holds[3]),
+    )
     if verdict is None:
         verdict = VERDICT_NASH if report.is_nash else VERDICT_NO_NASH
     return ScenarioReport(
@@ -116,14 +131,9 @@ def _run_candidate(scenario: str, state: QuantumInitialState,
 
 def run_case_a(state: QuantumInitialState) -> ScenarioReport:
     """Both players keep the identity with certainty: candidate (1, 1)."""
-    keep_slope, mismatch = _scenario_conditions(state)
-    conditions = (
-        ConditionCheck("policy keep-slope 2*(P_LL - P_HH + P_HL - P_LH) >= 0",
-                       keep_slope, keep_slope >= -ALGEBRA_TOL),
-        ConditionCheck("mismatch weight P_LH + P_HL <= 1/2",
-                       mismatch, mismatch <= 0.5 + ALGEBRA_TOL),
-    )
-    return _run_candidate("case-a", state, MixingProfile(1.0, 1.0), conditions)
+    return _run_candidate("case-a", state, MixingProfile(1.0, 1.0),
+                          "policy keep-slope 2*(P_LL - P_HH + P_HL - P_LH) >= 0",
+                          "mismatch weight P_LH + P_HL <= 1/2")
 
 
 def run_case_b(state: QuantumInitialState) -> ScenarioReport:
@@ -133,14 +143,9 @@ def run_case_b(state: QuantumInitialState) -> ScenarioReport:
     more), the opposite of what a weak policy maker's state is assumed to
     satisfy, so the report carries a note flagging that tension.
     """
-    keep_slope, mismatch = _scenario_conditions(state)
-    conditions = (
-        ConditionCheck("policy keep-slope 2*(P_LL - P_HH + P_HL - P_LH) <= 0",
-                       keep_slope, keep_slope <= ALGEBRA_TOL),
-        ConditionCheck("mismatch weight P_LH + P_HL <= 1/2",
-                       mismatch, mismatch <= 0.5 + ALGEBRA_TOL),
-    )
-    return _run_candidate("case-b", state, MixingProfile(0.0, 0.0), conditions,
+    return _run_candidate("case-b", state, MixingProfile(0.0, 0.0),
+                          "policy keep-slope 2*(P_LL - P_HH + P_HL - P_LH) <= 0",
+                          "mismatch weight P_LH + P_HL <= 1/2",
                           notes=(NOTE_OPPOSITE_PREFERENCE,))
 
 
@@ -152,17 +157,10 @@ def run_case_c(state: QuantumInitialState) -> ScenarioReport:
     deviation effect vanishes identically, while the policy maker is stable
     only at an exactly zero keep-slope.
     """
-    keep_slope, _ = _scenario_conditions(state)
-    _, public_vec = bg_payoff_vectors()
-    f_public = closed_form_payoff(state, public_vec)
-    public_slope = f_public.coeff_q + f_public.coeff_pq * 0.5
-    conditions = (
-        ConditionCheck("policy indifference: keep-slope == 0",
-                       keep_slope, abs(keep_slope) <= ALGEBRA_TOL),
-        ConditionCheck("public deviation effect vanishes at p = 1/2",
-                       public_slope, abs(public_slope) <= ALGEBRA_TOL),
-    )
-    return _run_candidate("case-c", state, MixingProfile(0.5, 0.5), conditions,
+    return _run_candidate("case-c", state, MixingProfile(0.5, 0.5),
+                          "policy indifference: keep-slope == 0",
+                          "public deviation effect vanishes at p = 1/2",
+                          public_value=_public_slope_at_even_mix,
                           verdict=VERDICT_DOMINATED,
                           notes=(NOTE_NEGATIVE_PAYOFFS,))
 
@@ -177,15 +175,10 @@ def run_strategy_i(lh_prob: float) -> ScenarioReport:
     if not 0.0 <= lh_prob <= 1.0:
         raise ValueError(f"LH weight must lie in [0, 1], got {lh_prob!r}")
     state = QuantumInitialState.from_probabilities(0.0, lh_prob, 1.0 - lh_prob, 0.0)
-    keep_slope, mismatch = _scenario_conditions(state)
-    conditions = (
-        ConditionCheck("policy keep-slope 2*(P_HL - P_LH) >= 0",
-                       keep_slope, keep_slope >= -ALGEBRA_TOL),
-        ConditionCheck("mismatch weight P_LH + P_HL <= 1/2",
-                       mismatch, mismatch <= 0.5 + ALGEBRA_TOL),
-    )
     return _run_candidate("strategy-i", state, MixingProfile(1.0, 1.0),
-                          conditions, notes=(NOTE_PUBLIC_ALWAYS_LOSES,))
+                          "policy keep-slope 2*(P_HL - P_LH) >= 0",
+                          "mismatch weight P_LH + P_HL <= 1/2",
+                          notes=(NOTE_PUBLIC_ALWAYS_LOSES,))
 
 
 def run_strategy_ii(hh_prob: float) -> ScenarioReport:
@@ -200,15 +193,9 @@ def run_strategy_ii(hh_prob: float) -> ScenarioReport:
     if not 0.0 <= hh_prob <= 1.0:
         raise ValueError(f"HH weight must lie in [0, 1], got {hh_prob!r}")
     state = QuantumInitialState.from_probabilities(1.0 - hh_prob, 0.0, 0.0, hh_prob)
-    keep_slope, mismatch = _scenario_conditions(state)
-    conditions = (
-        ConditionCheck("policy keep-slope 2*(P_LL - P_HH) >= 0",
-                       keep_slope, keep_slope >= -ALGEBRA_TOL),
-        ConditionCheck("mismatch weight P_LH + P_HL <= 1/2",
-                       mismatch, mismatch <= 0.5 + ALGEBRA_TOL),
-    )
     report = _run_candidate("strategy-ii", state, MixingProfile(1.0, 1.0),
-                            conditions)
+                            "policy keep-slope 2*(P_LL - P_HH) >= 0",
+                            "mismatch weight P_LH + P_HL <= 1/2")
     notes = []
     if report.is_nash:
         notes.append(NOTE_TIME_CONSISTENT)

@@ -39,8 +39,8 @@ basis order.  It must be 1 within ``engine.NORMALIZATION_TOL``.
 
 ``[candidate]`` keys::
 
-    p = ...   # row player's identity probability, in [0, 1]
-    q = ...   # column player's identity probability
+    p = ...   # row player's choice in [0, 1]: P(column qubit keeps the identity)
+    q = ...   # column player's choice in [0, 1]: P(row qubit keeps the identity)
 
 Parsing keeps exact ``Fraction`` values so that rendering a spec and parsing
 it back reproduces the object exactly.  Payoffs and state weights are also

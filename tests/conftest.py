@@ -1,4 +1,7 @@
+import sys
+
 import numpy as np
+import pytest
 
 from qbg import PayoffVector, QuantumInitialState
 
@@ -14,3 +17,26 @@ def random_vector(rng, scale: float = 2.0) -> PayoffVector:
 
 def fresh_rng(seed: int = 20240809) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """The argument tuples of every ``closed_form_payoff`` call made in the test.
+
+    Modules import the function by name, so every qbg module attribute that
+    binds it is patched, not only ``qbg.engine``'s.
+    """
+    import qbg.cli
+    import qbg.engine
+    original = qbg.engine.closed_form_payoff
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "qbg" or name.startswith("qbg."))
+                and getattr(module, "closed_form_payoff", None) is original):
+            monkeypatch.setattr(module, "closed_form_payoff", counted)
+    return calls

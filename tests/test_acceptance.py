@@ -173,14 +173,13 @@ def test_criterion_8_enumerator_soundness_and_completeness():
         state = random_state(rng)
         vec_row = random_vector(rng)
         vec_col = random_vector(rng)
-        regions = enumerate_equilibria(state, vec_row, vec_col)
+        f_row = closed_form_payoff(state, vec_row)
+        f_col = closed_form_payoff(state, vec_col)
+        regions = enumerate_equilibria(f_row, f_col)
         for region in regions:
             checked_regions += 1
             for p, q in region.sample_points():
-                assert verify_nash(state, vec_row, vec_col,
-                                   MixingProfile(p, q)).is_nash
-        f_row = closed_form_payoff(state, vec_row)
-        f_col = closed_form_payoff(state, vec_col)
+                assert verify_nash(f_row, f_col, MixingProfile(p, q)).is_nash
         payoff_row = (f_row.constant + f_row.coeff_p * P + f_row.coeff_q * Q
                       + f_row.coeff_pq * P * Q)
         payoff_col = (f_col.constant + f_col.coeff_p * P + f_col.coeff_q * Q

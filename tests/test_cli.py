@@ -373,6 +373,13 @@ class TestQuantize:
         assert len(calls) == 2
         assert out.count("trace") == 2
 
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]])
+    def test_each_closed_form_built_once(self, capsys, spec_path, closed_form_calls, fmt):
+        # the candidate's payoffs and Nash verdict reuse the two printed forms
+        code, _, _ = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(MIXED_SPEC))
+        assert code == 0
+        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
+
     def test_csv_items(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "quantize", "--csv",
                                "--spec", spec_path(MATCHED_SPEC))
@@ -403,6 +410,12 @@ class TestEquilibria:
         rows = parse_csv(out)
         assert rows[0] == ["kind", "p_min", "p_max", "q_min", "q_max"]
         assert ["point", "1", "1", "1", "1"] in rows
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]])
+    def test_each_closed_form_built_once(self, capsys, spec_path, closed_form_calls, fmt):
+        code, _, _ = run_cli(capsys, "equilibria", *fmt, "--spec", spec_path(MIXED_SPEC))
+        assert code == 0
+        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
 
     def test_requires_quantum_block(self, capsys, spec_path):
         code, _, err = run_cli(capsys, "equilibria",
@@ -597,9 +610,11 @@ def reference_sweep(text, axes):
             max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
         p = assignment.get("p", candidate and candidate.p)
         q = assignment.get("q", candidate and candidate.q)
-        report = verify_nash(state, vec_row, vec_col, MixingProfile(p, q))
-        row = closed_form_payoff(state, vec_row).evaluate(p, q)
-        col = closed_form_payoff(state, vec_col).evaluate(p, q)
+        f_row = closed_form_payoff(state, vec_row)
+        f_col = closed_form_payoff(state, vec_col)
+        report = verify_nash(f_row, f_col, MixingProfile(p, q))
+        row = f_row.evaluate(p, q)
+        col = f_col.evaluate(p, q)
         lines.append(",".join([f"{v:.12g}" for v in point]
                               + [f"{row:.12g}", f"{col:.12g}",
                                  "true" if report.is_nash else "false"]))
@@ -677,7 +692,8 @@ class TestSweepGolden:
                     assert (form.constant[k], form.coeff_p[k], form.coeff_q[k],
                             form.coeff_pq[k]) == (scalar.constant, scalar.coeff_p,
                                                   scalar.coeff_q, scalar.coeff_pq)
-                report = verify_nash(state, vec_row, vec_col,
+                report = verify_nash(closed_form_payoff(state, vec_row),
+                                     closed_form_payoff(state, vec_col),
                                      MixingProfile(p[k], q[k]))
                 assert (row[k], col[k], weak[k]) == (
                     report.row_payoff, report.col_payoff, report.is_nash)

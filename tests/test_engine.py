@@ -188,6 +188,14 @@ class TestDensities:
         assert np.allclose(rho_f.matrix, expected, atol=1e-15)
         assert rho_f.matrix[3, 3] == pytest.approx(1.0)
 
+    def test_corner_outcomes_on_ll_follow_the_pairing(self):
+        # the row player chooses p, yet p keeps the column qubit and q the row one
+        state = QuantumInitialState(1, 0, 0, 0)
+        for (p, q), label in (((1.0, 1.0), "LL"), ((1.0, 0.0), "HL"),
+                              ((0.0, 1.0), "LH"), ((0.0, 0.0), "HH")):
+            diagonal = np.diag(final_density(state, MixingProfile(p, q)).matrix).real
+            assert np.array_equal(diagonal, KET[label]), (p, q)
+
     def test_final_density_valid_on_random_inputs(self):
         rng = fresh_rng(13)
         for _ in range(200):
@@ -420,8 +428,10 @@ class TestClosedForm:
                 f2 = closed_form_payoff(rephased, vec)
                 assert f1.evaluate(candidate.p, candidate.q) == pytest.approx(
                     f2.evaluate(candidate.p, candidate.q), abs=1e-12)
-            r1 = verify_nash(state, policy_vec, public_vec, candidate)
-            r2 = verify_nash(rephased, policy_vec, public_vec, candidate)
+            r1 = verify_nash(closed_form_payoff(state, policy_vec),
+                             closed_form_payoff(state, public_vec), candidate)
+            r2 = verify_nash(closed_form_payoff(rephased, policy_vec),
+                             closed_form_payoff(rephased, public_vec), candidate)
             assert r1.is_nash == r2.is_nash
             assert r1.is_strict_nash == r2.is_strict_nash
 
@@ -496,7 +506,8 @@ class TestNashMachinery:
     def test_verify_nash_matched_outcome_state(self):
         policy_vec, public_vec = bg_payoff_vectors()
         state = QuantumInitialState.from_probabilities(0.8, 0.0, 0.0, 0.2)
-        report = verify_nash(state, policy_vec, public_vec,
+        report = verify_nash(closed_form_payoff(state, policy_vec),
+                             closed_form_payoff(state, public_vec),
                              MixingProfile(1.0, 1.0))
         assert report.is_nash
         assert report.row_payoff == pytest.approx(-0.2, abs=1e-12)
@@ -505,14 +516,16 @@ class TestNashMachinery:
     def test_verify_nash_mismatch_state_fails(self):
         policy_vec, public_vec = bg_payoff_vectors()
         state = QuantumInitialState.from_probabilities(0.0, 0.5, 0.5, 0.0)
-        report = verify_nash(state, policy_vec, public_vec,
+        report = verify_nash(closed_form_payoff(state, policy_vec),
+                             closed_form_payoff(state, public_vec),
                              MixingProfile(1.0, 1.0))
         assert not report.is_nash
 
     def test_verify_nash_constant_payoffs(self):
         state = QuantumInitialState(1, 0, 0, 0)
         zero = PayoffVector(0, 0, 0, 0)
-        report = verify_nash(state, zero, zero, MixingProfile(0.4, 0.9))
+        f_zero = closed_form_payoff(state, zero)
+        report = verify_nash(f_zero, f_zero, MixingProfile(0.4, 0.9))
         assert report.is_nash
         assert not report.is_strict_nash
 
@@ -526,9 +539,9 @@ class TestNashMachinery:
             vec_col = random_vector(rng)
             cand = MixingProfile(float(rng.choice([0.0, 0.5, 1.0])),
                                  float(rng.uniform()))
-            report = verify_nash(state, vec_row, vec_col, cand)
             f_row = closed_form_payoff(state, vec_row)
             f_col = closed_form_payoff(state, vec_col)
+            report = verify_nash(f_row, f_col, cand)
             base_row = f_row.evaluate(cand.p, cand.q)
             base_col = f_col.evaluate(cand.p, cand.q)
             brute = all(base_row >= f_row.evaluate(float(p), cand.q) - 1e-9
@@ -542,14 +555,16 @@ class TestEnumerateEquilibria:
     def test_matched_outcome_state_has_identity_corner(self):
         policy_vec, public_vec = bg_payoff_vectors()
         state = QuantumInitialState.from_probabilities(0.7, 0.0, 0.0, 0.3)
-        regions = enumerate_equilibria(state, policy_vec, public_vec)
+        regions = enumerate_equilibria(closed_form_payoff(state, policy_vec),
+                                       closed_form_payoff(state, public_vec))
         assert any(r.p_min <= 1.0 <= r.p_max and r.q_min <= 1.0 <= r.q_max
                    for r in regions)
 
     def test_zero_game_full_square(self):
         state = QuantumInitialState(1, 0, 0, 0)
         zero = PayoffVector(0, 0, 0, 0)
-        regions = enumerate_equilibria(state, zero, zero)
+        f_zero = closed_form_payoff(state, zero)
+        regions = enumerate_equilibria(f_zero, f_zero)
         assert len(regions) == 1
         assert regions[0].kind == "rectangle"
         region = regions[0]
@@ -559,7 +574,8 @@ class TestEnumerateEquilibria:
         # public slope in q crosses zero at p = 1/2 on matched-outcome states
         policy_vec, public_vec = bg_payoff_vectors()
         state = QuantumInitialState.from_probabilities(0.5, 0.0, 0.0, 0.5)
-        regions = enumerate_equilibria(state, policy_vec, public_vec)
+        regions = enumerate_equilibria(closed_form_payoff(state, policy_vec),
+                                       closed_form_payoff(state, public_vec))
         kinds = {r.kind for r in regions}
         assert "segment" in kinds or "rectangle" in kinds
 
@@ -569,11 +585,12 @@ class TestEnumerateEquilibria:
             state = random_state(rng)
             vec_row = random_vector(rng)
             vec_col = random_vector(rng)
-            regions = enumerate_equilibria(state, vec_row, vec_col)
+            f_row = closed_form_payoff(state, vec_row)
+            f_col = closed_form_payoff(state, vec_col)
+            regions = enumerate_equilibria(f_row, f_col)
             for region in regions:
                 for p, q in region.sample_points():
-                    report = verify_nash(state, vec_row, vec_col,
-                                         MixingProfile(p, q))
+                    report = verify_nash(f_row, f_col, MixingProfile(p, q))
                     assert report.is_nash
 
     def test_completeness_against_grid_brute_force(self):
@@ -584,9 +601,9 @@ class TestEnumerateEquilibria:
             state = random_state(rng)
             vec_row = random_vector(rng)
             vec_col = random_vector(rng)
-            regions = enumerate_equilibria(state, vec_row, vec_col)
             f_row = closed_form_payoff(state, vec_row)
             f_col = closed_form_payoff(state, vec_col)
+            regions = enumerate_equilibria(f_row, f_col)
             payoff_row = (f_row.constant + f_row.coeff_p * P
                           + f_row.coeff_q * Q + f_row.coeff_pq * P * Q)
             payoff_col = (f_col.constant + f_col.coeff_p * P

@@ -210,3 +210,72 @@ class TestReportsRecomputed:
             policy, public = trace_payoffs(report.state, report.candidate)
             assert report.policy_payoff == pytest.approx(policy, abs=1e-12)
             assert report.public_payoff == pytest.approx(public, abs=1e-12)
+
+
+SCENARIOS_ON_STATES = (run_case_a, run_case_b, run_case_c)
+SCENARIOS_ON_WEIGHTS = (run_strategy_i, run_strategy_ii)
+
+
+def near_boundary_states():
+    """States whose mismatch weight P_LH + P_HL is 1/2 +- k*1e-13, or whose
+    keep-slope 2*(P_LL - P_HH + P_HL - P_LH) is +-k*1e-13, for k = 1..20."""
+    for k in range(1, 21):
+        for d in (k * 1e-13, -k * 1e-13):
+            yield (0.5 - d, 0.0, 0.5 + d, 0.0)                        # mismatch 1/2 + d
+            yield (0.0, 0.5 + d, 0.0, 0.5 - d)                        # mismatch 1/2 + d
+            yield (0.25 - d / 2, 0.25 + d / 2, 0.25 + d / 2, 0.25 - d / 2)
+            yield (0.25 + d / 4, 0.25, 0.25, 0.25 - d / 4)            # keep-slope d
+            yield (0.5 + d / 4, 0.0, 0.0, 0.5 - d / 4)                # keep-slope d
+            yield (0.1 + d / 4, 0.4, 0.4, 0.1 - d / 4)                # keep-slope d
+
+
+def restates_verdict(report):
+    return report.is_nash == all(check.satisfied for check in report.conditions)
+
+
+class TestConditionsRestateTheVerdict:
+    def test_mismatch_just_above_half_fails_both_ways(self):
+        # the engine's public gap 1 - 2s allows s <= 1/2 + 5e-13 only
+        report = run_case_a(QuantumInitialState.from_probabilities(
+            0.5 - 8e-13, 0.0, 0.5 + 8e-13, 0.0))
+        assert not report.is_nash
+        assert [check.satisfied for check in report.conditions] == [True, False]
+
+    def test_even_mix_gaps_are_half_the_keep_slope(self):
+        report = run_case_c(QuantumInitialState.from_probabilities(
+            0.25 + 4e-13, 0.25, 0.25, 0.25 - 4e-13))
+        assert report.is_nash
+        assert all(check.satisfied for check in report.conditions)
+        assert report.conditions[0].value == pytest.approx(1.6e-12, abs=1e-14)
+
+    def test_near_boundary_states(self):
+        for weights in near_boundary_states():
+            state = QuantumInitialState.from_probabilities(*weights)
+            for run in SCENARIOS_ON_STATES:
+                assert restates_verdict(run(state)), (run.__name__, weights)
+        for k in range(1, 21):
+            for w in (0.5 + k * 1e-13, 0.5 - k * 1e-13):
+                for run in SCENARIOS_ON_WEIGHTS:
+                    assert restates_verdict(run(w)), (run.__name__, w)
+
+    def test_random_states(self):
+        rng = fresh_rng(44)
+        for _ in range(300):
+            state = random_state(rng)
+            for run in SCENARIOS_ON_STATES:
+                assert restates_verdict(run(state))
+        for w in rng.uniform(size=100):
+            for run in SCENARIOS_ON_WEIGHTS:
+                assert restates_verdict(run(float(w)))
+
+
+class TestEachFormBuiltOnce:
+    @pytest.mark.parametrize("run", SCENARIOS_ON_STATES)
+    def test_runs_on_a_state(self, run, closed_form_calls):
+        run(REFERENCE)
+        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
+
+    @pytest.mark.parametrize("run", SCENARIOS_ON_WEIGHTS)
+    def test_runs_on_a_weight(self, run, closed_form_calls):
+        run(0.3)
+        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
