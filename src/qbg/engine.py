@@ -26,10 +26,12 @@ density matrix; because the operators are diagonal, payoffs depend only on
 squared amplitude magnitudes, so all results are invariant under rephasing
 any amplitude.
 
-The state constructors, the closed form and the Nash tests work on Python
-floats.  numpy is imported on first use: by the density-matrix oracle, by
-the accessors that return arrays, by ``normalized_amplitudes`` when it is
-given arrays, and for the squared magnitudes of complex amplitudes.
+The state constructors, the closed form, the Nash tests and the
+density-matrix oracle work on Python numbers.  numpy is imported on first
+use: by the accessors that return arrays (``DensityMatrix4.matrix``
+included), by ``normalized_amplitudes`` when it is given arrays, and for
+states with complex amplitudes, whose squared magnitudes and outer product
+keep numpy's bits.
 """
 
 from __future__ import annotations
@@ -182,28 +184,46 @@ class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
 
 
 class DensityMatrix4:
-    """4x4 density matrix over the game basis.
+    """4x4 density matrix over the game basis, held as rows of Python complex numbers.
 
-    Validated on construction: Hermitian and unit trace within 1e-12,
-    eigenvalues above -1e-10.
+    Validated on construction, without numpy: Hermitian and unit trace
+    within ``ALGEBRA_TOL``, and positive semidefinite to ``PSD_TOL``.  The
+    last rule is that M + PSD_TOL*I factors as L D L^H with every pivot in
+    D positive (Cholesky without square roots), which holds exactly when
+    every eigenvalue of M exceeds -PSD_TOL.  ``matrix`` is a read-only
+    complex ndarray of the same entries, built on first access.
     """
 
-    __slots__ = ("matrix",)   # read-only, never reassigned; compares by identity
+    __slots__ = ("_rows", "_matrix")   # _matrix is set once, on first access; compares by identity
 
-    def __init__(self, matrix: np.ndarray):
-        import numpy as np
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
+    def __init__(self, matrix):
+        if hasattr(matrix, "tolist"):      # an ndarray
+            matrix = matrix.tolist()
+        try:
+            rows = tuple(tuple(complex(x) for x in row) for row in matrix)
+        except TypeError:
+            rows = ()
+        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+            raise ValueError("expected a 4x4 matrix of numbers")
+        if any(abs(rows[i][j] - rows[j][i].conjugate()) > ALGEBRA_TOL
+               for i in range(4) for j in range(i, 4)):
             raise ValueError("density matrix is not Hermitian")
-        trace = np.trace(m)
+        trace = (rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3])
         if abs(trace.real - 1.0) > ALGEBRA_TOL or abs(trace.imag) > ALGEBRA_TOL:
             raise ValueError("density matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
+        if not _shifted_cholesky_exists(rows):
             raise ValueError("density matrix is not positive semidefinite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_matrix", None)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            import numpy as np
+            m = np.array(self._rows, dtype=complex)
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -213,6 +233,30 @@ class DensityMatrix4:
 
     def __repr__(self) -> str:
         return f"DensityMatrix4(matrix={self.matrix!r})"
+
+
+def _shifted_cholesky_exists(rows) -> bool:
+    """Whether the Hermitian ``rows`` + PSD_TOL*I factors as L D L^H with D > 0.
+
+    L is unit lower triangular; the pivots D are positive exactly when the
+    shifted matrix is positive definite.  Only the lower triangle is read.
+    """
+    lower, pivots = [], []
+    for i in range(4):
+        row = []
+        for j in range(i):
+            s = rows[i][j]
+            for k in range(j):
+                s -= row[k] * pivots[k] * lower[j][k].conjugate()
+            row.append(s / pivots[j])
+        pivot = rows[i][i].real + PSD_TOL
+        for k in range(i):
+            pivot -= pivots[k] * (row[k].real * row[k].real + row[k].imag * row[k].imag)
+        if not pivot > 0.0:    # NaN fails too
+            return False
+        lower.append(row)
+        pivots.append(pivot)
+    return True
 
 
 class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
@@ -287,63 +331,100 @@ class EquilibriumRegion(namedtuple("EquilibriumRegion", "p_min p_max q_min q_max
         return [(p, q) for p in sorted(ps) for q in sorted(qs)]
 
 
+# The 2x2 identity and strategy flip C as tables; the oracle's operators are
+# their Kronecker products, read off on first use and never from ``_PERM``.
+_IDENTITY_2 = ((1, 0), (0, 1))
+_FLIP_2 = ((0, 1), (1, 0))
+
+
+def _kron(a, b):
+    """Kronecker product of two 2x2 tables."""
+    return tuple(tuple(a[i][j] * b[k][l] for j in (0, 1) for l in (0, 1))
+                 for i in (0, 1) for k in (0, 1))
+
+
+def _branch_tables():
+    """The four branch operators as 4x4 tables, in canonical branch order."""
+    return (_kron(_IDENTITY_2, _IDENTITY_2), _kron(_FLIP_2, _IDENTITY_2),
+            _kron(_IDENTITY_2, _FLIP_2), _kron(_FLIP_2, _FLIP_2))
+
+
+@functools.cache
+def _branch_gathers() -> tuple[tuple[int, ...], ...]:
+    """For each branch operator U, where each entry of U rho U^dagger comes from.
+
+    U is a permutation matrix: with s[i] the column of the single 1 in its
+    row i, (U rho U^dagger)[i][j] = rho[s[i]][s[j]].  Entries are numbered
+    row-major, 0 to 15.
+    """
+    gathers = []
+    for op in _branch_tables():
+        s = [row.index(1) for row in op]
+        gathers.append(tuple(4 * i + j for i in s for j in s))
+    return tuple(gathers)
+
+
 def flip_operator() -> np.ndarray:
     """Single-qubit strategy swap: unitary, Hermitian, its own inverse."""
     import numpy as np
-    return np.array([[0.0, 1.0], [1.0, 0.0]])
+    return np.array(_FLIP_2, dtype=float)
 
 
 def branch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four conjugation operators in canonical branch order."""
     import numpy as np
-    ident = np.eye(2)
-    flip = flip_operator()
-    return (np.kron(ident, ident), np.kron(flip, ident),
-            np.kron(ident, flip), np.kron(flip, flip))
+    return tuple(np.array(op, dtype=float) for op in _branch_tables())
 
 
-@functools.cache
-def _branch_conjugations() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(U_k, U_k^dagger) for the branch operators, built on first use.
-
-    They are stored as complex128, so ``op @ rho`` does not cast a float
-    operator on every call; the 0/1 entries make the products the same bits.
-    The arrays are shared by every call, so they are made read-only;
-    ``branch_operators`` keeps handing out fresh ones.
-    """
-    pairs = tuple((op.astype(complex), op.conj().T.astype(complex))
-                  for op in branch_operators())
-    for pair in pairs:
-        for array in pair:
-            array.setflags(write=False)
-    return pairs
+def _branch_weights(mix: MixingProfile):
+    p, q = mix.p, mix.q
+    return (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
 
 
 def mixing_weights(mix: MixingProfile) -> np.ndarray:
     """Branch weights (pq, p(1-q), (1-p)q, (1-p)(1-q)); a probability vector."""
     import numpy as np
-    p, q = mix.p, mix.q
-    return np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
+    return np.array(_branch_weights(mix))
+
+
+def _outer(state: QuantumInitialState) -> list[complex]:
+    """The 16 entries of a a^dagger, row-major, for the state's amplitudes a.
+
+    numpy's complex product may fuse a multiply and an add, which Python's
+    does not, so amplitudes with an imaginary part keep numpy's bits.  For
+    real ones one product of each pair is zero, and the two agree up to the
+    sign of a zero where a product underflows.
+    """
+    amps = [complex(a) for a in state]
+    if any(a.imag for a in amps):
+        import numpy as np
+        a = np.array(amps)
+        return np.outer(a, a.conj()).ravel().tolist()
+    return [a * b.conjugate() for a in amps for b in amps]
+
+
+def _density(entries: list[complex]) -> DensityMatrix4:
+    return DensityMatrix4([entries[0:4], entries[4:8], entries[8:12], entries[12:16]])
 
 
 def initial_density(state: QuantumInitialState) -> DensityMatrix4:
     """Rank-1 projector onto the initial state."""
-    import numpy as np
-    amps = state.amplitudes()
-    return DensityMatrix4(np.outer(amps, amps.conj()))
+    return _density(_outer(state))
 
 
 def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
-    """Convex combination of the four conjugated initial densities."""
-    import numpy as np
-    amps = state.amplitudes()
-    rho = np.outer(amps, amps.conj())
-    weights = mixing_weights(mix)
-    out = np.zeros((4, 4), dtype=complex)
-    for w, (op, op_dagger) in zip(weights, _branch_conjugations()):
+    """Convex combination of the four conjugated initial densities.
+
+    The branches are added in canonical order onto zeros, skipping zero
+    weights, as ``sum(w * U @ rho @ U^dagger)`` over numpy arrays would;
+    starting from +0 also gives every zero entry numpy's sign.
+    """
+    rho = _outer(state)
+    out = [0j] * 16
+    for w, gather in zip(_branch_weights(mix), _branch_gathers()):
         if w != 0.0:
-            out += w * (op @ rho @ op_dagger)
-    return DensityMatrix4(out)
+            out = [o + w * rho[k] for o, k in zip(out, gather)]
+    return _density(out)
 
 
 def payoff_operator(vec: PayoffVector) -> np.ndarray:
@@ -355,14 +436,17 @@ def payoff_operator(vec: PayoffVector) -> np.ndarray:
 def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
     """Tr(P rho) for the diagonal payoff operator P built from ``vec``.
 
-    Raises if the trace carries an imaginary residue above tolerance, which
-    would indicate a corrupted density matrix.
+    The terms v_i * rho_ii are summed as (t0 + t1) + (t2 + t3), the order
+    in which ``np.trace`` sums four complex numbers.  Raises if the trace
+    carries an imaginary residue above tolerance, which would indicate a
+    corrupted density matrix.
     """
-    import numpy as np
-    value = complex(np.trace(payoff_operator(vec) @ rho.matrix))
+    rows = rho._rows
+    t0, t1, t2, t3 = (float(v) * rows[i][i] for i, v in enumerate(vec))
+    value = (t0 + t1) + (t2 + t3)
     if abs(value.imag) > ALGEBRA_TOL:
         raise ValueError(f"payoff trace has imaginary residue {value.imag!r}")
-    return float(value.real)
+    return value.real
 
 
 def branch_outcome_matrix(state: QuantumInitialState) -> np.ndarray:

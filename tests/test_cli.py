@@ -726,14 +726,14 @@ def modules_loaded(watched, argvs):
 class TestNumpyImport:
     @pytest.mark.parametrize("command", ["classical", "equilibria", "quantize"])
     def test_scalar_commands_never_import_numpy(self, spec_path, command):
-        # quantize with a [candidate] runs the density-matrix oracle, which
-        # needs numpy; it comes last, as a check that the probe can see it
-        specs = [spec_path(text.split("\n[candidate]")[0], name)
-                 for text, name in ((MIXED_SPEC, "prob.spec"),
-                                    (SIGNED_AMP_SPEC, "amp.spec"))]
+        # the specs keep their [candidate], so quantize runs the density
+        # oracle too; sweep's block evaluation needs numpy and comes last,
+        # as a check that the probe can see it
+        specs = [spec_path(text, name) for text, name in ((MIXED_SPEC, "prob.spec"),
+                                                          (SIGNED_AMP_SPEC, "amp.spec"))]
         argvs = [[command, *fmt, "--spec", path]
                  for path in specs for fmt in ([], ["--csv"])]
-        argvs.append(["quantize", "--spec", spec_path(MIXED_SPEC)])
+        argvs.append(["sweep", "--spec", specs[0], "--axis", "p=0:1:3"])
         assert modules_loaded(["numpy"], argvs) == [[0, []]] * 4 + [[0, ["numpy"]]]
 
     def test_reproduce_never_imports_numpy_random(self):

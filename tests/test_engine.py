@@ -17,7 +17,9 @@ from qbg import (
     final_density,
     verify_nash,
 )
+from qbg import engine
 from qbg.engine import (
+    PSD_TOL,
     DensityMatrix4,
     branch_operators,
     deviation_gaps,
@@ -221,6 +223,53 @@ class TestDensities:
                     expected += w * (op @ rho @ op.conj().T)
             assert final_density(state, mix).matrix.tobytes() == expected.tobytes()
 
+    def test_real_states_are_bitwise_the_operator_formula(self):
+        # real amplitudes never reach numpy in the oracle: zeros, -0.0 and
+        # signs included, each density and each trace keeps numpy's bits
+        n = 20_000
+        rng = fresh_rng(16)
+        amps = rng.normal(size=(n, 4))
+        amps = np.where(rng.uniform(size=(n, 4)) < 0.3,
+                        rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -0.5], size=(n, 4)), amps)
+        hot = np.arange(0, n, 50)   # one-hot states, either sign
+        amps[hot] = np.where(np.arange(4) == (hot % 4)[:, None],
+                             rng.choice([1.0, -1.0], size=(len(hot), 1)), 0.0)
+        amps[~amps.any(axis=1), 0] = -1.0
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        extremes = [MixingProfile(p, q) for p in (0.0, 0.5, 1.0) for q in (0.0, 0.5, 1.0)]
+        randoms = rng.uniform(size=(n, 2)).tolist()
+        vectors = np.where(rng.uniform(size=(n, 4)) < 0.5,
+                           rng.choice([0.0, -1.0, 1.0], size=(n, 4)),
+                           rng.uniform(-2, 2, size=(n, 4))).tolist()
+        conjugations = [(op.astype(complex), op.conj().T.astype(complex))
+                        for op in branch_operators()]
+        for k in range(n):
+            state = QuantumInitialState(*amps[k].tolist())
+            mix = extremes[k % 9] if k % 2 else MixingProfile(*randoms[k])
+            a = state.amplitudes()
+            rho = np.outer(a, a.conj())
+            expected = np.zeros((4, 4), dtype=complex)
+            for w, (op, op_dagger) in zip(mixing_weights(mix), conjugations):
+                if w != 0.0:
+                    expected += w * (op @ rho @ op_dagger)
+            density = final_density(state, mix)
+            assert density.matrix.tobytes() == expected.tobytes()
+            vec = PayoffVector(*vectors[k])
+            traced = np.trace(payoff_operator(vec) @ expected).real
+            assert np.float64(expected_payoff_trace(vec, density)).tobytes() == traced.tobytes()
+
+    def test_oracle_does_not_read_the_closed_form_table(self, monkeypatch):
+        # the oracle's operators come from the 2x2 flip, not from _PERM
+        state = QuantumInitialState.from_probabilities(0.4, 0.1, 0.2, 0.3)
+        mix = MixingProfile(0.3, 0.6)
+        vec = PayoffVector(0.0, -2.0, 1.0, -1.0)
+        density = final_density(state, mix).matrix.tobytes()
+        form = reference_coefficients(state, vec)
+        monkeypatch.setattr(engine, "_PERM", engine._PERM[::-1])
+        engine._branch_gathers.cache_clear()
+        assert reference_coefficients(state, vec) != pytest.approx(form)
+        assert final_density(state, mix).matrix.tobytes() == density
+
     def test_branch_operators_are_fresh_arrays(self):
         ident, flip = np.eye(2), flip_operator()
         expected = (np.kron(ident, ident), np.kron(flip, ident),
@@ -242,6 +291,39 @@ class TestDensities:
         bad[0, 1] = 0.1
         with pytest.raises(ValueError):
             DensityMatrix4(bad)  # not Hermitian
+        for wrong in (np.eye(3), np.ones(4), np.zeros((4, 4, 1)), [[1, 0, 0, 0]] * 3,
+                      [[1, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [None] * 4):
+            with pytest.raises(ValueError, match="4x4"):
+                DensityMatrix4(wrong)  # wrong shape
+
+    def test_psd_verdict_matches_eigvalsh(self):
+        # the factorization test agrees with the eigenvalue floor wherever the
+        # smallest eigenvalue sits 10x or more from -PSD_TOL, and accepts
+        # rank-deficient densities
+        rng = fresh_rng(17)
+        verdicts = {True: 0, False: 0}
+        for k in range(3000):
+            unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            if k % 3 == 0:    # rank 1 to 3
+                eigs = np.zeros(4)
+                eigs[:1 + k % 9 // 3] = rng.dirichlet(np.ones(1 + k % 9 // 3))
+            else:             # smallest eigenvalue 10x to 1e6x off -PSD_TOL
+                factor = 10.0 ** rng.uniform(1, 6)
+                low = -PSD_TOL * (factor if k % 3 == 1 else 1 / factor)
+                eigs = np.append(low, rng.dirichlet(np.ones(3)) * (1 - low))
+            m = unitary @ np.diag(eigs) @ unitary.conj().T
+            m = (m + m.conj().T) / 2
+            smallest = np.min(np.linalg.eigvalsh(m))
+            assert not -10 * PSD_TOL < smallest < -PSD_TOL / 10
+            try:
+                DensityMatrix4(m)
+                accepted = True
+            except ValueError as exc:
+                assert "positive semidefinite" in str(exc)
+                accepted = False
+            assert accepted == (smallest >= -PSD_TOL), (k, smallest)
+            verdicts[accepted] += 1
+        assert verdicts[False] >= 900 and verdicts[True] >= 1900
 
     def test_mixing_weights_sum_to_one(self):
         rng = fresh_rng(14)

@@ -11,16 +11,21 @@ numbers are spelled in ways the workloads never write (``0.25``, ``25e-2``,
 ``+1/2``, ``1_000``, spaces in a number list, and the refused ``1e10000``,
 ``1e10001``, ``1/0`` and ``1/2e3``), and "normalization" specs, whose
 ``prob_*`` weights sum to 1 within 1e-9 exactly but not as floats, to just
-inside 1e-9 either way, or to 1.1.  "flag" operations pass a flag the command
-does not take: ``sweep --csv`` and ``reproduce --spec``.  The spec files are
-written once, to one temporary directory, so both sides read them at the
-same paths.  Each tree then runs every operation in one child process of its
-own, calling ``qbg.cli.main`` from that tree's ``src/`` once per operation.
+inside 1e-9 either way, or to 1.1.  "corner" operations run ``quantize``,
+as text and as CSV, with a ``[candidate]`` at (0,0), (0,1), (1,0), (1,1) and
+(1/2,1/2), on a state with zero, ``-0`` and negative amplitudes and on a
+one-hot state, where the density oracle's entries and traces hold signed
+zeros.  "flag" operations pass a flag the command does not take:
+``sweep --csv`` and ``reproduce --spec``.  The spec files are written once,
+to one temporary directory, so both sides read them at the same paths.
+Each tree then runs every operation in one child process of its own,
+calling ``qbg.cli.main`` from that tree's ``src/`` once per operation.
 "child" operations go through the entry point instead, one ``python -m qbg``
 process each: every subcommand as text and as CSV, ``--help`` and a usage
-error; a "closed-pipe" operation runs a long sweep whose reader keeps the
-first line and closes the pipe (exit 141).  Each demo script of this tree
-also runs once per tree, as its own child.
+error; "corner-child" operations repeat the "corner" ones that way; a
+"closed-pipe" operation runs a long sweep whose reader keeps the first line
+and closes the pipe (exit 141).  Each demo script of this tree also runs
+once per tree, as its own child.
 
 Every operation whose exit code, standard output or standard error differs
 between the trees is listed, with the first differing line of each stream.
@@ -132,6 +137,28 @@ FIXED_SPECS = {"spelling": SPELLING_SPECS, "normalization": NORMALIZATION_SPECS}
 SPEC_COMMANDS = [[command, *fmt] for command in ("classical", "quantize", "equilibria")
                  for fmt in ([], ["--csv"])]
 
+# quantize with a [candidate] at the corners of the profile square and its centre.
+_CORNER_SPEC = """[game]
+mode = custom
+row_payoffs = 0,-1,2,0
+col_payoffs = -1/2,0,0,-3
+
+[quantum]
+amp_ll = {}
+amp_lh = {}
+amp_hl = {}
+amp_hh = {}
+
+[candidate]
+p = {}
+q = {}
+"""
+CORNER_STATES = {"signed": ("-3/5", "-0", "0", "4/5"), "one-hot": ("0", "-1", "-0", "0")}
+CORNER_PROFILES = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"), ("1/2", "1/2"))
+CORNER_SPECS = {f"corner-{state}-{k}": _CORNER_SPEC.format(*amps, *profile)
+                for state, amps in CORNER_STATES.items()
+                for k, profile in enumerate(CORNER_PROFILES)}
+
 # Runs in a child with one tree's src/ on the path: argv lists in, results out.
 RUNNER = """\
 import contextlib, io, json, sys
@@ -165,10 +192,19 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
             path = work / f"{name}.spec"
             path.write_text(text, encoding="utf-8")
             ops += [(kind, [*argv, "--spec", str(path)]) for argv in SPEC_COMMANDS]
+    for name, text in CORNER_SPECS.items():
+        (work / f"{name}.spec").write_text(text, encoding="utf-8")
+    ops += [("corner", argv) for argv in corner_argvs(work)]
     ops += [("flag", ["sweep", "--csv", "--spec", str(work / "inside-boundary.spec"),
                       "--axis", "p=0:1:3"]),
             ("flag", ["reproduce", "--spec", "X"])]
     return ops + [("reproduce", argv) for argv in REPRODUCE_OPS]
+
+
+def corner_argvs(work: Path) -> list[list[str]]:
+    """``quantize`` as text and as CSV on each corner spec ``build_ops`` wrote."""
+    return [["quantize", *fmt, "--spec", str(work / f"{name}.spec")]
+            for name in CORNER_SPECS for fmt in ([], ["--csv"])]
 
 
 def build_child_ops(work: Path) -> list[tuple[str, list[str]]]:
@@ -178,6 +214,7 @@ def build_child_ops(work: Path) -> list[tuple[str, list[str]]]:
     ops += [["sweep", "--spec", spec, "--axis", "p=0:1:5"], ["reproduce"], ["reproduce", "--csv"],
             ["--help"], ["nope"]]
     return [("child", argv) for argv in ops] + [
+        ("corner-child", argv) for argv in corner_argvs(work)] + [
         ("closed-pipe", ["sweep", "--spec", spec, "--axis", "p=0:1:400", "--axis", "q=0:1:400"])]
 
 
