@@ -15,7 +15,6 @@ from qbg import (
     MixingProfile,
     QuantumInitialState,
     bg_payoff_vectors,
-    branch_outcome_matrix,
     closed_form_payoff,
     expected_payoff_trace,
     final_density,
@@ -25,14 +24,17 @@ from qbg import (
 def main():
     policy_vec, public_vec = bg_payoff_vectors()
     print("Payoff vectors over the basis (LL, LH, HL, HH):")
-    print("  policy maker:", policy_vec.as_array())
-    print("  public:      ", public_vec.as_array())
+    print("  policy maker:", np.array(policy_vec, dtype=float))
+    print("  public:      ", np.array(public_vec, dtype=float))
     print()
 
     state = QuantumInitialState.from_probabilities(0.5, 0.2, 0.2, 0.1)
     print("Initial state weights (LL, LH, HL, HH):", np.array(state.squared_magnitudes()))
     print("Branch-outcome matrix (rows: the four mixing branches):")
-    print(branch_outcome_matrix(state))
+    # each of these corners puts all weight on one branch, in branch order
+    corners = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+    print(np.array([np.diag(final_density(state, MixingProfile(p, q)).matrix).real
+                    for p, q in corners]))
     print()
 
     f_policy = closed_form_payoff(state, policy_vec)

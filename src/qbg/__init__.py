@@ -15,7 +15,6 @@ from .engine import (
     MixingProfile,
     PayoffVector,
     QuantumInitialState,
-    branch_outcome_matrix,
     closed_form_payoff,
     enumerate_equilibria,
     expected_payoff_trace,
@@ -57,7 +56,6 @@ __all__ = [
     "QuantumInitialState",
     "SpecError",
     "bg_payoff_vectors",
-    "branch_outcome_matrix",
     "build_bg_game",
     "closed_form_payoff",
     "enumerate_equilibria",

@@ -15,10 +15,10 @@ canonical branch order is
 
 with weights (p*q, p*(1-q), (1-p)*q, (1-p)*(1-q)).  Under this pairing the
 trace payoffs agree exactly with the bilinear closed form
-``constant + coeff_p*p + coeff_q*q + coeff_pq*p*q`` expanded from the
-branch-outcome matrix, which is what all equilibrium conditions are read
-from.  ``bilinear_coefficients`` computes that form for one state or, on
-numpy arrays, for a whole grid of states, summing in one fixed order so
+``constant + coeff_p*p + coeff_q*q + coeff_pq*p*q``, collected from the
+payoff on each branch alone, which is what all equilibrium conditions are
+read from.  ``bilinear_coefficients`` computes that form for one state or,
+on numpy arrays, for a whole grid of states, summing in one fixed order so
 that both give the same bits.
 
 Expected payoffs are traces of diagonal payoff operators against the final
@@ -28,10 +28,10 @@ any amplitude.
 
 The state constructors, the closed form, the Nash tests and the
 density-matrix oracle work on Python numbers.  numpy is imported on first
-use: by the accessors that return arrays (``DensityMatrix4.matrix``
-included), by ``normalized_amplitudes`` when it is given arrays, and for
-states with complex amplitudes, whose squared magnitudes and outer product
-keep numpy's bits.
+use: by ``DensityMatrix4.matrix``, the one array view of a density, by
+``normalized_amplitudes`` when it is given arrays, and for states with
+complex amplitudes, whose squared magnitudes and outer product keep
+numpy's bits.
 """
 
 from __future__ import annotations
@@ -45,16 +45,6 @@ from ._records import ValidatedRecord
 ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, slopes)
 NORMALIZATION_TOL = 1e-9   # how far decimal state weights may sum from 1
 PSD_TOL = 1e-10            # eigenvalue floor for positive semidefiniteness
-
-BASIS_LABELS = ("LL", "LH", "HL", "HH")
-
-# Row k lists, for each basis outcome j, the index of the initial-state
-# component that branch operator k moves onto j; the operators are 0/1
-# permutation matrices, so indexing reproduces |U_k @ amps|^2 bit for bit.
-_PERM = ((0, 1, 2, 3),
-         (2, 3, 0, 1),
-         (1, 0, 3, 2),
-         (3, 2, 1, 0))
 
 
 def _clip_float(p):
@@ -159,11 +149,6 @@ class QuantumInitialState(ValidatedRecord,
             import numpy as np
             return tuple((np.abs(np.array(amps)) ** 2).tolist())
         return tuple([a.real * a.real for a in amps])
-
-    def amplitudes(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.amp_ll, self.amp_lh, self.amp_hl, self.amp_hh],
-                        dtype=complex)
 
 
 class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
@@ -271,10 +256,6 @@ class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
                 raise ValueError("payoffs must be finite")
         return tuple.__new__(cls, values)
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.ll, self.lh, self.hl, self.hh], dtype=float)
-
 
 class ClosedFormPayoff(namedtuple("ClosedFormPayoff", "constant coeff_p coeff_q coeff_pq")):
     """Expected payoff as a bilinear polynomial in the identity probabilities.
@@ -331,8 +312,9 @@ class EquilibriumRegion(namedtuple("EquilibriumRegion", "p_min p_max q_min q_max
         return [(p, q) for p in sorted(ps) for q in sorted(qs)]
 
 
-# The 2x2 identity and strategy flip C as tables; the oracle's operators are
-# their Kronecker products, read off on first use and never from ``_PERM``.
+# The 2x2 identity and strategy flip C as tables.  The oracle's branch
+# operators are their Kronecker products, built on first use; they share
+# nothing with the closed form's hand-written terms in bilinear_coefficients.
 _IDENTITY_2 = ((1, 0), (0, 1))
 _FLIP_2 = ((0, 1), (1, 0))
 
@@ -343,48 +325,26 @@ def _kron(a, b):
                  for i in (0, 1) for k in (0, 1))
 
 
-def _branch_tables():
-    """The four branch operators as 4x4 tables, in canonical branch order."""
-    return (_kron(_IDENTITY_2, _IDENTITY_2), _kron(_FLIP_2, _IDENTITY_2),
-            _kron(_IDENTITY_2, _FLIP_2), _kron(_FLIP_2, _FLIP_2))
-
-
 @functools.cache
 def _branch_gathers() -> tuple[tuple[int, ...], ...]:
     """For each branch operator U, where each entry of U rho U^dagger comes from.
 
-    U is a permutation matrix: with s[i] the column of the single 1 in its
-    row i, (U rho U^dagger)[i][j] = rho[s[i]][s[j]].  Entries are numbered
-    row-major, 0 to 15.
+    The operators are I(x)I, C(x)I, I(x)C and C(x)C, in canonical branch
+    order.  Each U is a permutation matrix: with s[i] the column of the
+    single 1 in its row i, (U rho U^dagger)[i][j] = rho[s[i]][s[j]].
+    Entries are numbered row-major, 0 to 15.
     """
     gathers = []
-    for op in _branch_tables():
+    for op in (_kron(_IDENTITY_2, _IDENTITY_2), _kron(_FLIP_2, _IDENTITY_2),
+               _kron(_IDENTITY_2, _FLIP_2), _kron(_FLIP_2, _FLIP_2)):
         s = [row.index(1) for row in op]
         gathers.append(tuple(4 * i + j for i in s for j in s))
     return tuple(gathers)
 
 
-def flip_operator() -> np.ndarray:
-    """Single-qubit strategy swap: unitary, Hermitian, its own inverse."""
-    import numpy as np
-    return np.array(_FLIP_2, dtype=float)
-
-
-def branch_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four conjugation operators in canonical branch order."""
-    import numpy as np
-    return tuple(np.array(op, dtype=float) for op in _branch_tables())
-
-
 def _branch_weights(mix: MixingProfile):
     p, q = mix.p, mix.q
     return (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
-
-
-def mixing_weights(mix: MixingProfile) -> np.ndarray:
-    """Branch weights (pq, p(1-q), (1-p)q, (1-p)(1-q)); a probability vector."""
-    import numpy as np
-    return np.array(_branch_weights(mix))
 
 
 def _outer(state: QuantumInitialState) -> list[complex]:
@@ -427,12 +387,6 @@ def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatr
     return _density(out)
 
 
-def payoff_operator(vec: PayoffVector) -> np.ndarray:
-    """Diagonal payoff operator in basis order."""
-    import numpy as np
-    return np.diag(vec.as_array()).astype(complex)
-
-
 def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
     """Tr(P rho) for the diagonal payoff operator P built from ``vec``.
 
@@ -449,28 +403,17 @@ def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
     return value.real
 
 
-def branch_outcome_matrix(state: QuantumInitialState) -> np.ndarray:
-    """4x4 matrix whose row k is the basis-outcome distribution of branch k.
-
-    Row k lists |<basis_j| U_k |state>|^2 for the canonical branch operators
-    U_k; every row and every column sums to 1 (each row is a permutation of
-    the state's squared magnitudes).  The operators only permute basis
-    components, so the rows are read off the squared magnitudes through a
-    fixed index table; ``branch_operators`` stays as the independent check.
-    """
-    import numpy as np
-    return np.array(state.squared_magnitudes())[np.array(_PERM)]
-
-
 def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
     """(constant, coeff_p, coeff_q, coeff_pq) of the payoff on weights (LL, LH, HL, HH).
 
-    With r = branch_outcome_matrix(state) @ vec and branch weights
-    (pq, p(1-q), (1-p)q, (1-p)(1-q)), the payoff collects to
-    r3 + (r1-r3) p + (r2-r3) q + (r0-r1-r2+r3) pq.
+    r_k is the payoff on branch k alone: ``vec`` dotted with the weights
+    after branch k's operator has moved them.  Branch 0 keeps them, branch 1
+    (flip the row qubit) swaps LL with HL and LH with HH, branch 2 (flip the
+    column qubit) swaps LL with LH and HL with HH, and branch 3 does both.
+    With branch weights (pq, p(1-q), (1-p)q, (1-p)(1-q)), the payoff
+    collects to r3 + (r1-r3) p + (r2-r3) q + (r0-r1-r2+r3) pq.
 
-    The weights may be floats or numpy arrays of one shape.  Each r_k is the
-    dot product of row k of ``_PERM`` applied to the weights with ``vec``,
+    The weights may be floats or numpy arrays of one shape.  Each r_k is
     written out as terms x0..x3 summed in the fixed order
     (x0 + x2) + (x1 + x3).  Floating-point addition is not associative, so a
     fixed order is what makes a grid of states evaluated as arrays agree bit

@@ -90,8 +90,10 @@ class _ReferenceForms:
         return (1.0 - 2.0 * self.mismatch) * (q_star - q_dev) * (2.0 * p_star - 1.0)
 
 
-def _reference_state() -> QuantumInitialState:
-    return QuantumInitialState.from_probabilities(*REFERENCE_PROBS)
+def _forms(state: QuantumInitialState):
+    """The policy and public closed forms on ``state``."""
+    policy_vec, public_vec = bg_payoff_vectors()
+    return closed_form_payoff(state, policy_vec), closed_form_payoff(state, public_vec)
 
 
 def _classical_checks() -> list[CheckResult]:
@@ -125,12 +127,8 @@ def _classical_checks() -> list[CheckResult]:
     return checks
 
 
-def _closed_form_checks() -> list[CheckResult]:
-    state = _reference_state()
+def _closed_form_checks(f_policy, f_public) -> list[CheckResult]:
     ref = _ReferenceForms(REFERENCE_PROBS)
-    policy_vec, public_vec = bg_payoff_vectors()
-    f_policy = closed_form_payoff(state, policy_vec)
-    f_public = closed_form_payoff(state, public_vec)
     s = ref.mismatch
     expected_policy = {
         "constant": -ref.pll + ref.plh - 2.0 * ref.phl,
@@ -157,20 +155,13 @@ def _closed_form_checks() -> list[CheckResult]:
     return checks
 
 
-def _edge_gaps(state: QuantumInitialState, candidate: MixingProfile):
+def _edge_gaps(f_policy, f_public, candidate: MixingProfile):
     """What the p=0, p=1, q=0 and q=1 deviations from the candidate lose."""
-    policy_vec, public_vec = bg_payoff_vectors()
-    return deviation_gaps(closed_form_payoff(state, policy_vec),
-                          closed_form_payoff(state, public_vec),
-                          candidate.p, candidate.q)[2]
+    return deviation_gaps(f_policy, f_public, candidate.p, candidate.q)[2]
 
 
-def _gap_checks() -> list[CheckResult]:
-    state = _reference_state()
+def _gap_checks(f_row, f_col) -> list[CheckResult]:
     ref = _ReferenceForms(REFERENCE_PROBS)
-    policy_vec, public_vec = bg_payoff_vectors()
-    f_row = closed_form_payoff(state, policy_vec)
-    f_col = closed_form_payoff(state, public_vec)
     candidate = MixingProfile(*GENERIC_CANDIDATE)
     deviation = MixingProfile(*GENERIC_DEVIATION)
     row_gap = (f_row.evaluate(candidate.p, candidate.q)
@@ -198,13 +189,12 @@ def _gap_checks() -> list[CheckResult]:
     ]
 
 
-def _case_checks() -> list[CheckResult]:
-    state = _reference_state()
+def _case_checks(state: QuantumInitialState, f_policy, f_public) -> list[CheckResult]:
     ref = _ReferenceForms(REFERENCE_PROBS)
     checks = []
 
     report_a = run_case_a(state)
-    row_gap_a, _, col_gap_a, _ = _edge_gaps(state, report_a.candidate)
+    row_gap_a, _, col_gap_a, _ = _edge_gaps(f_policy, f_public, report_a.candidate)
     checks += [
         CheckResult("case-a.policy-payoff",
                     "policy payoff when both players keep",
@@ -221,7 +211,7 @@ def _case_checks() -> list[CheckResult]:
     ]
 
     report_b = run_case_b(state)
-    _, row_gap_b, _, col_gap_b = _edge_gaps(state, report_b.candidate)
+    _, row_gap_b, _, col_gap_b = _edge_gaps(f_policy, f_public, report_b.candidate)
     checks += [
         CheckResult("case-b.policy-payoff",
                     "policy payoff when both players flip",
@@ -238,7 +228,7 @@ def _case_checks() -> list[CheckResult]:
     ]
 
     report_c = run_case_c(state)
-    row_gap_c, _, col_gap_c, _ = _edge_gaps(state, report_c.candidate)
+    row_gap_c, _, col_gap_c, _ = _edge_gaps(f_policy, f_public, report_c.candidate)
     checks += [
         CheckResult("case-c.policy-payoff",
                     "policy payoff under even mixing is -1/2 on any state",
@@ -301,7 +291,7 @@ def _strategy_checks() -> list[CheckResult]:
             state_error = max(state_error,
                               float(probs[z0] + probs[z1] + abs(probs[s0] + probs[s1] - 1.0)))
             detail = f"grid point {weight}={w:.2f}"
-            row_gap, _, col_gap, _ = _edge_gaps(report.state, report.candidate)
+            row_gap, _, col_gap, _ = _edge_gaps(*_forms(report.state), report.candidate)
             for bucket, (expected, computed) in zip(entries, (
                     (policy(w), report.policy_payoff),
                     (public, report.public_payoff),
@@ -344,8 +334,10 @@ def run_verification(fault_id: str | None = None) -> list[CheckResult]:
     ``fault_id`` perturbs the named check's computed value so that failure
     reporting can be exercised; unknown ids raise ValueError.
     """
-    checks = (_classical_checks() + _closed_form_checks() + _gap_checks()
-              + _case_checks() + _strategy_checks()
+    state = QuantumInitialState.from_probabilities(*REFERENCE_PROBS)
+    forms = _forms(state)
+    checks = (_classical_checks() + _closed_form_checks(*forms) + _gap_checks(*forms)
+              + _case_checks(state, *forms) + _strategy_checks()
               + _oracle_checks())
     if fault_id is not None:
         ids = [c.check_id for c in checks]

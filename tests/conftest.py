@@ -6,6 +6,22 @@ import pytest
 from qbg import PayoffVector, QuantumInitialState
 
 
+# The test suite's own reference for the four mixing branches, independent of
+# qbg: in canonical order, keep both qubits, flip the row (first) qubit, flip
+# the column (second) qubit, flip both.  Read-only, so no test can alter them.
+IDENTITY_2 = np.eye(2)
+FLIP_2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+BRANCH_OPERATORS = (np.kron(IDENTITY_2, IDENTITY_2), np.kron(FLIP_2, IDENTITY_2),
+                    np.kron(IDENTITY_2, FLIP_2), np.kron(FLIP_2, FLIP_2))
+for _op in (IDENTITY_2, FLIP_2, *BRANCH_OPERATORS):
+    _op.setflags(write=False)
+
+
+def branch_weights(p: float, q: float) -> tuple[float, float, float, float]:
+    """Weights (pq, p(1-q), (1-p)q, (1-p)(1-q)) of the branches, in canonical order."""
+    return (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
+
+
 def random_state(rng) -> QuantumInitialState:
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     return QuantumInitialState.normalized(*amps)

@@ -849,6 +849,13 @@ class TestReproduce:
         assert complex_states == [True] * 50
         assert len(traced) == 150
 
+    def test_reference_state_forms_built_once(self, closed_form_calls):
+        # the closed-form, gap and case checks share one pair of forms; each
+        # of the three case runners builds its own pair
+        reference = QuantumInitialState.from_probabilities(*verification.REFERENCE_PROBS)
+        verification.run_verification()
+        assert sum(args[0] == reference for args in closed_form_calls) == 8
+
 
 def run_module(*argv):
     """``python -m qbg`` with ``argv``, through the entry function."""

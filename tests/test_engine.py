@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import fresh_rng, random_state, random_vector
+from conftest import (BRANCH_OPERATORS, FLIP_2, branch_weights, fresh_rng, random_state,
+                      random_vector)
 
 from qbg import (
     MixingProfile,
     PayoffVector,
     QuantumInitialState,
     bg_payoff_vectors,
-    branch_outcome_matrix,
     closed_form_payoff,
     enumerate_equilibria,
     expected_payoff_trace,
@@ -18,16 +18,7 @@ from qbg import (
     verify_nash,
 )
 from qbg import engine
-from qbg.engine import (
-    PSD_TOL,
-    DensityMatrix4,
-    branch_operators,
-    deviation_gaps,
-    flip_operator,
-    initial_density,
-    mixing_weights,
-    payoff_operator,
-)
+from qbg.engine import PSD_TOL, DensityMatrix4, deviation_gaps, initial_density
 
 KET = {label: np.eye(4)[i] for i, label in enumerate(("LL", "LH", "HL", "HH"))}
 
@@ -35,15 +26,16 @@ KET = {label: np.eye(4)[i] for i, label in enumerate(("LL", "LH", "HL", "HH"))}
 def reference_coefficients(state, vec):
     """Bilinear coefficients recomputed by brute force from corner payoffs.
 
-    Evaluates the branch-weighted payoff at the four (p, q) corners and
-    solves for the polynomial; independent of the engine's expansion.
+    Evaluates the branch-weighted payoff at the four (p, q) corners, each
+    branch's outcome distribution taken as |U_k a|^2 for the test's own
+    branch operators, and solves for the polynomial; independent of the
+    engine's expansion.
     """
-    omega = branch_outcome_matrix(state)
-    r = omega @ vec.as_array()
+    amps = np.array(state, dtype=complex)
+    r = np.array([np.abs(op @ amps) ** 2 for op in BRANCH_OPERATORS]) @ np.array(vec, dtype=float)
 
     def value(p, q):
-        weights = np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
-        return float(weights @ r)
+        return float(np.array(branch_weights(p, q)) @ r)
 
     constant = value(0, 0)
     coeff_p = value(1, 0) - constant
@@ -52,25 +44,59 @@ def reference_coefficients(state, vec):
     return constant, coeff_p, coeff_q, coeff_pq
 
 
+# The corners of the profile square, in canonical branch order: each puts all
+# weight on one branch (keep both, flip the row qubit, flip the column qubit,
+# flip both).
+CORNERS = (MixingProfile(1.0, 1.0), MixingProfile(1.0, 0.0),
+           MixingProfile(0.0, 1.0), MixingProfile(0.0, 0.0))
+
+
+def corner_outcomes(state):
+    """Branch-outcome matrix read off the oracle: row k is the diagonal of
+    the final density at the corner that puts all weight on branch k."""
+    return np.array([np.diag(final_density(state, mix).matrix).real for mix in CORNERS])
+
+
 class TestFlipOperator:
+    # the oracle's flip, seen through the corners that apply it to one qubit
     def test_swaps_basis_states(self):
-        flip = flip_operator()
-        low, high = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert np.array_equal(flip @ low, high)
-        assert np.array_equal(flip @ high, low)
+        row_flip, col_flip = CORNERS[1], CORNERS[2]
+        for label in KET:
+            row, col = label
+            other = {"L": "H", "H": "L"}
+            state = QuantumInitialState(*KET[label])
+            for mix, want in ((row_flip, other[row] + col), (col_flip, row + other[col])):
+                expected = np.outer(KET[want], KET[want]).astype(complex)
+                assert final_density(state, mix).matrix.tobytes() == expected.tobytes()
 
     def test_involution_and_hermitian(self):
-        flip = flip_operator()
+        flip = np.array(engine._FLIP_2)
         assert np.array_equal(flip @ flip, np.eye(2))
         assert np.array_equal(flip, flip.conj().T)
+        # each branch conjugation undoes itself: applying a corner twice to a
+        # real state returns its initial density
+        rng = fresh_rng(19)
+        for _ in range(20):
+            state = QuantumInitialState.normalized(*rng.normal(size=4))
+            for k, mix in enumerate(CORNERS):
+                flipped = QuantumInitialState(
+                    *(BRANCH_OPERATORS[k] @ np.array(state, dtype=complex)).tolist())
+                assert np.array_equal(final_density(flipped, mix).matrix,
+                                      initial_density(state).matrix)
 
     def test_second_qubit_flip_on_ll(self):
-        op = np.kron(np.eye(2), flip_operator())
-        assert np.array_equal(op @ KET["LL"], KET["LH"])
+        op = np.kron(np.eye(2), FLIP_2)
+        psi = op @ KET["LL"]
+        assert np.array_equal(psi, KET["LH"])
+        rho = final_density(QuantumInitialState(1, 0, 0, 0), CORNERS[2])
+        assert np.array_equal(rho.matrix, np.outer(psi, psi))
 
     def test_first_qubit_flip_on_ll(self):
-        op = np.kron(flip_operator(), np.eye(2))
-        assert np.array_equal(op @ KET["LL"], KET["HL"])
+        op = np.kron(FLIP_2, np.eye(2))
+        psi = op @ KET["LL"]
+        assert np.array_equal(psi, KET["HL"])
+        rho = final_density(QuantumInitialState(1, 0, 0, 0), CORNERS[1])
+        assert np.array_equal(rho.matrix, np.outer(psi, psi))
 
 
 class TestQuantumInitialState:
@@ -145,7 +171,7 @@ class TestQuantumInitialState:
                 state = QuantumInitialState.from_probabilities(*weights)
                 assert bits(fields(state)) == bits([np.sqrt(p / total) for p in probs])
                 assert bits(state.squared_magnitudes()) == bits(
-                    np.abs(state.amplitudes()) ** 2)
+                    np.abs(np.array(state, dtype=complex)) ** 2)
                 checked += 1
         assert checked >= 20_000
 
@@ -182,7 +208,7 @@ class TestDensities:
 
     def test_final_density_double_flip_corner(self):
         # explicit oracle: conjugating |LL> by the double flip gives |HH>
-        both = np.kron(flip_operator(), flip_operator())
+        both = np.kron(FLIP_2, FLIP_2)
         psi = both @ KET["LL"]
         expected = np.outer(psi, psi.conj())
         rho_f = final_density(QuantumInitialState(1, 0, 0, 0),
@@ -215,10 +241,10 @@ class TestDensities:
         profiles += [MixingProfile(p, q) for p in (0.0, 1.0) for q in (0.0, 0.5, 1.0)]
         for mix in profiles:
             state = random_state(rng)
-            amps = state.amplitudes()
+            amps = np.array(state, dtype=complex)
             rho = np.outer(amps, amps.conj())
             expected = np.zeros((4, 4), dtype=complex)
-            for w, op in zip(mixing_weights(mix), branch_operators()):
+            for w, op in zip(branch_weights(mix.p, mix.q), BRANCH_OPERATORS):
                 if w != 0.0:
                     expected += w * (op @ rho @ op.conj().T)
             assert final_density(state, mix).matrix.tobytes() == expected.tobytes()
@@ -242,44 +268,66 @@ class TestDensities:
                            rng.choice([0.0, -1.0, 1.0], size=(n, 4)),
                            rng.uniform(-2, 2, size=(n, 4))).tolist()
         conjugations = [(op.astype(complex), op.conj().T.astype(complex))
-                        for op in branch_operators()]
+                        for op in BRANCH_OPERATORS]
         for k in range(n):
             state = QuantumInitialState(*amps[k].tolist())
             mix = extremes[k % 9] if k % 2 else MixingProfile(*randoms[k])
-            a = state.amplitudes()
+            a = np.array(state, dtype=complex)
             rho = np.outer(a, a.conj())
             expected = np.zeros((4, 4), dtype=complex)
-            for w, (op, op_dagger) in zip(mixing_weights(mix), conjugations):
+            for w, (op, op_dagger) in zip(branch_weights(mix.p, mix.q), conjugations):
                 if w != 0.0:
                     expected += w * (op @ rho @ op_dagger)
             density = final_density(state, mix)
             assert density.matrix.tobytes() == expected.tobytes()
             vec = PayoffVector(*vectors[k])
-            traced = np.trace(payoff_operator(vec) @ expected).real
+            traced = np.trace(np.diag(np.array(vec, dtype=complex)) @ expected).real
             assert np.float64(expected_payoff_trace(vec, density)).tobytes() == traced.tobytes()
 
     def test_oracle_does_not_read_the_closed_form_table(self, monkeypatch):
-        # the oracle's operators come from the 2x2 flip, not from _PERM
+        # the oracle's operators come from the 2x2 flip, not from the closed
+        # form's hand-written terms: a wrong closed form leaves it untouched
         state = QuantumInitialState.from_probabilities(0.4, 0.1, 0.2, 0.3)
         mix = MixingProfile(0.3, 0.6)
         vec = PayoffVector(0.0, -2.0, 1.0, -1.0)
-        density = final_density(state, mix).matrix.tobytes()
-        form = reference_coefficients(state, vec)
-        monkeypatch.setattr(engine, "_PERM", engine._PERM[::-1])
+        density = final_density(state, mix)
+        matrix, trace = density.matrix.tobytes(), expected_payoff_trace(vec, density).hex()
+        form = closed_form_payoff(state, vec)
+        original = engine.bilinear_coefficients
+
+        def reversed_weights(w_ll, w_lh, w_hl, w_hh, vec):
+            return original(w_hh, w_hl, w_lh, w_ll, vec)
+
+        monkeypatch.setattr(engine, "bilinear_coefficients", reversed_weights)
         engine._branch_gathers.cache_clear()
-        assert reference_coefficients(state, vec) != pytest.approx(form)
-        assert final_density(state, mix).matrix.tobytes() == density
+        assert closed_form_payoff(state, vec) != pytest.approx(form)
+        density = final_density(state, mix)
+        assert density.matrix.tobytes() == matrix
+        assert expected_payoff_trace(vec, density).hex() == trace
 
     def test_branch_operators_are_fresh_arrays(self):
-        ident, flip = np.eye(2), flip_operator()
-        expected = (np.kron(ident, ident), np.kron(flip, ident),
-                    np.kron(ident, flip), np.kron(flip, flip))
-        for op in branch_operators():
-            op[:] = 0.0          # writable, and nobody else's
-        assert all(np.array_equal(op, want)
-                   for op, want in zip(branch_operators(), expected))
-        rho = final_density(QuantumInitialState(1, 0, 0, 0), MixingProfile(0.0, 0.0))
-        assert rho.matrix[3, 3] == 1.0
+        # the oracle's branch tables are immutable and its densities read-only,
+        # so no caller can alter what a later call computes
+        assert all(isinstance(gather, tuple) for gather in engine._branch_gathers())
+        state, corner = QuantumInitialState(1, 0, 0, 0), MixingProfile(0.0, 0.0)
+        rho = final_density(state, corner)
+        with pytest.raises(ValueError):
+            rho.matrix[3, 3] = 0.0
+        scratch = rho.matrix.copy()
+        scratch[:] = 0.0          # writable, and nobody else's
+        assert rho.matrix[3, 3] == final_density(state, corner).matrix[3, 3] == 1.0
+
+    def test_mixing_weights_sum_to_one(self):
+        # on |LL> each branch lands on its own basis state, so the final
+        # diagonal is the branch weights, which are nonnegative and sum to 1
+        rng = fresh_rng(14)
+        for _ in range(50):
+            p, q = float(rng.uniform()), float(rng.uniform())
+            weights = np.diag(final_density(QuantumInitialState(1, 0, 0, 0),
+                                            MixingProfile(p, q)).matrix).real
+            assert np.array_equal(weights[[0, 2, 1, 3]], branch_weights(p, q))
+            assert np.all(weights >= 0)
+            assert np.sum(weights) == pytest.approx(1.0, abs=1e-15)
 
     def test_density_validation_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
@@ -325,27 +373,28 @@ class TestDensities:
             verdicts[accepted] += 1
         assert verdicts[False] >= 900 and verdicts[True] >= 1900
 
-    def test_mixing_weights_sum_to_one(self):
-        rng = fresh_rng(14)
-        for _ in range(50):
-            mix = MixingProfile(float(rng.uniform()), float(rng.uniform()))
-            weights = mixing_weights(mix)
-            assert np.all(weights >= 0)
-            assert np.sum(weights) == pytest.approx(1.0, abs=1e-15)
-
 
 class TestPayoffOperators:
+    # the payoff operator is diagonal: traced against each basis projector it
+    # gives that entry of the vector, and a zero vector gives zero everywhere
     def test_policy_diagonal(self):
         vec = PayoffVector(0, -2, 1, -1)
-        assert np.array_equal(payoff_operator(vec), np.diag([0, -2, 1, -1]).astype(complex))
+        for i, label in enumerate(KET):
+            rho = DensityMatrix4(np.outer(KET[label], KET[label]).astype(complex))
+            assert expected_payoff_trace(vec, rho) == (0.0, -2.0, 1.0, -1.0)[i]
 
     def test_public_diagonal(self):
         vec = PayoffVector(0, -1, -1, 0)
-        assert np.array_equal(payoff_operator(vec), np.diag([0, -1, -1, 0]).astype(complex))
+        for i, label in enumerate(KET):
+            rho = DensityMatrix4(np.outer(KET[label], KET[label]).astype(complex))
+            assert expected_payoff_trace(vec, rho) == (0.0, -1.0, -1.0, 0.0)[i]
 
     def test_zero_vector(self):
-        assert np.array_equal(payoff_operator(PayoffVector(0, 0, 0, 0)),
-                              np.zeros((4, 4), dtype=complex))
+        rng = fresh_rng(20)
+        zero = PayoffVector(0, 0, 0, 0)
+        for _ in range(20):
+            mix = MixingProfile(float(rng.uniform()), float(rng.uniform()))
+            assert expected_payoff_trace(zero, final_density(random_state(rng), mix)) == 0.0
 
     def test_trace_payoff_on_basis_projector(self):
         policy_vec, _ = bg_payoff_vectors()
@@ -357,14 +406,15 @@ class TestPayoffOperators:
         rho = DensityMatrix4(np.eye(4, dtype=complex) / 4)
         for _ in range(20):
             vec = random_vector(rng)
-            expected = float(np.mean(vec.as_array()))
+            expected = float(np.mean(np.array(vec, dtype=float)))
             assert expected_payoff_trace(vec, rho) == pytest.approx(expected,
                                                                     abs=1e-12)
 
 
 class TestBranchOutcomeMatrix:
+    # the matrix is read off the corner densities (see corner_outcomes)
     def test_pure_ll_state(self):
-        omega = branch_outcome_matrix(QuantumInitialState(1, 0, 0, 0))
+        omega = corner_outcomes(QuantumInitialState(1, 0, 0, 0))
         expected = np.array([[1, 0, 0, 0],
                              [0, 0, 1, 0],
                              [0, 1, 0, 0],
@@ -373,7 +423,7 @@ class TestBranchOutcomeMatrix:
 
     def test_uniform_state(self):
         state = QuantumInitialState(0.5, 0.5, 0.5, 0.5)
-        assert np.allclose(branch_outcome_matrix(state), np.full((4, 4), 0.25))
+        assert np.allclose(corner_outcomes(state), np.full((4, 4), 0.25))
 
     def test_rows_are_the_canonical_permutations(self):
         # row k must be the fixed permutation pattern of the outcome weights
@@ -387,13 +437,12 @@ class TestBranchOutcomeMatrix:
                 [plh, pll, phh, phl],
                 [phh, phl, plh, pll],
             ])
-            assert np.allclose(branch_outcome_matrix(state), expected,
-                               atol=1e-14)
+            assert np.allclose(corner_outcomes(state), expected, atol=1e-14)
 
     def test_rows_and_columns_sum_to_one(self):
         rng = fresh_rng(17)
         for _ in range(100):
-            omega = branch_outcome_matrix(random_state(rng))
+            omega = corner_outcomes(random_state(rng))
             assert np.allclose(omega.sum(axis=0), 1.0, atol=1e-12)
             assert np.allclose(omega.sum(axis=1), 1.0, atol=1e-12)
 
@@ -401,25 +450,40 @@ class TestBranchOutcomeMatrix:
         rng = fresh_rng(18)
         for _ in range(50):
             state = random_state(rng)
-            amps = state.amplitudes()
-            expected = [np.abs(op @ amps) ** 2 for op in branch_operators()]
-            assert np.allclose(branch_outcome_matrix(state),
-                               np.array(expected), atol=1e-14)
+            amps = np.array(state, dtype=complex)
+            expected = [np.abs(op @ amps) ** 2 for op in BRANCH_OPERATORS]
+            assert np.allclose(corner_outcomes(state), np.array(expected), atol=1e-14)
 
     def test_bitwise_equal_to_kronecker_operator_action(self):
-        # the permutation table must reproduce |U_k @ amps|^2 exactly, not
-        # merely within rounding, on random, rephased and degenerate states
+        # the canonical permutations and |U_k a|^2 for the test's own
+        # operators, bit for bit on real states (one-hot, signed-zero, uniform,
+        # random); complex diagonals are |a_i|^2 summed as re^2 + im^2, not
+        # numpy's abs()**2, so rephased states agree within 1e-14
         rng = fresh_rng(21)
-        states = [QuantumInitialState(*row) for row in np.eye(4)]
-        states.append(QuantumInitialState(0.5, -0.5, 0.7, -0.1))
+        real = [QuantumInitialState(*row) for row in np.eye(4)]
+        real += [QuantumInitialState(*(sign * row)) for sign in (-1.0, 1.0)
+                 for row in (np.array([-0.0, 0.0, 1.0, -0.0]), np.array([0.6, -0.0, 0.0, -0.8]))]
+        real += [QuantumInitialState.normalized(0.5, -0.5, 0.7, -0.1),
+                 QuantumInitialState(0.5, 0.5, 0.5, 0.5)]
+        real += [QuantumInitialState.normalized(*rng.normal(size=4)) for _ in range(200)]
+        rephased = []
         for _ in range(200):
             state = random_state(rng)
             phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=4))
-            states += [state, QuantumInitialState(*(state.amplitudes() * phases))]
-        for state in states:
-            amps = state.amplitudes()
-            expected = np.array([np.abs(op @ amps) ** 2 for op in branch_operators()])
-            assert np.array_equal(branch_outcome_matrix(state), expected)
+            rephased += [state, QuantumInitialState(*(np.array(state, dtype=complex) * phases))]
+        for state, exact in [(state, True) for state in real] + [
+                (state, False) for state in rephased]:
+            pll, plh, phl, phh = state.squared_magnitudes()
+            canonical = np.array([[pll, plh, phl, phh], [phl, phh, pll, plh],
+                                  [plh, pll, phh, phl], [phh, phl, plh, pll]])
+            amps = np.array(state, dtype=complex)
+            operator_action = np.array([np.abs(op @ amps) ** 2 for op in BRANCH_OPERATORS])
+            omega = corner_outcomes(state)
+            if exact:
+                assert omega.tobytes() == canonical.tobytes() == operator_action.tobytes()
+            else:
+                assert np.allclose(omega, canonical, rtol=0.0, atol=1e-14)
+                assert np.allclose(omega, operator_action, rtol=0.0, atol=1e-14)
 
 
 class TestClosedForm:
@@ -490,7 +554,7 @@ class TestClosedForm:
             state = random_state(rng)
             vec = random_vector(rng)
             form = closed_form_payoff(state, vec)
-            entries = vec.as_array()
+            entries = np.array(vec, dtype=float)
             for p in np.linspace(0, 1, 6):
                 for q in np.linspace(0, 1, 6):
                     value = form.evaluate(float(p), float(q))
@@ -503,7 +567,7 @@ class TestClosedForm:
             state = random_state(rng)
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
             rephased = QuantumInitialState(
-                *(complex(a * ph) for a, ph in zip(state.amplitudes(), phases)))
+                *(complex(a * ph) for a, ph in zip(np.array(state, dtype=complex), phases)))
             candidate = MixingProfile(float(rng.uniform()), float(rng.uniform()))
             for vec in (policy_vec, public_vec):
                 f1 = closed_form_payoff(state, vec)
@@ -532,9 +596,9 @@ class TestClosedForm:
                     r, c = int(1 - q), int(1 - p)
                     idx = 2 * r + c
                     assert f_row.evaluate(p, q) == pytest.approx(
-                        vec_row.as_array()[idx], abs=1e-12)
+                        np.array(vec_row, dtype=float)[idx], abs=1e-12)
                     assert f_col.evaluate(p, q) == pytest.approx(
-                        vec_col.as_array()[idx], abs=1e-12)
+                        np.array(vec_col, dtype=float)[idx], abs=1e-12)
         corner = MixingProfile(1.0, 1.0)
         assert closed_form_payoff(state, vec_row).evaluate(corner.p, corner.q) \
             == pytest.approx(vec_row.ll, abs=1e-12)
@@ -703,3 +767,18 @@ class TestEnumerateEquilibria:
                 assert any(r.p_min - 1e-6 <= p <= r.p_max + 1e-6
                            and r.q_min - 1e-6 <= q <= r.q_max + 1e-6
                            for r in regions), f"grid equilibrium ({p}, {q}) not covered"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: float residues of ~1e-16 in the forms shrink the exact segment "
+        "p=0, q in [7/20, 1] to one point; ROADMAP item 2 (exact rational core) mends it"))
+    def test_every_verified_profile_lies_in_an_enumerated_region(self):
+        state = QuantumInitialState.from_probabilities(0, 4 / 7, 2 / 7, 1 / 7)
+        f_row = closed_form_payoff(state, PayoffVector(1 / 2, -1, 0, 1 / 2))
+        f_col = closed_form_payoff(state, PayoffVector(0, 3, -2, 0))
+        regions = enumerate_equilibria(f_row, f_col)
+        accepted = [q for q in (0.35, 0.7, 1.0)
+                    if verify_nash(f_row, f_col, MixingProfile(0.0, q)).is_nash]
+        assert accepted
+        for q in accepted:
+            assert any(r.p_min <= 0.0 <= r.p_max and r.q_min <= q <= r.q_max
+                       for r in regions), (q, regions)

@@ -25,7 +25,10 @@ process each: every subcommand as text and as CSV, ``--help`` and a usage
 error; "corner-child" operations repeat the "corner" ones that way; a
 "closed-pipe" operation runs a long sweep whose reader keeps the first line
 and closes the pipe (exit 141).  Each demo script of this tree also runs
-once per tree, as its own child.
+once per tree, as its own child, and so does a "verification" operation,
+which prints the repr of each check ``qbg.verification.run_verification()``
+returns, one per line: the full-precision values behind ``reproduce``, which
+together make ``repr(run_verification())``.
 
 Every operation whose exit code, standard output or standard error differs
 between the trees is listed, with the first differing line of each stream.
@@ -52,6 +55,8 @@ REPRODUCE_OPS = [["reproduce"], ["reproduce", "--csv"],
                  ["reproduce", "--inject-fault", FAULT_ID],
                  ["reproduce", "--csv", "--inject-fault", FAULT_ID]]
 CHILD_TIMEOUT_S = 1800
+VERIFICATION_CODE = ("import qbg.verification\n"
+                     "print(*map(repr, qbg.verification.run_verification()), sep='\\n')")
 
 # Number spellings the workload generators never write, one spec each.
 SPELLING_SPECS = {
@@ -241,13 +246,18 @@ def run_tree(tree: Path, ops_path: Path) -> list:
     return json.loads(results_path.read_text(encoding="utf-8"))
 
 
+def run_python(tree: Path, args: list[str]) -> list:
+    """[exit code, stdout, stderr] of one ``python ARGS`` child against ``tree``."""
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=child_env(tree),
+                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    return [proc.returncode, proc.stdout, proc.stderr]
+
+
 def run_demo(tree: Path, name: str) -> list:
     script = tree / "demos" / name
     if not script.is_file():
         return [f"no {script}", "", ""]
-    proc = subprocess.run([sys.executable, str(script)], cwd=tree, env=child_env(tree),
-                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
-    return [proc.returncode, proc.stdout, proc.stderr]
+    return run_python(tree, [str(script)])
 
 
 def first_difference(old: str, new: str) -> str:
@@ -283,6 +293,8 @@ def main() -> int:
     demos = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
     ops += [("demo", ["demos/" + name]) for name in demos]
     results = [*results, *((run_demo(parent, name), run_demo(ROOT, name)) for name in demos)]
+    ops.append(("verification", ["run_verification()"]))
+    results.append(tuple(run_python(tree, ["-c", VERIFICATION_CODE]) for tree in (parent, ROOT)))
 
     counts: dict[str, int] = {}
     differing = 0
