@@ -26,12 +26,15 @@ density matrix; because the operators are diagonal, payoffs depend only on
 squared amplitude magnitudes, so all results are invariant under rephasing
 any amplitude.
 
+Every squared magnitude |z|**2, real or complex, is computed one way,
+``z.real * z.real + z.imag * z.imag``: the closed form's weights, the norm
+check and the oracle's diagonal ``z * z.conjugate()`` get the same bits.
+
 The state constructors, the closed form, the Nash tests and the
 density-matrix oracle work on Python numbers.  numpy is imported on first
-use: by ``DensityMatrix4.matrix``, the one array view of a density, by
-``normalized_amplitudes`` when it is given arrays, and for states with
-complex amplitudes, whose squared magnitudes and outer product keep
-numpy's bits.
+use, only where arrays are the point: by ``DensityMatrix4.matrix``, the one
+array view of a density, and by ``normalized_amplitudes`` when it is given
+arrays.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ from ._records import ValidatedRecord
 ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, slopes)
 NORMALIZATION_TOL = 1e-9   # how far decimal state weights may sum from 1
 PSD_TOL = 1e-10            # eigenvalue floor for positive semidefiniteness
+
+
+def _squared_magnitude(z: complex) -> float:
+    """|z|**2, summed from the squares of the two parts."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _clip_float(p):
@@ -89,11 +97,10 @@ class QuantumInitialState(ValidatedRecord,
     def __new__(cls, amp_ll: complex, amp_lh: complex, amp_hl: complex,
                 amp_hh: complex):
         amps = (amp_ll, amp_lh, amp_hl, amp_hh)
-        for a in amps:
-            z = complex(a)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError("amplitudes must be finite")
-        norm_sq = sum(abs(complex(a)) ** 2 for a in amps)
+        zs = [complex(a) for a in amps]
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
+            raise ValueError("amplitudes must be finite")
+        norm_sq = sum(_squared_magnitude(z) for z in zs)
         if abs(norm_sq - 1.0) > ALGEBRA_TOL:
             raise ValueError(
                 f"state not normalized: squared magnitudes sum to {norm_sq!r}")
@@ -137,18 +144,11 @@ class QuantumInitialState(ValidatedRecord,
     def squared_magnitudes(self) -> tuple[float, float, float, float]:
         """Squared magnitudes in basis order; these drive every payoff.
 
-        numpy computes a complex absolute value as larger * sqrt(1 + ratio**2),
-        with a fused multiply-add where the CPU has one; that is not
-        ``math.hypot``, and the two differ in the last bit for about a third
-        of random complex amplitudes.  States with an imaginary part therefore
-        keep numpy's bits.  Real ones, the only kind a spec file can write,
-        need no numpy: both give |a| there.
+        Each is re**2 + im**2 of the amplitude, the real part of the oracle's
+        ``a * a.conjugate()``.  For a real amplitude the imaginary term adds
+        +0.0 to a square, which is never -0.0, so it changes no bit.
         """
-        amps = [complex(a) for a in (self.amp_ll, self.amp_lh, self.amp_hl, self.amp_hh)]
-        if any(a.imag for a in amps):
-            import numpy as np
-            return tuple((np.abs(np.array(amps)) ** 2).tolist())
-        return tuple([a.real * a.real for a in amps])
+        return tuple([_squared_magnitude(complex(a)) for a in self])
 
 
 class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
@@ -236,7 +236,7 @@ def _shifted_cholesky_exists(rows) -> bool:
             row.append(s / pivots[j])
         pivot = rows[i][i].real + PSD_TOL
         for k in range(i):
-            pivot -= pivots[k] * (row[k].real * row[k].real + row[k].imag * row[k].imag)
+            pivot -= pivots[k] * _squared_magnitude(row[k])
         if not pivot > 0.0:    # NaN fails too
             return False
         lower.append(row)
@@ -350,16 +350,10 @@ def _branch_weights(mix: MixingProfile):
 def _outer(state: QuantumInitialState) -> list[complex]:
     """The 16 entries of a a^dagger, row-major, for the state's amplitudes a.
 
-    numpy's complex product may fuse a multiply and an add, which Python's
-    does not, so amplitudes with an imaginary part keep numpy's bits.  For
-    real ones one product of each pair is zero, and the two agree up to the
-    sign of a zero where a product underflows.
+    Python's complex product gives each diagonal entry the real part
+    re*re - im*(-im), the bits of ``squared_magnitudes``.
     """
     amps = [complex(a) for a in state]
-    if any(a.imag for a in amps):
-        import numpy as np
-        a = np.array(amps)
-        return np.outer(a, a.conj()).ravel().tolist()
     return [a * b.conjugate() for a in amps for b in amps]
 
 

@@ -308,7 +308,8 @@ def _strategy_checks() -> list[CheckResult]:
 
 
 def _oracle_checks() -> list[CheckResult]:
-    # stdlib samples, so that reproduce never pays for importing numpy.random
+    # complex samples drawn with stdlib random; their squared magnitudes and
+    # densities are Python arithmetic too, so reproduce never imports numpy
     rng = random.Random(20240809)
     policy_vec, public_vec = bg_payoff_vectors()
     worst = 0.0

@@ -554,6 +554,37 @@ prob_hh = 0
         assert err == b""
         assert code == cli.EXIT_BROKEN_PIPE == 141
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: the sweep rebuilds an unswept state's LL weight as "
+        "1 - (lh + hl + hh) and renormalizes it, so its forms differ in the last bits "
+        "from quantize's (public payoff 0 in sweep, 1.38777878078e-17 in quantize; "
+        "exactly 0); ROADMAP item 2 (exact rational core) mends it"))
+    def test_unswept_state_payoffs_match_quantize(self, capsys, spec_path):
+        path = spec_path("""\
+[game]
+mode = custom
+row_payoffs = -1,1,-1,3
+col_payoffs = 0,-3,1,2
+
+[quantum]
+prob_ll = 3/23
+prob_lh = 7/23
+prob_hl = 5/23
+prob_hh = 8/23
+
+[candidate]
+p = 1/2
+q = 1/2
+""")
+        code, out, _ = run_cli(capsys, "quantize", "--csv", "--spec", path)
+        assert code == 0
+        items = dict(parse_csv(out)[1:])
+        code, out, _ = run_cli(capsys, "sweep", "--spec", path, "--axis", "p=0.5:0.5:1")
+        assert code == 0
+        (row,) = parse_csv(out)[1:]
+        assert row[1:3] == [items["policy_payoff.closed_form"],
+                            items["public_payoff.closed_form"]]
+
 
 GENERAL_GAME = """\
 [game]
@@ -736,21 +767,23 @@ class TestNumpyImport:
         argvs.append(["sweep", "--spec", specs[0], "--axis", "p=0:1:3"])
         assert modules_loaded(["numpy"], argvs) == [[0, []]] * 4 + [[0, ["numpy"]]]
 
-    def test_reproduce_never_imports_numpy_random(self):
-        # the oracle check draws its samples with stdlib random; numpy itself
-        # is loaded for the trace oracle, as a check that the probe can see it
-        assert modules_loaded(["numpy", "numpy.random"], [["reproduce"]]) == [[0, ["numpy"]]]
+    def test_reproduce_never_imports_numpy(self, spec_path):
+        # the oracle check draws complex samples with stdlib random and works
+        # on Python numbers; sweep loads numpy but not numpy.random, and comes
+        # last, as a check that the probe can see it
+        argvs = [["reproduce"], ["sweep", "--spec", spec_path(MIXED_SPEC), "--axis", "p=0:1:3"]]
+        assert modules_loaded(["numpy", "numpy.random"], argvs) == [[0, []], [0, ["numpy"]]]
 
 
 class TestRecordImport:
     @pytest.mark.parametrize("command", ["classical", "equilibria"])
     def test_scalar_commands_never_import_dataclasses(self, spec_path, command):
         # qbg's records are named tuples: neither dataclasses nor the inspect
-        # module it imports is loaded.  reproduce loads numpy, which imports
+        # module it imports is loaded.  sweep loads numpy, which imports
         # inspect; it comes last, as a check that the probe can see it.
         path = spec_path(MIXED_SPEC.split("\n[candidate]")[0])
         argvs = [[command, *fmt, "--spec", path] for fmt in ([], ["--csv"])]
-        argvs.append(["reproduce"])
+        argvs.append(["sweep", "--spec", path, "--axis", "p=0:1:3", "--axis", "q=0:1:3"])
         assert modules_loaded(["dataclasses", "inspect"], argvs) == (
             [[0, []]] * 2 + [[0, ["inspect"]]])
 

@@ -104,6 +104,11 @@ class TestQuantumInitialState:
         with pytest.raises(ValueError):
             QuantumInitialState(1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("amp_ll", [1e200, -1e200, 1e160j, complex(1e160, 1e160)])
+    def test_finite_amplitude_whose_square_overflows_is_unnormalized(self, amp_ll):
+        with pytest.raises(ValueError, match="squared magnitudes sum to inf"):
+            QuantumInitialState(amp_ll, 0, 0, 0)
+
     def test_normalized_rescales(self):
         state = QuantumInitialState.normalized(3.0, 0.0, 0.0, 4.0)
         assert state.amp_ll == pytest.approx(0.6)
@@ -153,7 +158,10 @@ class TestQuantumInitialState:
                 state = QuantumInitialState.normalized(*amps)
                 expected = amps / norm
                 assert bits(fields(state)) == bits(expected)
-                assert bits(state.squared_magnitudes()) == bits(np.abs(expected) ** 2)
+                # complex kinds: re**2 + im**2, the one squared magnitude qbg computes
+                magnitudes = (expected.real ** 2 + expected.imag ** 2 if kind % 2
+                              else np.abs(expected) ** 2)
+                assert bits(state.squared_magnitudes()) == bits(magnitudes)
                 checked += 1
 
             weights = rng.uniform(size=4) * (rng.uniform(size=4) < 0.7)
@@ -241,8 +249,12 @@ class TestDensities:
         profiles += [MixingProfile(p, q) for p in (0.0, 1.0) for q in (0.0, 0.5, 1.0)]
         for mix in profiles:
             state = random_state(rng)
+            # a a^dagger in real arithmetic, the parts of Python's complex product
             amps = np.array(state, dtype=complex)
-            rho = np.outer(amps, amps.conj())
+            ar, ai = amps.real, amps.imag
+            rho = np.empty((4, 4), dtype=complex)
+            rho.real = np.outer(ar, ar) - np.outer(ai, -ai)
+            rho.imag = np.outer(ar, -ai) + np.outer(ai, ar)
             expected = np.zeros((4, 4), dtype=complex)
             for w, op in zip(branch_weights(mix.p, mix.q), BRANCH_OPERATORS):
                 if w != 0.0:
@@ -457,8 +469,9 @@ class TestBranchOutcomeMatrix:
     def test_bitwise_equal_to_kronecker_operator_action(self):
         # the canonical permutations and |U_k a|^2 for the test's own
         # operators, bit for bit on real states (one-hot, signed-zero, uniform,
-        # random); complex diagonals are |a_i|^2 summed as re^2 + im^2, not
-        # numpy's abs()**2, so rephased states agree within 1e-14
+        # random) and on complex ones, rephased or not: the oracle's diagonal
+        # and squared_magnitudes both sum re^2 + im^2, so complex |U_k a|^2 is
+        # taken the same way here
         rng = fresh_rng(21)
         real = [QuantumInitialState(*row) for row in np.eye(4)]
         real += [QuantumInitialState(*(sign * row)) for sign in (-1.0, 1.0)
@@ -471,19 +484,19 @@ class TestBranchOutcomeMatrix:
             state = random_state(rng)
             phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=4))
             rephased += [state, QuantumInitialState(*(np.array(state, dtype=complex) * phases))]
-        for state, exact in [(state, True) for state in real] + [
-                (state, False) for state in rephased]:
+        for state, is_complex in [(state, False) for state in real] + [
+                (state, True) for state in rephased]:
             pll, plh, phl, phh = state.squared_magnitudes()
             canonical = np.array([[pll, plh, phl, phh], [phl, phh, pll, plh],
                                   [plh, pll, phh, phl], [phh, phl, plh, pll]])
             amps = np.array(state, dtype=complex)
-            operator_action = np.array([np.abs(op @ amps) ** 2 for op in BRANCH_OPERATORS])
-            omega = corner_outcomes(state)
-            if exact:
-                assert omega.tobytes() == canonical.tobytes() == operator_action.tobytes()
+            moved = [op @ amps for op in BRANCH_OPERATORS]
+            if is_complex:
+                operator_action = np.array([m.real ** 2 + m.imag ** 2 for m in moved])
             else:
-                assert np.allclose(omega, canonical, rtol=0.0, atol=1e-14)
-                assert np.allclose(omega, operator_action, rtol=0.0, atol=1e-14)
+                operator_action = np.array([np.abs(m) ** 2 for m in moved])
+            omega = corner_outcomes(state)
+            assert omega.tobytes() == canonical.tobytes() == operator_action.tobytes()
 
 
 class TestClosedForm:
