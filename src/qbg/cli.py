@@ -371,8 +371,9 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing never mutates it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built once
+    per process; parsing never mutates them."""
     parser = argparse.ArgumentParser(
         prog="qbg",
         description="Classical and quantized analysis of the Barro-Gordon "
@@ -412,11 +413,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_reproduce)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace the top-level parser gives for ``argv``, with its messages
+    and exit codes.  That parser hands everything after a command name to the
+    command's parser, so argv that starts with one goes there directly."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

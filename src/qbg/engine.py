@@ -432,10 +432,9 @@ def payoff_vectors_from_game(game) -> tuple[PayoffVector, PayoffVector]:
 
     Basis order maps to table cells as LL=(0,0), LH=(0,1), HL=(1,0), HH=(1,1).
     """
-    cells = ((0, 0), (0, 1), (1, 0), (1, 1))
-    row = PayoffVector(*(float(game.row_payoff(r, c)) for r, c in cells))
-    col = PayoffVector(*(float(game.col_payoff(r, c)) for r, c in cells))
-    return row, col
+    cells = [cell for row in game.payoffs for cell in row]
+    return (PayoffVector(*[float(cell[0]) for cell in cells]),
+            PayoffVector(*[float(cell[1]) for cell in cells]))
 
 
 def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q):

@@ -56,7 +56,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import NORMALIZATION_TOL, MixingProfile, PayoffVector, QuantumInitialState
+from .engine import (NORMALIZATION_TOL, MixingProfile, PayoffVector, QuantumInitialState,
+                     payoff_vectors_from_game)
 from .game import BimatrixGame, PolicyParams, build_bg_game
 
 _SECTIONS = ("game", "quantum", "candidate")
@@ -65,6 +66,7 @@ _GAME_KEYS = {"mode", "theta", "a", "b",
 _PROB_KEYS = ("prob_ll", "prob_lh", "prob_hl", "prob_hh")
 _AMP_KEYS = ("amp_ll", "amp_lh", "amp_hl", "amp_hh")
 _CANDIDATE_KEYS = ("p", "q")
+_BG_OVERFLOW = "the builtin-bg payoffs for these a and b exceed the float range"
 
 # A value is built with 10**exponent exactly, so a short text like 1e100000000
 # would stall the parser; numbers with a larger exponent are refused unbuilt.
@@ -115,10 +117,9 @@ class GameSpec(namedtuple("GameSpec", (
 
     def to_game(self) -> BimatrixGame:
         if self.mode == "builtin-bg":
-            game = build_bg_game(PolicyParams(theta=self.theta, a=self.a, b=self.b))
+            game = self._bg_game()
             if not _fits_float(v for row in game.payoffs for cell in row for v in cell):
-                raise SpecError("the builtin-bg payoffs for these a and b exceed "
-                                "the float range")
+                raise SpecError(_BG_OVERFLOW)
             return game
         cells_row = self.row_payoffs
         cells_col = self.col_payoffs
@@ -129,8 +130,15 @@ class GameSpec(namedtuple("GameSpec", (
                             col_labels=self.col_labels, payoffs=payoffs)
 
     def payoff_vectors(self) -> tuple[PayoffVector, PayoffVector]:
-        from .engine import payoff_vectors_from_game
-        return payoff_vectors_from_game(self.to_game())
+        if self.mode != "builtin-bg":
+            return payoff_vectors_from_game(self.to_game())
+        try:   # to_game's overflow check, without converting every payoff twice
+            return payoff_vectors_from_game(self._bg_game())
+        except OverflowError:
+            raise SpecError(_BG_OVERFLOW) from None
+
+    def _bg_game(self) -> BimatrixGame:
+        return build_bg_game(PolicyParams(theta=self.theta, a=self.a, b=self.b))
 
     def to_state(self) -> QuantumInitialState | None:
         if self.probabilities is not None:
@@ -166,6 +174,7 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
             raise ValueError(text)
     except ValueError:
         raise SpecError(f"not a number: {text!r}", line, column) from None
+    shift = 0
     if exp:
         try:
             shift = int(exp)
@@ -179,11 +188,14 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
         else:
             numerator *= 10 ** shift
     value = Fraction(-numerator if sign == "-" else numerator, denominator)
-    try:   # render_spec writes the value with str(), which limits an int's digits
-        str(value)
-    except ValueError:
-        raise SpecError(f"{text!r} has more than {sys.get_int_max_str_digits()} digits "
-                        "in its numerator or denominator", line, column) from None
+    # render_spec writes the value with str(), which limits an int's digits.  Its
+    # numerator and denominator have at most len(text) + shift digits each.
+    if len(text) + shift > sys.get_int_max_str_digits():
+        try:
+            str(value)
+        except ValueError:
+            raise SpecError(f"{text!r} has more than {sys.get_int_max_str_digits()} "
+                            "digits in its numerator or denominator", line, column) from None
     return value
 
 
@@ -277,14 +289,15 @@ def parse_spec(text: str) -> GameSpec:
             if key in game:
                 raise SpecError(f"key {key!r} is only valid in custom mode",
                                 game[key][1])
+        # range checks compare a Fraction's ints; its denominator is positive
         theta = _parse_number(*game["theta"])
-        if theta not in (0, 1):
+        if theta.denominator != 1 or theta.numerator not in (0, 1):
             raise SpecError(f"theta must be 0 or 1, got {game['theta'][0]!r}",
                             game["theta"][1], game["theta"][2])
-        fields["theta"] = int(theta)
+        fields["theta"] = theta.numerator
         for key in ("a", "b"):
             value = _parse_number(*game[key])
-            if value <= 0:
+            if value.numerator <= 0:
                 raise SpecError(f"{key} must be positive", game[key][1],
                                 game[key][2])
             fields[key] = value
@@ -327,7 +340,7 @@ def parse_spec(text: str) -> GameSpec:
             values.append(_parse_number(*quantum[key]))
         if has_probs:
             for key, value in zip(family, values):
-                if value < 0:
+                if value.numerator < 0:
                     raise SpecError(f"{key} must be nonnegative",
                                     quantum[key][1], quantum[key][2])
         try:   # a value or a square can overflow; the sums are to_state's, bit for bit
@@ -356,7 +369,7 @@ def parse_spec(text: str) -> GameSpec:
         values = []
         for key in _CANDIDATE_KEYS:
             value = _parse_number(*candidate[key])
-            if not 0 <= value <= 1:
+            if not 0 <= value.numerator <= value.denominator:
                 raise SpecError(f"{key} must lie in [0, 1]",
                                 candidate[key][1], candidate[key][2])
             values.append(value)

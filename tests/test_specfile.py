@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qbg import GameSpec, SpecError, parse_spec, render_spec
-from qbg.engine import NORMALIZATION_TOL
+from qbg.engine import NORMALIZATION_TOL, PayoffVector
 from qbg.game import PureProfile, find_pure_nash
 
 BUILTIN = """\
@@ -124,6 +124,20 @@ amp_hh = 0.8
                         amplitudes=(Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
         with pytest.raises(SpecError, match=r"squared norm 2\.0, expected 1"):
             spec.to_state()
+
+    def test_hand_built_float_fields_convert_like_fractions(self):
+        # dyadic floats equal their fractions exactly, so every conversion agrees
+        exact = GameSpec(mode="builtin-bg", theta=1, a=Fraction(2), b=Fraction(1, 2),
+                         probabilities=(Fraction(1, 4),) * 4,
+                         candidate=(Fraction(1, 2), Fraction(1)))
+        spec = exact._replace(a=2.0, b=0.5, probabilities=(0.25,) * 4, candidate=(0.5, 1.0))
+        assert spec.payoff_vectors() == exact.payoff_vectors()
+        assert spec.to_state() == exact.to_state()
+        assert spec.to_candidate() == exact.to_candidate()
+        custom = GameSpec(mode="custom", row_payoffs=(1.5, -2.0, 0.0, 3.25),
+                          col_payoffs=(0.5, 1.0, -1.0, 2.0))
+        assert custom.payoff_vectors() == (PayoffVector(1.5, -2.0, 0.0, 3.25),
+                                           PayoffVector(0.5, 1.0, -1.0, 2.0))
 
     def test_fraction_values(self):
         text = BUILTIN + """

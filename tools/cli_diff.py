@@ -24,11 +24,16 @@ calling ``qbg.cli.main`` from that tree's ``src/`` once per operation.
 process each: every subcommand as text and as CSV, ``--help`` and a usage
 error; "corner-child" operations repeat the "corner" ones that way; a
 "closed-pipe" operation runs a long sweep whose reader keeps the first line
-and closes the pipe (exit 141).  Each demo script of this tree also runs
-once per tree, as its own child, and so does a "verification" operation,
-which prints the repr of each check ``qbg.verification.run_verification()``
-returns, one per line: the full-precision values behind ``reproduce``, which
-together make ``repr(run_verification())``.
+and closes the pipe (exit 141); "argv" operations pass argv shapes that
+``main`` must route exactly as the top-level parser does: abbreviated
+flags, ``--spec=PATH``, ``--`` before and after the command, a flag before
+the command, a misspelled or abbreviated command, an extra argument, a
+repeated ``--csv``, ``-h`` and no arguments at all.  Each demo script of
+this tree also runs once per tree, as its own child, and so does a
+"verification" operation, which prints the repr of each check
+``qbg.verification.run_verification()`` returns, one per line: the
+full-precision values behind ``reproduce``, which together make
+``repr(run_verification())``.
 
 Every operation whose exit code, standard output or standard error differs
 between the trees is listed, with the first differing line of each stream.
@@ -220,7 +225,19 @@ def build_child_ops(work: Path) -> list[tuple[str, list[str]]]:
             ["--help"], ["nope"]]
     return [("child", argv) for argv in ops] + [
         ("corner-child", argv) for argv in corner_argvs(work)] + [
-        ("closed-pipe", ["sweep", "--spec", spec, "--axis", "p=0:1:400", "--axis", "q=0:1:400"])]
+        ("closed-pipe", ["sweep", "--spec", spec, "--axis", "p=0:1:400", "--axis", "q=0:1:400"])
+    ] + [("argv", argv) for argv in argv_shapes(spec)]
+
+
+def argv_shapes(spec: str) -> list[list[str]]:
+    """Argv that starts with a command name and argv that does not, each
+    routed by ``main`` as the top-level parser routes it."""
+    return [["classical", "--sp", spec], ["quantize", "--cs", "--spec", spec],
+            ["sweep", "--spec", spec, "--ax", "p=0:1:3"], ["reproduce", "--inj", FAULT_ID],
+            ["equilibria", f"--spec={spec}"], ["classical", "--", "--spec"],
+            ["--", "classical"], ["--spec", spec, "classical"], ["Classical"], ["class"],
+            ["classical", "--spec", spec, "extra"],
+            ["classical", "--csv", "--csv", "--spec", spec], ["-h"], []]
 
 
 def run_module(tree: Path, kind: str, argv: list[str]) -> list:
