@@ -33,7 +33,7 @@ def main():
     print("Branch-outcome matrix (rows: the four mixing branches):")
     # each of these corners puts all weight on one branch, in branch order
     corners = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
-    print(np.array([np.diag(final_density(state, MixingProfile(p, q)).matrix).real
+    print(np.array([np.diag(np.array(final_density(state, MixingProfile(p, q)).rows)).real
                     for p, q in corners]))
     print()
 

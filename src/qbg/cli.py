@@ -30,14 +30,12 @@ from collections import namedtuple
 from .engine import (
     NORMALIZATION_TOL,
     ClosedFormPayoff,
-    MixingProfile,
     bilinear_coefficients,
     closed_form_payoff,
     deviation_gaps,
     enumerate_equilibria,
     expected_payoff_trace,
     final_density,
-    normalized_amplitudes,
     verify_nash,
 )
 from .game import find_dominated_rows, find_pure_nash
@@ -247,6 +245,22 @@ def _parse_axis(text: str) -> _Axis:
     return _Axis(var, values)
 
 
+def _state_weights(p_ll, p_lh, p_hl, p_hh):
+    """The squared magnitudes ``QuantumInitialState.from_probabilities`` would
+    give the weights (LL, LH, HL, HH), elementwise on arrays and bit for bit:
+    clipped at 0, then sqrt(w / total) squared.
+
+    The total is not checked here: the sweep's pre-pass refuses an LL weight
+    below ``-NORMALIZATION_TOL``.  A clipped LL weight leaves the total
+    exactly lh + hl + hh, with LL = 1 - (lh + hl + hh) within that tolerance
+    of 0; otherwise the total is within a few ulps of 1.
+    """
+    import numpy as np
+    probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
+    total = probs[0] + probs[1] + probs[2] + probs[3]
+    return [a * a for a in (np.sqrt(p / total) for p in probs)]
+
+
 def cmd_sweep(args) -> int:
     import numpy as np
     spec = _load_spec(args.spec)
@@ -295,29 +309,25 @@ def cmd_sweep(args) -> int:
             yield rows, values
 
     # Check every block before writing, so a bad grid fails on its first bad
-    # point in row order with no CSV output.  Weights above 1 and a profile
-    # outside [0, 1] are the only ways a point can fail.
+    # point in row order with no CSV output.  Every axis value and the
+    # [candidate] lie in [0, 1], so each profile is valid and each swept
+    # weight is a valid weight; only weights summing above 1, which leave the
+    # LL weight negative, can fail a point.
     for rows, v in blocks():
-        bad_weights = np.broadcast_to(v["prob_ll"] < -NORMALIZATION_TOL,
-                                      (len(rows), len(inner.values)))
-        bad = bad_weights | np.logical_not(
-            (0.0 <= v["p"]) & (v["p"] <= 1.0) & (0.0 <= v["q"]) & (v["q"] <= 1.0))
+        bad = np.broadcast_to(v["prob_ll"] < -NORMALIZATION_TOL,
+                              (len(rows), len(inner.values)))
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            point = dict(zip(names, rows[i] + (inner.values[j],)))
-            if bad_weights[i, j]:
-                where = ", ".join(f"{n}={_fmt(x, 12)}" for n, x in point.items())
-                raise SpecError(f"state weights exceed 1 at grid point ({where})")
-            MixingProfile(point.get("p", fixed["p"]), point.get("q", fixed["q"]))
+            point = zip(names, rows[i] + (inner.values[j],))
+            where = ", ".join(f"{n}={_fmt(x, 12)}" for n, x in point)
+            raise SpecError(f"state weights exceed 1 at grid point ({where})")
 
     # No field can need CSV quoting, so rows are written as joined text.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
     inner_text = [_fmt(x, 12) for x in inner.values]
     for rows, v in blocks():
-        # the squared magnitudes of the state from_probabilities would build
-        weights = [a * a for a in normalized_amplitudes(
-            v["prob_ll"], v["prob_lh"], v["prob_hl"], v["prob_hh"])]
+        weights = _state_weights(v["prob_ll"], v["prob_lh"], v["prob_hl"], v["prob_hh"])
         f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
                         for vec in (vec_row, vec_col))
         row_payoff, col_payoff, _, holds = deviation_gaps(f_row, f_col, v["p"], v["q"])
@@ -444,10 +454,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:   # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,10 +31,10 @@ Every squared magnitude |z|**2, real or complex, is computed one way,
 check and the oracle's diagonal ``z * z.conjugate()`` get the same bits.
 
 The state constructors, the closed form, the Nash tests and the
-density-matrix oracle work on Python numbers.  numpy is imported on first
-use, only where arrays are the point: by ``DensityMatrix4.matrix``, the one
-array view of a density, and by ``normalized_amplitudes`` when it is given
-arrays.
+density-matrix oracle work on Python numbers, and this module never
+imports numpy.  The command line's ``sweep`` is qbg's one numpy user: it
+passes arrays to ``bilinear_coefficients``, ``ClosedFormPayoff.evaluate``
+and ``deviation_gaps``, which then work elementwise.
 """
 
 from __future__ import annotations
@@ -53,39 +53,6 @@ PSD_TOL = 1e-10            # eigenvalue floor for positive semidefiniteness
 def _squared_magnitude(z: complex) -> float:
     """|z|**2, summed from the squares of the two parts."""
     return z.real * z.real + z.imag * z.imag
-
-
-def _clip_float(p):
-    """np.maximum(p, 0.0) on one float, NaN and signed zeros included."""
-    return 0.0 if p <= 0.0 else p
-
-
-def _extract_float(off, total):
-    """np.extract(off, total) on one float."""
-    return (total,) if off else ()
-
-
-def normalized_amplitudes(p_ll, p_lh, p_hl, p_hh):
-    """Real amplitudes sqrt(w / total) of the weights (LL, LH, HL, HH).
-
-    Each weight is clipped at 0 and divided by the clipped weights' total,
-    which must be 1 within ``NORMALIZATION_TOL``.  The weights may be floats
-    or numpy arrays of one shape; the arithmetic is elementwise, so an array
-    entry gets the same bits as the same weights passed as floats.  Floats
-    are handled with ``math``, so numpy is imported only when an array is given.
-    """
-    weights = (p_ll, p_lh, p_hl, p_hh)
-    if all(isinstance(p, (int, float)) for p in weights):
-        clip, sqrt, extract = _clip_float, math.sqrt, _extract_float
-    else:
-        import numpy as np
-        clip, sqrt, extract = (lambda p: np.maximum(p, 0.0)), np.sqrt, np.extract
-    probs = [clip(p) for p in weights]
-    total = probs[0] + probs[1] + probs[2] + probs[3]
-    off = extract(abs(total - 1.0) > NORMALIZATION_TOL, total)
-    if len(off):
-        raise ValueError(f"squared magnitudes sum to {float(off[0])!r}, expected 1")
-    return tuple(sqrt(p / total) for p in probs)
 
 
 class QuantumInitialState(ValidatedRecord,
@@ -131,15 +98,21 @@ class QuantumInitialState(ValidatedRecord,
     def from_probabilities(cls, p_ll, p_lh, p_hl, p_hh) -> "QuantumInitialState":
         """State with nonnegative real amplitudes from squared magnitudes.
 
-        The four weights must sum to 1 within ``NORMALIZATION_TOL`` (decimal
-        input is expected to carry rounding fuzz); they are rescaled exactly
-        before taking square roots (see ``normalized_amplitudes``).
+        Each weight is clipped at 0, and the clipped weights must sum to 1
+        within ``NORMALIZATION_TOL`` (decimal input is expected to carry
+        rounding fuzz); each amplitude is then sqrt(w / total), so the state
+        is rescaled exactly.  The command line's ``sweep`` does the same
+        arithmetic on arrays, with numpy.
         """
         probs = [float(p) for p in (p_ll, p_lh, p_hl, p_hh)]
         for p in probs:
             if not math.isfinite(p) or p < -ALGEBRA_TOL:
                 raise ValueError(f"squared magnitudes must be nonnegative, got {p!r}")
-        return cls(*(complex(a) for a in normalized_amplitudes(*probs)))
+        probs = [p if p > 0.0 else 0.0 for p in probs]   # -0.0 becomes 0.0
+        total = probs[0] + probs[1] + probs[2] + probs[3]
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"squared magnitudes sum to {total!r}, expected 1")
+        return cls(*(complex(math.sqrt(p / total)) for p in probs))
 
     def squared_magnitudes(self) -> tuple[float, float, float, float]:
         """Squared magnitudes in basis order; these drive every payoff.
@@ -168,24 +141,23 @@ class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
         return tuple.__new__(cls, (p, q))
 
 
-class DensityMatrix4:
+class DensityMatrix4(ValidatedRecord, namedtuple("DensityMatrix4", "rows")):
     """4x4 density matrix over the game basis, held as rows of Python complex numbers.
 
-    Validated on construction, without numpy: Hermitian and unit trace
-    within ``ALGEBRA_TOL``, and positive semidefinite to ``PSD_TOL``.  The
-    last rule is that M + PSD_TOL*I factors as L D L^H with every pivot in
-    D positive (Cholesky without square roots), which holds exactly when
-    every eigenvalue of M exceeds -PSD_TOL.  ``matrix`` is a read-only
-    complex ndarray of the same entries, built on first access.
+    ``rows`` may be any 4x4 nested sequence of numbers, an ndarray included;
+    it is stored as a tuple of four tuples of complex.  Validated without
+    numpy: Hermitian and unit trace within ``ALGEBRA_TOL``, and positive
+    semidefinite to ``PSD_TOL``.  The last rule is that M + PSD_TOL*I
+    factors as L D L^H with every pivot in D positive (Cholesky without
+    square roots), which holds exactly when every eigenvalue of M exceeds
+    -PSD_TOL.
     """
 
-    __slots__ = ("_rows", "_matrix")   # _matrix is set once, on first access; compares by identity
+    __slots__ = ()
 
-    def __init__(self, matrix):
-        if hasattr(matrix, "tolist"):      # an ndarray
-            matrix = matrix.tolist()
+    def __new__(cls, rows):
         try:
-            rows = tuple(tuple(complex(x) for x in row) for row in matrix)
+            rows = tuple(tuple(complex(x) for x in row) for row in rows)
         except TypeError:
             rows = ()
         if len(rows) != 4 or any(len(row) != 4 for row in rows):
@@ -198,26 +170,7 @@ class DensityMatrix4:
             raise ValueError("density matrix trace is not 1")
         if not _shifted_cholesky_exists(rows):
             raise ValueError("density matrix is not positive semidefinite")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_matrix", None)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            import numpy as np
-            m = np.array(self._rows, dtype=complex)
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix4(matrix={self.matrix!r})"
+        return tuple.__new__(cls, (rows,))
 
 
 def _shifted_cholesky_exists(rows) -> bool:
@@ -389,7 +342,7 @@ def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
     carries an imaginary residue above tolerance, which would indicate a
     corrupted density matrix.
     """
-    rows = rho._rows
+    rows = rho.rows
     t0, t1, t2, t3 = (float(v) * rows[i][i] for i, v in enumerate(vec))
     value = (t0 + t1) + (t2 + t3)
     if abs(value.imag) > ALGEBRA_TOL:

@@ -203,7 +203,7 @@ def test_criterion_9_density_matrix_validity():
     for _ in range(1000):
         state = random_state(rng)
         mix = MixingProfile(float(rng.uniform()), float(rng.uniform()))
-        m = final_density(state, mix).matrix
+        m = np.array(final_density(state, mix).rows)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         assert abs(complex(np.trace(m)).real - 1.0) < 1e-12
         assert abs(complex(np.trace(m)).imag) < 1e-12

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fresh_rng, random_vector
 
@@ -31,8 +32,7 @@ from qbg import (
 )
 from qbg import cli, verification
 from qbg.cli import main
-from qbg.engine import (ClosedFormPayoff, bilinear_coefficients, deviation_gaps,
-                        normalized_amplitudes)
+from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from qbg.specfile import SpecError
 
 WEAK_SPEC = """\
@@ -535,6 +535,18 @@ prob_hh = 0
         with pytest.raises(SpecError, match="more than"):
             cli._parse_axis(f"q=0:1:{cli._MAX_AXIS_STEPS + 1}")
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lo=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1 - 2 ** -53])),
+           hi=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1 - 2 ** -53])),
+           steps=st.integers(1, cli._MAX_AXIS_STEPS))
+    def test_axis_values_stay_in_unit_interval(self, lo, hi, steps):
+        # the sweep's pre-pass checks only the state weights: it relies on
+        # every axis value lying in [0, 1], descending ranges included
+        hi = lo if steps == 1 else hi
+        values = cli._parse_axis(f"q={lo!r}:{hi!r}:{steps}").values
+        assert len(values) == steps
+        assert all(0.0 <= v <= 1.0 for v in values)
+
     def test_closed_stdout_exits_quietly(self, spec_path):
         # a 160k-row sweep cannot fit in the pipe, so closing the read end
         # after the header makes the next write fail
@@ -710,7 +722,7 @@ class TestSweepGolden:
             weights[0, weights.sum(axis=0) == 0] = 1.0
             weights /= weights.sum(axis=0)
             states = [QuantumInitialState.from_probabilities(*w) for w in weights.T]
-            squared = [a * a for a in normalized_amplitudes(*weights)]
+            squared = cli._state_weights(*weights)
             forms = [ClosedFormPayoff(*bilinear_coefficients(*squared, vec))
                      for vec in (vec_row, vec_col)]
             p = rng.choice([0.0, 1.0, rng.uniform()], size=30)
@@ -754,6 +766,18 @@ def modules_loaded(watched, argvs):
     return json.loads(proc.stdout)
 
 
+ENGINE_PROBE = """\
+import sys
+import qbg.engine as engine
+state = engine.QuantumInitialState.from_probabilities(0.4, 0.1, 0.2, 0.3)
+rho = engine.final_density(state, engine.MixingProfile(0.3, 0.6))
+engine.expected_payoff_trace(engine.PayoffVector(0.0, -2.0, 1.0, -1.0), rho)
+repr(rho)
+rho._replace(rows=rho.rows)
+print("numpy" in sys.modules)
+"""
+
+
 class TestNumpyImport:
     @pytest.mark.parametrize("command", ["classical", "equilibria", "quantize"])
     def test_scalar_commands_never_import_numpy(self, spec_path, command):
@@ -773,6 +797,13 @@ class TestNumpyImport:
         # last, as a check that the probe can see it
         argvs = [["reproduce"], ["sweep", "--spec", spec_path(MIXED_SPEC), "--axis", "p=0:1:3"]]
         assert modules_loaded(["numpy", "numpy.random"], argvs) == [[0, []], [0, ["numpy"]]]
+
+    def test_engine_and_its_oracle_never_import_numpy(self):
+        # state construction, the density oracle, its trace, and a density's
+        # repr and revalidation all run on Python numbers
+        proc = subprocess.run([sys.executable, "-c", ENGINE_PROBE], capture_output=True,
+                              text=True, env=child_env(), timeout=60)
+        assert (proc.stderr, proc.stdout) == ("", "False\n")
 
 
 class TestRecordImport:

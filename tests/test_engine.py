@@ -54,7 +54,7 @@ CORNERS = (MixingProfile(1.0, 1.0), MixingProfile(1.0, 0.0),
 def corner_outcomes(state):
     """Branch-outcome matrix read off the oracle: row k is the diagonal of
     the final density at the corner that puts all weight on branch k."""
-    return np.array([np.diag(final_density(state, mix).matrix).real for mix in CORNERS])
+    return np.array([np.diag(np.array(final_density(state, mix).rows)).real for mix in CORNERS])
 
 
 class TestFlipOperator:
@@ -67,7 +67,7 @@ class TestFlipOperator:
             state = QuantumInitialState(*KET[label])
             for mix, want in ((row_flip, other[row] + col), (col_flip, row + other[col])):
                 expected = np.outer(KET[want], KET[want]).astype(complex)
-                assert final_density(state, mix).matrix.tobytes() == expected.tobytes()
+                assert np.array(final_density(state, mix).rows).tobytes() == expected.tobytes()
 
     def test_involution_and_hermitian(self):
         flip = np.array(engine._FLIP_2)
@@ -81,22 +81,22 @@ class TestFlipOperator:
             for k, mix in enumerate(CORNERS):
                 flipped = QuantumInitialState(
                     *(BRANCH_OPERATORS[k] @ np.array(state, dtype=complex)).tolist())
-                assert np.array_equal(final_density(flipped, mix).matrix,
-                                      initial_density(state).matrix)
+                assert np.array_equal(np.array(final_density(flipped, mix).rows),
+                                      np.array(initial_density(state).rows))
 
     def test_second_qubit_flip_on_ll(self):
         op = np.kron(np.eye(2), FLIP_2)
         psi = op @ KET["LL"]
         assert np.array_equal(psi, KET["LH"])
         rho = final_density(QuantumInitialState(1, 0, 0, 0), CORNERS[2])
-        assert np.array_equal(rho.matrix, np.outer(psi, psi))
+        assert np.array_equal(np.array(rho.rows), np.outer(psi, psi))
 
     def test_first_qubit_flip_on_ll(self):
         op = np.kron(FLIP_2, np.eye(2))
         psi = op @ KET["LL"]
         assert np.array_equal(psi, KET["HL"])
         rho = final_density(QuantumInitialState(1, 0, 0, 0), CORNERS[1])
-        assert np.array_equal(rho.matrix, np.outer(psi, psi))
+        assert np.array_equal(np.array(rho.rows), np.outer(psi, psi))
 
 
 class TestQuantumInitialState:
@@ -189,7 +189,7 @@ class TestDensities:
         rho = initial_density(QuantumInitialState(1, 0, 0, 0))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.allclose(rho.matrix, expected, atol=1e-15)
+        assert np.allclose(np.array(rho.rows), expected, atol=1e-15)
 
     def test_initial_density_bell_like_state(self):
         state = QuantumInitialState(1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2))
@@ -197,13 +197,13 @@ class TestDensities:
         expected = np.zeros((4, 4))
         for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
             expected[i, j] = 0.5
-        assert np.allclose(rho.matrix, expected, atol=1e-15)
+        assert np.allclose(np.array(rho.rows), expected, atol=1e-15)
 
     def test_initial_density_is_rank_one(self):
         rng = fresh_rng(11)
         for _ in range(50):
             rho = initial_density(random_state(rng))
-            eigs = np.sort(np.linalg.eigvalsh(rho.matrix))
+            eigs = np.sort(np.linalg.eigvalsh(np.array(rho.rows)))
             assert np.allclose(eigs, [0, 0, 0, 1], atol=1e-12)
 
     def test_final_density_identity_corner(self):
@@ -211,7 +211,7 @@ class TestDensities:
         for _ in range(20):
             state = random_state(rng)
             rho_f = final_density(state, MixingProfile(1.0, 1.0))
-            assert np.allclose(rho_f.matrix, initial_density(state).matrix,
+            assert np.allclose(np.array(rho_f.rows), np.array(initial_density(state).rows),
                                atol=1e-14)
 
     def test_final_density_double_flip_corner(self):
@@ -221,15 +221,15 @@ class TestDensities:
         expected = np.outer(psi, psi.conj())
         rho_f = final_density(QuantumInitialState(1, 0, 0, 0),
                               MixingProfile(0.0, 0.0))
-        assert np.allclose(rho_f.matrix, expected, atol=1e-15)
-        assert rho_f.matrix[3, 3] == pytest.approx(1.0)
+        assert np.allclose(np.array(rho_f.rows), expected, atol=1e-15)
+        assert rho_f.rows[3][3] == pytest.approx(1.0)
 
     def test_corner_outcomes_on_ll_follow_the_pairing(self):
         # the row player chooses p, yet p keeps the column qubit and q the row one
         state = QuantumInitialState(1, 0, 0, 0)
         for (p, q), label in (((1.0, 1.0), "LL"), ((1.0, 0.0), "HL"),
                               ((0.0, 1.0), "LH"), ((0.0, 0.0), "HH")):
-            diagonal = np.diag(final_density(state, MixingProfile(p, q)).matrix).real
+            diagonal = np.diag(np.array(final_density(state, MixingProfile(p, q)).rows)).real
             assert np.array_equal(diagonal, KET[label]), (p, q)
 
     def test_final_density_valid_on_random_inputs(self):
@@ -237,7 +237,7 @@ class TestDensities:
         for _ in range(200):
             state = random_state(rng)
             mix = MixingProfile(float(rng.uniform()), float(rng.uniform()))
-            m = final_density(state, mix).matrix
+            m = np.array(final_density(state, mix).rows)
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             assert abs(np.trace(m).real - 1.0) < 1e-12
             assert np.min(np.linalg.eigvalsh(m)) > -1e-10
@@ -259,7 +259,7 @@ class TestDensities:
             for w, op in zip(branch_weights(mix.p, mix.q), BRANCH_OPERATORS):
                 if w != 0.0:
                     expected += w * (op @ rho @ op.conj().T)
-            assert final_density(state, mix).matrix.tobytes() == expected.tobytes()
+            assert np.array(final_density(state, mix).rows).tobytes() == expected.tobytes()
 
     def test_real_states_are_bitwise_the_operator_formula(self):
         # real amplitudes never reach numpy in the oracle: zeros, -0.0 and
@@ -291,7 +291,7 @@ class TestDensities:
                 if w != 0.0:
                     expected += w * (op @ rho @ op_dagger)
             density = final_density(state, mix)
-            assert density.matrix.tobytes() == expected.tobytes()
+            assert np.array(density.rows).tobytes() == expected.tobytes()
             vec = PayoffVector(*vectors[k])
             traced = np.trace(np.diag(np.array(vec, dtype=complex)) @ expected).real
             assert np.float64(expected_payoff_trace(vec, density)).tobytes() == traced.tobytes()
@@ -303,7 +303,7 @@ class TestDensities:
         mix = MixingProfile(0.3, 0.6)
         vec = PayoffVector(0.0, -2.0, 1.0, -1.0)
         density = final_density(state, mix)
-        matrix, trace = density.matrix.tobytes(), expected_payoff_trace(vec, density).hex()
+        matrix, trace = np.array(density.rows).tobytes(), expected_payoff_trace(vec, density).hex()
         form = closed_form_payoff(state, vec)
         original = engine.bilinear_coefficients
 
@@ -314,20 +314,20 @@ class TestDensities:
         engine._branch_gathers.cache_clear()
         assert closed_form_payoff(state, vec) != pytest.approx(form)
         density = final_density(state, mix)
-        assert density.matrix.tobytes() == matrix
+        assert np.array(density.rows).tobytes() == matrix
         assert expected_payoff_trace(vec, density).hex() == trace
 
     def test_branch_operators_are_fresh_arrays(self):
-        # the oracle's branch tables are immutable and its densities read-only,
-        # so no caller can alter what a later call computes
+        # the oracle's branch tables and its densities' rows are tuples, so
+        # no caller can alter what a later call computes
         assert all(isinstance(gather, tuple) for gather in engine._branch_gathers())
         state, corner = QuantumInitialState(1, 0, 0, 0), MixingProfile(0.0, 0.0)
         rho = final_density(state, corner)
-        with pytest.raises(ValueError):
-            rho.matrix[3, 3] = 0.0
-        scratch = rho.matrix.copy()
+        with pytest.raises(TypeError):
+            rho.rows[3][3] = 0.0
+        scratch = np.array(rho.rows)
         scratch[:] = 0.0          # writable, and nobody else's
-        assert rho.matrix[3, 3] == final_density(state, corner).matrix[3, 3] == 1.0
+        assert rho.rows[3][3] == final_density(state, corner).rows[3][3] == 1.0
 
     def test_mixing_weights_sum_to_one(self):
         # on |LL> each branch lands on its own basis state, so the final
@@ -335,8 +335,8 @@ class TestDensities:
         rng = fresh_rng(14)
         for _ in range(50):
             p, q = float(rng.uniform()), float(rng.uniform())
-            weights = np.diag(final_density(QuantumInitialState(1, 0, 0, 0),
-                                            MixingProfile(p, q)).matrix).real
+            weights = np.diag(np.array(final_density(QuantumInitialState(1, 0, 0, 0),
+                                                     MixingProfile(p, q)).rows)).real
             assert np.array_equal(weights[[0, 2, 1, 3]], branch_weights(p, q))
             assert np.all(weights >= 0)
             assert np.sum(weights) == pytest.approx(1.0, abs=1e-15)

@@ -64,9 +64,9 @@ def test_depolarizing_scales_every_gap(weights, e, vec_row, vec_col, candidate):
 @given(AMPLITUDES, UNIT, PAYOFFS, PAYOFFS, PROFILES)
 def test_dephasing_changes_no_payoff(amplitudes, damping, vec_row, vec_col, candidate):
     rho = final_density(QuantumInitialState.normalized(*amplitudes), candidate)
-    diagonal = np.diag(np.diag(rho.matrix))
+    diagonal = np.diag(np.diag(np.array(rho.rows)))
     # a convex mix of rho and its diagonal: Hermitian, unit trace, PSD
-    dephased = DensityMatrix4((1 - damping) * rho.matrix + damping * diagonal)
+    dephased = DensityMatrix4((1 - damping) * np.array(rho.rows) + damping * diagonal)
     for vec in (vec_row, vec_col):
         assert expected_payoff_trace(vec, dephased) == pytest.approx(
             expected_payoff_trace(vec, rho), abs=1e-12)

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qbg import (
@@ -14,11 +13,11 @@ from qbg import (
     PayoffVector,
     PolicyParams,
     QuantumInitialState,
-    final_density,
 )
 from qbg.engine import (
     ClosedFormPayoff,
     ConditionCheck,
+    DensityMatrix4,
     EquilibriumRegion,
     EquilibriumReport,
 )
@@ -27,6 +26,7 @@ from qbg.scenarios import ScenarioReport, WeakAssumption
 from qbg.verification import CheckResult
 
 WEAK_TABLE = (((0, 0), (-2, -1)), ((1, -1), (-1, 0)))
+ONE_HOT = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
 
 # (builder, a field, the repr); the builder makes a fresh, equal record per call
 RECORDS = [
@@ -35,6 +35,9 @@ RECORDS = [
     (lambda: MixingProfile(0.75, 0.25), "p", "MixingProfile(p=0.75, q=0.25)"),
     (lambda: PayoffVector(0.0, -2.0, 1.0, -1.0), "hh",
      "PayoffVector(ll=0.0, lh=-2.0, hl=1.0, hh=-1.0)"),
+    (lambda: DensityMatrix4(ONE_HOT), "rows",
+     "DensityMatrix4(rows=(((1+0j), 0j, 0j, 0j), (0j, 0j, 0j, 0j), (0j, 0j, 0j, 0j), "
+     "(0j, 0j, 0j, 0j)))"),
     (lambda: ClosedFormPayoff(-1.0, 0.5, 0.25, 0.0), "coeff_pq",
      "ClosedFormPayoff(constant=-1.0, coeff_p=0.5, coeff_q=0.25, coeff_pq=0.0)"),
     (lambda: ConditionCheck("gap", 0.5, True), "satisfied",
@@ -79,6 +82,7 @@ INVALID = [
     (QuantumInitialState(1.0, 0.0, 0.0, 0.0), "amp_lh", 1.0),
     (MixingProfile(0.5, 0.5), "p", 2.0),
     (PayoffVector(0.0, -2.0, 1.0, -1.0), "hl", math.inf),
+    (DensityMatrix4(ONE_HOT), "rows", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))),
     (PolicyParams(1, 2, 2), "theta", 2),
     (InflationProfile(0, 1), "expected", math.nan),
     (PureProfile(0, 1), "col_index", 2),
@@ -134,17 +138,3 @@ def test_records_are_tuples():
     assert (p, q) == (profile.p, profile.q)
     assert profile._replace(q=0.5) == MixingProfile(0.75, 0.5)
 
-
-def test_density_matrix_is_immutable_and_compares_by_identity():
-    state = QuantumInitialState(1.0, 0.0, 0.0, 0.0)
-    rho = final_density(state, MixingProfile(1.0, 1.0))
-    with pytest.raises(AttributeError):
-        rho.matrix = np.eye(4)
-    with pytest.raises(AttributeError):
-        del rho.matrix
-    with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 0.0
-    assert rho == rho
-    assert rho != final_density(state, MixingProfile(1.0, 1.0))
-    assert repr(rho) == f"DensityMatrix4(matrix={rho.matrix!r})"
-    assert repr(rho).startswith("DensityMatrix4(matrix=array([[1.+0.j, 0.+0.j")
