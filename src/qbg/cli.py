@@ -225,7 +225,8 @@ def _parse_axis(text: str) -> _Axis:
     if len(parts) != 3:
         raise SpecError(f"bad axis range {rest!r}; expected LO:HI:STEPS")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        # + 0.0 turns a bound written -0 into 0
+        lo, hi = float(parts[0]) + 0.0, float(parts[1]) + 0.0
         steps = int(parts[2])
     except ValueError:
         raise SpecError(f"bad axis range {rest!r}") from None
@@ -250,10 +251,12 @@ def _state_weights(p_ll, p_lh, p_hl, p_hh):
     give the weights (LL, LH, HL, HH), elementwise on arrays and bit for bit:
     clipped at 0, then sqrt(w / total) squared.
 
-    The total is not checked here: the sweep's pre-pass refuses an LL weight
-    below ``-NORMALIZATION_TOL``.  A clipped LL weight leaves the total
-    exactly lh + hl + hh, with LL = 1 - (lh + hl + hh) within that tolerance
-    of 0; otherwise the total is within a few ulps of 1.
+    The total is not checked here.  The sweep refuses a grid whose heaviest
+    point has an LL weight below ``-NORMALIZATION_TOL``, and the LL weight
+    is monotone in each swept weight, so no point evaluated here has one.  A
+    clipped LL weight leaves the total exactly lh + hl + hh, with
+    LL = 1 - (lh + hl + hh) within that tolerance of 0; otherwise the total
+    is within a few ulps of 1.
     """
     import numpy as np
     probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
@@ -284,59 +287,62 @@ def cmd_sweep(args) -> int:
 
     vec_row, vec_col = spec.payoff_vectors()
 
-    # Unswept variables are scalars.  The grid is evaluated in blocks of
-    # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
-    # array and the inner one a (1, inner) array, and the scalars broadcast
-    # into them, so each distinct state's weights and closed forms are
-    # computed once per block and memory is bounded by the block size.
+    # Every axis value and the [candidate] lie in [0, 1], so each profile is
+    # valid and each swept weight is a valid weight; only weights summing
+    # above 1, which leave the LL weight negative, can fail a point.  Rounded
+    # addition is monotone, so the LL weight never rises as a swept weight
+    # does: the grid is valid exactly when its heaviest point is, and the
+    # first bad point in row order lies in the first row that is bad at the
+    # heaviest inner value.  A bad grid fails there with no CSV output.
     fixed = dict(zip(_STATE_VARS, base_probs[1:]))
     fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
     outer, inner = axes if len(axes) == 2 else (None, axes[0])
     leads = [(v,) for v in outer.values] if outer else [()]
-    block_rows = max(1, _BLOCK_POINTS // len(inner.values))
 
-    def blocks():
-        """(outer values, value of every variable) per block of outer rows;
-        the LL weight absorbs the remainder of the other three."""
-        for start in range(0, len(leads), block_rows):
-            rows = leads[start:start + block_rows]
-            values = dict(fixed)
-            values[inner.var] = np.array([inner.values])
-            if outer:
-                values[outer.var] = np.array(rows)
-            values["prob_ll"] = 1.0 - (values["prob_lh"] + values["prob_hl"]
-                                       + values["prob_hh"])
-            yield rows, values
+    def is_bad(lead, x):
+        v = dict(fixed, **dict(zip(names, lead + (x,))))
+        return 1.0 - (v["prob_lh"] + v["prob_hl"] + v["prob_hh"]) < -NORMALIZATION_TOL
 
-    # Check every block before writing, so a bad grid fails on its first bad
-    # point in row order with no CSV output.  Every axis value and the
-    # [candidate] lie in [0, 1], so each profile is valid and each swept
-    # weight is a valid weight; only weights summing above 1, which leave the
-    # LL weight negative, can fail a point.
-    for rows, v in blocks():
-        bad = np.broadcast_to(v["prob_ll"] < -NORMALIZATION_TOL,
-                              (len(rows), len(inner.values)))
-        if bad.any():
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            point = zip(names, rows[i] + (inner.values[j],))
-            where = ", ".join(f"{n}={_fmt(x, 12)}" for n, x in point)
-            raise SpecError(f"state weights exceed 1 at grid point ({where})")
+    heaviest = max(inner.values)
+    if is_bad(max(leads), heaviest):
+        lead = next(lead for lead in leads if is_bad(lead, heaviest))
+        x = next(x for x in inner.values if is_bad(lead, x))
+        where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in zip(names, lead + (x,)))
+        raise SpecError(f"state weights exceed 1 at grid point ({where})")
 
-    # No field can need CSV quoting, so rows are written as joined text.
+    # Unswept variables are scalars.  The grid is evaluated in blocks of
+    # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
+    # array and the inner one a (1, inner) array, and the scalars broadcast
+    # into them, so each distinct state's weights and closed forms are
+    # computed once per block and memory is bounded by the block size.  Each
+    # row is written with one %-format: its template holds the outer prefix
+    # and inner value of every point, and its slots take the two payoffs and
+    # the verdict, interleaved in one object array per block.  No field can
+    # need CSV quoting.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
-    inner_text = [_fmt(x, 12) for x in inner.values]
-    for rows, v in blocks():
-        weights = _state_weights(v["prob_ll"], v["prob_lh"], v["prob_hl"], v["prob_hh"])
+    slots = [_fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
+    verdicts = np.array(["false", "true"], dtype=object)
+    block_rows = max(1, _BLOCK_POINTS // len(inner.values))
+    values = dict(fixed)
+    values[inner.var] = np.array([inner.values])
+    for start in range(0, len(leads), block_rows):
+        rows = leads[start:start + block_rows]
+        if outer:
+            values[outer.var] = np.array(rows)
+        lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
+        weights = _state_weights(1.0 - (lh + hl + hh), lh, hl, hh)
         f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
                         for vec in (vec_row, vec_col))
-        row_payoff, col_payoff, _, holds = deviation_gaps(f_row, f_col, v["p"], v["q"])
-        for lead, r_row, c_row, ok_row in zip(rows, row_payoff.tolist(), col_payoff.tolist(),
-                                              np.all(holds, axis=0).tolist()):
+        row_payoff, col_payoff, _, (h0, h1, h2, h3) = deviation_gaps(
+            f_row, f_col, values["p"], values["q"])
+        cells = np.empty(row_payoff.shape + (3,), dtype=object)
+        cells[..., 0] = row_payoff
+        cells[..., 1] = col_payoff
+        cells[..., 2] = verdicts[(h0 & h1 & h2 & h3).astype(np.intp)]
+        for lead, row_cells in zip(rows, cells.reshape(len(rows), -1).tolist()):
             prefix = "".join(_fmt(x, 12) + "," for x in lead)
-            out.write("".join(
-                f"{prefix}{text},{r:.12g},{c:.12g},{'true' if ok else 'false'}\n"
-                for text, r, c, ok in zip(inner_text, r_row, c_row, ok_row)))
+            out.write((prefix + prefix.join(slots)) % tuple(row_cells))
     return 0
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import gc
 import importlib
@@ -13,12 +14,13 @@ import runpy
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fresh_rng, random_vector
 
@@ -523,6 +525,20 @@ prob_hh = 0
             assert len(rows) == steps + 1
             assert rows[-1][0] == last
 
+    def test_negative_zero_bound_is_zero(self, capsys, spec_path):
+        # the CSV grid column and the bad-point message print 0, not -0
+        path = spec_path(MATCHED_SPEC)
+        assert all(math.copysign(1.0, v) == 1.0
+                   for text in ("q=-0:-0.0:1", "q=1:-0:2", "q=-0.0:1:3")
+                   for v in cli._parse_axis(text).values)
+        code, out, err = run_cli(capsys, "sweep", "--spec", path, "--axis", "q=1:-0:2")
+        assert (code, err) == (0, "")
+        assert [row[0] for row in parse_csv(out)[1:]] == ["1", "0"]
+        code, out, err = run_cli(capsys, "sweep", "--spec", path,
+                                 "--axis", "p=-0:-0:1", "--axis", "prob_lh=-0:1:3")
+        assert (code, out) == (2, "")
+        assert err == "error: state weights exceed 1 at grid point (p=0, prob_lh=1)\n"
+
     def test_axis_steps_are_bounded(self, capsys, spec_path):
         # a trillion steps would exhaust memory if the axis were materialized
         path = spec_path(MATCHED_SPEC)
@@ -540,7 +556,7 @@ prob_hh = 0
            hi=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1 - 2 ** -53])),
            steps=st.integers(1, cli._MAX_AXIS_STEPS))
     def test_axis_values_stay_in_unit_interval(self, lo, hi, steps):
-        # the sweep's pre-pass checks only the state weights: it relies on
+        # the sweep's grid check reads only the state weights: it relies on
         # every axis value lying in [0, 1], descending ranges included
         hi = lo if steps == 1 else hi
         values = cli._parse_axis(f"q={lo!r}:{hi!r}:{steps}").values
@@ -677,8 +693,10 @@ class TestSweepGolden:
         (SIGNED_AMP_SPEC, [("prob_hh", 0, 0.2, 9), ("q", 0, 1, 17)]),
         (SIGNED_AMP_SPEC, [("q", 0.3, 0.8, 12)]),
         (MIXED_SPEC, [("prob_hh", 0, 0.3, 7), ("prob_lh", 0.5, 0, 700)]),
+        (MIXED_SPEC, [("prob_hh", 0.1, 0.3, 2), ("prob_lh", 0.4, 0, cli._BLOCK_POINTS + 1)]),
+        (SIGNED_AMP_SPEC, [("prob_hl", 0, 0.7, cli._BLOCK_POINTS + 904)]),
     ], ids=["hh", "hh-p", "p-lh", "lh-hl", "p-q", "amp-p-q", "amp-hh-q", "amp-q",
-            "blocks"])
+            "blocks", "row-per-block", "long-row"])
     def test_matches_per_point_reference(self, capsys, spec_path, text, axes):
         argv = ["sweep", "--spec", spec_path(text)]
         for var, lo, hi, steps in axes:
@@ -710,6 +728,72 @@ class TestSweepGolden:
         assert (code, out) == (2, "")
         assert err == f"error: {excinfo.value}\n"
         assert "(prob_hh=0.9, prob_lh=0.1" in err
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_grid_check_matches_per_point_reference(self, capsys, spec_path, data):
+        # the sweep checks one scalar, its heaviest point; the reference checks
+        # every point, so both must agree on whether a grid fails and where
+        text = data.draw(st.sampled_from([MATCHED_SPEC, MIXED_SPEC, SIGNED_AMP_SPEC,
+                                          MISMATCH_SPEC]))
+        names = data.draw(st.lists(st.sampled_from(cli._SWEEP_VARS),
+                                   min_size=1, max_size=2, unique=True))
+        base = dict(zip(cli._STATE_VARS, parse_spec(text).to_state().squared_magnitudes()[1:]))
+        axes = []
+        for var in names:
+            steps = data.draw(st.integers(1, 7))
+            bounds = [st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])]
+            if var in base:
+                # a value within a few ulps of the one that puts the LL weight
+                # at -NORMALIZATION_TOL, the others at their base or last value
+                others = dict(base, **{v: hi for v, _, hi, _ in axes if v in base})
+                edge = 1.0 + 1e-9 - sum(w for k, w in others.items() if k != var)
+                for _ in range(data.draw(st.integers(0, 4))):
+                    edge = math.nextafter(edge, data.draw(st.sampled_from([0.0, 1.0])))
+                bounds.append(st.just(min(max(edge, 0.0), 1.0)))
+            lo = data.draw(st.one_of(bounds)) + 0.0
+            hi = lo if steps == 1 else data.draw(st.one_of(bounds)) + 0.0
+            axes.append((var, lo, hi, steps))
+        argv = ["sweep", "--spec", spec_path(text)]
+        for var, lo, hi, steps in axes:
+            argv += ["--axis", f"{var}={lo!r}:{hi!r}:{steps}"]
+        try:
+            expected = (0, reference_sweep(text, axes), "")
+        except SpecError as exc:
+            expected = (2, "", f"error: {exc}\n")
+        assert run_cli(capsys, *argv) == expected
+
+    def test_memory_is_bounded_by_the_block(self, spec_path):
+        # 400 rows of 400 points run in blocks of 10 rows, so they peak near
+        # one block of 10 rows; stdout counts the rows and drops them
+        path = spec_path(MIXED_SPEC)
+
+        class RowCounter:
+            rows = 0
+
+            def write(self, text):
+                self.rows += text.count("\n")
+
+            def flush(self):
+                pass
+
+        def peak(outer_steps):
+            sink = RowCounter()
+            with contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    code = main(["sweep", "--spec", path, "--axis", f"p=0:1:{outer_steps}",
+                                 "--axis", "q=0:1:400"])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert (code, sink.rows) == (0, 1 + outer_steps * 400)
+            return peak
+
+        peak(10)   # numpy's import and first-use allocations stay out of the peaks
+        assert cli._BLOCK_POINTS // 400 == 10
+        assert peak(400) <= 1.5 * peak(10)
 
     def test_chunk_is_bitwise_the_scalar_path(self):
         # CSV rounding to 12 digits hides last-bit drift, so the array core

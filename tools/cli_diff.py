@@ -15,7 +15,11 @@ inside 1e-9 either way, or to 1.1.  "corner" operations run ``quantize``,
 as text and as CSV, with a ``[candidate]`` at (0,0), (0,1), (1,0), (1,1) and
 (1/2,1/2), on a state with zero, ``-0`` and negative amplitudes and on a
 one-hot state, where the density oracle's entries and traces hold signed
-zeros.  "flag" operations pass a flag the command does not take:
+zeros.  "sweep-shapes" operations run ``sweep`` on grids the benchmark's
+9x17 grids never reach: several blocks of rows, an inner axis longer than a
+block, two state axes, descending and one-step axes, ``-0`` bounds, and bad
+grids that fail in the first row, in a later row and halfway along a later
+block.  "flag" operations pass a flag the command does not take:
 ``sweep --csv`` and ``reproduce --spec``.  The spec files are written once,
 to one temporary directory, so both sides read them at the same paths.
 Each tree then runs every operation in one child process of its own,
@@ -169,6 +173,41 @@ CORNER_SPECS = {f"corner-{state}-{k}": _CORNER_SPEC.format(*amps, *profile)
                 for state, amps in CORNER_STATES.items()
                 for k, profile in enumerate(CORNER_PROFILES)}
 
+# sweep on grid shapes the benchmark's 9x17 grids never reach, on one spec
+# whose state weights are (0.4, 0.1, 0.2, 0.3).
+SWEEP_SPEC = """[game]
+mode = custom
+row_payoffs = 0.3,-2,1.7,-1
+col_payoffs = 0,-1/3,-1,0.25
+
+[quantum]
+prob_ll = 0.4
+prob_lh = 0.1
+prob_hl = 0.2
+prob_hh = 0.3
+
+[candidate]
+p = 0.3
+q = 2/3
+"""
+SWEEP_SHAPES = (
+    ("p=0:1:300", "q=0:1:30"),                       # three blocks of rows
+    ("prob_hh=0.1:0.3:2", "prob_lh=0.4:0:4097"),     # inner axis longer than a block
+    ("prob_lh=0:0.3:40", "prob_hl=0.35:0:50"),       # two state axes, one descending
+    ("prob_hh=0.05:0.3:60", "prob_hl=0:0.4:100"),    # two state axes over two blocks
+    ("q=1:0:7", "p=0.3:0.3:1"),                      # descending, then one step
+    ("prob_hh=0.25:0.25:1", "p=1:0:5"),
+    ("prob_lh=0.45:0:9",),
+    ("q=1:-0:3",),                                   # -0 bounds
+    ("p=-0:-0.0:1", "prob_lh=0:0.1:3"),
+    ("prob_hl=0.2:-0:4", "q=-0.0:1:3"),
+    ("p=-0:-0:1", "prob_lh=0:1:3"),                  # bad: -0 in the message
+    ("p=0:1:3", "prob_lh=0:1:5"),                    # bad in the first row
+    ("prob_hh=0:0.9:10", "q=0:1:5"),                 # bad in a later row
+    ("prob_hh=0.5:0.7:2", "prob_lh=0:0.2:4097"),     # bad halfway along a later block
+    ("prob_hh=0:1:11",),                             # bad in a 1-axis sweep
+)
+
 # Runs in a child with one tree's src/ on the path: argv lists in, results out.
 RUNNER = """\
 import contextlib, io, json, sys
@@ -205,6 +244,11 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
     for name, text in CORNER_SPECS.items():
         (work / f"{name}.spec").write_text(text, encoding="utf-8")
     ops += [("corner", argv) for argv in corner_argvs(work)]
+    sweep_spec = work / "sweep.spec"
+    sweep_spec.write_text(SWEEP_SPEC, encoding="utf-8")
+    ops += [("sweep-shapes", ["sweep", "--spec", str(sweep_spec),
+                              *(arg for axis in axes for arg in ("--axis", axis))])
+            for axes in SWEEP_SHAPES]
     ops += [("flag", ["sweep", "--csv", "--spec", str(work / "inside-boundary.spec"),
                       "--axis", "p=0:1:3"]),
             ("flag", ["reproduce", "--spec", "X"])]
