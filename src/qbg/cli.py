@@ -58,11 +58,11 @@ def _load_spec(path: str | None) -> GameSpec:
     if path is None:
         raise SpecError("this command needs --spec <path>")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path!r}: {exc}") from None
-    return parse_spec(text)
+    return parse_spec(data.decode("utf-8"))   # splitlines() ends a line at \r\n and \r too
 
 
 def _csv_writer(stream):
@@ -297,15 +297,20 @@ def cmd_sweep(args) -> int:
     fixed = dict(zip(_STATE_VARS, base_probs[1:]))
     fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
     outer, inner = axes if len(axes) == 2 else (None, axes[0])
-    leads = [(v,) for v in outer.values] if outer else [()]
+    # A row's lead is its outer value as a 1-tuple, or () in a 1-axis sweep;
+    # they are made per block, as a list of every row's grows with the grid.
+    lead_values = outer.values if outer else (None,)
+
+    def leads(values):
+        return [(v,) for v in values] if outer else [()]
 
     def is_bad(lead, x):
         v = dict(fixed, **dict(zip(names, lead + (x,))))
         return 1.0 - (v["prob_lh"] + v["prob_hl"] + v["prob_hh"]) < -NORMALIZATION_TOL
 
     heaviest = max(inner.values)
-    if is_bad(max(leads), heaviest):
-        lead = next(lead for lead in leads if is_bad(lead, heaviest))
+    if is_bad(*leads([max(lead_values)]), heaviest):
+        lead = next(lead for lead in leads(lead_values) if is_bad(lead, heaviest))
         x = next(x for x in inner.values if is_bad(lead, x))
         where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in zip(names, lead + (x,)))
         raise SpecError(f"state weights exceed 1 at grid point ({where})")
@@ -323,11 +328,11 @@ def cmd_sweep(args) -> int:
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
     slots = [_fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
     verdicts = np.array(["false", "true"], dtype=object)
-    block_rows = max(1, _BLOCK_POINTS // len(inner.values))
     values = dict(fixed)
     values[inner.var] = np.array([inner.values])
-    for start in range(0, len(leads), block_rows):
-        rows = leads[start:start + block_rows]
+
+    def write_block(rows):
+        # a function, so that the block's arrays are freed before the next one's
         if outer:
             values[outer.var] = np.array(rows)
         lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
@@ -343,6 +348,10 @@ def cmd_sweep(args) -> int:
         for lead, row_cells in zip(rows, cells.reshape(len(rows), -1).tolist()):
             prefix = "".join(_fmt(x, 12) + "," for x in lead)
             out.write((prefix + prefix.join(slots)) % tuple(row_cells))
+
+    block_rows = max(1, _BLOCK_POINTS // len(inner.values))
+    for start in range(0, len(lead_values), block_rows):
+        write_block(leads(lead_values[start:start + block_rows]))
     return 0
 
 

@@ -45,7 +45,10 @@ basis order.  It must be 1 within ``engine.NORMALIZATION_TOL``.
 Parsing keeps exact ``Fraction`` values so that rendering a spec and parsing
 it back reproduces the object exactly.  Payoffs and state weights are also
 used as floats, so each of them, and each payoff of a builtin-bg table, must
-lie within the float range.
+lie within the float range.  A builtin-bg table is worked out from the
+integers of a and b: each cell is one int division n/d as a float, or a
+``Fraction(n, d)`` for ``to_game``.  Custom payoffs become floats straight
+from their fractions.
 """
 
 from __future__ import annotations
@@ -56,9 +59,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import (NORMALIZATION_TOL, MixingProfile, PayoffVector, QuantumInitialState,
-                     payoff_vectors_from_game)
-from .game import BimatrixGame, PolicyParams, build_bg_game
+from .engine import NORMALIZATION_TOL, MixingProfile, PayoffVector, QuantumInitialState
+from .game import BimatrixGame, PolicyParams
 
 _SECTIONS = ("game", "quantum", "candidate")
 _GAME_KEYS = {"mode", "theta", "a", "b",
@@ -107,7 +109,8 @@ class GameSpec(namedtuple("GameSpec", (
         "amplitudes",      # tuple of 4 Fractions | None
         "candidate"),      # tuple[Fraction, Fraction] | None
         defaults=(None, None, None, ("L", "H"), ("L", "H"), None, None, None, None, None))):
-    """Parsed game description; numeric fields are exact fractions."""
+    """Parsed game description; numeric fields are exact fractions.  A
+    hand-built spec's int and float fields are taken exactly, as ``Fraction(x)``."""
 
     __slots__ = ()
 
@@ -117,28 +120,42 @@ class GameSpec(namedtuple("GameSpec", (
 
     def to_game(self) -> BimatrixGame:
         if self.mode == "builtin-bg":
-            game = self._bg_game()
-            if not _fits_float(v for row in game.payoffs for cell in row for v in cell):
-                raise SpecError(_BG_OVERFLOW)
-            return game
-        cells_row = self.row_payoffs
-        cells_col = self.col_payoffs
-        payoffs = tuple(
-            tuple((cells_row[2 * r + c], cells_col[2 * r + c]) for c in (0, 1))
-            for r in (0, 1))
-        return BimatrixGame(row_labels=self.row_labels,
-                            col_labels=self.col_labels, payoffs=payoffs)
+            cells, labels = self._bg_cells(exact=True), (("L", "H"), ("L", "H"))
+        else:
+            cells = self.row_payoffs + self.col_payoffs
+            labels = (self.row_labels, self.col_labels)
+        payoffs = tuple(tuple((cells[2 * r + c], cells[4 + 2 * r + c]) for c in (0, 1))
+                        for r in (0, 1))
+        return BimatrixGame(*labels, payoffs)
 
     def payoff_vectors(self) -> tuple[PayoffVector, PayoffVector]:
-        if self.mode != "builtin-bg":
-            return payoff_vectors_from_game(self.to_game())
-        try:   # to_game's overflow check, without converting every payoff twice
-            return payoff_vectors_from_game(self._bg_game())
+        if self.mode == "builtin-bg":
+            cells = self._bg_cells()
+        else:
+            cells = tuple(map(float, self.row_payoffs + self.col_payoffs))
+        return PayoffVector(*cells[:4]), PayoffVector(*cells[4:])
+
+    def _bg_cells(self, exact: bool = False) -> tuple:
+        """``build_bg_game``'s cells for these fields, as floats or, if exact,
+        as Fractions: the row player's, then the column player's, in basis
+        order (LL, LH, HL, HH).  With h = b/a, the row cells are 0, -gain,
+        gain - cost and -cost, for the gain theta*b*h and the cost a*h*h/2, and
+        the column cells 0, -(h*h), -(h*h) and 0.  Each is made from two ints
+        n and d, as ``float(Fraction(n, d))`` would round it; the sign is on n,
+        so a zero cell is +0.0.
+        """
+        PolicyParams(theta=self.theta, a=self.a, b=self.b)   # validates the fields
+        an, ad = self.a.as_integer_ratio()
+        bn, bd = self.b.as_integer_ratio()
+        n, d = bn * bn * ad, bd * bd * an          # b*h = b**2/a
+        loss = (-(bn * ad) ** 2, (bd * an) ** 2)
+        cells = ((0, 1), (-self.theta * n, d), ((2 * self.theta - 1) * n, 2 * d), (-n, 2 * d),
+                 (0, 1), loss, loss, (0, 1))
+        try:
+            floats = tuple([n / d for n, d in cells])
         except OverflowError:
             raise SpecError(_BG_OVERFLOW) from None
-
-    def _bg_game(self) -> BimatrixGame:
-        return build_bg_game(PolicyParams(theta=self.theta, a=self.a, b=self.b))
+        return tuple([Fraction(n, d) for n, d in cells]) if exact else floats
 
     def to_state(self) -> QuantumInitialState | None:
         if self.probabilities is not None:
@@ -188,14 +205,15 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
         else:
             numerator *= 10 ** shift
     value = Fraction(-numerator if sign == "-" else numerator, denominator)
-    # render_spec writes the value with str(), which limits an int's digits.  Its
-    # numerator and denominator have at most len(text) + shift digits each.
-    if len(text) + shift > sys.get_int_max_str_digits():
+    # str(), which render_spec uses, limits an int's digits unless the limit is 0;
+    # the value's numerator and denominator have at most len(text) + shift digits.
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) + shift > limit:
         try:
             str(value)
         except ValueError:
-            raise SpecError(f"{text!r} has more than {sys.get_int_max_str_digits()} "
-                            "digits in its numerator or denominator", line, column) from None
+            raise SpecError(f"{text!r} has more than {limit} digits in its numerator "
+                            "or denominator", line, column) from None
     return value
 
 
@@ -231,9 +249,9 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line[0] in "#;":
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             if not line.endswith("]"):
                 raise SpecError("unterminated section header", lineno, len(raw))
             name = line[1:-1].strip()
@@ -244,21 +262,20 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
             sections[name] = {}
             current = name
             continue
-        if "=" not in line:
+        key, equals, value = raw.partition("=")
+        if not equals:
             raise SpecError(f"expected 'key = value', got {line!r}", lineno)
         if current is None:
             raise SpecError("key outside any [section]", lineno)
-        key, _, value = line.partition("=")
+        column = len(key) + 2
         key = key.strip()
         value = value.strip()
         if not key:
             raise SpecError("empty key", lineno)
         if not value:
-            raise SpecError(f"key {key!r} has no value", lineno,
-                            raw.index("=") + 2)
+            raise SpecError(f"key {key!r} has no value", lineno, column)
         if key in sections[current]:
             raise SpecError(f"duplicate key {key!r} in [{current}]", lineno)
-        column = raw.index("=") + 2
         sections[current][key] = (value, lineno, column)
     return sections
 
@@ -269,7 +286,7 @@ def parse_spec(text: str) -> GameSpec:
     if "game" not in sections:
         raise SpecError("missing required section [game]")
 
-    game = dict(sections["game"])
+    game = sections["game"]
     for key in game:
         if key not in _GAME_KEYS:
             raise SpecError(f"unknown key {key!r} in [game]", game[key][1])
@@ -321,7 +338,7 @@ def parse_spec(text: str) -> GameSpec:
                                                    game["col_payoffs"][2])
 
     if "quantum" in sections:
-        quantum = dict(sections["quantum"])
+        quantum = sections["quantum"]
         for key in quantum:
             if key not in _PROB_KEYS and key not in _AMP_KEYS:
                 raise SpecError(f"unknown key {key!r} in [quantum]",
@@ -358,7 +375,7 @@ def parse_spec(text: str) -> GameSpec:
         fields["probabilities" if has_probs else "amplitudes"] = tuple(values)
 
     if "candidate" in sections:
-        candidate = dict(sections["candidate"])
+        candidate = sections["candidate"]
         for key in candidate:
             if key not in _CANDIDATE_KEYS:
                 raise SpecError(f"unknown key {key!r} in [candidate]",

@@ -84,10 +84,29 @@ def test_well_formed_numbers_near_the_exponent_limit(number, before, after):
     assert reader_outcome(text) == fraction_outcome(text)
 
 
-@pytest.mark.parametrize("text", [
+SPELLINGS = [
     "0.25", "25e-2", "+1/2", "1_000", ".5", "5.", "1.e3", "٣/4", "1e10000",
     "0e10001", "1e10001", "1e" + "9" * 5000, "1" * 4301, "1." + "1" * 4301,
     "1" * 4300 + "e1", "1/0", "0/0", "1/2e3", "1.5/2", "1 000", "1__0", "_1",
-    "1_", "1.d", "/2", ".", "e5", "--1"])
+    "1_", "1.d", "/2", ".", "e5", "--1"]
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
 def test_spellings(text):
     assert reader_outcome(text) == fraction_outcome(text)
+
+
+def test_no_digit_limit_writes_no_value(monkeypatch):
+    # with the limit at 0, str() writes any int, so the reader need not try it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [fraction_outcome(text) for text in SPELLINGS]
+
+        def refuse(value):
+            raise AssertionError("the reader wrote a value with str()")
+
+        monkeypatch.setattr(Fraction, "__str__", refuse)
+        assert [reader_outcome(text) for text in SPELLINGS] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)

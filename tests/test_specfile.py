@@ -6,10 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbg import GameSpec, SpecError, parse_spec, render_spec
-from qbg.engine import NORMALIZATION_TOL, PayoffVector
-from qbg.game import PureProfile, find_pure_nash
+from qbg.engine import NORMALIZATION_TOL, PayoffVector, payoff_vectors_from_game
+from qbg.game import PolicyParams, PureProfile, build_bg_game, find_pure_nash
 
 BUILTIN = """\
 [game]
@@ -154,6 +155,58 @@ prob_hh = 1/8
     def test_comments_and_blank_lines_ignored(self):
         text = "# header comment\n\n; another style\n" + BUILTIN
         assert parse_spec(text).mode == "builtin-bg"
+
+
+# the least value a float division rounds up to infinity: 2**1024 less half an ulp
+FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+RATIONALS = st.builds(Fraction, st.integers(1, 10 ** 200), st.integers(1, 10 ** 200))
+
+
+def bits(vectors):
+    return [[value.hex() for value in vector] for vector in vectors]
+
+
+def typed_cells(game):
+    return [(value, type(value)) for row in game.payoffs for cell in row for value in cell]
+
+
+class TestTables:
+    """The spec's tables against the game module's: exact cells of one type, and
+    vectors bit for bit, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0, 1]),
+           st.one_of(RATIONALS, st.floats(min_value=5e-324, allow_infinity=False)),
+           st.one_of(RATIONALS, st.floats(min_value=5e-324, allow_infinity=False)))
+    @example(1, Fraction(1), Fraction(math.isqrt(FLOAT_OVERFLOW - 1)))   # b*b just fits
+    @example(1, Fraction(1), Fraction(math.isqrt(FLOAT_OVERFLOW - 1) + 1))   # and overflows
+    @example(1, Fraction(1), Fraction(1, 2 ** 537))   # the cost ties between 0 and 2**-1074
+    @example(0, Fraction(1), Fraction(1, 3 * 2 ** 530))   # subnormal cells
+    @example(0, Fraction(10 ** 200), Fraction(1, 10 ** 200))   # every cell a zero
+    def test_builtin_table_is_build_bg_game(self, theta, a, b):
+        # float fields are taken exactly, so the reference is built from their fractions
+        spec = GameSpec(mode="builtin-bg", theta=theta, a=a, b=b)
+        reference = build_bg_game(PolicyParams(theta=theta, a=Fraction(a), b=Fraction(b)))
+        try:
+            expected = bits(payoff_vectors_from_game(reference))
+        except OverflowError:
+            for convert in (spec.payoff_vectors, spec.to_game):
+                with pytest.raises(SpecError, match="^the builtin-bg payoffs for these a and b "
+                                                    "exceed the float range$"):
+                    convert()
+            return
+        assert bits(spec.payoff_vectors()) == expected
+        game = spec.to_game()
+        assert game == reference
+        assert typed_cells(game) == typed_cells(reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(lambda v, negate: -v if negate else v, RATIONALS, st.booleans()),
+                    min_size=8, max_size=8))
+    def test_custom_vectors_are_the_games(self, values):
+        spec = GameSpec(mode="custom", row_payoffs=tuple(values[:4]),
+                        col_payoffs=tuple(values[4:]))
+        assert bits(spec.payoff_vectors()) == bits(payoff_vectors_from_game(spec.to_game()))
 
 
 class TestDiagnostics:

@@ -19,7 +19,13 @@ zeros.  "sweep-shapes" operations run ``sweep`` on grids the benchmark's
 9x17 grids never reach: several blocks of rows, an inner axis longer than a
 block, two state axes, descending and one-step axes, ``-0`` bounds, and bad
 grids that fail in the first row, in a later row and halfway along a later
-block.  "flag" operations pass a flag the command does not take:
+block.  "file-bytes" operations run ``classical``, ``quantize`` and
+``equilibria``, as text and as CSV, and one ``sweep``, on specs that differ
+from a plain one only in bytes that a text-mode read of the file handled:
+CRLF and lone CR line endings, a UTF-8 byte order mark, invalid UTF-8 in
+the first line and in a trailing comment, a form feed, NEL and U+2028
+inside a line, a NUL, an empty file, and builtin-bg specs whose table just
+fits the float range or just overflows it.  "flag" operations pass a flag the command does not take:
 ``sweep --csv`` and ``reproduce --spec``.  The spec files are written once,
 to one temporary directory, so both sides read them at the same paths.
 Each tree then runs every operation in one child process of its own,
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import subprocess
 import sys
@@ -147,7 +154,46 @@ NORMALIZATION_SPECS = {
     # exact sum 1.1; float sum 1.0999999999999999
     "off-boundary": _STATE_SPEC.format("0.5", "0.2", "0.2", "0.2"),
 }
-FIXED_SPECS = {"spelling": SPELLING_SPECS, "normalization": NORMALIZATION_SPECS}
+
+# Specs that differ from a plain one only in bytes a text-mode read of the
+# file would have handled: line endings, a byte order mark, invalid UTF-8
+# (written from lone surrogates), line breaks other than LF, NUL, no bytes at
+# all, and builtin-bg tables at the edge of the float range.
+_BYTES_SPEC = """[game]
+mode = builtin-bg
+theta = 1
+a = {}
+b = {}
+
+[quantum]
+prob_ll = 0.4
+prob_lh = 0.1
+prob_hl = 0.2
+prob_hh = 0.3
+
+[candidate]
+p = 1/2
+q = 1
+"""
+_PLAIN = _BYTES_SPEC.format("2", "3/2")
+_FLOAT_EDGE = math.isqrt(2 ** 1024 - 2 ** 970 - 1)   # b*b/a, a = 1, just below overflow
+FILE_BYTES_SPECS = {
+    "crlf": _PLAIN.replace("\n", "\r\n"),
+    "crlf-no-value": "[game]\r\nmode = builtin-bg\r\ntheta = 1\r\na =  \r\nb = 2\r\n",
+    "lone-cr": _PLAIN.replace("\n", "\r"),
+    "bom": "\ufeff" + _PLAIN,
+    "invalid-first-line": "\udcff" + _PLAIN,
+    "invalid-comment": _PLAIN + "# caf\udce9\n",
+    "form-feed": _PLAIN.replace("theta = 1\n", "\ftheta = 1\f"),
+    "nel-ls": _PLAIN.replace("theta = 1\n", "theta = 1\x85").replace("a = 2\n", "a = 2\u2028")
+              + "r = 1\n",   # refused, with its line number
+    "nul": _PLAIN.replace("b = 3/2", "b = 3/2\0"),
+    "empty": "",
+    "float-edge-fits": _BYTES_SPEC.format("1", _FLOAT_EDGE),
+    "float-edge-overflows": _BYTES_SPEC.format("1", _FLOAT_EDGE + 1),
+}
+FIXED_SPECS = {"spelling": SPELLING_SPECS, "normalization": NORMALIZATION_SPECS,
+               "file-bytes": FILE_BYTES_SPECS}
 SPEC_COMMANDS = [[command, *fmt] for command in ("classical", "quantize", "equilibria")
                  for fmt in ([], ["--csv"])]
 
@@ -239,8 +285,9 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
     for kind, specs in FIXED_SPECS.items():
         for name, text in specs.items():
             path = work / f"{name}.spec"
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             ops += [(kind, [*argv, "--spec", str(path)]) for argv in SPEC_COMMANDS]
+    ops.append(("file-bytes", ["sweep", "--spec", str(work / "crlf.spec"), "--axis", "p=0:1:5"]))
     for name, text in CORNER_SPECS.items():
         (work / f"{name}.spec").write_text(text, encoding="utf-8")
     ops += [("corner", argv) for argv in corner_argvs(work)]
