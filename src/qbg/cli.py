@@ -15,24 +15,23 @@ row order, so repeated runs are byte-identical.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or spec error,
 141 standard output closed before all output was written (the status a shell
 reports for a process ended by SIGPIPE).
+
+A command loads only what it runs: ``main`` builds the invoked command's
+parser alone (the top-level parser only for argv that does not start with a
+command name), ``csv`` is imported at the first CSV write, and ``sweep`` runs
+in ``qbg.sweep``, qbg's one numpy user, imported only by that command.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import os
 import sys
-from collections import namedtuple
 
 from .engine import (
-    NORMALIZATION_TOL,
-    ClosedFormPayoff,
-    bilinear_coefficients,
     closed_form_payoff,
-    deviation_gaps,
     enumerate_equilibria,
     expected_payoff_trace,
     final_density,
@@ -44,10 +43,9 @@ from .verification import run_verification
 
 EXIT_BROKEN_PIPE = 141
 
+# the sweep's variables, here for sweep's --axis help; qbg.sweep reads them too
 _STATE_VARS = ("prob_lh", "prob_hl", "prob_hh")
 _SWEEP_VARS = ("p", "q") + _STATE_VARS
-_BLOCK_POINTS = 4096   # grid points a sweep evaluates at once (at least one row)
-_MAX_AXIS_STEPS = 100_000   # values per axis; a larger STEPS exits 2 before any is made
 
 
 def _fmt(value, precision: int = 6) -> str:
@@ -62,10 +60,18 @@ def _load_spec(path: str | None) -> GameSpec:
             data = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path!r}: {exc}") from None
-    return parse_spec(data.decode("utf-8"))   # splitlines() ends a line at \r\n and \r too
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as parse_spec numbers lines; the bytes before the bad one decode
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise SpecError(f"cannot decode spec file {path!r} as UTF-8: byte "
+                        f"0x{data[exc.start]:02x} on line {line}: {exc.reason}") from None
+    return parse_spec(text)   # splitlines() ends a line at \r\n and \r too
 
 
 def _csv_writer(stream):
+    import csv
     return csv.writer(stream, lineterminator="\n")
 
 
@@ -209,150 +215,10 @@ def cmd_equilibria(args) -> int:
     return 0
 
 
-class _Axis(namedtuple("_Axis", "var values")):
-    """A swept variable (str) and its grid values (tuple of floats)."""
-
-    __slots__ = ()
-
-
-def _parse_axis(text: str) -> _Axis:
-    var, sep, rest = text.partition("=")
-    var = var.strip()
-    if not sep or var not in _SWEEP_VARS:
-        raise SpecError(f"bad axis {text!r}; expected VAR=LO:HI:STEPS with VAR "
-                        f"one of {', '.join(_SWEEP_VARS)}")
-    parts = rest.split(":")
-    if len(parts) != 3:
-        raise SpecError(f"bad axis range {rest!r}; expected LO:HI:STEPS")
-    try:
-        # + 0.0 turns a bound written -0 into 0
-        lo, hi = float(parts[0]) + 0.0, float(parts[1]) + 0.0
-        steps = int(parts[2])
-    except ValueError:
-        raise SpecError(f"bad axis range {rest!r}") from None
-    if steps < 1:
-        raise SpecError("axis needs at least 1 step")
-    if steps > _MAX_AXIS_STEPS:
-        raise SpecError(f"axis {text!r} has more than {_MAX_AXIS_STEPS} steps")
-    if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
-        raise SpecError("axis range must stay within [0, 1]")
-    if steps == 1:
-        if lo != hi:
-            raise SpecError(f"axis {text!r} has 1 step, so LO and HI must be equal")
-        values = (lo,)
-    else:
-        # the last value is HI itself: the formula can miss it by an ulp
-        values = tuple(lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)) + (hi,)
-    return _Axis(var, values)
-
-
-def _state_weights(p_ll, p_lh, p_hl, p_hh):
-    """The squared magnitudes ``QuantumInitialState.from_probabilities`` would
-    give the weights (LL, LH, HL, HH), elementwise on arrays and bit for bit:
-    clipped at 0, then sqrt(w / total) squared.
-
-    The total is not checked here.  The sweep refuses a grid whose heaviest
-    point has an LL weight below ``-NORMALIZATION_TOL``, and the LL weight
-    is monotone in each swept weight, so no point evaluated here has one.  A
-    clipped LL weight leaves the total exactly lh + hl + hh, with
-    LL = 1 - (lh + hl + hh) within that tolerance of 0; otherwise the total
-    is within a few ulps of 1.
-    """
-    import numpy as np
-    probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
-    total = probs[0] + probs[1] + probs[2] + probs[3]
-    return [a * a for a in (np.sqrt(p / total) for p in probs)]
-
-
 def cmd_sweep(args) -> int:
-    import numpy as np
     spec = _load_spec(args.spec)
-    if not args.axis:
-        raise SpecError("sweep needs at least one --axis VAR=LO:HI:STEPS")
-    axes = [_parse_axis(text) for text in args.axis]
-    if len(axes) > 2:
-        raise SpecError("sweep supports at most two axes")
-    names = [axis.var for axis in axes]
-    if len(set(names)) != len(names):
-        raise SpecError("sweep axes must name distinct variables")
-    if not spec.has_quantum:
-        raise SpecError("sweep needs a [quantum] section in the spec")
-
-    base_probs = spec.to_state().squared_magnitudes()
-    candidate = spec.to_candidate()
-    if "p" not in names and candidate is None:
-        raise SpecError("p is unresolved: sweep it or provide a [candidate]")
-    if "q" not in names and candidate is None:
-        raise SpecError("q is unresolved: sweep it or provide a [candidate]")
-
-    vec_row, vec_col = spec.payoff_vectors()
-
-    # Every axis value and the [candidate] lie in [0, 1], so each profile is
-    # valid and each swept weight is a valid weight; only weights summing
-    # above 1, which leave the LL weight negative, can fail a point.  Rounded
-    # addition is monotone, so the LL weight never rises as a swept weight
-    # does: the grid is valid exactly when its heaviest point is, and the
-    # first bad point in row order lies in the first row that is bad at the
-    # heaviest inner value.  A bad grid fails there with no CSV output.
-    fixed = dict(zip(_STATE_VARS, base_probs[1:]))
-    fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
-    outer, inner = axes if len(axes) == 2 else (None, axes[0])
-    # A row's lead is its outer value as a 1-tuple, or () in a 1-axis sweep;
-    # they are made per block, as a list of every row's grows with the grid.
-    lead_values = outer.values if outer else (None,)
-
-    def leads(values):
-        return [(v,) for v in values] if outer else [()]
-
-    def is_bad(lead, x):
-        v = dict(fixed, **dict(zip(names, lead + (x,))))
-        return 1.0 - (v["prob_lh"] + v["prob_hl"] + v["prob_hh"]) < -NORMALIZATION_TOL
-
-    heaviest = max(inner.values)
-    if is_bad(*leads([max(lead_values)]), heaviest):
-        lead = next(lead for lead in leads(lead_values) if is_bad(lead, heaviest))
-        x = next(x for x in inner.values if is_bad(lead, x))
-        where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in zip(names, lead + (x,)))
-        raise SpecError(f"state weights exceed 1 at grid point ({where})")
-
-    # Unswept variables are scalars.  The grid is evaluated in blocks of
-    # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
-    # array and the inner one a (1, inner) array, and the scalars broadcast
-    # into them, so each distinct state's weights and closed forms are
-    # computed once per block and memory is bounded by the block size.  Each
-    # row is written with one %-format: its template holds the outer prefix
-    # and inner value of every point, and its slots take the two payoffs and
-    # the verdict, interleaved in one object array per block.  No field can
-    # need CSV quoting.
-    out = sys.stdout
-    out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
-    slots = [_fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
-    verdicts = np.array(["false", "true"], dtype=object)
-    values = dict(fixed)
-    values[inner.var] = np.array([inner.values])
-
-    def write_block(rows):
-        # a function, so that the block's arrays are freed before the next one's
-        if outer:
-            values[outer.var] = np.array(rows)
-        lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
-        weights = _state_weights(1.0 - (lh + hl + hh), lh, hl, hh)
-        f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
-                        for vec in (vec_row, vec_col))
-        row_payoff, col_payoff, _, (h0, h1, h2, h3) = deviation_gaps(
-            f_row, f_col, values["p"], values["q"])
-        cells = np.empty(row_payoff.shape + (3,), dtype=object)
-        cells[..., 0] = row_payoff
-        cells[..., 1] = col_payoff
-        cells[..., 2] = verdicts[(h0 & h1 & h2 & h3).astype(np.intp)]
-        for lead, row_cells in zip(rows, cells.reshape(len(rows), -1).tolist()):
-            prefix = "".join(_fmt(x, 12) + "," for x in lead)
-            out.write((prefix + prefix.join(slots)) % tuple(row_cells))
-
-    block_rows = max(1, _BLOCK_POINTS // len(inner.values))
-    for start in range(0, len(lead_values), block_rows):
-        write_block(leads(lead_values[start:start + block_rows]))
-    return 0
+    from . import sweep
+    return sweep.run(spec, args.axis)
 
 
 def cmd_reproduce(args) -> int:
@@ -395,62 +261,69 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+_SPEC_FLAG = ("--spec", {"metavar": "PATH",
+                        "help": "game description file (see README for the grammar)"})
+_CSV_FLAG = ("--csv", {"action": "store_true",
+                       "help": "emit machine-readable CSV instead of text"})
+
+# Each command once: its line in the top-level help, its function, its flags.
+_COMMANDS = {
+    "classical": ("payoff table, pure Nash set, dominated strategies", cmd_classical,
+                  (_SPEC_FLAG, _CSV_FLAG)),
+    "quantize": ("closed-form payoffs and candidate analysis", cmd_quantize,
+                 (_SPEC_FLAG, _CSV_FLAG)),
+    "equilibria": ("exact Nash regions of the quantized game", cmd_equilibria,
+                   (_SPEC_FLAG, _CSV_FLAG)),
+    "sweep": ("deterministic CSV sweep over p, q, or state weights", cmd_sweep,
+              (_SPEC_FLAG,
+               ("--axis", {"action": "append", "metavar": "VAR=LO:HI:STEPS",
+                           "help": "swept variable (repeat for a 2-axis sweep); VAR is "
+                                   "one of " + ", ".join(_SWEEP_VARS)}))),
+    "reproduce": ("run the built-in verification check list", cmd_reproduce,
+                  (_CSV_FLAG,
+                   ("--inject-fault", {"metavar": "CHECK_ID", "help": argparse.SUPPRESS}))),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the flags and function of command ``name``."""
+    _, func, flags = _COMMANDS[name]
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+    return parser
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by name, built once
-    per process; parsing never mutates them."""
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s parser, equal to the top-level parser's, built alone
+    once per process; parsing never mutates it."""
+    return _add_command(_CommandParser(prog=f"qbg {name}"), name)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="qbg",
         description="Classical and quantized analysis of the Barro-Gordon "
                     "monetary policy game.")
-    spec_flag = argparse.ArgumentParser(add_help=False)
-    spec_flag.add_argument("--spec", metavar="PATH",
-                           help="game description file (see README for the grammar)")
-    csv_flag = argparse.ArgumentParser(add_help=False)
-    csv_flag.add_argument("--csv", action="store_true",
-                          help="emit machine-readable CSV instead of text")
-
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
-
-    p = sub.add_parser("classical", parents=[spec_flag, csv_flag],
-                       help="payoff table, pure Nash set, dominated strategies")
-    p.set_defaults(func=cmd_classical)
-
-    p = sub.add_parser("quantize", parents=[spec_flag, csv_flag],
-                       help="closed-form payoffs and candidate analysis")
-    p.set_defaults(func=cmd_quantize)
-
-    p = sub.add_parser("equilibria", parents=[spec_flag, csv_flag],
-                       help="exact Nash regions of the quantized game")
-    p.set_defaults(func=cmd_equilibria)
-
-    p = sub.add_parser("sweep", parents=[spec_flag],
-                       help="deterministic CSV sweep over p, q, or state weights")
-    p.add_argument("--axis", action="append", metavar="VAR=LO:HI:STEPS",
-                   help="swept variable (repeat for a 2-axis sweep); VAR is "
-                        "one of " + ", ".join(_SWEEP_VARS))
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("reproduce", parents=[csv_flag],
-                       help="run the built-in verification check list")
-    p.add_argument("--inject-fault", metavar="CHECK_ID", default=None,
-                   help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_reproduce)
-
-    return parser, sub.choices
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
+    return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """The namespace the top-level parser gives for ``argv``, with its messages
     and exit codes.  That parser hands everything after a command name to the
-    command's parser, so argv that starts with one goes there directly."""
-    parser, commands = _build_parser()
+    command's parser, so argv that starts with one goes there directly, and
+    only other argv builds the top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    args = _command_parser(argv[0]).parse_args(argv[1:])
     args.command = argv[0]
     return args
 

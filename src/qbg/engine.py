@@ -32,9 +32,10 @@ check and the oracle's diagonal ``z * z.conjugate()`` get the same bits.
 
 The state constructors, the closed form, the Nash tests and the
 density-matrix oracle work on Python numbers, and this module never
-imports numpy.  The command line's ``sweep`` is qbg's one numpy user: it
-passes arrays to ``bilinear_coefficients``, ``ClosedFormPayoff.evaluate``
-and ``deviation_gaps``, which then work elementwise.
+imports numpy.  ``qbg.sweep``, behind the command line's ``sweep`` and
+loaded only by it, is qbg's one numpy user: it passes arrays to
+``bilinear_coefficients``, ``ClosedFormPayoff.evaluate`` and
+``deviation_gaps``, which then work elementwise.
 """
 
 from __future__ import annotations

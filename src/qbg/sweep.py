@@ -1,0 +1,171 @@
+"""The ``qbg sweep`` command: a deterministic CSV sweep of the quantized game.
+
+One or two axes vary the identity probabilities p, q or the state weights
+prob_lh, prob_hl, prob_hh; the LL weight absorbs the remainder.  Each row
+gives the swept values, both players' payoffs and the weak Nash verdict.
+
+This is qbg's one numpy user: the grid is evaluated in blocks of rows on
+arrays, through ``engine.bilinear_coefficients`` and
+``engine.deviation_gaps``.  The command line imports this module only when
+``sweep`` runs.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import namedtuple
+
+import numpy as np
+
+from .cli import _STATE_VARS, _SWEEP_VARS, _fmt
+from .engine import NORMALIZATION_TOL, ClosedFormPayoff, bilinear_coefficients, deviation_gaps
+from .specfile import GameSpec, SpecError
+
+_BLOCK_POINTS = 4096   # grid points a sweep evaluates at once (at least one row)
+_MAX_AXIS_STEPS = 100_000   # values per axis; a larger STEPS exits 2 before any is made
+
+
+class _Axis(namedtuple("_Axis", "var values")):
+    """A swept variable (str) and its grid values (tuple of floats)."""
+
+    __slots__ = ()
+
+
+def _parse_axis(text: str) -> _Axis:
+    var, sep, rest = text.partition("=")
+    var = var.strip()
+    if not sep or var not in _SWEEP_VARS:
+        raise SpecError(f"bad axis {text!r}; expected VAR=LO:HI:STEPS with VAR "
+                        f"one of {', '.join(_SWEEP_VARS)}")
+    parts = rest.split(":")
+    if len(parts) != 3:
+        raise SpecError(f"bad axis range {rest!r}; expected LO:HI:STEPS")
+    try:
+        # + 0.0 turns a bound written -0 into 0
+        lo, hi = float(parts[0]) + 0.0, float(parts[1]) + 0.0
+        steps = int(parts[2])
+    except ValueError:
+        raise SpecError(f"bad axis range {rest!r}") from None
+    if steps < 1:
+        raise SpecError("axis needs at least 1 step")
+    if steps > _MAX_AXIS_STEPS:
+        raise SpecError(f"axis {text!r} has more than {_MAX_AXIS_STEPS} steps")
+    if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
+        raise SpecError("axis range must stay within [0, 1]")
+    if steps == 1:
+        if lo != hi:
+            raise SpecError(f"axis {text!r} has 1 step, so LO and HI must be equal")
+        values = (lo,)
+    else:
+        # the last value is HI itself: the formula can miss it by an ulp
+        values = tuple(lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)) + (hi,)
+    return _Axis(var, values)
+
+
+def _state_weights(p_ll, p_lh, p_hl, p_hh):
+    """The squared magnitudes ``QuantumInitialState.from_probabilities`` would
+    give the weights (LL, LH, HL, HH), elementwise on arrays and bit for bit:
+    clipped at 0, then sqrt(w / total) squared.
+
+    The total is not checked here.  The sweep refuses a grid whose heaviest
+    point has an LL weight below ``-NORMALIZATION_TOL``, and the LL weight
+    is monotone in each swept weight, so no point evaluated here has one.  A
+    clipped LL weight leaves the total exactly lh + hl + hh, with
+    LL = 1 - (lh + hl + hh) within that tolerance of 0; otherwise the total
+    is within a few ulps of 1.
+    """
+    probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
+    total = probs[0] + probs[1] + probs[2] + probs[3]
+    return [a * a for a in (np.sqrt(p / total) for p in probs)]
+
+
+def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
+    """Write the sweep of ``spec`` over the ``--axis`` texts to standard output
+    as CSV and return the exit code 0; a bad axis or grid raises SpecError
+    before any output."""
+    if not axis_texts:
+        raise SpecError("sweep needs at least one --axis VAR=LO:HI:STEPS")
+    axes = [_parse_axis(text) for text in axis_texts]
+    if len(axes) > 2:
+        raise SpecError("sweep supports at most two axes")
+    names = [axis.var for axis in axes]
+    if len(set(names)) != len(names):
+        raise SpecError("sweep axes must name distinct variables")
+    if not spec.has_quantum:
+        raise SpecError("sweep needs a [quantum] section in the spec")
+
+    base_probs = spec.to_state().squared_magnitudes()
+    candidate = spec.to_candidate()
+    if "p" not in names and candidate is None:
+        raise SpecError("p is unresolved: sweep it or provide a [candidate]")
+    if "q" not in names and candidate is None:
+        raise SpecError("q is unresolved: sweep it or provide a [candidate]")
+
+    vec_row, vec_col = spec.payoff_vectors()
+
+    # Every axis value and the [candidate] lie in [0, 1], so each profile is
+    # valid and each swept weight is a valid weight; only weights summing
+    # above 1, which leave the LL weight negative, can fail a point.  Rounded
+    # addition is monotone, so the LL weight never rises as a swept weight
+    # does: the grid is valid exactly when its heaviest point is, and the
+    # first bad point in row order lies in the first row that is bad at the
+    # heaviest inner value.  A bad grid fails there with no CSV output.
+    fixed = dict(zip(_STATE_VARS, base_probs[1:]))
+    fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
+    outer, inner = axes if len(axes) == 2 else (None, axes[0])
+    # A row's lead is its outer value as a 1-tuple, or () in a 1-axis sweep;
+    # they are made per block, as a list of every row's grows with the grid.
+    lead_values = outer.values if outer else (None,)
+
+    def leads(values):
+        return [(v,) for v in values] if outer else [()]
+
+    def is_bad(lead, x):
+        v = dict(fixed, **dict(zip(names, lead + (x,))))
+        return 1.0 - (v["prob_lh"] + v["prob_hl"] + v["prob_hh"]) < -NORMALIZATION_TOL
+
+    heaviest = max(inner.values)
+    if is_bad(*leads([max(lead_values)]), heaviest):
+        lead = next(lead for lead in leads(lead_values) if is_bad(lead, heaviest))
+        x = next(x for x in inner.values if is_bad(lead, x))
+        where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in zip(names, lead + (x,)))
+        raise SpecError(f"state weights exceed 1 at grid point ({where})")
+
+    # Unswept variables are scalars.  The grid is evaluated in blocks of
+    # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
+    # array and the inner one a (1, inner) array, and the scalars broadcast
+    # into them, so each distinct state's weights and closed forms are
+    # computed once per block and memory is bounded by the block size.  Each
+    # row is written with one %-format: its template holds the outer prefix
+    # and inner value of every point, and its slots take the two payoffs and
+    # the verdict, interleaved in one object array per block.  No field can
+    # need CSV quoting.
+    out = sys.stdout
+    out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
+    slots = [_fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
+    verdicts = np.array(["false", "true"], dtype=object)
+    values = dict(fixed)
+    values[inner.var] = np.array([inner.values])
+
+    def write_block(rows):
+        # a function, so that the block's arrays are freed before the next one's
+        if outer:
+            values[outer.var] = np.array(rows)
+        lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
+        weights = _state_weights(1.0 - (lh + hl + hh), lh, hl, hh)
+        f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
+                        for vec in (vec_row, vec_col))
+        row_payoff, col_payoff, _, (h0, h1, h2, h3) = deviation_gaps(
+            f_row, f_col, values["p"], values["q"])
+        cells = np.empty(row_payoff.shape + (3,), dtype=object)
+        cells[..., 0] = row_payoff
+        cells[..., 1] = col_payoff
+        cells[..., 2] = verdicts[(h0 & h1 & h2 & h3).astype(np.intp)]
+        for lead, row_cells in zip(rows, cells.reshape(len(rows), -1).tolist()):
+            prefix = "".join(_fmt(x, 12) + "," for x in lead)
+            out.write((prefix + prefix.join(slots)) % tuple(row_cells))
+
+    block_rows = max(1, _BLOCK_POINTS // len(inner.values))
+    for start in range(0, len(lead_values), block_rows):
+        write_block(leads(lead_values[start:start + block_rows]))
+    return 0

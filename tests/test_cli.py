@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import gc
@@ -32,7 +33,7 @@ from qbg import (
     parse_spec,
     verify_nash,
 )
-from qbg import cli, verification
+from qbg import cli, sweep, verification
 from qbg.cli import main
 from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from qbg.specfile import SpecError
@@ -169,6 +170,21 @@ class TestClassical:
         code, _, err = run_cli(capsys, "classical", "--spec", "/no/such/file")
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("data, byte, line, reason", [
+        (b"\xff[game]\n", 0xFF, 1, "invalid start byte"),
+        (b"[game]\r\nmode = custom\r\n# caf\xe9\r\n", 0xE9, 3, "invalid continuation byte"),
+        (b"[game]\rmode = custom\xc2\x85# \xe2\x82", 0xE2, 3, "unexpected end of data"),
+    ], ids=["first-byte", "crlf-comment", "cr-nel-end"])
+    def test_invalid_utf8_names_the_file_and_line(self, capsys, tmp_path, data, byte, line,
+                                                   reason):
+        # lines are counted as the spec parser counts them: CR and NEL end one too
+        path = tmp_path / "bad.spec"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "classical", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot decode spec file {str(path)!r} as UTF-8: "
+                       f"byte 0x{byte:02x} on line {line}: {reason}\n")
 
     def test_parse_error_exit_code(self, capsys, spec_path):
         path = spec_path("[game]\nmode = builtin-bg\ntheta = 5\na = 2\nb = 2\n")
@@ -530,7 +546,7 @@ prob_hh = 0
         path = spec_path(MATCHED_SPEC)
         assert all(math.copysign(1.0, v) == 1.0
                    for text in ("q=-0:-0.0:1", "q=1:-0:2", "q=-0.0:1:3")
-                   for v in cli._parse_axis(text).values)
+                   for v in sweep._parse_axis(text).values)
         code, out, err = run_cli(capsys, "sweep", "--spec", path, "--axis", "q=1:-0:2")
         assert (code, err) == (0, "")
         assert [row[0] for row in parse_csv(out)[1:]] == ["1", "0"]
@@ -545,21 +561,21 @@ prob_hh = 0
         code, out, err = run_cli(capsys, "sweep", "--spec", path,
                                  "--axis", f"p=0:1:{10 ** 12}")
         assert (code, out) == (2, "")
-        assert f"more than {cli._MAX_AXIS_STEPS} steps" in err
-        assert cli._MAX_AXIS_STEPS == 100_000
-        assert len(cli._parse_axis(f"q=0:1:{cli._MAX_AXIS_STEPS}").values) == 100_000
+        assert f"more than {sweep._MAX_AXIS_STEPS} steps" in err
+        assert sweep._MAX_AXIS_STEPS == 100_000
+        assert len(sweep._parse_axis(f"q=0:1:{sweep._MAX_AXIS_STEPS}").values) == 100_000
         with pytest.raises(SpecError, match="more than"):
-            cli._parse_axis(f"q=0:1:{cli._MAX_AXIS_STEPS + 1}")
+            sweep._parse_axis(f"q=0:1:{sweep._MAX_AXIS_STEPS + 1}")
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(lo=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1 - 2 ** -53])),
            hi=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1 - 2 ** -53])),
-           steps=st.integers(1, cli._MAX_AXIS_STEPS))
+           steps=st.integers(1, sweep._MAX_AXIS_STEPS))
     def test_axis_values_stay_in_unit_interval(self, lo, hi, steps):
         # the sweep's grid check reads only the state weights: it relies on
         # every axis value lying in [0, 1], descending ranges included
         hi = lo if steps == 1 else hi
-        values = cli._parse_axis(f"q={lo!r}:{hi!r}:{steps}").values
+        values = sweep._parse_axis(f"q={lo!r}:{hi!r}:{steps}").values
         assert len(values) == steps
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -693,8 +709,8 @@ class TestSweepGolden:
         (SIGNED_AMP_SPEC, [("prob_hh", 0, 0.2, 9), ("q", 0, 1, 17)]),
         (SIGNED_AMP_SPEC, [("q", 0.3, 0.8, 12)]),
         (MIXED_SPEC, [("prob_hh", 0, 0.3, 7), ("prob_lh", 0.5, 0, 700)]),
-        (MIXED_SPEC, [("prob_hh", 0.1, 0.3, 2), ("prob_lh", 0.4, 0, cli._BLOCK_POINTS + 1)]),
-        (SIGNED_AMP_SPEC, [("prob_hl", 0, 0.7, cli._BLOCK_POINTS + 904)]),
+        (MIXED_SPEC, [("prob_hh", 0.1, 0.3, 2), ("prob_lh", 0.4, 0, sweep._BLOCK_POINTS + 1)]),
+        (SIGNED_AMP_SPEC, [("prob_hl", 0, 0.7, sweep._BLOCK_POINTS + 904)]),
     ], ids=["hh", "hh-p", "p-lh", "lh-hl", "p-q", "amp-p-q", "amp-hh-q", "amp-q",
             "blocks", "row-per-block", "long-row"])
     def test_matches_per_point_reference(self, capsys, spec_path, text, axes):
@@ -718,7 +734,7 @@ class TestSweepGolden:
     def test_first_bad_point_in_a_later_block(self, capsys, spec_path):
         # an inner axis longer than a block makes each row its own block;
         # the second row turns bad halfway along
-        steps = cli._BLOCK_POINTS + 1
+        steps = sweep._BLOCK_POINTS + 1
         axes = [("prob_hh", 0.5, 0.9, 2), ("prob_lh", 0, 0.2, steps)]
         with pytest.raises(SpecError) as excinfo:
             reference_sweep(MATCHED_SPEC, axes)
@@ -793,7 +809,7 @@ class TestSweepGolden:
             return peak
 
         peak(10)   # numpy's import and first-use allocations stay out of the peaks
-        assert cli._BLOCK_POINTS // 400 == 10
+        assert sweep._BLOCK_POINTS // 400 == 10
         assert peak(400) <= 1.05 * peak(10)
 
     def test_chunk_is_bitwise_the_scalar_path(self):
@@ -807,7 +823,7 @@ class TestSweepGolden:
             weights[0, weights.sum(axis=0) == 0] = 1.0
             weights /= weights.sum(axis=0)
             states = [QuantumInitialState.from_probabilities(*w) for w in weights.T]
-            squared = cli._state_weights(*weights)
+            squared = sweep._state_weights(*weights)
             forms = [ClosedFormPayoff(*bilinear_coefficients(*squared, vec))
                      for vec in (vec_row, vec_col)]
             p = rng.choice([0.0, 1.0, rng.uniform()], size=30)
@@ -830,25 +846,39 @@ class TestSweepGolden:
 
 
 IMPORT_PROBE = """\
-import contextlib, io, json, sys
+import argparse, contextlib, io, json, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counted_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted_init
 from qbg.cli import main
 watched, argvs = json.loads(sys.argv[1])
-loaded = []
+results = []
 for argv in argvs:
+    before = built
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    loaded.append((code, [name for name in watched if name in sys.modules]))
-print(json.dumps(loaded))
+    results.append((code, [name for name in watched if name in sys.modules], built - before))
+print(json.dumps(results))
 """
 
 
-def modules_loaded(watched, argvs):
-    """Run ``argvs`` in turn in one fresh interpreter; after each, its exit code
-    and which of the ``watched`` modules are loaded by then."""
+def probe(watched, argvs):
+    """Run ``argvs`` in turn in one fresh interpreter; after each, its exit code,
+    which of the ``watched`` modules are loaded by then and how many
+    ``ArgumentParser``s it constructed."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps([watched, argvs])],
                           capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.stderr == ""
     return json.loads(proc.stdout)
+
+
+def modules_loaded(watched, argvs):
+    """``probe`` without the parser counts."""
+    return [[code, loaded] for code, loaded, _ in probe(watched, argvs)]
 
 
 ENGINE_PROBE = """\
@@ -891,6 +921,27 @@ class TestNumpyImport:
         assert (proc.stderr, proc.stdout) == ("", "False\n")
 
 
+class TestColdStartLoads:
+    """A command loads only what it runs."""
+
+    @pytest.mark.parametrize("command", ["classical", "equilibria", "quantize"])
+    def test_text_output_loads_neither_csv_nor_the_sweep(self, spec_path, command):
+        # CSV output loads csv; sweep loads qbg.sweep and numpy, and no csv
+        path = spec_path(MIXED_SPEC)
+        argvs = [[command, "--spec", path], [command, "--csv", "--spec", path],
+                 ["sweep", "--spec", path, "--axis", "p=0:1:3"]]
+        assert modules_loaded(["csv", "qbg.sweep", "numpy"], argvs) == [
+            [0, []], [0, ["csv"]], [0, ["csv", "qbg.sweep", "numpy"]]]
+
+    def test_a_command_builds_its_parser_alone_once(self, spec_path):
+        # neither the top-level parser nor another command's is built, and a
+        # command's own parser is built once per process
+        path = spec_path(MIXED_SPEC)
+        argvs = [["classical", "--spec", path], ["classical", "--csv", "--spec", path],
+                 ["quantize", "--spec", path]]
+        assert [built for _, _, built in probe([], argvs)] == [1, 0, 1]
+
+
 class TestRecordImport:
     @pytest.mark.parametrize("command", ["classical", "equilibria"])
     def test_scalar_commands_never_import_dataclasses(self, spec_path, command):
@@ -907,7 +958,7 @@ class TestRecordImport:
 class TestParser:
     def test_built_once_with_unchanged_output(self, capsys):
         assert cli._build_parser() is cli._build_parser()
-        fresh, _ = cli._build_parser.__wrapped__()
+        fresh = cli._build_parser.__wrapped__()
 
         def outcome(parse, argv):
             """The namespace's attributes, or the exit code, and what was printed."""
@@ -930,6 +981,16 @@ class TestParser:
             assert outcome(cli._parse_args, argv) == expected, argv
             if not isinstance(expected[0], dict):
                 assert outcome(main, argv) == expected, argv
+
+    @pytest.mark.parametrize("command", ["classical", "quantize", "equilibria", "sweep",
+                                         "reproduce"])
+    def test_command_parser_is_the_top_level_subparser(self, command):
+        [subparsers] = [action for action in cli._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        nested, alone = subparsers.choices[command], cli._command_parser(command)
+        assert alone is cli._command_parser(command) and alone is not nested
+        assert (alone.prog, alone.format_usage(), alone.format_help()) == (
+            nested.prog, nested.format_usage(), nested.format_help())
 
     @pytest.mark.parametrize("command, flag", [("sweep", "--csv"), ("reproduce", "--spec")])
     def test_commands_have_no_flag_they_would_ignore(self, capsys, spec_path, command, flag):
@@ -1038,7 +1099,7 @@ class TestEntryPoint:
     def test_multi_block_sweep_writes_every_row(self, capsys, spec_path):
         argv = ["sweep", "--spec", spec_path(MATCHED_SPEC),
                 "--axis", "p=0:1:101", "--axis", "q=0:1:101"]
-        assert 101 * 101 > 2 * cli._BLOCK_POINTS
+        assert 101 * 101 > 2 * sweep._BLOCK_POINTS
         proc = run_module(*argv)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_in_process(capsys, argv)[1]

@@ -31,8 +31,10 @@ to one temporary directory, so both sides read them at the same paths.
 Each tree then runs every operation in one child process of its own,
 calling ``qbg.cli.main`` from that tree's ``src/`` once per operation.
 "child" operations go through the entry point instead, one ``python -m qbg``
-process each: every subcommand as text and as CSV, ``--help`` and a usage
-error; "corner-child" operations repeat the "corner" ones that way; a
+process each: every subcommand as text and as CSV, the top-level ``--help``
+and a usage error (``nope``), and each subcommand's ``-h`` and one usage
+error of its own (a flag with no value, an unknown flag or an extra
+argument); "corner-child" operations repeat the "corner" ones that way; a
 "closed-pipe" operation runs a long sweep whose reader keeps the first line
 and closes the pipe (exit 141); "argv" operations pass argv shapes that
 ``main`` must route exactly as the top-level parser does: abbreviated
@@ -71,6 +73,10 @@ REPRODUCE_OPS = [["reproduce"], ["reproduce", "--csv"],
                  ["reproduce", "--inject-fault", FAULT_ID],
                  ["reproduce", "--csv", "--inject-fault", FAULT_ID]]
 CHILD_TIMEOUT_S = 1800
+# one usage error per command, each reported by that command's own parser
+COMMAND_USAGE_ERRORS = [["classical", "--spec"], ["quantize", "--csv", "extra"],
+                        ["equilibria", "--nope"], ["sweep", "--axis"],
+                        ["reproduce", "--inject-fault"]]
 VERIFICATION_CODE = ("import qbg.verification\n"
                      "print(*map(repr, qbg.verification.run_verification()), sep='\\n')")
 
@@ -314,6 +320,7 @@ def build_child_ops(work: Path) -> list[tuple[str, list[str]]]:
     ops = [[*argv, "--spec", spec] for argv in SPEC_COMMANDS]
     ops += [["sweep", "--spec", spec, "--axis", "p=0:1:5"], ["reproduce"], ["reproduce", "--csv"],
             ["--help"], ["nope"]]
+    ops += [[argv[0], "-h"] for argv in COMMAND_USAGE_ERRORS] + COMMAND_USAGE_ERRORS
     return [("child", argv) for argv in ops] + [
         ("corner-child", argv) for argv in corner_argvs(work)] + [
         ("closed-pipe", ["sweep", "--spec", spec, "--axis", "p=0:1:400", "--axis", "q=0:1:400"])
