@@ -20,6 +20,10 @@ A command loads only what it runs: ``main`` builds the invoked command's
 parser alone (the top-level parser only for argv that does not start with a
 command name), ``csv`` is imported at the first CSV write, and ``sweep`` runs
 in ``qbg.sweep``, qbg's one numpy user, imported only by that command.
+``qbg.verification`` and the ``qbg.scenarios`` it uses run only for
+``reproduce``: ``import qbg`` puts both in ``sys.modules`` as lazily executed
+modules, and this module binds ``verification`` itself, not a name from it,
+since taking an attribute runs a lazy module's code.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .engine import (
 )
 from .game import find_dominated_rows, find_pure_nash
 from .specfile import GameSpec, SpecError, parse_spec
-from .verification import run_verification
+from . import verification   # runs at reproduce's first call, not at import
 
 EXIT_BROKEN_PIPE = 141
 
@@ -222,7 +226,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    checks = run_verification(fault_id=args.inject_fault)
+    checks = verification.run_verification(fault_id=args.inject_fault)
     failed = [c for c in checks if not c.passed]
 
     if args.csv:

@@ -846,7 +846,13 @@ class TestSweepGolden:
 
 
 IMPORT_PROBE = """\
-import argparse, contextlib, io, json, sys
+import argparse, contextlib, io, json, os, sys
+executed = []
+def audit(event, args):
+    # a module's code runs through exec, whether compiled now or read from a .pyc
+    if event == "exec":
+        executed.append(getattr(args[0], "co_filename", ""))
+sys.addaudithook(audit)
 built = 0
 init = argparse.ArgumentParser.__init__
 def counted_init(self, *args, **kwargs):
@@ -854,22 +860,30 @@ def counted_init(self, *args, **kwargs):
     built += 1
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counted_init
-from qbg.cli import main
 watched, argvs = json.loads(sys.argv[1])
 results = []
-for argv in argvs:
-    before = built
+def step(run):
+    before, ran = built, len(executed)
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    results.append((code, [name for name in watched if name in sys.modules], built - before))
+        code = run()
+    qbg_dir = os.path.dirname(sys.modules["qbg"].__file__)
+    results.append((code, [name for name in watched if name in sys.modules], built - before,
+                    sorted({os.path.basename(f) for f in executed[ran:]
+                            if os.path.dirname(f) == qbg_dir})))
+step(lambda: exec("import qbg"))
+step(lambda: exec("import qbg.cli"))
+main = sys.modules["qbg.cli"].main
+for argv in argvs:
+    step(lambda: main(argv))
 print(json.dumps(results))
 """
 
 
 def probe(watched, argvs):
-    """Run ``argvs`` in turn in one fresh interpreter; after each, its exit code,
-    which of the ``watched`` modules are loaded by then and how many
-    ``ArgumentParser``s it constructed."""
+    """Run ``import qbg``, ``import qbg.cli`` and then ``argvs`` in turn in one
+    fresh interpreter; after each step, its exit code (None for the imports),
+    which of the ``watched`` modules are in ``sys.modules`` by then, how many
+    ``ArgumentParser``s it constructed and which qbg source files it executed."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps([watched, argvs])],
                           capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.stderr == ""
@@ -877,8 +891,8 @@ def probe(watched, argvs):
 
 
 def modules_loaded(watched, argvs):
-    """``probe`` without the parser counts."""
-    return [[code, loaded] for code, loaded, _ in probe(watched, argvs)]
+    """``probe`` of the commands alone, without the parser counts or the files."""
+    return [[code, loaded] for code, loaded, _, _ in probe(watched, argvs)[2:]]
 
 
 ENGINE_PROBE = """\
@@ -939,7 +953,65 @@ class TestColdStartLoads:
         path = spec_path(MIXED_SPEC)
         argvs = [["classical", "--spec", path], ["classical", "--csv", "--spec", path],
                  ["quantize", "--spec", path]]
-        assert [built for _, _, built in probe([], argvs)] == [1, 0, 1]
+        assert [built for _, _, built, _ in probe([], argvs)[2:]] == [1, 0, 1]
+
+    def test_scenarios_and_verification_run_only_for_reproduce(self, spec_path):
+        # import qbg and the scalar commands, as text and CSV, execute neither
+        # module's code; reproduce executes both, as a check that the probe
+        # can see them.  cli.py is executed by import qbg.cli alone.
+        path = spec_path(MIXED_SPEC)
+        argvs = [[command, *fmt, "--spec", path]
+                 for command in ("classical", "quantize", "equilibria")
+                 for fmt in ([], ["--csv"])]
+        argvs.append(["reproduce"])
+        lazy = ["scenarios.py", "verification.py"]
+        steps = probe([], argvs)
+        assert [code for code, *_ in steps] == [None, None] + [0] * 7
+        assert ["cli.py" in files for *_, files in steps] == [False, True] + [False] * 7
+        assert [[name for name in lazy if name in files] for *_, files in steps] == (
+            [[]] * 8 + [lazy])
+
+    def test_lazy_modules_are_in_sys_modules_from_import_on(self):
+        # code that walks the loaded qbg modules to patch them finds both
+        lazy = ["qbg.scenarios", "qbg.verification"]
+        assert [loaded for _, loaded, _, _ in probe(lazy, [])] == [lazy, lazy]
+
+
+SURFACE_PROBE = """\
+import json
+import qbg
+undirected = sorted(set(qbg.__all__) - set(dir(qbg)))
+namespace = {}
+exec("from qbg import *", namespace)
+try:
+    qbg.nope
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "bound": sorted(name for name in namespace if name != "__builtins__"),
+    "all": sorted(qbg.__all__),
+    "same": all(namespace[name] is getattr(qbg, name) for name in qbg.__all__),
+    "undirected": undirected,
+    "lazy": [qbg.run_strategy_ii is qbg.scenarios.run_strategy_ii,
+             qbg.run_verification is qbg.verification.run_verification],
+    "missing": missing,
+}))
+"""
+
+
+class TestPublicSurface:
+    def test_every_export_survives_the_lazy_modules(self):
+        proc = subprocess.run([sys.executable, "-c", SURFACE_PROBE], capture_output=True,
+                              text=True, env=child_env(), timeout=60)
+        assert proc.stderr == ""
+        surface = json.loads(proc.stdout)
+        assert len(surface["all"]) == 29
+        assert surface["bound"] == surface["all"]
+        assert surface["same"]
+        assert surface["undirected"] == []
+        assert surface["lazy"] == [True, True]
+        assert surface["missing"] == "module 'qbg' has no attribute 'nope'"
 
 
 class TestRecordImport:
