@@ -10,40 +10,20 @@ calls.  Records that qbg only returns (``ClosedFormPayoff``,
 ``EquilibriumReport``, ``ScenarioReport``, ``CheckResult``, ...) and the
 density-matrix oracle's building blocks are imported from their modules.
 
-``qbg.scenarios`` and ``qbg.verification`` run on first use: only
-``reproduce`` needs them, so ``import qbg`` registers both with
-``importlib.util.LazyLoader`` and their code runs at the first attribute
-access.  Their module objects sit in ``sys.modules`` from ``import qbg`` on,
-so code that walks the loaded qbg modules (a tracer or a monkeypatch) finds
-them as if they had been imported eagerly.  Their exported names resolve
-through the package's ``__getattr__``.
+A command runs only the modules it needs, so ``import qbg`` runs none of
+them: it registers ``qbg.engine``, ``qbg.game``, ``qbg.oracle``,
+``qbg.scenarios``, ``qbg.specfile`` and ``qbg.verification`` with
+``importlib.util.LazyLoader``, and a module's code runs at its first
+attribute access.  Their module objects sit in ``sys.modules`` from
+``import qbg`` on, so code that walks the loaded qbg modules (a tracer or a
+monkeypatch) finds them as if they had been imported eagerly.  Every
+exported name resolves through the package's ``__getattr__``.  The
+density-matrix oracle (``final_density``, ``expected_payoff_trace``) is
+``qbg.oracle``; ``qbg.engine`` forwards its names there for existing callers.
 """
 
 import importlib.util
 import sys
-
-from .engine import (
-    MixingProfile,
-    PayoffVector,
-    QuantumInitialState,
-    closed_form_payoff,
-    enumerate_equilibria,
-    expected_payoff_trace,
-    final_density,
-    verify_nash,
-)
-from .game import (
-    BimatrixGame,
-    InflationProfile,
-    PolicyParams,
-    build_bg_game,
-    find_dominated_rows,
-    find_pure_nash,
-    optimal_discretionary_inflation,
-    policy_utility,
-    public_utility,
-)
-from .specfile import GameSpec, SpecError, parse_spec, render_spec
 
 
 def _lazy_submodule(name):
@@ -57,63 +37,39 @@ def _lazy_submodule(name):
     return module
 
 
+engine = _lazy_submodule("engine")
+game = _lazy_submodule("game")
+oracle = _lazy_submodule("oracle")
 scenarios = _lazy_submodule("scenarios")
+specfile = _lazy_submodule("specfile")
 verification = _lazy_submodule("verification")
 
 # exported name -> the lazily run module that defines it
-_LAZY_EXPORTS = {
-    "bg_payoff_vectors": scenarios,
-    "run_case_a": scenarios,
-    "run_case_b": scenarios,
-    "run_case_c": scenarios,
-    "run_strategy_i": scenarios,
-    "run_strategy_ii": scenarios,
-    "weak_assumption_holds": scenarios,
-    "run_verification": verification,
-}
+_EXPORTS = {name: module for module, names in (
+    (engine, ("MixingProfile", "PayoffVector", "QuantumInitialState", "closed_form_payoff",
+              "enumerate_equilibria", "verify_nash")),
+    (oracle, ("expected_payoff_trace", "final_density")),
+    (game, ("BimatrixGame", "InflationProfile", "PolicyParams", "build_bg_game",
+            "find_dominated_rows", "find_pure_nash", "optimal_discretionary_inflation",
+            "policy_utility", "public_utility")),
+    (specfile, ("GameSpec", "SpecError", "parse_spec", "render_spec")),
+    (scenarios, ("bg_payoff_vectors", "run_case_a", "run_case_b", "run_case_c",
+                 "run_strategy_i", "run_strategy_ii", "weak_assumption_holds")),
+    (verification, ("run_verification",)),
+) for name in names}
 
 
 def __getattr__(name):
-    module = _LAZY_EXPORTS.get(name)
+    module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(module, name)
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY_EXPORTS})
+    return sorted({*globals(), *_EXPORTS})
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BimatrixGame",
-    "GameSpec",
-    "InflationProfile",
-    "MixingProfile",
-    "PayoffVector",
-    "PolicyParams",
-    "QuantumInitialState",
-    "SpecError",
-    "bg_payoff_vectors",
-    "build_bg_game",
-    "closed_form_payoff",
-    "enumerate_equilibria",
-    "expected_payoff_trace",
-    "final_density",
-    "find_dominated_rows",
-    "find_pure_nash",
-    "optimal_discretionary_inflation",
-    "parse_spec",
-    "policy_utility",
-    "public_utility",
-    "render_spec",
-    "run_case_a",
-    "run_case_b",
-    "run_case_c",
-    "run_strategy_i",
-    "run_strategy_ii",
-    "run_verification",
-    "verify_nash",
-    "weak_assumption_holds",
-]
+__all__ = sorted(_EXPORTS)

@@ -20,10 +20,13 @@ A command loads only what it runs: ``main`` builds the invoked command's
 parser alone (the top-level parser only for argv that does not start with a
 command name), ``csv`` is imported at the first CSV write, and ``sweep`` runs
 in ``qbg.sweep``, qbg's one numpy user, imported only by that command.
-``qbg.verification`` and the ``qbg.scenarios`` it uses run only for
-``reproduce``: ``import qbg`` puts both in ``sys.modules`` as lazily executed
-modules, and this module binds ``verification`` itself, not a name from it,
-since taking an attribute runs a lazy module's code.
+``import qbg`` puts qbg's other modules in ``sys.modules`` as lazily executed
+modules, whose code runs at their first attribute access, and this module
+binds the modules themselves, not names from them, looking each name up at
+call time.  So ``classical`` runs ``specfile`` and ``game`` but not
+``engine``; ``equilibria`` and ``quantize`` run ``specfile`` and ``engine``
+but not ``game``; only ``quantize`` with a ``[candidate]`` runs ``oracle``;
+and only ``reproduce`` runs ``verification`` and ``scenarios``.
 """
 
 from __future__ import annotations
@@ -34,16 +37,7 @@ import gc
 import os
 import sys
 
-from .engine import (
-    closed_form_payoff,
-    enumerate_equilibria,
-    expected_payoff_trace,
-    final_density,
-    verify_nash,
-)
-from .game import find_dominated_rows, find_pure_nash
-from .specfile import GameSpec, SpecError, parse_spec
-from . import verification   # runs at reproduce's first call, not at import
+from . import engine, game, oracle, specfile, verification   # each runs at its first use
 
 EXIT_BROKEN_PIPE = 141
 
@@ -56,22 +50,22 @@ def _fmt(value, precision: int = 6) -> str:
     return f"{float(value):.{precision}g}"
 
 
-def _load_spec(path: str | None) -> GameSpec:
+def _load_spec(path: str | None) -> specfile.GameSpec:
     if path is None:
-        raise SpecError("this command needs --spec <path>")
+        raise specfile.SpecError("this command needs --spec <path>")
     try:
         with open(path, "rb", buffering=0) as fh:
             data = fh.read()
     except OSError as exc:
-        raise SpecError(f"cannot read spec file {path!r}: {exc}") from None
+        raise specfile.SpecError(f"cannot read spec file {path!r}: {exc}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # numbered as parse_spec numbers lines; the bytes before the bad one decode
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise SpecError(f"cannot decode spec file {path!r} as UTF-8: byte "
-                        f"0x{data[exc.start]:02x} on line {line}: {exc.reason}") from None
-    return parse_spec(text)   # splitlines() ends a line at \r\n and \r too
+        raise specfile.SpecError(f"cannot decode spec file {path!r} as UTF-8: byte "
+                                 f"0x{data[exc.start]:02x} on line {line}: {exc.reason}") from None
+    return specfile.parse_spec(text)   # splitlines() ends a line at \r\n and \r too
 
 
 def _csv_writer(stream):
@@ -81,39 +75,39 @@ def _csv_writer(stream):
 
 def cmd_classical(args) -> int:
     spec = _load_spec(args.spec)
-    game = spec.to_game()
+    table = spec.to_game()
     nash = sorted((profile.row_index, profile.col_index)
-                  for profile in find_pure_nash(game))
-    dominated = sorted((d.index, d.strict) for d in find_dominated_rows(game))
+                  for profile in game.find_pure_nash(table))
+    dominated = sorted((d.index, d.strict) for d in game.find_dominated_rows(table))
 
     if args.csv:
         writer = _csv_writer(sys.stdout)
         writer.writerow(["row_label", "col_label", "row_payoff", "col_payoff"])
         for r in (0, 1):
             for c in (0, 1):
-                writer.writerow([game.row_labels[r], game.col_labels[c],
-                                 _fmt(game.row_payoff(r, c), 12),
-                                 _fmt(game.col_payoff(r, c), 12)])
+                writer.writerow([table.row_labels[r], table.col_labels[c],
+                                 _fmt(table.row_payoff(r, c), 12),
+                                 _fmt(table.col_payoff(r, c), 12)])
         return 0
 
     print("Payoff table (rows: policy maker, columns: public)")
-    cells = [[f"({_fmt(game.row_payoff(r, c))}, {_fmt(game.col_payoff(r, c))})"
+    cells = [[f"({_fmt(table.row_payoff(r, c))}, {_fmt(table.col_payoff(r, c))})"
               for c in (0, 1)] for r in (0, 1)]
     width = max(len(text) for row in cells for text in row) + 2
-    header = "      " + "".join(label.ljust(width) for label in game.col_labels)
+    header = "      " + "".join(label.ljust(width) for label in table.col_labels)
     print(header)
     for r in (0, 1):
-        print(f"  {game.row_labels[r]:<4}"
+        print(f"  {table.row_labels[r]:<4}"
               + "".join(cells[r][c].ljust(width) for c in (0, 1)))
     if nash:
-        pretty = ", ".join(f"({game.row_labels[r]}, {game.col_labels[c]})"
+        pretty = ", ".join(f"({table.row_labels[r]}, {table.col_labels[c]})"
                            for r, c in nash)
     else:
         pretty = "none"
     print(f"Pure Nash equilibria: {pretty}")
     if dominated:
         pretty = ", ".join(
-            f"{game.row_labels[i]} ({'strict' if strict else 'weak'})"
+            f"{table.row_labels[i]} ({'strict' if strict else 'weak'})"
             for i, strict in dominated)
     else:
         pretty = "none"
@@ -124,11 +118,11 @@ def cmd_classical(args) -> int:
 def cmd_quantize(args) -> int:
     spec = _load_spec(args.spec)
     if not spec.has_quantum:
-        raise SpecError("quantize needs a [quantum] section in the spec")
+        raise specfile.SpecError("quantize needs a [quantum] section in the spec")
     state = spec.to_state()
     vec_row, vec_col = spec.payoff_vectors()
-    f_row = closed_form_payoff(state, vec_row)
-    f_col = closed_form_payoff(state, vec_col)
+    f_row = engine.closed_form_payoff(state, vec_row)
+    f_col = engine.closed_form_payoff(state, vec_col)
     candidate = spec.to_candidate()
 
     rows: list[tuple[str, object]] = []
@@ -139,10 +133,10 @@ def cmd_quantize(args) -> int:
                  (f"{name}.coeff_pq", form.coeff_pq)]
     report = None
     if candidate is not None:
-        rho = final_density(state, candidate)
-        trace_row = expected_payoff_trace(vec_row, rho)
-        trace_col = expected_payoff_trace(vec_col, rho)
-        report = verify_nash(f_row, f_col, candidate)
+        rho = oracle.final_density(state, candidate)
+        trace_row = oracle.expected_payoff_trace(vec_row, rho)
+        trace_col = oracle.expected_payoff_trace(vec_col, rho)
+        report = engine.verify_nash(f_row, f_col, candidate)
         rows += [
             ("candidate.p", candidate.p),
             ("candidate.q", candidate.q),
@@ -187,11 +181,11 @@ def cmd_quantize(args) -> int:
 def cmd_equilibria(args) -> int:
     spec = _load_spec(args.spec)
     if not spec.has_quantum:
-        raise SpecError("equilibria needs a [quantum] section in the spec")
+        raise specfile.SpecError("equilibria needs a [quantum] section in the spec")
     state = spec.to_state()
     vec_row, vec_col = spec.payoff_vectors()
-    regions = enumerate_equilibria(closed_form_payoff(state, vec_row),
-                                   closed_form_payoff(state, vec_col))
+    regions = engine.enumerate_equilibria(engine.closed_form_payoff(state, vec_row),
+                                          engine.closed_form_payoff(state, vec_col))
 
     if args.csv:
         writer = _csv_writer(sys.stdout)

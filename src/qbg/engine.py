@@ -24,31 +24,42 @@ that both give the same bits.
 Expected payoffs are traces of diagonal payoff operators against the final
 density matrix; because the operators are diagonal, payoffs depend only on
 squared amplitude magnitudes, so all results are invariant under rephasing
-any amplitude.
+any amplitude.  That density-matrix oracle lives in ``qbg.oracle``, which
+only ``quantize`` with a candidate and ``reproduce`` run; this module
+forwards its four public names (``DensityMatrix4``, ``initial_density``,
+``final_density``, ``expected_payoff_trace``) there for existing callers,
+loading it at the first such lookup.
 
 Every squared magnitude |z|**2, real or complex, is computed one way,
 ``z.real * z.real + z.imag * z.imag``: the closed form's weights, the norm
 check and the oracle's diagonal ``z * z.conjugate()`` get the same bits.
 
-The state constructors, the closed form, the Nash tests and the
-density-matrix oracle work on Python numbers, and this module never
-imports numpy.  ``qbg.sweep``, behind the command line's ``sweep`` and
-loaded only by it, is qbg's one numpy user: it passes arrays to
-``bilinear_coefficients``, ``ClosedFormPayoff.evaluate`` and
-``deviation_gaps``, which then work elementwise.
+The state constructors, the closed form and the Nash tests work on Python
+numbers, and this module never imports numpy.  ``qbg.sweep``, behind the
+command line's ``sweep`` and loaded only by it, is qbg's one numpy user: it
+passes arrays to ``bilinear_coefficients``, ``ClosedFormPayoff.evaluate``
+and ``deviation_gaps``, which then work elementwise.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
-from ._records import ValidatedRecord
+from ._records import NORMALIZATION_TOL, ValidatedRecord
 
 ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, slopes)
-NORMALIZATION_TOL = 1e-9   # how far decimal state weights may sum from 1
-PSD_TOL = 1e-10            # eigenvalue floor for positive semidefiniteness
+
+# names of the density-matrix oracle that this module resolves from qbg.oracle
+_ORACLE_NAMES = frozenset({"DensityMatrix4", "initial_density", "final_density",
+                           "expected_payoff_trace"})
+
+
+def __getattr__(name):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    return getattr(oracle, name)
 
 
 def _squared_magnitude(z: complex) -> float:
@@ -142,62 +153,6 @@ class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
         return tuple.__new__(cls, (p, q))
 
 
-class DensityMatrix4(ValidatedRecord, namedtuple("DensityMatrix4", "rows")):
-    """4x4 density matrix over the game basis, held as rows of Python complex numbers.
-
-    ``rows`` may be any 4x4 nested sequence of numbers, an ndarray included;
-    it is stored as a tuple of four tuples of complex.  Validated without
-    numpy: Hermitian and unit trace within ``ALGEBRA_TOL``, and positive
-    semidefinite to ``PSD_TOL``.  The last rule is that M + PSD_TOL*I
-    factors as L D L^H with every pivot in D positive (Cholesky without
-    square roots), which holds exactly when every eigenvalue of M exceeds
-    -PSD_TOL.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rows):
-        try:
-            rows = tuple(tuple(complex(x) for x in row) for row in rows)
-        except TypeError:
-            rows = ()
-        if len(rows) != 4 or any(len(row) != 4 for row in rows):
-            raise ValueError("expected a 4x4 matrix of numbers")
-        if any(abs(rows[i][j] - rows[j][i].conjugate()) > ALGEBRA_TOL
-               for i in range(4) for j in range(i, 4)):
-            raise ValueError("density matrix is not Hermitian")
-        trace = (rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3])
-        if abs(trace.real - 1.0) > ALGEBRA_TOL or abs(trace.imag) > ALGEBRA_TOL:
-            raise ValueError("density matrix trace is not 1")
-        if not _shifted_cholesky_exists(rows):
-            raise ValueError("density matrix is not positive semidefinite")
-        return tuple.__new__(cls, (rows,))
-
-
-def _shifted_cholesky_exists(rows) -> bool:
-    """Whether the Hermitian ``rows`` + PSD_TOL*I factors as L D L^H with D > 0.
-
-    L is unit lower triangular; the pivots D are positive exactly when the
-    shifted matrix is positive definite.  Only the lower triangle is read.
-    """
-    lower, pivots = [], []
-    for i in range(4):
-        row = []
-        for j in range(i):
-            s = rows[i][j]
-            for k in range(j):
-                s -= row[k] * pivots[k] * lower[j][k].conjugate()
-            row.append(s / pivots[j])
-        pivot = rows[i][i].real + PSD_TOL
-        for k in range(i):
-            pivot -= pivots[k] * _squared_magnitude(row[k])
-        if not pivot > 0.0:    # NaN fails too
-            return False
-        lower.append(row)
-        pivots.append(pivot)
-    return True
-
-
 class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
     """Diagonal of one player's payoff operator, in basis order."""
 
@@ -264,91 +219,6 @@ class EquilibriumRegion(namedtuple("EquilibriumRegion", "p_min p_max q_min q_max
         ps = {self.p_min, self.p_max, 0.5 * (self.p_min + self.p_max)}
         qs = {self.q_min, self.q_max, 0.5 * (self.q_min + self.q_max)}
         return [(p, q) for p in sorted(ps) for q in sorted(qs)]
-
-
-# The 2x2 identity and strategy flip C as tables.  The oracle's branch
-# operators are their Kronecker products, built on first use; they share
-# nothing with the closed form's hand-written terms in bilinear_coefficients.
-_IDENTITY_2 = ((1, 0), (0, 1))
-_FLIP_2 = ((0, 1), (1, 0))
-
-
-def _kron(a, b):
-    """Kronecker product of two 2x2 tables."""
-    return tuple(tuple(a[i][j] * b[k][l] for j in (0, 1) for l in (0, 1))
-                 for i in (0, 1) for k in (0, 1))
-
-
-@functools.cache
-def _branch_gathers() -> tuple[tuple[int, ...], ...]:
-    """For each branch operator U, where each entry of U rho U^dagger comes from.
-
-    The operators are I(x)I, C(x)I, I(x)C and C(x)C, in canonical branch
-    order.  Each U is a permutation matrix: with s[i] the column of the
-    single 1 in its row i, (U rho U^dagger)[i][j] = rho[s[i]][s[j]].
-    Entries are numbered row-major, 0 to 15.
-    """
-    gathers = []
-    for op in (_kron(_IDENTITY_2, _IDENTITY_2), _kron(_FLIP_2, _IDENTITY_2),
-               _kron(_IDENTITY_2, _FLIP_2), _kron(_FLIP_2, _FLIP_2)):
-        s = [row.index(1) for row in op]
-        gathers.append(tuple(4 * i + j for i in s for j in s))
-    return tuple(gathers)
-
-
-def _branch_weights(mix: MixingProfile):
-    p, q = mix.p, mix.q
-    return (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
-
-
-def _outer(state: QuantumInitialState) -> list[complex]:
-    """The 16 entries of a a^dagger, row-major, for the state's amplitudes a.
-
-    Python's complex product gives each diagonal entry the real part
-    re*re - im*(-im), the bits of ``squared_magnitudes``.
-    """
-    amps = [complex(a) for a in state]
-    return [a * b.conjugate() for a in amps for b in amps]
-
-
-def _density(entries: list[complex]) -> DensityMatrix4:
-    return DensityMatrix4([entries[0:4], entries[4:8], entries[8:12], entries[12:16]])
-
-
-def initial_density(state: QuantumInitialState) -> DensityMatrix4:
-    """Rank-1 projector onto the initial state."""
-    return _density(_outer(state))
-
-
-def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
-    """Convex combination of the four conjugated initial densities.
-
-    The branches are added in canonical order onto zeros, skipping zero
-    weights, as ``sum(w * U @ rho @ U^dagger)`` over numpy arrays would;
-    starting from +0 also gives every zero entry numpy's sign.
-    """
-    rho = _outer(state)
-    out = [0j] * 16
-    for w, gather in zip(_branch_weights(mix), _branch_gathers()):
-        if w != 0.0:
-            out = [o + w * rho[k] for o, k in zip(out, gather)]
-    return _density(out)
-
-
-def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
-    """Tr(P rho) for the diagonal payoff operator P built from ``vec``.
-
-    The terms v_i * rho_ii are summed as (t0 + t1) + (t2 + t3), the order
-    in which ``np.trace`` sums four complex numbers.  Raises if the trace
-    carries an imaginary residue above tolerance, which would indicate a
-    corrupted density matrix.
-    """
-    rows = rho.rows
-    t0, t1, t2, t3 = (float(v) * rows[i][i] for i, v in enumerate(vec))
-    value = (t0 + t1) + (t2 + t3)
-    if abs(value.imag) > ALGEBRA_TOL:
-        raise ValueError(f"payoff trace has imaginary residue {value.imag!r}")
-    return value.real
 
 
 def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):

@@ -12,12 +12,11 @@ exact, so the canonical normalized tables reproduce with zero tolerance.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
-from ._records import ValidatedRecord
+from ._records import ValidatedRecord, check_policy_fields, is_finite
 
 Scalar = Union[int, float, Fraction]
 
@@ -31,10 +30,6 @@ def _exact(x: Scalar) -> Scalar:
     return float(x)
 
 
-def _is_finite(x: Scalar) -> bool:
-    return not (isinstance(x, float) and not math.isfinite(x))
-
-
 class PolicyParams(ValidatedRecord, namedtuple("PolicyParams", "theta a b")):
     """Policy-maker type and utility coefficients.
 
@@ -46,12 +41,7 @@ class PolicyParams(ValidatedRecord, namedtuple("PolicyParams", "theta a b")):
     __slots__ = ()
 
     def __new__(cls, theta: int, a: Scalar, b: Scalar):
-        if theta not in (0, 1):
-            raise ValueError(f"theta must be 0 or 1, got {theta!r}")
-        if not (_is_finite(a) and a > 0):
-            raise ValueError(f"a must be positive and finite, got {a!r}")
-        if not (_is_finite(b) and b > 0):
-            raise ValueError(f"b must be positive and finite, got {b!r}")
+        check_policy_fields(theta, a, b)
         return tuple.__new__(cls, (theta, a, b))
 
 
@@ -62,7 +52,7 @@ class InflationProfile(ValidatedRecord,
     __slots__ = ()
 
     def __new__(cls, actual: Scalar, expected: Scalar):
-        if not (_is_finite(actual) and _is_finite(expected)):
+        if not (is_finite(actual) and is_finite(expected)):
             raise ValueError("inflation rates must be finite")
         return tuple.__new__(cls, (actual, expected))
 
@@ -99,7 +89,7 @@ class BimatrixGame(ValidatedRecord,
             raise ValueError("payoff table must be 2x2")
         for row in payoffs:
             for cell in row:
-                if len(cell) != 2 or not all(_is_finite(v) for v in cell):
+                if len(cell) != 2 or not all(is_finite(v) for v in cell):
                     raise ValueError("each cell needs two finite payoffs")
         return tuple.__new__(cls, (row_labels, col_labels, payoffs))
 

@@ -35,7 +35,8 @@ Grammar (one page, deliberately small):
     amp_ll,  amp_lh,  amp_hl,  amp_hh    # real amplitudes, norm 1
 
 The sum (or squared norm) is the state's: the values as floats, added in
-basis order.  It must be 1 within ``engine.NORMALIZATION_TOL``.
+basis order.  It must be 1 within ``NORMALIZATION_TOL`` (1e-9), the one
+bound that ``qbg.engine`` and the sweep apply to state weights too.
 
 ``[candidate]`` keys::
 
@@ -59,8 +60,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import NORMALIZATION_TOL, MixingProfile, PayoffVector, QuantumInitialState
-from .game import BimatrixGame, PolicyParams
+from . import engine, game   # each runs at its first use, not at import
+from ._records import NORMALIZATION_TOL, check_policy_fields
 
 _SECTIONS = ("game", "quantum", "candidate")
 _GAME_KEYS = {"mode", "theta", "a", "b",
@@ -118,7 +119,7 @@ class GameSpec(namedtuple("GameSpec", (
     def has_quantum(self) -> bool:
         return self.probabilities is not None or self.amplitudes is not None
 
-    def to_game(self) -> BimatrixGame:
+    def to_game(self) -> game.BimatrixGame:
         if self.mode == "builtin-bg":
             cells, labels = self._bg_cells(exact=True), (("L", "H"), ("L", "H"))
         else:
@@ -126,14 +127,14 @@ class GameSpec(namedtuple("GameSpec", (
             labels = (self.row_labels, self.col_labels)
         payoffs = tuple(tuple((cells[2 * r + c], cells[4 + 2 * r + c]) for c in (0, 1))
                         for r in (0, 1))
-        return BimatrixGame(*labels, payoffs)
+        return game.BimatrixGame(*labels, payoffs)
 
-    def payoff_vectors(self) -> tuple[PayoffVector, PayoffVector]:
+    def payoff_vectors(self) -> tuple[engine.PayoffVector, engine.PayoffVector]:
         if self.mode == "builtin-bg":
             cells = self._bg_cells()
         else:
             cells = tuple(map(float, self.row_payoffs + self.col_payoffs))
-        return PayoffVector(*cells[:4]), PayoffVector(*cells[4:])
+        return engine.PayoffVector(*cells[:4]), engine.PayoffVector(*cells[4:])
 
     def _bg_cells(self, exact: bool = False) -> tuple:
         """``build_bg_game``'s cells for these fields, as floats or, if exact,
@@ -144,7 +145,7 @@ class GameSpec(namedtuple("GameSpec", (
         n and d, as ``float(Fraction(n, d))`` would round it; the sign is on n,
         so a zero cell is +0.0.
         """
-        PolicyParams(theta=self.theta, a=self.a, b=self.b)   # validates the fields
+        check_policy_fields(self.theta, self.a, self.b)   # PolicyParams's rule
         an, ad = self.a.as_integer_ratio()
         bn, bd = self.b.as_integer_ratio()
         n, d = bn * bn * ad, bd * bd * an          # b*h = b**2/a
@@ -157,22 +158,22 @@ class GameSpec(namedtuple("GameSpec", (
             raise SpecError(_BG_OVERFLOW) from None
         return tuple([Fraction(n, d) for n, d in cells]) if exact else floats
 
-    def to_state(self) -> QuantumInitialState | None:
+    def to_state(self) -> engine.QuantumInitialState | None:
         if self.probabilities is not None:
-            return QuantumInitialState.from_probabilities(*self.probabilities)
+            return engine.QuantumInitialState.from_probabilities(*self.probabilities)
         if self.amplitudes is not None:
             amps = [float(a) for a in self.amplitudes]
             norm_sq = sum(a ** 2 for a in amps)   # parse_spec's arithmetic, bit for bit
             if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
                 raise SpecError(
                     f"[quantum] amplitudes have squared norm {norm_sq!r}, expected 1")
-            return QuantumInitialState.normalized(*amps)
+            return engine.QuantumInitialState.normalized(*amps)
         return None
 
-    def to_candidate(self) -> MixingProfile | None:
+    def to_candidate(self) -> engine.MixingProfile | None:
         if self.candidate is None:
             return None
-        return MixingProfile(float(self.candidate[0]), float(self.candidate[1]))
+        return engine.MixingProfile(float(self.candidate[0]), float(self.candidate[1]))
 
 
 def _parse_number(text: str, line: int, column: int) -> Fraction:

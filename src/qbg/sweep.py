@@ -17,8 +17,9 @@ from collections import namedtuple
 
 import numpy as np
 
+from ._records import NORMALIZATION_TOL
 from .cli import _STATE_VARS, _SWEEP_VARS, _fmt
-from .engine import NORMALIZATION_TOL, ClosedFormPayoff, bilinear_coefficients, deviation_gaps
+from .engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from .specfile import GameSpec, SpecError
 
 _BLOCK_POINTS = 4096   # grid points a sweep evaluates at once (at least one row)

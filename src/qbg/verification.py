@@ -17,19 +17,18 @@ import math
 import random
 from collections import namedtuple
 
+from . import scenarios
 from .engine import (
     MixingProfile,
     QuantumInitialState,
     PayoffVector,
     closed_form_payoff,
     deviation_gaps,
-    expected_payoff_trace,
-    final_density,
 )
 from .game import PolicyParams, PureProfile, DominatedRow, build_bg_game, \
     find_dominated_rows, find_pure_nash
-from .scenarios import bg_payoff_vectors, run_case_a, run_case_b, run_case_c, \
-    run_strategy_i, run_strategy_ii
+from .oracle import expected_payoff_trace, final_density
+from .scenarios import bg_payoff_vectors, run_case_a, run_case_b, run_case_c
 
 TOLERANCE = 1e-10
 
@@ -252,12 +251,14 @@ def _worst(entries):
 
 
 # One row per strategy family, checked on GRID at the both-keep candidate:
-# the runner, the swept weight, the indices of the two weights that must
-# vanish and of the two that carry the state, the reference policy payoff,
-# public payoff and public margin in the weight w, where both-keep is an
-# equilibrium, and (id suffix, description) of the six checks.
+# the name of the runner in qbg.scenarios (looked up when the checks run, so
+# that a patch of the module's function sees every grid run), the swept
+# weight, the indices of the two weights that must vanish and of the two that
+# carry the state, the reference policy payoff, public payoff and public
+# margin in the weight w, where both-keep is an equilibrium, and (id suffix,
+# description) of the six checks.
 _STRATEGY_FAMILIES = (
-    ("strategy-i", run_strategy_i, "lh_prob", (0, 3, 1, 2),
+    ("strategy-i", "run_strategy_i", "lh_prob", (0, 3, 1, 2),
      lambda w: (1.0 - w) - 2.0 * w, -1.0, -1.0, lambda w: False,
      (("state", "mismatch-only states carry no LL or HH weight"),
       ("policy-payoff", "policy payoff on mismatch-only states"),
@@ -266,7 +267,7 @@ _STRATEGY_FAMILIES = (
       ("public-condition",
        "public stability margin is -1: both-keep can never hold"),
       ("never-nash", "no mismatch-only state admits the both-keep equilibrium"))),
-    ("strategy-ii", run_strategy_ii, "hh_prob", (1, 2, 0, 3),
+    ("strategy-ii", "run_strategy_ii", "hh_prob", (1, 2, 0, 3),
      lambda w: -w, 0.0, 1.0, lambda w: w <= 0.5,
      (("state", "matched-outcome states carry no LH or HL weight"),
       ("policy-payoff", "policy payoff equals minus the HH weight"),
@@ -280,8 +281,9 @@ _STRATEGY_FAMILIES = (
 
 def _strategy_checks() -> list[CheckResult]:
     checks = []
-    for (family, run, weight, (z0, z1, s0, s1), policy, public, col_margin,
+    for (family, runner, weight, (z0, z1, s0, s1), policy, public, col_margin,
          nash, texts) in _STRATEGY_FAMILIES:
+        run = getattr(scenarios, runner)
         entries = ([], [], [], [])   # policy payoff, public payoff, both margins
         state_error = 0.0
         nash_misses = 0

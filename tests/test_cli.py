@@ -33,7 +33,7 @@ from qbg import (
     parse_spec,
     verify_nash,
 )
-from qbg import cli, sweep, verification
+from qbg import cli, oracle, scenarios, sweep, verification
 from qbg.cli import main
 from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from qbg.specfile import SpecError
@@ -385,7 +385,7 @@ class TestQuantize:
             calls.append(vec)
             return expected_payoff_trace(vec, rho)
 
-        monkeypatch.setattr(cli, "expected_payoff_trace", counting)
+        monkeypatch.setattr(oracle, "expected_payoff_trace", counting)
         code, out, _ = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(MIXED_SPEC))
         assert code == 0
         assert len(calls) == 2
@@ -898,9 +898,10 @@ def modules_loaded(watched, argvs):
 ENGINE_PROBE = """\
 import sys
 import qbg.engine as engine
+import qbg.oracle as oracle
 state = engine.QuantumInitialState.from_probabilities(0.4, 0.1, 0.2, 0.3)
-rho = engine.final_density(state, engine.MixingProfile(0.3, 0.6))
-engine.expected_payoff_trace(engine.PayoffVector(0.0, -2.0, 1.0, -1.0), rho)
+rho = oracle.final_density(state, engine.MixingProfile(0.3, 0.6))
+oracle.expected_payoff_trace(engine.PayoffVector(0.0, -2.0, 1.0, -1.0), rho)
 repr(rho)
 rho._replace(rows=rho.rows)
 print("numpy" in sys.modules)
@@ -971,9 +972,32 @@ class TestColdStartLoads:
         assert [[name for name in lazy if name in files] for *_, files in steps] == (
             [[]] * 8 + [lazy])
 
+    @pytest.mark.parametrize("argv, spec, executed", [
+        (["classical"], MATCHED_SPEC, ["_records.py", "game.py", "specfile.py"]),
+        (["classical", "--csv"], MATCHED_SPEC, ["_records.py", "game.py", "specfile.py"]),
+        (["equilibria"], MATCHED_SPEC, ["_records.py", "engine.py", "specfile.py"]),
+        (["quantize"], MATCHED_SPEC.split("\n[candidate]")[0],
+         ["_records.py", "engine.py", "specfile.py"]),
+        (["quantize"], MATCHED_SPEC, ["_records.py", "engine.py", "oracle.py", "specfile.py"]),
+        (["reproduce"], None, ["_records.py", "engine.py", "game.py", "oracle.py",
+                               "scenarios.py", "verification.py"]),
+    ], ids=["classical", "classical-csv", "equilibria", "quantize", "quantize-candidate",
+            "reproduce"])
+    def test_a_command_executes_only_the_modules_it_runs(self, spec_path, argv, spec,
+                                                           executed):
+        # import qbg executes only the package and import qbg.cli only cli.py;
+        # the builtin-bg spec's table comes without game.py, and only a
+        # candidate's trace payoffs run the density oracle.  reproduce reads
+        # no spec, so it never executes specfile.py.
+        argv = argv + (["--spec", spec_path(spec)] if spec else [])
+        steps = probe([], [argv])
+        assert [(code, files) for code, _, _, files in steps] == [
+            (None, ["__init__.py"]), (None, ["cli.py"]), (0, executed)]
+
     def test_lazy_modules_are_in_sys_modules_from_import_on(self):
-        # code that walks the loaded qbg modules to patch them finds both
-        lazy = ["qbg.scenarios", "qbg.verification"]
+        # code that walks the loaded qbg modules to patch them finds them all
+        lazy = ["qbg.engine", "qbg.game", "qbg.oracle", "qbg.scenarios", "qbg.specfile",
+                "qbg.verification"]
         assert [loaded for _, loaded, _, _ in probe(lazy, [])] == [lazy, lazy]
 
 
@@ -1143,6 +1167,20 @@ class TestReproduce:
         assert check.passed
         assert complex_states == [True] * 50
         assert len(traced) == 150
+
+    def test_strategy_runners_are_looked_up_in_scenarios(self, monkeypatch):
+        # a patch of qbg.scenarios.run_strategy_ii sees every grid run of the
+        # strategy-ii checks, not a binding taken when verification loaded
+        real, weights = scenarios.run_strategy_ii, []
+
+        def counting(hh_prob):
+            weights.append(hh_prob)
+            return real(hh_prob)
+
+        monkeypatch.setattr(scenarios, "run_strategy_ii", counting)
+        checks = verification.run_verification()
+        assert all(check.passed for check in checks)
+        assert weights == list(verification.GRID) and len(weights) == 101
 
     def test_reference_state_forms_built_once(self, closed_form_calls):
         # the closed-form, gap and case checks share one pair of forms; each

@@ -17,8 +17,9 @@ from qbg import (
     final_density,
     verify_nash,
 )
-from qbg import engine
-from qbg.engine import PSD_TOL, DensityMatrix4, deviation_gaps, initial_density
+from qbg import engine, oracle
+from qbg.engine import deviation_gaps
+from qbg.oracle import PSD_TOL, DensityMatrix4, initial_density
 
 KET = {label: np.eye(4)[i] for i, label in enumerate(("LL", "LH", "HL", "HH"))}
 
@@ -57,6 +58,17 @@ def corner_outcomes(state):
     return np.array([np.diag(np.array(final_density(state, mix).rows)).real for mix in CORNERS])
 
 
+class TestOracleNames:
+    @pytest.mark.parametrize("name", ["DensityMatrix4", "initial_density", "final_density",
+                                      "expected_payoff_trace"])
+    def test_engine_forwards_the_oracle_names(self, name):
+        assert getattr(engine, name) is getattr(oracle, name)
+
+    def test_engine_forwards_nothing_else(self):
+        with pytest.raises(AttributeError, match="module 'qbg.engine' has no attribute 'PSD_TOL'"):
+            engine.PSD_TOL
+
+
 class TestFlipOperator:
     # the oracle's flip, seen through the corners that apply it to one qubit
     def test_swaps_basis_states(self):
@@ -70,7 +82,7 @@ class TestFlipOperator:
                 assert np.array(final_density(state, mix).rows).tobytes() == expected.tobytes()
 
     def test_involution_and_hermitian(self):
-        flip = np.array(engine._FLIP_2)
+        flip = np.array(oracle._FLIP_2)
         assert np.array_equal(flip @ flip, np.eye(2))
         assert np.array_equal(flip, flip.conj().T)
         # each branch conjugation undoes itself: applying a corner twice to a
@@ -311,7 +323,7 @@ class TestDensities:
             return original(w_hh, w_hl, w_lh, w_ll, vec)
 
         monkeypatch.setattr(engine, "bilinear_coefficients", reversed_weights)
-        engine._branch_gathers.cache_clear()
+        oracle._branch_gathers.cache_clear()
         assert closed_form_payoff(state, vec) != pytest.approx(form)
         density = final_density(state, mix)
         assert np.array(density.rows).tobytes() == matrix
@@ -320,7 +332,7 @@ class TestDensities:
     def test_branch_operators_are_fresh_arrays(self):
         # the oracle's branch tables and its densities' rows are tuples, so
         # no caller can alter what a later call computes
-        assert all(isinstance(gather, tuple) for gather in engine._branch_gathers())
+        assert all(isinstance(gather, tuple) for gather in oracle._branch_gathers())
         state, corner = QuantumInitialState(1, 0, 0, 0), MixingProfile(0.0, 0.0)
         rho = final_density(state, corner)
         with pytest.raises(TypeError):

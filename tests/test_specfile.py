@@ -126,6 +126,20 @@ amp_hh = 0.8
         with pytest.raises(SpecError, match=r"squared norm 2\.0, expected 1"):
             spec.to_state()
 
+    @pytest.mark.parametrize("theta, a, b", [
+        (2, Fraction(2), Fraction(2)), (1, Fraction(0), Fraction(2)),
+        (0, Fraction(2), Fraction(-1)), (1, math.inf, 2.0), (1, 2.0, math.nan), (1, None, 2),
+    ])
+    def test_hand_built_bg_fields_fail_as_policy_params_does(self, theta, a, b):
+        # the table is worked out without building PolicyParams, under its rule
+        with pytest.raises(Exception) as expected:
+            PolicyParams(theta=theta, a=a, b=b)
+        spec = GameSpec(mode="builtin-bg", theta=theta, a=a, b=b)
+        for build in (spec.payoff_vectors, spec.to_game):
+            with pytest.raises(type(expected.value)) as got:
+                build()
+            assert str(got.value) == str(expected.value)
+
     def test_hand_built_float_fields_convert_like_fractions(self):
         # dyadic floats equal their fractions exactly, so every conversion agrees
         exact = GameSpec(mode="builtin-bg", theta=1, a=Fraction(2), b=Fraction(1, 2),
