@@ -4,8 +4,8 @@ Each function runs one candidate profile or one family of initial states
 through the engine and packages the result as a ``ScenarioReport``.  Every
 number in a report is recomputed through the engine; the module stores no
 payoff constants of its own (the payoff vectors are derived from the
-classical table builder).  Every Nash verdict is ``verify_nash``'s; a
-report's two conditions restate it in the paper's terms.
+classical table builder).  Every Nash verdict is ``verify_nash``'s, and a
+report's conditions are that verdict's own four deviation checks.
 
 The headline story lives in ``run_strategy_ii``: on states mixing only the
 matched outcomes LL and HH, the both-keep profile is a Nash equilibrium
@@ -20,7 +20,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .engine import (
-    ConditionCheck,
     MixingProfile,
     PayoffVector,
     QuantumInitialState,
@@ -53,7 +52,14 @@ class ScenarioReport(namedtuple("ScenarioReport", (
         "verdict",          # str
         "notes"),           # tuple[str, ...]
         defaults=((),))):
-    """One scenario's candidate, payoffs, verdicts and the conditions behind them."""
+    """One scenario's candidate, payoffs and verdicts.
+
+    ``conditions`` are ``verify_nash``'s four checks, in its order: the
+    policy maker's deviations to p=0 and p=1, then the public's to q=0 and
+    q=1.  Each value is what that deviation loses, and it holds when the
+    deviation gains at most ``ALGEBRA_TOL``; so ``is_nash`` is exactly that
+    all four hold.
+    """
 
     __slots__ = ()
 
@@ -78,41 +84,13 @@ def weak_assumption_holds(state: QuantumInitialState) -> WeakAssumption:
     return WeakAssumption(holds=gap > 0.0, gap=gap)
 
 
-def _mismatch_weight(state: QuantumInitialState, f_public) -> float:
-    """P_LH + P_HL, the weight on the outcomes where the public guesses wrong."""
-    probs = state.squared_magnitudes()
-    return float(probs[1] + probs[2])
-
-
-def _public_slope_at_even_mix(state: QuantumInitialState, f_public) -> float:
-    """The public payoff's slope in q at p = 1/2."""
-    return f_public.coeff_q + f_public.coeff_pq * 0.5
-
-
 def _run_candidate(scenario: str, state: QuantumInitialState,
-                   candidate: MixingProfile, policy_condition: str,
-                   public_condition: str, public_value=_mismatch_weight,
-                   verdict: str | None = None,
+                   candidate: MixingProfile, verdict: str | None = None,
                    notes: tuple[str, ...] = ()) -> ScenarioReport:
-    """Decide ``candidate`` on ``state`` with ``verify_nash`` and restate the verdict.
-
-    Both closed forms are built once.  The policy condition carries the
-    keep-slope, the policy payoff's slope in p (independent of q here because
-    the bilinear term cancels), and holds when neither of the policy maker's
-    extreme deviations gains; the public condition carries
-    ``public_value(state, f_public)`` and holds when neither of the public's
-    does.  So ``is_nash`` is exactly that both conditions hold.
-    """
+    """Decide ``candidate`` on ``state`` with ``verify_nash``, each form built once."""
     policy_vec, public_vec = bg_payoff_vectors()
-    f_policy = closed_form_payoff(state, policy_vec)
-    f_public = closed_form_payoff(state, public_vec)
-    report = verify_nash(f_policy, f_public, candidate)
-    holds = [check.satisfied for check in report.conditions]
-    conditions = (
-        ConditionCheck(policy_condition, f_policy.coeff_p, holds[0] and holds[1]),
-        ConditionCheck(public_condition, public_value(state, f_public),
-                       holds[2] and holds[3]),
-    )
+    report = verify_nash(closed_form_payoff(state, policy_vec),
+                         closed_form_payoff(state, public_vec), candidate)
     if verdict is None:
         verdict = VERDICT_NASH if report.is_nash else VERDICT_NO_NASH
     return ScenarioReport(
@@ -123,7 +101,7 @@ def _run_candidate(scenario: str, state: QuantumInitialState,
         public_payoff=report.col_payoff,
         is_nash=report.is_nash,
         is_strict_nash=report.is_strict_nash,
-        conditions=conditions,
+        conditions=report.conditions,
         verdict=verdict,
         notes=notes,
     )
@@ -131,9 +109,7 @@ def _run_candidate(scenario: str, state: QuantumInitialState,
 
 def run_case_a(state: QuantumInitialState) -> ScenarioReport:
     """Both players keep the identity with certainty: candidate (1, 1)."""
-    return _run_candidate("case-a", state, MixingProfile(1.0, 1.0),
-                          "policy keep-slope 2*(P_LL - P_HH + P_HL - P_LH) >= 0",
-                          "mismatch weight P_LH + P_HL <= 1/2")
+    return _run_candidate("case-a", state, MixingProfile(1.0, 1.0))
 
 
 def run_case_b(state: QuantumInitialState) -> ScenarioReport:
@@ -144,8 +120,6 @@ def run_case_b(state: QuantumInitialState) -> ScenarioReport:
     satisfy, so the report carries a note flagging that tension.
     """
     return _run_candidate("case-b", state, MixingProfile(0.0, 0.0),
-                          "policy keep-slope 2*(P_LL - P_HH + P_HL - P_LH) <= 0",
-                          "mismatch weight P_LH + P_HL <= 1/2",
                           notes=(NOTE_OPPOSITE_PREFERENCE,))
 
 
@@ -154,13 +128,11 @@ def run_case_c(state: QuantumInitialState) -> ScenarioReport:
 
     Payoffs are -1/2 for both players on every normalized state, so the
     scenario is dominated regardless of the equilibrium verdict; the public's
-    deviation effect vanishes identically, while the policy maker is stable
-    only at an exactly zero keep-slope.
+    deviations lose nothing on any state, while the policy maker's two gaps
+    are plus and minus half the keep-slope, so it is stable only when the
+    keep-slope vanishes.
     """
     return _run_candidate("case-c", state, MixingProfile(0.5, 0.5),
-                          "policy indifference: keep-slope == 0",
-                          "public deviation effect vanishes at p = 1/2",
-                          public_value=_public_slope_at_even_mix,
                           verdict=VERDICT_DOMINATED,
                           notes=(NOTE_NEGATIVE_PAYOFFS,))
 
@@ -169,15 +141,13 @@ def run_strategy_i(lh_prob: float) -> ScenarioReport:
     """Mismatch-only state: weight ``lh_prob`` on LH, the rest on HL.
 
     The public's payoff is -1 whatever the split, and the both-keep candidate
-    is never an equilibrium because the mismatch weight is pinned at 1, far
-    above the 1/2 the column condition tolerates.
+    is never an equilibrium: the mismatch weight P_LH + P_HL is pinned at 1,
+    so the public's deviation to q=0 gains 2 * 1 - 1 = 1.
     """
     if not 0.0 <= lh_prob <= 1.0:
         raise ValueError(f"LH weight must lie in [0, 1], got {lh_prob!r}")
     state = QuantumInitialState.from_probabilities(0.0, lh_prob, 1.0 - lh_prob, 0.0)
     return _run_candidate("strategy-i", state, MixingProfile(1.0, 1.0),
-                          "policy keep-slope 2*(P_HL - P_LH) >= 0",
-                          "mismatch weight P_LH + P_HL <= 1/2",
                           notes=(NOTE_PUBLIC_ALWAYS_LOSES,))
 
 
@@ -193,9 +163,7 @@ def run_strategy_ii(hh_prob: float) -> ScenarioReport:
     if not 0.0 <= hh_prob <= 1.0:
         raise ValueError(f"HH weight must lie in [0, 1], got {hh_prob!r}")
     state = QuantumInitialState.from_probabilities(1.0 - hh_prob, 0.0, 0.0, hh_prob)
-    report = _run_candidate("strategy-ii", state, MixingProfile(1.0, 1.0),
-                            "policy keep-slope 2*(P_LL - P_HH) >= 0",
-                            "mismatch weight P_LH + P_HL <= 1/2")
+    report = _run_candidate("strategy-ii", state, MixingProfile(1.0, 1.0))
     notes = []
     if report.is_nash:
         notes.append(NOTE_TIME_CONSISTENT)

@@ -23,7 +23,6 @@ from .engine import (
     QuantumInitialState,
     PayoffVector,
     closed_form_payoff,
-    deviation_gaps,
 )
 from .game import PolicyParams, PureProfile, DominatedRow, build_bg_game, \
     find_dominated_rows, find_pure_nash
@@ -89,12 +88,6 @@ class _ReferenceForms:
         return (1.0 - 2.0 * self.mismatch) * (q_star - q_dev) * (2.0 * p_star - 1.0)
 
 
-def _forms(state: QuantumInitialState):
-    """The policy and public closed forms on ``state``."""
-    policy_vec, public_vec = bg_payoff_vectors()
-    return closed_form_payoff(state, policy_vec), closed_form_payoff(state, public_vec)
-
-
 def _classical_checks() -> list[CheckResult]:
     checks = []
     for label, theta, table, nash_cell, dominated_row in (
@@ -154,11 +147,6 @@ def _closed_form_checks(f_policy, f_public) -> list[CheckResult]:
     return checks
 
 
-def _edge_gaps(f_policy, f_public, candidate: MixingProfile):
-    """What the p=0, p=1, q=0 and q=1 deviations from the candidate lose."""
-    return deviation_gaps(f_policy, f_public, candidate.p, candidate.q)[2]
-
-
 def _gap_checks(f_row, f_col) -> list[CheckResult]:
     ref = _ReferenceForms(REFERENCE_PROBS)
     candidate = MixingProfile(*GENERIC_CANDIDATE)
@@ -188,12 +176,13 @@ def _gap_checks(f_row, f_col) -> list[CheckResult]:
     ]
 
 
-def _case_checks(state: QuantumInitialState, f_policy, f_public) -> list[CheckResult]:
+def _case_checks(state: QuantumInitialState) -> list[CheckResult]:
+    # a report's conditions are what the deviations to p=0, p=1, q=0 and q=1
+    # lose, in that order
     ref = _ReferenceForms(REFERENCE_PROBS)
     checks = []
 
     report_a = run_case_a(state)
-    row_gap_a, _, col_gap_a, _ = _edge_gaps(f_policy, f_public, report_a.candidate)
     checks += [
         CheckResult("case-a.policy-payoff",
                     "policy payoff when both players keep",
@@ -203,14 +192,13 @@ def _case_checks(state: QuantumInitialState, f_policy, f_public) -> list[CheckRe
                     -ref.plh - ref.phl, report_a.public_payoff),
         CheckResult("case-a.policy-condition",
                     "policy stability margin of the both-keep profile",
-                    ref.keep_slope, row_gap_a),
+                    ref.keep_slope, report_a.conditions[0].value),
         CheckResult("case-a.public-condition",
                     "public stability margin of the both-keep profile",
-                    1.0 - 2.0 * ref.mismatch, col_gap_a),
+                    1.0 - 2.0 * ref.mismatch, report_a.conditions[2].value),
     ]
 
     report_b = run_case_b(state)
-    _, row_gap_b, _, col_gap_b = _edge_gaps(f_policy, f_public, report_b.candidate)
     checks += [
         CheckResult("case-b.policy-payoff",
                     "policy payoff when both players flip",
@@ -220,14 +208,13 @@ def _case_checks(state: QuantumInitialState, f_policy, f_public) -> list[CheckRe
                     -ref.plh - ref.phl, report_b.public_payoff),
         CheckResult("case-b.policy-condition",
                     "policy stability margin of the both-flip profile",
-                    -ref.keep_slope, row_gap_b),
+                    -ref.keep_slope, report_b.conditions[1].value),
         CheckResult("case-b.public-condition",
                     "public stability margin of the both-flip profile",
-                    1.0 - 2.0 * ref.mismatch, col_gap_b),
+                    1.0 - 2.0 * ref.mismatch, report_b.conditions[3].value),
     ]
 
     report_c = run_case_c(state)
-    row_gap_c, _, col_gap_c, _ = _edge_gaps(f_policy, f_public, report_c.candidate)
     checks += [
         CheckResult("case-c.policy-payoff",
                     "policy payoff under even mixing is -1/2 on any state",
@@ -237,10 +224,10 @@ def _case_checks(state: QuantumInitialState, f_policy, f_public) -> list[CheckRe
                     -0.5, report_c.public_payoff),
         CheckResult("case-c.policy-condition",
                     "policy stability margin under even mixing",
-                    0.5 * ref.keep_slope, row_gap_c),
+                    0.5 * ref.keep_slope, report_c.conditions[0].value),
         CheckResult("case-c.public-condition",
                     "public deviation effect vanishes under even mixing",
-                    0.0, col_gap_c),
+                    0.0, report_c.conditions[2].value),
     ]
     return checks
 
@@ -293,12 +280,11 @@ def _strategy_checks() -> list[CheckResult]:
             state_error = max(state_error,
                               float(probs[z0] + probs[z1] + abs(probs[s0] + probs[s1] - 1.0)))
             detail = f"grid point {weight}={w:.2f}"
-            row_gap, _, col_gap, _ = _edge_gaps(*_forms(report.state), report.candidate)
             for bucket, (expected, computed) in zip(entries, (
                     (policy(w), report.policy_payoff),
                     (public, report.public_payoff),
-                    (2.0 * (1.0 - 2.0 * w), row_gap),
-                    (col_margin, col_gap))):
+                    (2.0 * (1.0 - 2.0 * w), report.conditions[0].value),
+                    (col_margin, report.conditions[2].value))):
                 bucket.append((expected, computed, detail))
             nash_misses += int(report.is_nash != nash(w))
         values = ([(0.0, state_error, "")] + [_worst(bucket) for bucket in entries]
@@ -338,9 +324,10 @@ def run_verification(fault_id: str | None = None) -> list[CheckResult]:
     reporting can be exercised; unknown ids raise ValueError.
     """
     state = QuantumInitialState.from_probabilities(*REFERENCE_PROBS)
-    forms = _forms(state)
+    policy_vec, public_vec = bg_payoff_vectors()
+    forms = closed_form_payoff(state, policy_vec), closed_form_payoff(state, public_vec)
     checks = (_classical_checks() + _closed_form_checks(*forms) + _gap_checks(*forms)
-              + _case_checks(state, *forms) + _strategy_checks()
+              + _case_checks(state) + _strategy_checks()
               + _oracle_checks())
     if fault_id is not None:
         ids = [c.check_id for c in checks]

@@ -1189,6 +1189,16 @@ class TestReproduce:
         verification.run_verification()
         assert sum(args[0] == reference for args in closed_form_calls) == 8
 
+    def test_strategy_grid_builds_two_forms_per_point(self, closed_form_calls):
+        # each grid run builds its policy and public forms once, and the checks
+        # read their margins from the run's report instead of building them again
+        grid_states = {QuantumInitialState.from_probabilities(*weights)
+                       for w in verification.GRID
+                       for weights in ((0.0, w, 1.0 - w, 0.0), (1.0 - w, 0.0, 0.0, w))}
+        verification.run_verification()
+        assert len(grid_states) == 202
+        assert sum(args[0] in grid_states for args in closed_form_calls) == 404
+
 
 def run_module(*argv):
     """``python -m qbg`` with ``argv``, through the entry function."""
@@ -1225,6 +1235,38 @@ class TestEntryPoint:
         proc = run_module(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(capsys, argv)
         assert proc.returncode == code
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: payoffs inside the float range overflow in the closed form; "
+        "on this spec quantize prints coeff_q=-inf, coeff_pq=inf and closed-form=nan "
+        "next to a finite trace of 6.8e+307, and sweep exits 0 with nan rows and "
+        "numpy RuntimeWarnings on stderr"))
+    def test_payoffs_near_the_float_limit_print_numbers_or_fail_cleanly(self, spec_path):
+        path = spec_path("""\
+[game]
+mode = custom
+row_payoffs = 1.7e308,-1.7e308,1.7e308,1.7e308
+col_payoffs = 1e308,1e308,-1e308,1e308
+
+[quantum]
+prob_ll = 0.7
+prob_lh = 0.1
+prob_hl = 0.1
+prob_hh = 0.1
+
+[candidate]
+p = 1/3
+q = 1/2
+""")
+        for argv in (["quantize"], ["quantize", "--csv"], ["sweep", "--axis", "p=0:1:2"]):
+            proc = run_module(*argv, "--spec", path)
+            if proc.returncode == 2:
+                assert proc.stdout == ""
+                assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), argv
+            else:
+                assert proc.returncode == 0, argv
+                assert proc.stderr == "", argv
+                assert not re.search(r"\b(?:nan|inf)\b", proc.stdout, re.I), argv
 
     def test_in_process_main_never_freezes_the_collector(self, capsys):
         assert run_in_process(capsys, ["reproduce"])[0] == 0

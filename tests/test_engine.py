@@ -1,5 +1,7 @@
 """Quantization engine: operators, densities, payoffs, equilibria."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qbg import (
     enumerate_equilibria,
     expected_payoff_trace,
     final_density,
+    parse_spec,
     verify_nash,
 )
 from qbg import engine, oracle
@@ -627,6 +630,21 @@ class TestClosedForm:
         corner = MixingProfile(1.0, 1.0)
         assert closed_form_payoff(state, vec_row).evaluate(corner.p, corner.q) \
             == pytest.approx(vec_row.ll, abs=1e-12)
+
+    def test_strong_type_is_a_dummy(self):
+        # the builtin-bg strong row vector is (0, 0, -c, -c), so the sums that
+        # give r1 and r3 add the same two terms in swapped order, as do r0's
+        # and r2's: coeff_p = r1 - r3 is exactly 0 and coeff_pq a residue
+        rng = fresh_rng(26)
+        for a, b in ((2, 2), (3, 5), (1, 7)):
+            vec, _ = parse_spec(
+                f"[game]\nmode = builtin-bg\ntheta = 0\na = {a}\nb = {b}\n").payoff_vectors()
+            assert vec.ll == vec.lh == 0.0 and vec.hl == vec.hh < 0.0
+            tol = 4 * math.ulp(max(abs(v) for v in vec))
+            for _ in range(2000):
+                form = closed_form_payoff(random_state(rng), vec)
+                assert form.coeff_p == 0.0
+                assert abs(form.coeff_pq) <= tol
 
 
 class TestNashMachinery:

@@ -54,9 +54,10 @@ class TestCaseA:
     def test_mismatch_only_state_fails_column_condition(self):
         state = QuantumInitialState.from_probabilities(0.0, 0.5, 0.5, 0.0)
         report = run_case_a(state)
-        mismatch_check = report.conditions[1]
-        assert mismatch_check.value == pytest.approx(1.0, abs=1e-12)
-        assert not mismatch_check.satisfied
+        # the public's deviation to q=0 loses 1 - 2 * (mismatch weight 1) = -1
+        column_check = report.conditions[2]
+        assert column_check.value == pytest.approx(-1.0, abs=1e-12)
+        assert not column_check.satisfied
         assert not report.is_nash
 
     def test_payoffs_match_trace_oracle(self):
@@ -113,7 +114,9 @@ class TestCaseC:
         rng = fresh_rng(42)
         for _ in range(50):
             report = run_case_c(random_state(rng))
-            assert report.conditions[1].satisfied
+            for check in report.conditions[2:]:
+                assert check.satisfied
+                assert abs(check.value) <= 1e-15
 
 
 class TestStrategyI:
@@ -239,14 +242,17 @@ class TestConditionsRestateTheVerdict:
         report = run_case_a(QuantumInitialState.from_probabilities(
             0.5 - 8e-13, 0.0, 0.5 + 8e-13, 0.0))
         assert not report.is_nash
-        assert [check.satisfied for check in report.conditions] == [True, False]
+        assert [check.satisfied for check in report.conditions] == [True, True, False, True]
+        assert report.conditions[2].value == pytest.approx(-1.6e-12, abs=1e-14)
 
     def test_even_mix_gaps_are_half_the_keep_slope(self):
         report = run_case_c(QuantumInitialState.from_probabilities(
             0.25 + 4e-13, 0.25, 0.25, 0.25 - 4e-13))
         assert report.is_nash
         assert all(check.satisfied for check in report.conditions)
-        assert report.conditions[0].value == pytest.approx(1.6e-12, abs=1e-14)
+        # the keep-slope is 1.6e-12, and p = 1/2 lies half a unit from either edge
+        assert report.conditions[0].value == pytest.approx(8e-13, abs=1e-14)
+        assert report.conditions[1].value == pytest.approx(-8e-13, abs=1e-14)
 
     def test_near_boundary_states(self):
         for weights in near_boundary_states():
