@@ -4,7 +4,8 @@ The policy maker (row player) chooses actual inflation, the public (column
 player) chooses expected inflation.  Utilities follow the standard
 time-inconsistency setup: surprise inflation benefits an opportunistic
 ("weak") policy maker, any forecast error hurts the public, and inflation
-itself carries a quadratic cost.
+itself carries a quadratic cost.  The 2x2 table, ``build_bg_game``, is
+these utility functions evaluated at inflation 0 and b/a.
 
 Payoffs are kept exact (``fractions.Fraction``) whenever the inputs are
 exact, so the canonical normalized tables reproduce with zero tolerance.
@@ -123,32 +124,19 @@ def optimal_discretionary_inflation(params: PolicyParams) -> Scalar:
 
 
 def build_bg_game(params: PolicyParams) -> BimatrixGame:
-    """Payoff table over the two-point strategy grid {0, b/a} for both players.
+    """Payoff table over the two-point strategy grid for both players.
 
-    Label L is inflation 0 and H is inflation h = b/a, for actual (rows) and
+    Label L is inflation 0 and H is inflation b/a, the optimal discretionary
+    inflation of the strong and of the weak type, for actual (rows) and
     expected (columns) alike.  Cell (x, y) holds ``policy_utility`` and
-    ``public_utility`` at (x, y): ``theta*b*(x - y) - a*x*x/2`` and
-    ``-((x - y)*(x - y))``.  Their three nonzero terms are computed once each,
-    in those functions' order of operations: the gain ``theta*b*h``, the cost
-    ``a*h*h/2`` and the loss ``-(h*h)``, which both mismatched cells share.
-    Every other term is a zero (L - L, H - H, the cost at L) whose sign and
-    type alone reach a cell, so for an int theta and int, Fraction or float
-    coefficients each cell keeps the value, the type and, for floats, the
-    bits and signed zero that the utility functions give; the tests check
-    every cell against them.
+    ``public_utility`` at the profile (x, y); ``InflationProfile`` refuses
+    an infinite b/a.
     """
-    a = _exact(params.a)
-    b = _exact(params.b)
-    low = a * 0                   # inflation 0, a zero typed like a
-    high = b / a
-    InflationProfile(low, high)   # refuses an infinite b/a
-    weight = params.theta * b
-    gain = weight * high
-    cost = a * high * high / 2
-    loss = -(high * high)         # the public's utility at a forecast error of +-h
-    flat = high - high            # a zero typed like h
-    payoffs = (((flat, -low), (weight * (low - high), loss)),
-               ((gain - cost, loss), (flat - cost, -flat)))
+    levels = (optimal_discretionary_inflation(params._replace(theta=0)),
+              optimal_discretionary_inflation(params._replace(theta=1)))
+    payoffs = tuple(tuple((policy_utility(profile, params), public_utility(profile))
+                          for profile in (InflationProfile(x, y) for y in levels))
+                    for x in levels)
     return BimatrixGame(row_labels=("L", "H"), col_labels=("L", "H"), payoffs=payoffs)
 
 

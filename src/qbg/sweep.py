@@ -1,8 +1,10 @@
 """The ``qbg sweep`` command: a deterministic CSV sweep of the quantized game.
 
 One or two axes vary the identity probabilities p, q or the state weights
-prob_lh, prob_hl, prob_hh; the LL weight absorbs the remainder.  Each row
-gives the swept values, both players' payoffs and the weak Nash verdict.
+prob_lh, prob_hl, prob_hh.  When a state weight is swept, the LL weight
+absorbs the remainder; when none is, every point has the spec's own state
+and the closed forms ``quantize`` builds from it.  Each row gives the swept
+values, both players' payoffs and the weak Nash verdict.
 
 This is qbg's one numpy user: the grid is evaluated in blocks of rows on
 arrays, through ``engine.bilinear_coefficients`` and
@@ -19,7 +21,7 @@ import numpy as np
 
 from ._records import NORMALIZATION_TOL
 from .cli import _STATE_VARS, _SWEEP_VARS, _fmt
-from .engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
+from .engine import ClosedFormPayoff, bilinear_coefficients, closed_form_payoff, deviation_gaps
 from .specfile import GameSpec, SpecError
 
 _BLOCK_POINTS = 4096   # grid points a sweep evaluates at once (at least one row)
@@ -95,14 +97,14 @@ def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
     if not spec.has_quantum:
         raise SpecError("sweep needs a [quantum] section in the spec")
 
-    base_probs = spec.to_state().squared_magnitudes()
+    state = spec.to_state()
     candidate = spec.to_candidate()
     if "p" not in names and candidate is None:
         raise SpecError("p is unresolved: sweep it or provide a [candidate]")
     if "q" not in names and candidate is None:
         raise SpecError("q is unresolved: sweep it or provide a [candidate]")
 
-    vec_row, vec_col = spec.payoff_vectors()
+    vecs = spec.payoff_vectors()
 
     # Every axis value and the [candidate] lie in [0, 1], so each profile is
     # valid and each swept weight is a valid weight; only weights summing
@@ -111,7 +113,7 @@ def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
     # does: the grid is valid exactly when its heaviest point is, and the
     # first bad point in row order lies in the first row that is bad at the
     # heaviest inner value.  A bad grid fails there with no CSV output.
-    fixed = dict(zip(_STATE_VARS, base_probs[1:]))
+    fixed = dict(zip(_STATE_VARS, state.squared_magnitudes()[1:]))
     fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
     outer, inner = axes if len(axes) == 2 else (None, axes[0])
     # A row's lead is its outer value as a 1-tuple, or () in a 1-axis sweep;
@@ -135,27 +137,33 @@ def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
     # Unswept variables are scalars.  The grid is evaluated in blocks of
     # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
     # array and the inner one a (1, inner) array, and the scalars broadcast
-    # into them, so each distinct state's weights and closed forms are
-    # computed once per block and memory is bounded by the block size.  Each
-    # row is written with one %-format: its template holds the outer prefix
-    # and inner value of every point, and its slots take the two payoffs and
-    # the verdict, interleaved in one object array per block.  No field can
-    # need CSV quoting.
+    # into them, so memory is bounded by the block size.  An unswept state's
+    # closed forms are quantize's, built once; a swept state's weights and
+    # forms are computed once per block, the LL weight taking the remainder
+    # of the other three.  Each row is written with one %-format: its
+    # template holds the outer prefix and inner value of every point, and its
+    # slots take the two payoffs and the verdict, interleaved in one object
+    # array per block.  No field can need CSV quoting.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
     slots = [_fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
     verdicts = np.array(["false", "true"], dtype=object)
     values = dict(fixed)
     values[inner.var] = np.array([inner.values])
+    forms = None if set(names) & set(_STATE_VARS) else [
+        closed_form_payoff(state, vec) for vec in vecs]
 
     def write_block(rows):
         # a function, so that the block's arrays are freed before the next one's
         if outer:
             values[outer.var] = np.array(rows)
-        lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
-        weights = _state_weights(1.0 - (lh + hl + hh), lh, hl, hh)
-        f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
-                        for vec in (vec_row, vec_col))
+        if forms:
+            f_row, f_col = forms
+        else:
+            lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
+            weights = _state_weights(1.0 - (lh + hl + hh), lh, hl, hh)
+            f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
+                            for vec in vecs)
         row_payoff, col_payoff, _, (h0, h1, h2, h3) = deviation_gaps(
             f_row, f_col, values["p"], values["q"])
         cells = np.empty(row_payoff.shape + (3,), dtype=object)

@@ -33,7 +33,7 @@ from qbg import (
     parse_spec,
     verify_nash,
 )
-from qbg import cli, oracle, scenarios, sweep, verification
+from qbg import cli, game, oracle, scenarios, sweep, verification
 from qbg.cli import main
 from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from qbg.specfile import SpecError
@@ -442,6 +442,38 @@ class TestEquilibria:
         assert "quantum" in err
 
 
+UNSWEPT_GAME = """\
+[game]
+mode = custom
+row_payoffs = -1,1,-1,3
+col_payoffs = 0,-3,1,2
+"""
+
+UNSWEPT_SPEC = UNSWEPT_GAME + """
+[quantum]
+prob_ll = 3/23
+prob_lh = 7/23
+prob_hl = 5/23
+prob_hh = 8/23
+
+[candidate]
+p = 1/2
+q = 1/2
+"""
+
+BUILTIN_REFERENCE_SPEC = WEAK_SPEC + """
+[quantum]
+prob_ll = 1/2
+prob_lh = 1/5
+prob_hl = 1/5
+prob_hh = 1/10
+
+[candidate]
+p = 1
+q = 1/4
+"""
+
+
 class TestSweep:
     def test_hh_weight_threshold(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "sweep", "--spec", spec_path(MATCHED_SPEC),
@@ -598,36 +630,38 @@ prob_hh = 0
         assert err == b""
         assert code == cli.EXIT_BROKEN_PIPE == 141
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect: the sweep rebuilds an unswept state's LL weight as "
-        "1 - (lh + hl + hh) and renormalizes it, so its forms differ in the last bits "
-        "from quantize's (public payoff 0 in sweep, 1.38777878078e-17 in quantize; "
-        "exactly 0); ROADMAP item 2 (exact rational core) mends it"))
-    def test_unswept_state_payoffs_match_quantize(self, capsys, spec_path):
-        path = spec_path("""\
-[game]
-mode = custom
-row_payoffs = -1,1,-1,3
-col_payoffs = 0,-3,1,2
-
+    @pytest.mark.parametrize("text, axes, at", [
+        # weights (3, 7, 5, 8)/23, where quantize's public payoff is a residue
+        # of 1.4e-17 whose exact value is 0
+        (UNSWEPT_SPEC, ["p=0.5:0.5:1"], ["0.5"]),
+        # the builtin-bg reference state, where quantize's coeff_pq is a residue
+        (BUILTIN_REFERENCE_SPEC, ["p=1:1:1"], ["1"]),
+        (UNSWEPT_GAME + """
 [quantum]
-prob_ll = 3/23
-prob_lh = 7/23
-prob_hl = 5/23
-prob_hh = 8/23
+amp_ll = 1/3
+amp_lh = -2/3
+amp_hl = 2/3
+amp_hh = 0
 
 [candidate]
 p = 1/2
 q = 1/2
-""")
+""", ["p=0.5:0.5:1"], ["0.5"]),
+        (UNSWEPT_SPEC, ["p=0:1:3", "q=0:1:5"], ["0.5", "0.5"]),
+    ], ids=["weights-over-23", "builtin-bg-reference", "negative-amplitude", "p-by-q-grid"])
+    def test_unswept_state_payoffs_match_quantize(self, capsys, spec_path, text, axes, at):
+        # with no state weight swept, the sweep's row at the [candidate] prints
+        # quantize's closed-form payoffs
+        path = spec_path(text)
         code, out, _ = run_cli(capsys, "quantize", "--csv", "--spec", path)
         assert code == 0
         items = dict(parse_csv(out)[1:])
-        code, out, _ = run_cli(capsys, "sweep", "--spec", path, "--axis", "p=0.5:0.5:1")
+        code, out, _ = run_cli(capsys, "sweep", "--spec", path,
+                               *(arg for axis in axes for arg in ("--axis", axis)))
         assert code == 0
-        (row,) = parse_csv(out)[1:]
-        assert row[1:3] == [items["policy_payoff.closed_form"],
-                            items["public_payoff.closed_form"]]
+        (row,) = [row for row in parse_csv(out)[1:] if row[:len(at)] == at]
+        assert row[len(at):len(at) + 2] == [items["policy_payoff.closed_form"],
+                                            items["public_payoff.closed_form"]]
 
 
 GENERAL_GAME = """\
@@ -1148,6 +1182,18 @@ class TestReproduce:
         _, first, _ = run_cli(capsys, "reproduce", "--csv")
         _, second, _ = run_cli(capsys, "reproduce", "--csv")
         assert first == second
+
+    @pytest.mark.parametrize("utility", ["policy_utility", "public_utility"])
+    def test_classical_checks_run_the_utility_functions(self, capsys, monkeypatch, utility):
+        # the classical table is the model's utilities evaluated at 0 and b/a,
+        # so shifting either utility by 1 fails reproduce's classical checks
+        real = getattr(game, utility)
+        monkeypatch.setattr(game, utility, lambda *args: real(*args) + 1)
+        failed = [check.check_id for check in verification.run_verification()
+                  if not check.passed]
+        assert any(check_id.startswith("classical.") for check_id in failed)
+        code, _, _ = run_cli(capsys, "reproduce")
+        assert code == 1
 
     def test_oracle_check_keeps_its_sample_counts(self, monkeypatch):
         complex_states, traced = [], []

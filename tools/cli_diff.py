@@ -45,7 +45,11 @@ this tree also runs once per tree, as its own child, and so does a
 "verification" operation, which prints the repr of each check
 ``qbg.verification.run_verification()`` returns, one per line: the
 full-precision values behind ``reproduce``, which together make
-``repr(run_verification())``.
+``repr(run_verification())``.  A "library" operation, also one child per
+tree, prints the repr of ``qbg.game.build_bg_game`` for theta 0 and 1 on
+int, Fraction, float and mixed coefficients, some of whose tables underflow
+to zeros, and then of ``qbg.scenarios.bg_payoff_vectors()``: no command
+reaches a float coefficient, so this is what compares the library's tables.
 
 Every operation whose exit code, standard output or standard error differs
 between the trees is listed, with the first differing line of each stream.
@@ -79,6 +83,19 @@ COMMAND_USAGE_ERRORS = [["classical", "--spec"], ["quantize", "--csv", "extra"],
                         ["reproduce", "--inject-fault"]]
 VERIFICATION_CODE = ("import qbg.verification\n"
                      "print(*map(repr, qbg.verification.run_verification()), sep='\\n')")
+# The builtin-bg table on coefficients (a, b) of every kind build_bg_game takes.
+LIBRARY_CODE = """\
+from fractions import Fraction
+from qbg.game import PolicyParams, build_bg_game
+from qbg.scenarios import bg_payoff_vectors
+coefficients = [(2, 4), (3, 2), (5, 3), (Fraction(3, 7), Fraction(5, 11)),
+                (0.3, 0.7), (2.5, 1e-3), (1e-200, 1e-150),
+                (Fraction(2, 3), 0.1), (0.7, Fraction(1, 3)), (2.0, 5e-324), (1e150, 1e-100)]
+for theta in (0, 1):
+    for a, b in coefficients:
+        print(repr(build_bg_game(PolicyParams(theta, a, b))))
+print(repr(bg_payoff_vectors()))
+"""
 
 # Number spellings the workload generators never write, one spec each.
 SPELLING_SPECS = {
@@ -410,6 +427,8 @@ def main() -> int:
     results = [*results, *((run_demo(parent, name), run_demo(ROOT, name)) for name in demos)]
     ops.append(("verification", ["run_verification()"]))
     results.append(tuple(run_python(tree, ["-c", VERIFICATION_CODE]) for tree in (parent, ROOT)))
+    ops.append(("library", ["build_bg_game", "bg_payoff_vectors()"]))
+    results.append(tuple(run_python(tree, ["-c", LIBRARY_CODE]) for tree in (parent, ROOT)))
 
     counts: dict[str, int] = {}
     differing = 0
