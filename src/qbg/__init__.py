@@ -16,10 +16,13 @@ them: it registers ``qbg.engine``, ``qbg.game``, ``qbg.oracle``,
 ``importlib.util.LazyLoader``, and a module's code runs at its first
 attribute access.  Their module objects sit in ``sys.modules`` from
 ``import qbg`` on, so code that walks the loaded qbg modules (a tracer or a
-monkeypatch) finds them as if they had been imported eagerly.  Every
-exported name resolves through the package's ``__getattr__``.  The
-density-matrix oracle (``final_density``, ``expected_payoff_trace``) is
-``qbg.oracle``; ``qbg.engine`` forwards its names there for existing callers.
+monkeypatch) finds them as if they had been imported eagerly.  The modules
+bind each other as modules (``from . import engine``), never names from
+them, so each function is bound once, in its own module, and a wrapper set
+there sees every call.  Every exported name resolves through the package's
+``__getattr__``.  The density-matrix oracle (``final_density``,
+``expected_payoff_trace``) is ``qbg.oracle``; ``qbg.engine`` forwards its
+names there for existing callers.
 """
 
 import importlib.util

@@ -1,4 +1,4 @@
-from .cli import run_and_exit
+from . import cli
 
 if __name__ == "__main__":
-    run_and_exit()
+    cli.run_and_exit()

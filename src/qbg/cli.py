@@ -21,9 +21,11 @@ parser alone (the top-level parser only for argv that does not start with a
 command name), ``csv`` is imported at the first CSV write, and ``sweep`` runs
 in ``qbg.sweep``, qbg's one numpy user, imported only by that command.
 ``import qbg`` puts qbg's other modules in ``sys.modules`` as lazily executed
-modules, whose code runs at their first attribute access, and this module
-binds the modules themselves, not names from them, looking each name up at
-call time.  So ``classical`` runs ``specfile`` and ``game`` but not
+modules, whose code runs at their first attribute access.  Like every qbg
+module, this one binds the modules themselves, not names from them, and
+looks each name up at call time: importing a name would run its module at
+once, and a function bound only in its own module is seen by a wrapper set
+there on every call.  So ``classical`` runs ``specfile`` and ``game`` but not
 ``engine``; ``equilibria`` and ``quantize`` run ``specfile`` and ``engine``
 but not ``game``; only ``quantize`` with a ``[candidate]`` runs ``oracle``;
 and only ``reproduce`` runs ``verification`` and ``scenarios``.

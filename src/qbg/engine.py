@@ -154,7 +154,12 @@ class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
 
 
 class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
-    """Diagonal of one player's payoff operator, in basis order."""
+    """Diagonal of one player's payoff operator, in basis order.
+
+    Each payoff is finite and at most M = 2**1019 in magnitude.  A branch
+    payoff is then at most M, a coefficient at most 4M and ``evaluate``'s
+    running sum at most 9M < 2**1023, so every form and gap stays finite.
+    """
 
     __slots__ = ()
 
@@ -163,6 +168,8 @@ class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
         for v in values:
             if not math.isfinite(v):
                 raise ValueError("payoffs must be finite")
+            if abs(v) > 2.0 ** 1019:
+                raise ValueError(f"payoffs must be at most 2**1019 in magnitude, got {v!r}")
         return tuple.__new__(cls, values)
 
 

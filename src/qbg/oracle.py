@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
+from . import engine
 from ._records import ValidatedRecord
-from .engine import ALGEBRA_TOL, MixingProfile, PayoffVector, QuantumInitialState, \
-    _squared_magnitude
 
 PSD_TOL = 1e-10            # eigenvalue floor for positive semidefiniteness
 
@@ -46,11 +45,11 @@ class DensityMatrix4(ValidatedRecord, namedtuple("DensityMatrix4", "rows")):
             rows = ()
         if len(rows) != 4 or any(len(row) != 4 for row in rows):
             raise ValueError("expected a 4x4 matrix of numbers")
-        if any(abs(rows[i][j] - rows[j][i].conjugate()) > ALGEBRA_TOL
+        if any(abs(rows[i][j] - rows[j][i].conjugate()) > engine.ALGEBRA_TOL
                for i in range(4) for j in range(i, 4)):
             raise ValueError("density matrix is not Hermitian")
         trace = (rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3])
-        if abs(trace.real - 1.0) > ALGEBRA_TOL or abs(trace.imag) > ALGEBRA_TOL:
+        if abs(trace.real - 1.0) > engine.ALGEBRA_TOL or abs(trace.imag) > engine.ALGEBRA_TOL:
             raise ValueError("density matrix trace is not 1")
         if not _shifted_cholesky_exists(rows):
             raise ValueError("density matrix is not positive semidefinite")
@@ -73,7 +72,7 @@ def _shifted_cholesky_exists(rows) -> bool:
             row.append(s / pivots[j])
         pivot = rows[i][i].real + PSD_TOL
         for k in range(i):
-            pivot -= pivots[k] * _squared_magnitude(row[k])
+            pivot -= pivots[k] * engine._squared_magnitude(row[k])
         if not pivot > 0.0:    # NaN fails too
             return False
         lower.append(row)
@@ -111,12 +110,12 @@ def _branch_gathers() -> tuple[tuple[int, ...], ...]:
     return tuple(gathers)
 
 
-def _branch_weights(mix: MixingProfile):
+def _branch_weights(mix: engine.MixingProfile):
     p, q = mix.p, mix.q
     return (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
 
 
-def _outer(state: QuantumInitialState) -> list[complex]:
+def _outer(state: engine.QuantumInitialState) -> list[complex]:
     """The 16 entries of a a^dagger, row-major, for the state's amplitudes a.
 
     Python's complex product gives each diagonal entry the real part
@@ -130,12 +129,12 @@ def _density(entries: list[complex]) -> DensityMatrix4:
     return DensityMatrix4([entries[0:4], entries[4:8], entries[8:12], entries[12:16]])
 
 
-def initial_density(state: QuantumInitialState) -> DensityMatrix4:
+def initial_density(state: engine.QuantumInitialState) -> DensityMatrix4:
     """Rank-1 projector onto the initial state."""
     return _density(_outer(state))
 
 
-def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
+def final_density(state: engine.QuantumInitialState, mix: engine.MixingProfile) -> DensityMatrix4:
     """Convex combination of the four conjugated initial densities.
 
     The branches are added in canonical order onto zeros, skipping zero
@@ -150,7 +149,7 @@ def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatr
     return _density(out)
 
 
-def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
+def expected_payoff_trace(vec: engine.PayoffVector, rho: DensityMatrix4) -> float:
     """Tr(P rho) for the diagonal payoff operator P built from ``vec``.
 
     The terms v_i * rho_ii are summed as (t0 + t1) + (t2 + t3), the order
@@ -161,6 +160,6 @@ def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
     rows = rho.rows
     t0, t1, t2, t3 = (float(v) * rows[i][i] for i, v in enumerate(vec))
     value = (t0 + t1) + (t2 + t3)
-    if abs(value.imag) > ALGEBRA_TOL:
+    if abs(value.imag) > engine.ALGEBRA_TOL:
         raise ValueError(f"payoff trace has imaginary residue {value.imag!r}")
     return value.real

@@ -19,15 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .engine import (
-    MixingProfile,
-    PayoffVector,
-    QuantumInitialState,
-    closed_form_payoff,
-    payoff_vectors_from_game,
-    verify_nash,
-)
-from .game import PolicyParams, build_bg_game
+from . import engine, game
 
 VERDICT_NASH = "nash"
 VERDICT_NO_NASH = "no-nash"
@@ -71,26 +63,26 @@ class WeakAssumption(namedtuple("WeakAssumption", "holds gap")):
 
 
 @lru_cache(maxsize=1)
-def bg_payoff_vectors() -> tuple[PayoffVector, PayoffVector]:
+def bg_payoff_vectors() -> tuple[engine.PayoffVector, engine.PayoffVector]:
     """Diagonal payoff vectors of the normalized weak-type game (a = b = 2)."""
-    game = build_bg_game(PolicyParams(theta=1, a=2, b=2))
-    return payoff_vectors_from_game(game)
+    table = game.build_bg_game(game.PolicyParams(theta=1, a=2, b=2))
+    return engine.payoff_vectors_from_game(table)
 
 
-def weak_assumption_holds(state: QuantumInitialState) -> WeakAssumption:
+def weak_assumption_holds(state: engine.QuantumInitialState) -> WeakAssumption:
     """Strict test of P(LL) + P(HL) > P(HH) + P(LH), with the gap attached."""
     p_ll, p_lh, p_hl, p_hh = state.squared_magnitudes()
     gap = float((p_ll + p_hl) - (p_hh + p_lh))
     return WeakAssumption(holds=gap > 0.0, gap=gap)
 
 
-def _run_candidate(scenario: str, state: QuantumInitialState,
-                   candidate: MixingProfile, verdict: str | None = None,
+def _run_candidate(scenario: str, state: engine.QuantumInitialState,
+                   candidate: engine.MixingProfile, verdict: str | None = None,
                    notes: tuple[str, ...] = ()) -> ScenarioReport:
     """Decide ``candidate`` on ``state`` with ``verify_nash``, each form built once."""
     policy_vec, public_vec = bg_payoff_vectors()
-    report = verify_nash(closed_form_payoff(state, policy_vec),
-                         closed_form_payoff(state, public_vec), candidate)
+    report = engine.verify_nash(engine.closed_form_payoff(state, policy_vec),
+                                engine.closed_form_payoff(state, public_vec), candidate)
     if verdict is None:
         verdict = VERDICT_NASH if report.is_nash else VERDICT_NO_NASH
     return ScenarioReport(
@@ -107,23 +99,23 @@ def _run_candidate(scenario: str, state: QuantumInitialState,
     )
 
 
-def run_case_a(state: QuantumInitialState) -> ScenarioReport:
+def run_case_a(state: engine.QuantumInitialState) -> ScenarioReport:
     """Both players keep the identity with certainty: candidate (1, 1)."""
-    return _run_candidate("case-a", state, MixingProfile(1.0, 1.0))
+    return _run_candidate("case-a", state, engine.MixingProfile(1.0, 1.0))
 
 
-def run_case_b(state: QuantumInitialState) -> ScenarioReport:
+def run_case_b(state: engine.QuantumInitialState) -> ScenarioReport:
     """Both players flip with certainty: candidate (0, 0).
 
     Stability needs the keep-slope reversed (the HH/LH outcomes weighted
     more), the opposite of what a weak policy maker's state is assumed to
     satisfy, so the report carries a note flagging that tension.
     """
-    return _run_candidate("case-b", state, MixingProfile(0.0, 0.0),
+    return _run_candidate("case-b", state, engine.MixingProfile(0.0, 0.0),
                           notes=(NOTE_OPPOSITE_PREFERENCE,))
 
 
-def run_case_c(state: QuantumInitialState) -> ScenarioReport:
+def run_case_c(state: engine.QuantumInitialState) -> ScenarioReport:
     """Both players mix evenly: candidate (1/2, 1/2).
 
     Payoffs are -1/2 for both players on every normalized state, so the
@@ -132,7 +124,7 @@ def run_case_c(state: QuantumInitialState) -> ScenarioReport:
     are plus and minus half the keep-slope, so it is stable only when the
     keep-slope vanishes.
     """
-    return _run_candidate("case-c", state, MixingProfile(0.5, 0.5),
+    return _run_candidate("case-c", state, engine.MixingProfile(0.5, 0.5),
                           verdict=VERDICT_DOMINATED,
                           notes=(NOTE_NEGATIVE_PAYOFFS,))
 
@@ -146,8 +138,8 @@ def run_strategy_i(lh_prob: float) -> ScenarioReport:
     """
     if not 0.0 <= lh_prob <= 1.0:
         raise ValueError(f"LH weight must lie in [0, 1], got {lh_prob!r}")
-    state = QuantumInitialState.from_probabilities(0.0, lh_prob, 1.0 - lh_prob, 0.0)
-    return _run_candidate("strategy-i", state, MixingProfile(1.0, 1.0),
+    state = engine.QuantumInitialState.from_probabilities(0.0, lh_prob, 1.0 - lh_prob, 0.0)
+    return _run_candidate("strategy-i", state, engine.MixingProfile(1.0, 1.0),
                           notes=(NOTE_PUBLIC_ALWAYS_LOSES,))
 
 
@@ -162,8 +154,8 @@ def run_strategy_ii(hh_prob: float) -> ScenarioReport:
     """
     if not 0.0 <= hh_prob <= 1.0:
         raise ValueError(f"HH weight must lie in [0, 1], got {hh_prob!r}")
-    state = QuantumInitialState.from_probabilities(1.0 - hh_prob, 0.0, 0.0, hh_prob)
-    report = _run_candidate("strategy-ii", state, MixingProfile(1.0, 1.0))
+    state = engine.QuantumInitialState.from_probabilities(1.0 - hh_prob, 0.0, 0.0, hh_prob)
+    report = _run_candidate("strategy-ii", state, engine.MixingProfile(1.0, 1.0))
     notes = []
     if report.is_nash:
         notes.append(NOTE_TIME_CONSISTENT)

@@ -19,10 +19,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import cli, engine, specfile
 from ._records import NORMALIZATION_TOL
-from .cli import _STATE_VARS, _SWEEP_VARS, _fmt
-from .engine import ClosedFormPayoff, bilinear_coefficients, closed_form_payoff, deviation_gaps
-from .specfile import GameSpec, SpecError
 
 _BLOCK_POINTS = 4096   # grid points a sweep evaluates at once (at least one row)
 _MAX_AXIS_STEPS = 100_000   # values per axis; a larger STEPS exits 2 before any is made
@@ -37,27 +35,27 @@ class _Axis(namedtuple("_Axis", "var values")):
 def _parse_axis(text: str) -> _Axis:
     var, sep, rest = text.partition("=")
     var = var.strip()
-    if not sep or var not in _SWEEP_VARS:
-        raise SpecError(f"bad axis {text!r}; expected VAR=LO:HI:STEPS with VAR "
-                        f"one of {', '.join(_SWEEP_VARS)}")
+    if not sep or var not in cli._SWEEP_VARS:
+        raise specfile.SpecError(f"bad axis {text!r}; expected VAR=LO:HI:STEPS with VAR "
+                                 f"one of {', '.join(cli._SWEEP_VARS)}")
     parts = rest.split(":")
     if len(parts) != 3:
-        raise SpecError(f"bad axis range {rest!r}; expected LO:HI:STEPS")
+        raise specfile.SpecError(f"bad axis range {rest!r}; expected LO:HI:STEPS")
     try:
         # + 0.0 turns a bound written -0 into 0
         lo, hi = float(parts[0]) + 0.0, float(parts[1]) + 0.0
         steps = int(parts[2])
     except ValueError:
-        raise SpecError(f"bad axis range {rest!r}") from None
+        raise specfile.SpecError(f"bad axis range {rest!r}") from None
     if steps < 1:
-        raise SpecError("axis needs at least 1 step")
+        raise specfile.SpecError("axis needs at least 1 step")
     if steps > _MAX_AXIS_STEPS:
-        raise SpecError(f"axis {text!r} has more than {_MAX_AXIS_STEPS} steps")
+        raise specfile.SpecError(f"axis {text!r} has more than {_MAX_AXIS_STEPS} steps")
     if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
-        raise SpecError("axis range must stay within [0, 1]")
+        raise specfile.SpecError("axis range must stay within [0, 1]")
     if steps == 1:
         if lo != hi:
-            raise SpecError(f"axis {text!r} has 1 step, so LO and HI must be equal")
+            raise specfile.SpecError(f"axis {text!r} has 1 step, so LO and HI must be equal")
         values = (lo,)
     else:
         # the last value is HI itself: the formula can miss it by an ulp
@@ -82,27 +80,27 @@ def _state_weights(p_ll, p_lh, p_hl, p_hh):
     return [a * a for a in (np.sqrt(p / total) for p in probs)]
 
 
-def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
+def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     """Write the sweep of ``spec`` over the ``--axis`` texts to standard output
     as CSV and return the exit code 0; a bad axis or grid raises SpecError
     before any output."""
     if not axis_texts:
-        raise SpecError("sweep needs at least one --axis VAR=LO:HI:STEPS")
+        raise specfile.SpecError("sweep needs at least one --axis VAR=LO:HI:STEPS")
     axes = [_parse_axis(text) for text in axis_texts]
     if len(axes) > 2:
-        raise SpecError("sweep supports at most two axes")
+        raise specfile.SpecError("sweep supports at most two axes")
     names = [axis.var for axis in axes]
     if len(set(names)) != len(names):
-        raise SpecError("sweep axes must name distinct variables")
+        raise specfile.SpecError("sweep axes must name distinct variables")
     if not spec.has_quantum:
-        raise SpecError("sweep needs a [quantum] section in the spec")
+        raise specfile.SpecError("sweep needs a [quantum] section in the spec")
 
     state = spec.to_state()
     candidate = spec.to_candidate()
     if "p" not in names and candidate is None:
-        raise SpecError("p is unresolved: sweep it or provide a [candidate]")
+        raise specfile.SpecError("p is unresolved: sweep it or provide a [candidate]")
     if "q" not in names and candidate is None:
-        raise SpecError("q is unresolved: sweep it or provide a [candidate]")
+        raise specfile.SpecError("q is unresolved: sweep it or provide a [candidate]")
 
     vecs = spec.payoff_vectors()
 
@@ -112,8 +110,11 @@ def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
     # addition is monotone, so the LL weight never rises as a swept weight
     # does: the grid is valid exactly when its heaviest point is, and the
     # first bad point in row order lies in the first row that is bad at the
-    # heaviest inner value.  A bad grid fails there with no CSV output.
-    fixed = dict(zip(_STATE_VARS, state.squared_magnitudes()[1:]))
+    # heaviest inner value.  A bad grid fails there with no CSV output.  The
+    # unswept weights are a prob_* spec's own, not the squares of to_state's
+    # square roots; an amp_* spec has only its normalized squares.
+    weights = spec.probabilities or state.squared_magnitudes()
+    fixed = dict(zip(cli._STATE_VARS, map(float, weights[1:])))
     fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
     outer, inner = axes if len(axes) == 2 else (None, axes[0])
     # A row's lead is its outer value as a 1-tuple, or () in a 1-axis sweep;
@@ -131,8 +132,8 @@ def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
     if is_bad(*leads([max(lead_values)]), heaviest):
         lead = next(lead for lead in leads(lead_values) if is_bad(lead, heaviest))
         x = next(x for x in inner.values if is_bad(lead, x))
-        where = ", ".join(f"{n}={_fmt(v, 12)}" for n, v in zip(names, lead + (x,)))
-        raise SpecError(f"state weights exceed 1 at grid point ({where})")
+        where = ", ".join(f"{n}={cli._fmt(v, 12)}" for n, v in zip(names, lead + (x,)))
+        raise specfile.SpecError(f"state weights exceed 1 at grid point ({where})")
 
     # Unswept variables are scalars.  The grid is evaluated in blocks of
     # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
@@ -146,12 +147,12 @@ def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
     # array per block.  No field can need CSV quoting.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
-    slots = [_fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
+    slots = [cli._fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
     verdicts = np.array(["false", "true"], dtype=object)
     values = dict(fixed)
     values[inner.var] = np.array([inner.values])
-    forms = None if set(names) & set(_STATE_VARS) else [
-        closed_form_payoff(state, vec) for vec in vecs]
+    forms = None if set(names) & set(cli._STATE_VARS) else [
+        engine.closed_form_payoff(state, vec) for vec in vecs]
 
     def write_block(rows):
         # a function, so that the block's arrays are freed before the next one's
@@ -162,16 +163,16 @@ def run(spec: GameSpec, axis_texts: list[str] | None) -> int:
         else:
             lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
             weights = _state_weights(1.0 - (lh + hl + hh), lh, hl, hh)
-            f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*weights, vec))
+            f_row, f_col = (engine.ClosedFormPayoff(*engine.bilinear_coefficients(*weights, vec))
                             for vec in vecs)
-        row_payoff, col_payoff, _, (h0, h1, h2, h3) = deviation_gaps(
+        row_payoff, col_payoff, _, (h0, h1, h2, h3) = engine.deviation_gaps(
             f_row, f_col, values["p"], values["q"])
         cells = np.empty(row_payoff.shape + (3,), dtype=object)
         cells[..., 0] = row_payoff
         cells[..., 1] = col_payoff
         cells[..., 2] = verdicts[(h0 & h1 & h2 & h3).astype(np.intp)]
         for lead, row_cells in zip(rows, cells.reshape(len(rows), -1).tolist()):
-            prefix = "".join(_fmt(x, 12) + "," for x in lead)
+            prefix = "".join(cli._fmt(x, 12) + "," for x in lead)
             out.write((prefix + prefix.join(slots)) % tuple(row_cells))
 
     block_rows = max(1, _BLOCK_POINTS // len(inner.values))

@@ -17,17 +17,7 @@ import math
 import random
 from collections import namedtuple
 
-from . import scenarios
-from .engine import (
-    MixingProfile,
-    QuantumInitialState,
-    PayoffVector,
-    closed_form_payoff,
-)
-from .game import PolicyParams, PureProfile, DominatedRow, build_bg_game, \
-    find_dominated_rows, find_pure_nash
-from .oracle import expected_payoff_trace, final_density
-from .scenarios import bg_payoff_vectors, run_case_a, run_case_b, run_case_c
+from . import engine, game, oracle, scenarios
 
 TOLERANCE = 1e-10
 
@@ -93,25 +83,25 @@ def _classical_checks() -> list[CheckResult]:
     for label, theta, table, nash_cell, dominated_row in (
             ("weak", 1, _WEAK_TABLE, (1, 1), 0),
             ("strong", 0, _STRONG_TABLE, (0, 0), 1)):
-        game = build_bg_game(PolicyParams(theta=theta, a=2, b=2))
+        built = game.build_bg_game(game.PolicyParams(theta=theta, a=2, b=2))
         for r in (0, 1):
             for c in (0, 1):
                 cell = _CELL_NAMES[(r, c)]
                 checks.append(CheckResult(
                     f"classical.{label}-table.{cell}.policy",
                     f"{label} table, cell {cell.upper()}, policy payoff",
-                    float(table[r][c][0]), float(game.row_payoff(r, c))))
+                    float(table[r][c][0]), float(built.row_payoff(r, c))))
                 checks.append(CheckResult(
                     f"classical.{label}-table.{cell}.public",
                     f"{label} table, cell {cell.upper()}, public payoff",
-                    float(table[r][c][1]), float(game.col_payoff(r, c))))
-        nash_ok = find_pure_nash(game) == frozenset({PureProfile(*nash_cell)})
+                    float(table[r][c][1]), float(built.col_payoff(r, c))))
+        nash_ok = game.find_pure_nash(built) == frozenset({game.PureProfile(*nash_cell)})
         checks.append(CheckResult(
             f"classical.{label}-nash",
             f"{label} game has exactly the expected pure equilibrium",
             1.0, 1.0 if nash_ok else 0.0))
-        dom_ok = find_dominated_rows(game) == frozenset(
-            {DominatedRow(dominated_row, strict=True)})
+        dom_ok = game.find_dominated_rows(built) == frozenset(
+            {game.DominatedRow(dominated_row, strict=True)})
         checks.append(CheckResult(
             f"classical.{label}-dominated",
             f"{label} game strictly dominates the expected row",
@@ -149,8 +139,8 @@ def _closed_form_checks(f_policy, f_public) -> list[CheckResult]:
 
 def _gap_checks(f_row, f_col) -> list[CheckResult]:
     ref = _ReferenceForms(REFERENCE_PROBS)
-    candidate = MixingProfile(*GENERIC_CANDIDATE)
-    deviation = MixingProfile(*GENERIC_DEVIATION)
+    candidate = engine.MixingProfile(*GENERIC_CANDIDATE)
+    deviation = engine.MixingProfile(*GENERIC_DEVIATION)
     row_gap = (f_row.evaluate(candidate.p, candidate.q)
                - f_row.evaluate(deviation.p, candidate.q))
     col_gap = (f_col.evaluate(candidate.p, candidate.q)
@@ -176,13 +166,13 @@ def _gap_checks(f_row, f_col) -> list[CheckResult]:
     ]
 
 
-def _case_checks(state: QuantumInitialState) -> list[CheckResult]:
+def _case_checks(state: engine.QuantumInitialState) -> list[CheckResult]:
     # a report's conditions are what the deviations to p=0, p=1, q=0 and q=1
     # lose, in that order
     ref = _ReferenceForms(REFERENCE_PROBS)
     checks = []
 
-    report_a = run_case_a(state)
+    report_a = scenarios.run_case_a(state)
     checks += [
         CheckResult("case-a.policy-payoff",
                     "policy payoff when both players keep",
@@ -198,7 +188,7 @@ def _case_checks(state: QuantumInitialState) -> list[CheckResult]:
                     1.0 - 2.0 * ref.mismatch, report_a.conditions[2].value),
     ]
 
-    report_b = run_case_b(state)
+    report_b = scenarios.run_case_b(state)
     checks += [
         CheckResult("case-b.policy-payoff",
                     "policy payoff when both players flip",
@@ -214,7 +204,7 @@ def _case_checks(state: QuantumInitialState) -> list[CheckResult]:
                     1.0 - 2.0 * ref.mismatch, report_b.conditions[3].value),
     ]
 
-    report_c = run_case_c(state)
+    report_c = scenarios.run_case_c(state)
     checks += [
         CheckResult("case-c.policy-payoff",
                     "policy payoff under even mixing is -1/2 on any state",
@@ -299,18 +289,18 @@ def _oracle_checks() -> list[CheckResult]:
     # complex samples drawn with stdlib random; their squared magnitudes and
     # densities are Python arithmetic too, so reproduce never imports numpy
     rng = random.Random(20240809)
-    policy_vec, public_vec = bg_payoff_vectors()
+    policy_vec, public_vec = scenarios.bg_payoff_vectors()
     worst = 0.0
     for _ in range(50):
-        state = QuantumInitialState.normalized(
+        state = engine.QuantumInitialState.normalized(
             *(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)))
-        mix = MixingProfile(rng.random(), rng.random())
-        rho = final_density(state, mix)
+        mix = engine.MixingProfile(rng.random(), rng.random())
+        rho = oracle.final_density(state, mix)
         vectors = [policy_vec, public_vec,
-                   PayoffVector(*(rng.uniform(-2.0, 2.0) for _ in range(4)))]
+                   engine.PayoffVector(*(rng.uniform(-2.0, 2.0) for _ in range(4)))]
         for vec in vectors:
-            traced = expected_payoff_trace(vec, rho)
-            closed = closed_form_payoff(state, vec).evaluate(mix.p, mix.q)
+            traced = oracle.expected_payoff_trace(vec, rho)
+            closed = engine.closed_form_payoff(state, vec).evaluate(mix.p, mix.q)
             worst = max(worst, abs(traced - closed))
     return [CheckResult("oracle.trace-vs-closed-form",
                         "trace payoffs agree with the bilinear closed form",
@@ -323,9 +313,10 @@ def run_verification(fault_id: str | None = None) -> list[CheckResult]:
     ``fault_id`` perturbs the named check's computed value so that failure
     reporting can be exercised; unknown ids raise ValueError.
     """
-    state = QuantumInitialState.from_probabilities(*REFERENCE_PROBS)
-    policy_vec, public_vec = bg_payoff_vectors()
-    forms = closed_form_payoff(state, policy_vec), closed_form_payoff(state, public_vec)
+    state = engine.QuantumInitialState.from_probabilities(*REFERENCE_PROBS)
+    policy_vec, public_vec = scenarios.bg_payoff_vectors()
+    forms = (engine.closed_form_payoff(state, policy_vec),
+             engine.closed_form_payoff(state, public_vec))
     checks = (_classical_checks() + _closed_form_checks(*forms) + _gap_checks(*forms)
               + _case_checks(state) + _strategy_checks()
               + _oracle_checks())

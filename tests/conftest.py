@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -39,10 +37,9 @@ def fresh_rng(seed: int = 20240809) -> np.random.Generator:
 def closed_form_calls(monkeypatch):
     """The argument tuples of every ``closed_form_payoff`` call made in the test.
 
-    Modules import the function by name, so every qbg module attribute that
-    binds it is patched, not only ``qbg.engine``'s.
+    qbg's modules call the function through ``qbg.engine``, so patching it
+    there sees every call.
     """
-    import qbg.cli
     import qbg.engine
     original = qbg.engine.closed_form_payoff
     calls = []
@@ -51,8 +48,5 @@ def closed_form_calls(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if ((name == "qbg" or name.startswith("qbg."))
-                and getattr(module, "closed_form_payoff", None) is original):
-            monkeypatch.setattr(module, "closed_form_payoff", counted)
+    monkeypatch.setattr(qbg.engine, "closed_form_payoff", counted)
     return calls

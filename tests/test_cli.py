@@ -33,7 +33,7 @@ from qbg import (
     parse_spec,
     verify_nash,
 )
-from qbg import cli, game, oracle, scenarios, sweep, verification
+from qbg import cli, engine, game, oracle, scenarios, sweep, verification
 from qbg.cli import main
 from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from qbg.specfile import SpecError
@@ -663,6 +663,25 @@ q = 1/2
         assert row[len(at):len(at) + 2] == [items["policy_payoff.closed_form"],
                                             items["public_payoff.closed_form"]]
 
+    @pytest.mark.parametrize("axes", [
+        ["p=1:1:1"], ["prob_lh=0.2:0.2:1", "prob_hl=0.2:0.2:1"],
+        ["prob_hh=0.1:0.1:1", "p=1:1:1"], ["prob_lh=0.2:0.2:1", "p=1:1:1"],
+    ], ids=["p", "lh-hl", "hh-p", "lh-p"])
+    def test_one_state_prints_one_payoff_whatever_the_axes(self, capsys, spec_path, axes):
+        # each grid holds one point: the spec's own state and candidate, where
+        # quantize's policy payoff is a residue of 5.6e-17.  A prob_* axis
+        # starts from the spec's own weights, so every route prints it.
+        path = spec_path(BUILTIN_REFERENCE_SPEC)
+        code, out, _ = run_cli(capsys, "quantize", "--csv", "--spec", path)
+        assert code == 0
+        items = dict(parse_csv(out)[1:])
+        code, out, _ = run_cli(capsys, "sweep", "--spec", path,
+                               *(arg for axis in axes for arg in ("--axis", axis)))
+        assert code == 0
+        [row] = parse_csv(out)[1:]
+        assert row[len(axes):len(axes) + 2] == [items["policy_payoff.closed_form"],
+                                                items["public_payoff.closed_form"]]
+
 
 GENERAL_GAME = """\
 [game]
@@ -696,6 +715,12 @@ q = 0.7
 """
 
 
+def unswept_weights(spec):
+    """The sweep's (LL, LH, HL, HH) weights where no state axis sets them: a
+    prob_* spec's own, or an amp_* spec's normalized squares."""
+    return [float(w) for w in spec.probabilities or spec.to_state().squared_magnitudes()]
+
+
 def reference_sweep(text, axes):
     """CSV text of a sweep computed point by point: a fresh state, both closed
     forms and a verify_nash call at every grid point."""
@@ -703,7 +728,7 @@ def reference_sweep(text, axes):
     names = [var for var, _, _, _ in axes]
     grids = [[lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)] + [hi]
              for _, lo, hi, steps in axes]
-    base = spec.to_state().squared_magnitudes()
+    base = unswept_weights(spec)
     candidate = spec.to_candidate()
     vec_row, vec_col = spec.payoff_vectors()
     lines = [",".join(names + ["policy_payoff", "public_payoff", "nash"])]
@@ -715,8 +740,11 @@ def reference_sweep(text, axes):
         if prob_ll < -1e-9:
             where = ", ".join(f"{n}={v:.12g}" for n, v in assignment.items())
             raise SpecError(f"state weights exceed 1 at grid point ({where})")
-        state = QuantumInitialState.from_probabilities(
-            max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
+        if set(assignment) & set(probs):
+            state = QuantumInitialState.from_probabilities(
+                max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
+        else:   # no state axis: the spec's own state, as quantize builds it
+            state = spec.to_state()
         p = assignment.get("p", candidate and candidate.p)
         q = assignment.get("q", candidate and candidate.q)
         f_row = closed_form_payoff(state, vec_row)
@@ -789,7 +817,7 @@ class TestSweepGolden:
                                           MISMATCH_SPEC]))
         names = data.draw(st.lists(st.sampled_from(cli._SWEEP_VARS),
                                    min_size=1, max_size=2, unique=True))
-        base = dict(zip(cli._STATE_VARS, parse_spec(text).to_state().squared_magnitudes()[1:]))
+        base = dict(zip(cli._STATE_VARS, unswept_weights(parse_spec(text))[1:]))
         axes = []
         for var in names:
             steps = data.draw(st.integers(1, 7))
@@ -1035,6 +1063,49 @@ class TestColdStartLoads:
         assert [loaded for _, loaded, _, _ in probe(lazy, [])] == [lazy, lazy]
 
 
+class TestOneBinding:
+    """qbg's modules call each other's functions through the defining module,
+    so a wrapper set there alone sees every call, whichever module loaded first."""
+
+    WRAPPED = ((engine, "closed_form_payoff"), (engine, "verify_nash"),
+               (engine, "enumerate_equilibria"), (oracle, "final_density"),
+               (oracle, "expected_payoff_trace"), (scenarios, "run_strategy_ii"))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {name: 0 for _, name in self.WRAPPED}
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        for module, name in self.WRAPPED:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    def test_run_verification(self, calls):
+        verification.run_verification()
+        assert calls == {"closed_form_payoff": 562, "verify_nash": 205,
+                         "enumerate_equilibria": 0, "final_density": 50,
+                         "expected_payoff_trace": 150, "run_strategy_ii": 101}
+
+    @pytest.mark.parametrize("argv, seen", [
+        (["quantize"], {"closed_form_payoff": 2, "verify_nash": 1, "final_density": 1,
+                        "expected_payoff_trace": 2}),
+        (["equilibria"], {"closed_form_payoff": 2, "enumerate_equilibria": 1}),
+        (["sweep", "--axis", "p=0:1:3"], {"closed_form_payoff": 2}),
+        (["sweep", "--axis", "prob_lh=0:0.5:3"], {}),
+    ], ids=["quantize", "equilibria", "sweep", "sweep-state"])
+    def test_commands(self, capsys, spec_path, calls, argv, seen):
+        # qbg.sweep was imported with this module, before the wrappers were set
+        assert sys.modules["qbg.sweep"] is sweep
+        code, _, _ = run_cli(capsys, *argv, "--spec", spec_path(MIXED_SPEC))
+        assert code == 0
+        assert calls == dict(dict.fromkeys(calls, 0), **seen)
+
+
 SURFACE_PROBE = """\
 import json
 import qbg
@@ -1197,7 +1268,7 @@ class TestReproduce:
 
     def test_oracle_check_keeps_its_sample_counts(self, monkeypatch):
         complex_states, traced = [], []
-        real_density, real_trace = verification.final_density, verification.expected_payoff_trace
+        real_density, real_trace = oracle.final_density, oracle.expected_payoff_trace
 
         def final_density(state, mix):
             complex_states.append(any(complex(a).imag for a in state))
@@ -1207,8 +1278,8 @@ class TestReproduce:
             traced.append(vec)
             return real_trace(vec, rho)
 
-        monkeypatch.setattr(verification, "final_density", final_density)
-        monkeypatch.setattr(verification, "expected_payoff_trace", expected_payoff_trace)
+        monkeypatch.setattr(oracle, "final_density", final_density)
+        monkeypatch.setattr(oracle, "expected_payoff_trace", expected_payoff_trace)
         [check] = verification._oracle_checks()
         assert check.passed
         assert complex_states == [True] * 50
@@ -1282,11 +1353,6 @@ class TestEntryPoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(capsys, argv)
         assert proc.returncode == code
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect: payoffs inside the float range overflow in the closed form; "
-        "on this spec quantize prints coeff_q=-inf, coeff_pq=inf and closed-form=nan "
-        "next to a finite trace of 6.8e+307, and sweep exits 0 with nan rows and "
-        "numpy RuntimeWarnings on stderr"))
     def test_payoffs_near_the_float_limit_print_numbers_or_fail_cleanly(self, spec_path):
         path = spec_path("""\
 [game]

@@ -813,7 +813,7 @@ class TestEnumerateEquilibria:
 
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: float residues of ~1e-16 in the forms shrink the exact segment "
-        "p=0, q in [7/20, 1] to one point; ROADMAP item 2 (exact rational core) mends it"))
+        "p=0, q in [7/20, 1] to one point; ROADMAP item 1 (exact rational core) mends it"))
     def test_every_verified_profile_lies_in_an_enumerated_region(self):
         state = QuantumInitialState.from_probabilities(0, 4 / 7, 2 / 7, 1 / 7)
         f_row = closed_form_payoff(state, PayoffVector(1 / 2, -1, 0, 1 / 2))

@@ -192,7 +192,7 @@ class TestTables:
     @given(st.sampled_from([0, 1]),
            st.one_of(RATIONALS, st.floats(min_value=5e-324, allow_infinity=False)),
            st.one_of(RATIONALS, st.floats(min_value=5e-324, allow_infinity=False)))
-    @example(1, Fraction(1), Fraction(math.isqrt(FLOAT_OVERFLOW - 1)))   # b*b just fits
+    @example(1, Fraction(1), Fraction(math.isqrt(FLOAT_OVERFLOW - 1)))   # b*b fits, above 2**1019
     @example(1, Fraction(1), Fraction(math.isqrt(FLOAT_OVERFLOW - 1) + 1))   # and overflows
     @example(1, Fraction(1), Fraction(1, 2 ** 537))   # the cost ties between 0 and 2**-1074
     @example(0, Fraction(1), Fraction(1, 3 * 2 ** 530))   # subnormal cells
@@ -208,6 +208,14 @@ class TestTables:
                 with pytest.raises(SpecError, match="^the builtin-bg payoffs for these a and b "
                                                     "exceed the float range$"):
                     convert()
+            return
+        except ValueError as exc:
+            # a cell beyond PayoffVector's 2**1019 bound: the vectors are refused
+            # alike, and the exact table is still the game's
+            with pytest.raises(ValueError) as refused:
+                spec.payoff_vectors()
+            assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+            assert spec.to_game() == reference
             return
         assert bits(spec.payoff_vectors()) == expected
         game = spec.to_game()
