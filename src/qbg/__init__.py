@@ -22,7 +22,7 @@ them, so each function is bound once, in its own module, and a wrapper set
 there sees every call.  Every exported name resolves through the package's
 ``__getattr__``.  The density-matrix oracle (``final_density``,
 ``expected_payoff_trace``) is ``qbg.oracle``; ``qbg.engine`` forwards its
-names there for existing callers.
+names there.
 """
 
 import importlib.util

@@ -27,8 +27,8 @@ squared amplitude magnitudes, so all results are invariant under rephasing
 any amplitude.  That density-matrix oracle lives in ``qbg.oracle``, which
 only ``quantize`` with a candidate and ``reproduce`` run; this module
 forwards its four public names (``DensityMatrix4``, ``initial_density``,
-``final_density``, ``expected_payoff_trace``) there for existing callers,
-loading it at the first such lookup.
+``final_density``, ``expected_payoff_trace``) there, loading it at the
+first such lookup.
 
 Every squared magnitude |z|**2, real or complex, is computed one way,
 ``z.real * z.real + z.imag * z.imag``: the closed form's weights, the norm
@@ -242,8 +242,7 @@ def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
     written out as terms x0..x3 summed in the fixed order
     (x0 + x2) + (x1 + x3).  Floating-point addition is not associative, so a
     fixed order is what makes a grid of states evaluated as arrays agree bit
-    for bit with each state evaluated alone; this pairing also reproduces
-    the 4x4 BLAS product the form was first computed with.
+    for bit with each state evaluated alone.
     """
     v0, v1, v2, v3 = float(vec.ll), float(vec.lh), float(vec.hl), float(vec.hh)
     r0 = (w_ll * v0 + w_hl * v2) + (w_lh * v1 + w_hh * v3)

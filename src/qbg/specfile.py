@@ -64,8 +64,12 @@ from . import engine, game   # each runs at its first use, not at import
 from ._records import NORMALIZATION_TOL, check_policy_fields
 
 _SECTIONS = ("game", "quantum", "candidate")
-_GAME_KEYS = {"mode", "theta", "a", "b",
-              "row_labels", "col_labels", "row_payoffs", "col_payoffs"}
+# Each mode's own [game] keys, in the order another mode refuses them, and
+# the keys it requires, in the order they are looked for.
+_MODE_KEYS = {"builtin-bg": (("theta", "a", "b"), ("theta", "a", "b")),
+              "custom": (("row_labels", "col_labels", "row_payoffs", "col_payoffs"),
+                         ("row_payoffs", "col_payoffs"))}
+_GAME_KEYS = {"mode"}.union(*(own for own, _ in _MODE_KEYS.values()))
 _PROB_KEYS = ("prob_ll", "prob_lh", "prob_hl", "prob_hh")
 _AMP_KEYS = ("amp_ll", "amp_lh", "amp_hl", "amp_hh")
 _CANDIDATE_KEYS = ("p", "q")
@@ -163,10 +167,7 @@ class GameSpec(namedtuple("GameSpec", (
             return engine.QuantumInitialState.from_probabilities(*self.probabilities)
         if self.amplitudes is not None:
             amps = [float(a) for a in self.amplitudes]
-            norm_sq = sum(a ** 2 for a in amps)   # parse_spec's arithmetic, bit for bit
-            if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-                raise SpecError(
-                    f"[quantum] amplitudes have squared norm {norm_sq!r}, expected 1")
+            _check_state_size(amps, amplitudes=True)
             return engine.QuantumInitialState.normalized(*amps)
         return None
 
@@ -228,6 +229,21 @@ def _fits_float(values) -> bool:
     return True
 
 
+def _check_state_size(weights, amplitudes: bool) -> None:
+    """The [quantum] rule on a state's four weights as floats, in basis order:
+    prob_* weights must sum to 1, and amp_* amplitudes must have squared norm
+    1, within ``NORMALIZATION_TOL``.  A square beyond the float range makes
+    the norm inf."""
+    try:
+        size = (sum(a ** 2 for a in weights) if amplitudes
+                else weights[0] + weights[1] + weights[2] + weights[3])
+    except OverflowError:
+        size = math.inf
+    if abs(size - 1.0) > NORMALIZATION_TOL:
+        what = "amplitudes have squared norm" if amplitudes else "squared magnitudes sum to"
+        raise SpecError(f"[quantum] {what} {size!r}, expected 1")
+
+
 def _parse_labels(text: str, line: int, column: int) -> tuple[str, str]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2 or not all(parts):
@@ -236,11 +252,11 @@ def _parse_labels(text: str, line: int, column: int) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
-def _parse_number_list(text: str, count: int, line: int, column: int):
+def _parse_payoffs(text: str, line: int, column: int):
+    """A player's four payoffs, in basis order."""
     parts = [part.strip() for part in text.split(",")]
-    if len(parts) != count:
-        raise SpecError(f"expected {count} comma-separated numbers, got {text!r}",
-                        line, column)
+    if len(parts) != 4:
+        raise SpecError(f"expected 4 comma-separated numbers, got {text!r}", line, column)
     return tuple(_parse_number(part, line, column) for part in parts)
 
 
@@ -281,69 +297,58 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
     return sections
 
 
+def _entries(sections, name: str, keys) -> dict[str, tuple[str, int, int]]:
+    """Section ``name``'s key -> (value, line, column), refusing a key not in ``keys``."""
+    entries = sections[name]
+    for key, (_, line, _) in entries.items():
+        if key not in keys:
+            raise SpecError(f"unknown key {key!r} in [{name}]", line)
+    return entries
+
+
 def parse_spec(text: str) -> GameSpec:
     """Parse a game description; raises SpecError with line diagnostics."""
     sections = _scan(text)
     if "game" not in sections:
         raise SpecError("missing required section [game]")
 
-    game = sections["game"]
-    for key in game:
-        if key not in _GAME_KEYS:
-            raise SpecError(f"unknown key {key!r} in [game]", game[key][1])
+    game = _entries(sections, "game", _GAME_KEYS)
     if "mode" not in game:
         raise SpecError("missing key 'mode' in [game]")
-    mode_value, mode_line, mode_col = game["mode"]
-    if mode_value not in ("builtin-bg", "custom"):
-        raise SpecError(f"mode must be 'builtin-bg' or 'custom', got {mode_value!r}",
-                        mode_line, mode_col)
+    mode = game["mode"][0]
+    if mode not in _MODE_KEYS:
+        raise SpecError(f"mode must be 'builtin-bg' or 'custom', got {mode!r}",
+                        *game["mode"][1:])
+    for key in _MODE_KEYS[mode][1]:
+        if key not in game:
+            raise SpecError(f"{mode} mode requires key {key!r} in [game]")
+    for other, (own, _) in _MODE_KEYS.items():
+        for key in own:
+            if other != mode and key in game:
+                raise SpecError(f"key {key!r} is only valid in {other} mode", game[key][1])
 
-    fields: dict = {"mode": mode_value}
-    if mode_value == "builtin-bg":
-        for key in ("theta", "a", "b"):
-            if key not in game:
-                raise SpecError(f"builtin-bg mode requires key {key!r} in [game]")
-        for key in ("row_labels", "col_labels", "row_payoffs", "col_payoffs"):
-            if key in game:
-                raise SpecError(f"key {key!r} is only valid in custom mode",
-                                game[key][1])
+    fields: dict = {"mode": mode}
+    if mode == "builtin-bg":
         # range checks compare a Fraction's ints; its denominator is positive
         theta = _parse_number(*game["theta"])
         if theta.denominator != 1 or theta.numerator not in (0, 1):
             raise SpecError(f"theta must be 0 or 1, got {game['theta'][0]!r}",
-                            game["theta"][1], game["theta"][2])
+                            *game["theta"][1:])
         fields["theta"] = theta.numerator
         for key in ("a", "b"):
             value = _parse_number(*game[key])
             if value.numerator <= 0:
-                raise SpecError(f"{key} must be positive", game[key][1],
-                                game[key][2])
+                raise SpecError(f"{key} must be positive", *game[key][1:])
             fields[key] = value
     else:
-        for key in ("row_payoffs", "col_payoffs"):
-            if key not in game:
-                raise SpecError(f"custom mode requires key {key!r} in [game]")
-        for key in ("theta", "a", "b"):
+        for key in ("row_labels", "col_labels"):
             if key in game:
-                raise SpecError(f"key {key!r} is only valid in builtin-bg mode",
-                                game[key][1])
-        if "row_labels" in game:
-            fields["row_labels"] = _parse_labels(*game["row_labels"])
-        if "col_labels" in game:
-            fields["col_labels"] = _parse_labels(*game["col_labels"])
-        fields["row_payoffs"] = _parse_number_list(game["row_payoffs"][0], 4,
-                                                   game["row_payoffs"][1],
-                                                   game["row_payoffs"][2])
-        fields["col_payoffs"] = _parse_number_list(game["col_payoffs"][0], 4,
-                                                   game["col_payoffs"][1],
-                                                   game["col_payoffs"][2])
+                fields[key] = _parse_labels(*game[key])
+        for key in ("row_payoffs", "col_payoffs"):
+            fields[key] = _parse_payoffs(*game[key])
 
     if "quantum" in sections:
-        quantum = sections["quantum"]
-        for key in quantum:
-            if key not in _PROB_KEYS and key not in _AMP_KEYS:
-                raise SpecError(f"unknown key {key!r} in [quantum]",
-                                quantum[key][1])
+        quantum = _entries(sections, "quantum", _PROB_KEYS + _AMP_KEYS)
         has_probs = any(k in quantum for k in _PROB_KEYS)
         has_amps = any(k in quantum for k in _AMP_KEYS)
         if has_probs and has_amps:
@@ -359,28 +364,17 @@ def parse_spec(text: str) -> GameSpec:
         if has_probs:
             for key, value in zip(family, values):
                 if value.numerator < 0:
-                    raise SpecError(f"{key} must be nonnegative",
-                                    quantum[key][1], quantum[key][2])
-        try:   # a value or a square can overflow; the sums are to_state's, bit for bit
-            w = [float(v) for v in values]
-            size = w[0] + w[1] + w[2] + w[3] if has_probs else sum(a ** 2 for a in w)
+                    raise SpecError(f"{key} must be nonnegative", *quantum[key][1:])
+        try:
+            weights = [float(value) for value in values]
         except OverflowError:
-            for key, value in zip(family, values):
-                if not _fits_float((value,)):
-                    raise SpecError(f"{key} exceeds the float range",
-                                    quantum[key][1], quantum[key][2]) from None
-            size = math.inf
-        if abs(size - 1.0) > NORMALIZATION_TOL:
-            what = "squared magnitudes sum to" if has_probs else "amplitudes have squared norm"
-            raise SpecError(f"[quantum] {what} {size!r}, expected 1")
+            key = next(k for k, value in zip(family, values) if not _fits_float((value,)))
+            raise SpecError(f"{key} exceeds the float range", *quantum[key][1:]) from None
+        _check_state_size(weights, amplitudes=has_amps)
         fields["probabilities" if has_probs else "amplitudes"] = tuple(values)
 
     if "candidate" in sections:
-        candidate = sections["candidate"]
-        for key in candidate:
-            if key not in _CANDIDATE_KEYS:
-                raise SpecError(f"unknown key {key!r} in [candidate]",
-                                candidate[key][1])
+        candidate = _entries(sections, "candidate", _CANDIDATE_KEYS)
         for key in _CANDIDATE_KEYS:
             if key not in candidate:
                 raise SpecError(f"[candidate] is missing key {key!r}")
@@ -388,14 +382,13 @@ def parse_spec(text: str) -> GameSpec:
         for key in _CANDIDATE_KEYS:
             value = _parse_number(*candidate[key])
             if not 0 <= value.numerator <= value.denominator:
-                raise SpecError(f"{key} must lie in [0, 1]",
-                                candidate[key][1], candidate[key][2])
+                raise SpecError(f"{key} must lie in [0, 1]", *candidate[key][1:])
             values.append(value)
         fields["candidate"] = (values[0], values[1])
 
     for key in ("row_payoffs", "col_payoffs"):
         if key in fields and not _fits_float(fields[key]):
-            raise SpecError(f"{key} exceeds the float range", game[key][1], game[key][2])
+            raise SpecError(f"{key} exceeds the float range", *game[key][1:])
     return GameSpec(**fields)
 
 

@@ -2,9 +2,10 @@
 
 One or two axes vary the identity probabilities p, q or the state weights
 prob_lh, prob_hl, prob_hh.  When a state weight is swept, the LL weight
-absorbs the remainder; when none is, every point has the spec's own state
-and the closed forms ``quantize`` builds from it.  Each row gives the swept
-values, both players' payoffs and the weak Nash verdict.
+takes up what the swept weights move from the spec's own; when none is,
+every point has the spec's own state and the closed forms ``quantize``
+builds from it.  Each row gives the swept values, both players' payoffs
+and the weak Nash verdict.
 
 This is qbg's one numpy user: the grid is evaluated in blocks of rows on
 arrays, through ``engine.bilinear_coefficients`` and
@@ -63,17 +64,26 @@ def _parse_axis(text: str) -> _Axis:
     return _Axis(var, values)
 
 
+def _ll_weight(spec_weights, values):
+    """The LL weight at a point whose LH, HL and HH weights ``values`` holds
+    (floats or arrays): the spec's own LL weight plus what each of the other
+    three gives up of the spec's, so an unswept weight adds exactly 0.  Each
+    difference falls as its swept value rises, and rounded addition is
+    monotone, so the LL weight never rises as a swept weight does."""
+    ll, lh, hl, hh = spec_weights
+    return ll + ((lh - values["prob_lh"]) + (hl - values["prob_hl"])
+                 + (hh - values["prob_hh"]))
+
+
 def _state_weights(p_ll, p_lh, p_hl, p_hh):
     """The squared magnitudes ``QuantumInitialState.from_probabilities`` would
     give the weights (LL, LH, HL, HH), elementwise on arrays and bit for bit:
     clipped at 0, then sqrt(w / total) squared.
 
     The total is not checked here.  The sweep refuses a grid whose heaviest
-    point has an LL weight below ``-NORMALIZATION_TOL``, and the LL weight
-    is monotone in each swept weight, so no point evaluated here has one.  A
-    clipped LL weight leaves the total exactly lh + hl + hh, with
-    LL = 1 - (lh + hl + hh) within that tolerance of 0; otherwise the total
-    is within a few ulps of 1.
+    point has an LL weight below ``-NORMALIZATION_TOL``, so no point
+    evaluated here has one, and the total is the spec's own within a few
+    ulps, or, with the LL weight clipped, above it by at most that tolerance.
     """
     probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
     total = probs[0] + probs[1] + probs[2] + probs[3]
@@ -105,16 +115,15 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     vecs = spec.payoff_vectors()
 
     # Every axis value and the [candidate] lie in [0, 1], so each profile is
-    # valid and each swept weight is a valid weight; only weights summing
-    # above 1, which leave the LL weight negative, can fail a point.  Rounded
-    # addition is monotone, so the LL weight never rises as a swept weight
-    # does: the grid is valid exactly when its heaviest point is, and the
-    # first bad point in row order lies in the first row that is bad at the
+    # valid and each swept weight is a valid weight; only an LL weight below
+    # the tolerance can fail a point.  It never rises as a swept weight does,
+    # so the grid is valid exactly when its heaviest point is, and the first
+    # bad point in row order lies in the first row that is bad at the
     # heaviest inner value.  A bad grid fails there with no CSV output.  The
-    # unswept weights are a prob_* spec's own, not the squares of to_state's
+    # spec's weights are a prob_* spec's own, not the squares of to_state's
     # square roots; an amp_* spec has only its normalized squares.
-    weights = spec.probabilities or state.squared_magnitudes()
-    fixed = dict(zip(cli._STATE_VARS, map(float, weights[1:])))
+    spec_weights = [float(w) for w in spec.probabilities or state.squared_magnitudes()]
+    fixed = dict(zip(cli._STATE_VARS, spec_weights[1:]))
     fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
     outer, inner = axes if len(axes) == 2 else (None, axes[0])
     # A row's lead is its outer value as a 1-tuple, or () in a 1-axis sweep;
@@ -126,7 +135,7 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
 
     def is_bad(lead, x):
         v = dict(fixed, **dict(zip(names, lead + (x,))))
-        return 1.0 - (v["prob_lh"] + v["prob_hl"] + v["prob_hh"]) < -NORMALIZATION_TOL
+        return _ll_weight(spec_weights, v) < -NORMALIZATION_TOL
 
     heaviest = max(inner.values)
     if is_bad(*leads([max(lead_values)]), heaviest):
@@ -140,11 +149,10 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     # array and the inner one a (1, inner) array, and the scalars broadcast
     # into them, so memory is bounded by the block size.  An unswept state's
     # closed forms are quantize's, built once; a swept state's weights and
-    # forms are computed once per block, the LL weight taking the remainder
-    # of the other three.  Each row is written with one %-format: its
-    # template holds the outer prefix and inner value of every point, and its
-    # slots take the two payoffs and the verdict, interleaved in one object
-    # array per block.  No field can need CSV quoting.
+    # forms are computed once per block.  Each row is written with one
+    # %-format: its template holds the outer prefix and inner value of every
+    # point, and its slots take the two payoffs and the verdict, interleaved
+    # in one object array per block.  No field can need CSV quoting.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
     slots = [cli._fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
@@ -161,8 +169,8 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
         if forms:
             f_row, f_col = forms
         else:
-            lh, hl, hh = values["prob_lh"], values["prob_hl"], values["prob_hh"]
-            weights = _state_weights(1.0 - (lh + hl + hh), lh, hl, hh)
+            weights = _state_weights(_ll_weight(spec_weights, values), values["prob_lh"],
+                                     values["prob_hl"], values["prob_hh"])
             f_row, f_col = (engine.ClosedFormPayoff(*engine.bilinear_coefficients(*weights, vec))
                             for vec in vecs)
         row_payoff, col_payoff, _, (h0, h1, h2, h3) = engine.deviation_gaps(

@@ -137,88 +137,70 @@ def _closed_form_checks(f_policy, f_public) -> list[CheckResult]:
     return checks
 
 
+# One row per deviation-gap check on the generic profiles: the player, the
+# form the gap is checked against, the description, and the reference gap in
+# the reference forms, the candidate c and the deviation d.
+_GAP_CHECKS = (
+    ("policy", "definition", "policy deviation gap equals the payoff difference",
+     lambda ref, c, d: ref.policy_payoff(c.p, c.q) - ref.policy_payoff(d.p, c.q)),
+    ("public", "definition", "public deviation gap equals the payoff difference",
+     lambda ref, c, d: ref.public_payoff(c.p, c.q) - ref.public_payoff(c.p, d.q)),
+    ("policy", "closed-form", "policy deviation gap collapses to (p*-p) times the keep-slope",
+     lambda ref, c, d: ref.policy_gap(c.p, d.p)),
+    ("public", "closed-form", "public deviation gap collapses to its product form",
+     lambda ref, c, d: ref.public_gap(c.p, c.q, d.q)),
+)
+
+
 def _gap_checks(f_row, f_col) -> list[CheckResult]:
     ref = _ReferenceForms(REFERENCE_PROBS)
-    candidate = engine.MixingProfile(*GENERIC_CANDIDATE)
-    deviation = engine.MixingProfile(*GENERIC_DEVIATION)
-    row_gap = (f_row.evaluate(candidate.p, candidate.q)
-               - f_row.evaluate(deviation.p, candidate.q))
-    col_gap = (f_col.evaluate(candidate.p, candidate.q)
-               - f_col.evaluate(candidate.p, deviation.q))
-    defn_row = (ref.policy_payoff(candidate.p, candidate.q)
-                - ref.policy_payoff(deviation.p, candidate.q))
-    defn_col = (ref.public_payoff(candidate.p, candidate.q)
-                - ref.public_payoff(candidate.p, deviation.q))
-    return [
-        CheckResult("nash-gap.policy.definition",
-                    "policy deviation gap equals the payoff difference",
-                    defn_row, row_gap),
-        CheckResult("nash-gap.public.definition",
-                    "public deviation gap equals the payoff difference",
-                    defn_col, col_gap),
-        CheckResult("nash-gap.policy.closed-form",
-                    "policy deviation gap collapses to (p*-p) times the keep-slope",
-                    ref.policy_gap(candidate.p, deviation.p), row_gap),
-        CheckResult("nash-gap.public.closed-form",
-                    "public deviation gap collapses to its product form",
-                    ref.public_gap(candidate.p, candidate.q, deviation.q),
-                    col_gap),
-    ]
+    c = engine.MixingProfile(*GENERIC_CANDIDATE)
+    d = engine.MixingProfile(*GENERIC_DEVIATION)
+    gaps = {"policy": f_row.evaluate(c.p, c.q) - f_row.evaluate(d.p, c.q),
+            "public": f_col.evaluate(c.p, c.q) - f_col.evaluate(c.p, d.q)}
+    return [CheckResult(f"nash-gap.{player}.{form}", text, expected(ref, c, d), gaps[player])
+            for player, form, text, expected in _GAP_CHECKS]
+
+
+# One row per case of the paper, checked on the reference state: the name of
+# its runner in qbg.scenarios (looked up when the checks run, as for the
+# strategy families below), the indices of its policy and public margins
+# among the report's conditions, which are what the deviations to p=0, p=1,
+# q=0 and q=1 lose, in that order, the reference policy payoff, public
+# payoff and both margins in the reference forms, and their descriptions.
+_CASES = (
+    ("case-a", "run_case_a", (0, 2),
+     lambda ref: (-ref.phh - 2.0 * ref.plh + ref.phl, -ref.plh - ref.phl,
+                  ref.keep_slope, 1.0 - 2.0 * ref.mismatch),
+     ("policy payoff when both players keep", "public payoff when both players keep",
+      "policy stability margin of the both-keep profile",
+      "public stability margin of the both-keep profile")),
+    ("case-b", "run_case_b", (1, 3),
+     lambda ref: (-ref.pll + ref.plh - 2.0 * ref.phl, -ref.plh - ref.phl,
+                  -ref.keep_slope, 1.0 - 2.0 * ref.mismatch),
+     ("policy payoff when both players flip", "public payoff when both players flip",
+      "policy stability margin of the both-flip profile",
+      "public stability margin of the both-flip profile")),
+    ("case-c", "run_case_c", (0, 2),
+     lambda ref: (-0.5, -0.5, 0.5 * ref.keep_slope, 0.0),
+     ("policy payoff under even mixing is -1/2 on any state",
+      "public payoff under even mixing is -1/2 on any state",
+      "policy stability margin under even mixing",
+      "public deviation effect vanishes under even mixing")),
+)
+_CASE_PARTS = ("policy-payoff", "public-payoff", "policy-condition", "public-condition")
 
 
 def _case_checks(state: engine.QuantumInitialState) -> list[CheckResult]:
-    # a report's conditions are what the deviations to p=0, p=1, q=0 and q=1
-    # lose, in that order
     ref = _ReferenceForms(REFERENCE_PROBS)
     checks = []
-
-    report_a = scenarios.run_case_a(state)
-    checks += [
-        CheckResult("case-a.policy-payoff",
-                    "policy payoff when both players keep",
-                    -ref.phh - 2.0 * ref.plh + ref.phl, report_a.policy_payoff),
-        CheckResult("case-a.public-payoff",
-                    "public payoff when both players keep",
-                    -ref.plh - ref.phl, report_a.public_payoff),
-        CheckResult("case-a.policy-condition",
-                    "policy stability margin of the both-keep profile",
-                    ref.keep_slope, report_a.conditions[0].value),
-        CheckResult("case-a.public-condition",
-                    "public stability margin of the both-keep profile",
-                    1.0 - 2.0 * ref.mismatch, report_a.conditions[2].value),
-    ]
-
-    report_b = scenarios.run_case_b(state)
-    checks += [
-        CheckResult("case-b.policy-payoff",
-                    "policy payoff when both players flip",
-                    -ref.pll + ref.plh - 2.0 * ref.phl, report_b.policy_payoff),
-        CheckResult("case-b.public-payoff",
-                    "public payoff when both players flip",
-                    -ref.plh - ref.phl, report_b.public_payoff),
-        CheckResult("case-b.policy-condition",
-                    "policy stability margin of the both-flip profile",
-                    -ref.keep_slope, report_b.conditions[1].value),
-        CheckResult("case-b.public-condition",
-                    "public stability margin of the both-flip profile",
-                    1.0 - 2.0 * ref.mismatch, report_b.conditions[3].value),
-    ]
-
-    report_c = scenarios.run_case_c(state)
-    checks += [
-        CheckResult("case-c.policy-payoff",
-                    "policy payoff under even mixing is -1/2 on any state",
-                    -0.5, report_c.policy_payoff),
-        CheckResult("case-c.public-payoff",
-                    "public payoff under even mixing is -1/2 on any state",
-                    -0.5, report_c.public_payoff),
-        CheckResult("case-c.policy-condition",
-                    "policy stability margin under even mixing",
-                    0.5 * ref.keep_slope, report_c.conditions[0].value),
-        CheckResult("case-c.public-condition",
-                    "public deviation effect vanishes under even mixing",
-                    0.0, report_c.conditions[2].value),
-    ]
+    for case, runner, (policy_margin, public_margin), expected, texts in _CASES:
+        report = getattr(scenarios, runner)(state)
+        computed = (report.policy_payoff, report.public_payoff,
+                    report.conditions[policy_margin].value,
+                    report.conditions[public_margin].value)
+        checks += [CheckResult(f"{case}.{part}", text, value, got)
+                   for part, text, value, got in zip(_CASE_PARTS, texts, expected(ref), computed)]
     return checks
 
 

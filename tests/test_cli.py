@@ -474,6 +474,43 @@ q = 1/4
 """
 
 
+GENERAL_GAME = """\
+[game]
+mode = custom
+row_payoffs = 0.3,-2,1.7,-1
+col_payoffs = 0,-1/3,-1,0.25
+"""
+
+MIXED_SPEC = GENERAL_GAME + """
+[quantum]
+prob_ll = 0.4
+prob_lh = 0.1
+prob_hl = 0.2
+prob_hh = 0.3
+
+[candidate]
+p = 0.3
+q = 2/3
+"""
+
+SIGNED_AMP_SPEC = GENERAL_GAME + """
+[quantum]
+amp_ll = 0.5
+amp_lh = -0.5
+amp_hl = 0.7
+amp_hh = -0.1
+
+[candidate]
+p = 1
+q = 0.7
+"""
+
+# MIXED_SPEC with its candidate's q at a value that every route through the
+# sweep reaches, and the one-point q axis there
+MIXED_AT_Q = MIXED_SPEC.replace("q = 2/3", "q = 0.8723121923197372")
+AT_Q = "q=0.8723121923197372:0.8723121923197372:1"
+
+
 class TestSweep:
     def test_hh_weight_threshold(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "sweep", "--spec", spec_path(MATCHED_SPEC),
@@ -663,15 +700,21 @@ q = 1/2
         assert row[len(at):len(at) + 2] == [items["policy_payoff.closed_form"],
                                             items["public_payoff.closed_form"]]
 
-    @pytest.mark.parametrize("axes", [
-        ["p=1:1:1"], ["prob_lh=0.2:0.2:1", "prob_hl=0.2:0.2:1"],
-        ["prob_hh=0.1:0.1:1", "p=1:1:1"], ["prob_lh=0.2:0.2:1", "p=1:1:1"],
-    ], ids=["p", "lh-hl", "hh-p", "lh-p"])
-    def test_one_state_prints_one_payoff_whatever_the_axes(self, capsys, spec_path, axes):
-        # each grid holds one point: the spec's own state and candidate, where
-        # quantize's policy payoff is a residue of 5.6e-17.  A prob_* axis
-        # starts from the spec's own weights, so every route prints it.
-        path = spec_path(BUILTIN_REFERENCE_SPEC)
+    @pytest.mark.parametrize("text, axes", [
+        (BUILTIN_REFERENCE_SPEC, ["p=1:1:1"]),
+        (BUILTIN_REFERENCE_SPEC, ["prob_lh=0.2:0.2:1", "prob_hl=0.2:0.2:1"]),
+        (BUILTIN_REFERENCE_SPEC, ["prob_hh=0.1:0.1:1", "p=1:1:1"]),
+        (BUILTIN_REFERENCE_SPEC, ["prob_lh=0.2:0.2:1", "p=1:1:1"]),
+        (MIXED_AT_Q, [AT_Q]), (MIXED_AT_Q, ["prob_lh=0.1:0.1:1", AT_Q]),
+        (MIXED_AT_Q, ["prob_hh=0.3:0.3:1", AT_Q]),
+    ], ids=["p", "lh-hl", "hh-p", "lh-p", "mixed-q", "mixed-lh-q", "mixed-hh-q"])
+    def test_one_state_prints_one_payoff_whatever_the_axes(self, capsys, spec_path, text, axes):
+        # each grid holds one point: the spec's own state and candidate.  On
+        # the builtin-bg reference quantize's policy payoff is a residue of
+        # 5.6e-17; on the mixed spec 1 - (0.1 + 0.2 + 0.3) is not its LL
+        # weight 0.4.  A prob_* axis starts from the spec's own weights, so
+        # every route prints quantize's payoffs.
+        path = spec_path(text)
         code, out, _ = run_cli(capsys, "quantize", "--csv", "--spec", path)
         assert code == 0
         items = dict(parse_csv(out)[1:])
@@ -681,38 +724,6 @@ q = 1/2
         [row] = parse_csv(out)[1:]
         assert row[len(axes):len(axes) + 2] == [items["policy_payoff.closed_form"],
                                                 items["public_payoff.closed_form"]]
-
-
-GENERAL_GAME = """\
-[game]
-mode = custom
-row_payoffs = 0.3,-2,1.7,-1
-col_payoffs = 0,-1/3,-1,0.25
-"""
-
-MIXED_SPEC = GENERAL_GAME + """
-[quantum]
-prob_ll = 0.4
-prob_lh = 0.1
-prob_hl = 0.2
-prob_hh = 0.3
-
-[candidate]
-p = 0.3
-q = 2/3
-"""
-
-SIGNED_AMP_SPEC = GENERAL_GAME + """
-[quantum]
-amp_ll = 0.5
-amp_lh = -0.5
-amp_hl = 0.7
-amp_hh = -0.1
-
-[candidate]
-p = 1
-q = 0.7
-"""
 
 
 def unswept_weights(spec):
@@ -736,13 +747,19 @@ def reference_sweep(text, axes):
         assignment = dict(zip(names, point))
         probs = {"prob_lh": base[1], "prob_hl": base[2], "prob_hh": base[3]}
         probs.update((k, v) for k, v in assignment.items() if k in probs)
-        prob_ll = 1.0 - sum(probs.values())
+        # the spec's LL weight plus what the other three give up of the spec's
+        prob_ll = base[0] + ((base[1] - probs["prob_lh"]) + (base[2] - probs["prob_hl"])
+                             + (base[3] - probs["prob_hh"]))
         if prob_ll < -1e-9:
             where = ", ".join(f"{n}={v:.12g}" for n, v in assignment.items())
             raise SpecError(f"state weights exceed 1 at grid point ({where})")
         if set(assignment) & set(probs):
-            state = QuantumInitialState.from_probabilities(
-                max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
+            # from_probabilities' state, without its bound on the total: a
+            # clipped LL weight within the tolerance can leave the total just
+            # above 1 + 1e-9, and the check above is the sweep's only bound
+            weights = [max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"]]
+            total = weights[0] + weights[1] + weights[2] + weights[3]
+            state = QuantumInitialState(*(math.sqrt(w / total) for w in weights))
         else:   # no state axis: the spec's own state, as quantize builds it
             state = spec.to_state()
         p = assignment.get("p", candidate and candidate.p)

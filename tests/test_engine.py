@@ -825,3 +825,19 @@ class TestEnumerateEquilibria:
         for q in accepted:
             assert any(r.p_min <= 0.0 <= r.p_max and r.q_min <= q <= r.q_max
                        for r in regions), (q, regions)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect 2: the absolute ALGEBRA_TOL on the forms makes the regions depend "
+        "on the payoffs' scale; ROADMAP items 1 (exact core) and 3 (filtered sweep) mend it"))
+    @pytest.mark.parametrize("probs, scale", [
+        ((1 / 2, 1 / 5, 1 / 5, 1 / 10), 1e-13),   # one point (1, 1), read as three segments
+        ((0.3, 0.1, 0.2, 0.4), 1e5),              # three segments, read as the point (0, 0)
+    ], ids=["weak-table-over-1e13", "zero-keep-slope-times-1e5"])
+    def test_scaling_one_players_payoffs_keeps_the_regions(self, probs, scale):
+        # a positive multiple of one player's payoffs changes no preference
+        policy_vec, public_vec = bg_payoff_vectors()
+        state = QuantumInitialState.from_probabilities(*probs)
+        f_col = closed_form_payoff(state, public_vec)
+        scaled = PayoffVector(*(scale * v for v in policy_vec))
+        assert (enumerate_equilibria(closed_form_payoff(state, scaled), f_col)
+                == enumerate_equilibria(closed_form_payoff(state, policy_vec), f_col))

@@ -41,6 +41,28 @@ p = 1
 q = 1
 """
 
+PROB_STATE = """
+[quantum]
+prob_ll = 0.4
+prob_lh = 0.1
+prob_hl = 0.2
+prob_hh = 0.3
+"""
+
+AMP_STATE = """
+[quantum]
+amp_ll = 0.6
+amp_lh = 0
+amp_hl = 0
+amp_hh = 0.8
+"""
+
+CANDIDATE = """
+[candidate]
+p = 1/2
+q = 1
+"""
+
 
 @pytest.fixture
 def unlimited_int_digits():
@@ -197,18 +219,21 @@ class TestTables:
     @example(1, Fraction(1), Fraction(1, 2 ** 537))   # the cost ties between 0 and 2**-1074
     @example(0, Fraction(1), Fraction(1, 3 * 2 ** 530))   # subnormal cells
     @example(0, Fraction(10 ** 200), Fraction(1, 10 ** 200))   # every cell a zero
+    @example(0, 2.0 ** -1023, Fraction(1))   # row cells above 2**1019, column cells overflow
     def test_builtin_table_is_build_bg_game(self, theta, a, b):
         # float fields are taken exactly, so the reference is built from their fractions
         spec = GameSpec(mode="builtin-bg", theta=theta, a=a, b=b)
         reference = build_bg_game(PolicyParams(theta=theta, a=Fraction(a), b=Fraction(b)))
-        try:
-            expected = bits(payoff_vectors_from_game(reference))
+        try:   # every cell first: one beyond the float range refuses the whole table
+            [float(value) for row in reference.payoffs for cell in row for value in cell]
         except OverflowError:
             for convert in (spec.payoff_vectors, spec.to_game):
                 with pytest.raises(SpecError, match="^the builtin-bg payoffs for these a and b "
                                                     "exceed the float range$"):
                     convert()
             return
+        try:
+            expected = bits(payoff_vectors_from_game(reference))
         except ValueError as exc:
             # a cell beyond PayoffVector's 2**1019 bound: the vectors are refused
             # alike, and the exact table is still the game's
@@ -330,6 +355,83 @@ prob_hh = 0.1
         text = CUSTOM.replace("row_payoffs = 3,0,5,1", "row_payoffs = 3,0,5")
         with pytest.raises(SpecError, match="4 comma-separated"):
             parse_spec(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[game\n", "line 1, column 5: unterminated section header"),
+        ("[garbage]\nx = 1\n", "line 1: unknown section [garbage]"),
+        ("[game]\n[game]\n", "line 2: duplicate section [game]"),
+        ("[game]\nmode\n", "line 2: expected 'key = value', got 'mode'"),
+        ("mode = custom\n[game]\n", "line 1: key outside any [section]"),
+        ("[game]\n = 1\n", "line 2: empty key"),
+        ("[game]\nmode =\n", "line 2, column 7: key 'mode' has no value"),
+        (BUILTIN + "a = 3\n", "line 6: duplicate key 'a' in [game]"),
+        (BUILTIN.replace("theta = 1", "theta = one"), "line 3, column 8: not a number: 'one'"),
+        (BUILTIN.replace("a = 2", "a = 1e10001"),
+         "line 4, column 4: exponent of '1e10001' exceeds 10000 in magnitude"),
+        (BUILTIN.replace("a = 2", "a = 1e5000"),
+         f"line 4, column 4: '1e5000' has more than {sys.get_int_max_str_digits()} digits "
+         "in its numerator or denominator"),
+        (CUSTOM.replace("row_labels = C,D", "row_labels = C"),
+         "line 3, column 13: expected two comma-separated labels, got 'C'"),
+        (CUSTOM.replace("col_payoffs = 3,5,0,1", "col_payoffs = 3,5,0"),
+         "line 6, column 14: expected 4 comma-separated numbers, got '3,5,0'"),
+        (PROB_STATE.lstrip(), "missing required section [game]"),
+        (BUILTIN + "volatility = 3\n", "line 6: unknown key 'volatility' in [game]"),
+        ("[game]\ntheta = 1\n", "missing key 'mode' in [game]"),
+        ("[game]\nmode = bg\n",
+         "line 2, column 7: mode must be 'builtin-bg' or 'custom', got 'bg'"),
+        (BUILTIN.replace("a = 2\n", ""), "builtin-bg mode requires key 'a' in [game]"),
+        (BUILTIN + "col_labels = C,D\n", "line 6: key 'col_labels' is only valid in custom mode"),
+        (BUILTIN.replace("theta = 1", "theta = 1/2"),
+         "line 3, column 8: theta must be 0 or 1, got '1/2'"),
+        (BUILTIN.replace("b = 2", "b = -0"), "line 5, column 4: b must be positive"),
+        (CUSTOM.replace("row_payoffs = 3,0,5,1\n", ""),
+         "custom mode requires key 'row_payoffs' in [game]"),
+        (CUSTOM + "theta = 1\n", "line 7: key 'theta' is only valid in builtin-bg mode"),
+        (BUILTIN + PROB_STATE + "prob_xx = 0\n", "line 12: unknown key 'prob_xx' in [quantum]"),
+        (BUILTIN + PROB_STATE + "amp_ll = 1\n",
+         "[quantum] mixes prob_* and amp_* keys; use one family"),
+        (BUILTIN + "\n[quantum]\n", "[quantum] section is empty"),
+        (BUILTIN + PROB_STATE.replace("prob_hl = 0.2\n", ""),
+         "[quantum] is missing key 'prob_hl'"),
+        (BUILTIN + PROB_STATE.replace("prob_hh = 0.3", "prob_hh = -0.3"),
+         "line 11, column 10: prob_hh must be nonnegative"),
+        (BUILTIN + PROB_STATE.replace("prob_hl = 0.2", "prob_hl = 1e400"),
+         "line 10, column 10: prob_hl exceeds the float range"),
+        (BUILTIN + PROB_STATE.replace("prob_hh = 0.3", "prob_hh = 0.2"),
+         "[quantum] squared magnitudes sum to 0.8999999999999999, expected 1"),
+        (BUILTIN + AMP_STATE.replace("amp_hh = 0.8", "amp_hh = -1e400"),
+         "line 11, column 9: amp_hh exceeds the float range"),
+        (BUILTIN + AMP_STATE.replace("amp_hh = 0.8", "amp_hh = 0.7"),
+         "[quantum] amplitudes have squared norm 0.8499999999999999, expected 1"),
+        (BUILTIN + AMP_STATE.replace("amp_ll = 0.6", "amp_ll = 1e200"),
+         "[quantum] amplitudes have squared norm inf, expected 1"),
+        (BUILTIN + CANDIDATE + "r = 0\n", "line 10: unknown key 'r' in [candidate]"),
+        (BUILTIN + CANDIDATE.replace("q = 1\n", ""), "[candidate] is missing key 'q'"),
+        (BUILTIN + CANDIDATE.replace("q = 1", "q = 3/2"), "line 9, column 4: q must lie in [0, 1]"),
+        (CUSTOM.replace("col_payoffs = 3,5,0,1", "col_payoffs = 3,5,0,-2e308"),
+         "line 6, column 14: col_payoffs exceeds the float range"),
+    ], ids=["unterminated-header", "unknown-section", "duplicate-section", "no-equals",
+            "key-outside-section", "empty-key", "no-value", "duplicate-key", "not-a-number",
+            "exponent", "digits", "labels", "number-count", "missing-game", "unknown-game-key",
+            "missing-mode", "bad-mode", "builtin-requires", "only-custom", "theta", "positive",
+            "custom-requires", "only-builtin", "unknown-quantum-key", "mixed-families",
+            "empty-quantum", "missing-quantum-key", "negative-weight", "weight-overflow",
+            "weight-sum", "amplitude-overflow", "amplitude-norm", "amplitude-square-overflow",
+            "unknown-candidate-key", "missing-candidate-key", "candidate-range",
+            "payoff-overflow"])
+    def test_each_refusal_reads_exactly(self, text, message):
+        with pytest.raises(SpecError) as err:
+            parse_spec(text)
+        assert str(err.value) == message
+
+    def test_hand_built_amplitudes_whose_square_overflows_are_refused(self):
+        # parse_spec's reading of the same state: the square 1e200 ** 2 is inf
+        spec = GameSpec(mode="builtin-bg", theta=1, a=2, b=2,
+                        amplitudes=(Fraction(10 ** 200), 0, 0, 0))
+        with pytest.raises(SpecError) as err:
+            spec.to_state()
+        assert str(err.value) == "[quantum] amplitudes have squared norm inf, expected 1"
 
 
 class TestRoundTrip:
