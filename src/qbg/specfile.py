@@ -166,9 +166,7 @@ class GameSpec(namedtuple("GameSpec", (
         if self.probabilities is not None:
             return engine.QuantumInitialState.from_probabilities(*self.probabilities)
         if self.amplitudes is not None:
-            amps = [float(a) for a in self.amplitudes]
-            _check_state_size(amps, amplitudes=True)
-            return engine.QuantumInitialState.normalized(*amps)
+            return engine.QuantumInitialState.normalized(*_unit_amplitudes(self.amplitudes))
         return None
 
     def to_candidate(self) -> engine.MixingProfile | None:
@@ -229,19 +227,19 @@ def _fits_float(values) -> bool:
     return True
 
 
-def _check_state_size(weights, amplitudes: bool) -> None:
-    """The [quantum] rule on a state's four weights as floats, in basis order:
-    prob_* weights must sum to 1, and amp_* amplitudes must have squared norm
-    1, within ``NORMALIZATION_TOL``.  A square beyond the float range makes
-    the norm inf."""
+def _unit_amplitudes(amps) -> list[float]:
+    """The amp_* amplitudes ``amps`` as floats, refused unless their squares
+    summed in basis order are 1 within ``NORMALIZATION_TOL`` (the [quantum]
+    rule).  An amplitude or a square beyond the float range makes the norm
+    inf."""
     try:
-        size = (sum(a ** 2 for a in weights) if amplitudes
-                else weights[0] + weights[1] + weights[2] + weights[3])
+        floats = [float(a) for a in amps]
+        norm = sum(a ** 2 for a in floats)
     except OverflowError:
-        size = math.inf
-    if abs(size - 1.0) > NORMALIZATION_TOL:
-        what = "amplitudes have squared norm" if amplitudes else "squared magnitudes sum to"
-        raise SpecError(f"[quantum] {what} {size!r}, expected 1")
+        norm = math.inf
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise SpecError(f"[quantum] amplitudes have squared norm {norm!r}, expected 1")
+    return floats
 
 
 def _parse_labels(text: str, line: int, column: int) -> tuple[str, str]:
@@ -300,9 +298,9 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
 def _entries(sections, name: str, keys) -> dict[str, tuple[str, int, int]]:
     """Section ``name``'s key -> (value, line, column), refusing a key not in ``keys``."""
     entries = sections[name]
-    for key, (_, line, _) in entries.items():
+    for key in entries:
         if key not in keys:
-            raise SpecError(f"unknown key {key!r} in [{name}]", line)
+            raise SpecError(f"unknown key {key!r} in [{name}]", entries[key][1])
     return entries
 
 
@@ -323,9 +321,10 @@ def parse_spec(text: str) -> GameSpec:
         if key not in game:
             raise SpecError(f"{mode} mode requires key {key!r} in [game]")
     for other, (own, _) in _MODE_KEYS.items():
-        for key in own:
-            if other != mode and key in game:
-                raise SpecError(f"key {key!r} is only valid in {other} mode", game[key][1])
+        if other != mode:
+            for key in own:
+                if key in game:
+                    raise SpecError(f"key {key!r} is only valid in {other} mode", game[key][1])
 
     fields: dict = {"mode": mode}
     if mode == "builtin-bg":
@@ -370,7 +369,12 @@ def parse_spec(text: str) -> GameSpec:
         except OverflowError:
             key = next(k for k, value in zip(family, values) if not _fits_float((value,)))
             raise SpecError(f"{key} exceeds the float range", *quantum[key][1:]) from None
-        _check_state_size(weights, amplitudes=has_amps)
+        if has_amps:
+            _unit_amplitudes(weights)
+        else:   # from_probabilities' sum, bit for bit
+            total = weights[0] + weights[1] + weights[2] + weights[3]
+            if abs(total - 1.0) > NORMALIZATION_TOL:
+                raise SpecError(f"[quantum] squared magnitudes sum to {total!r}, expected 1")
         fields["probabilities" if has_probs else "amplitudes"] = tuple(values)
 
     if "candidate" in sections:

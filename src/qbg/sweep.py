@@ -67,9 +67,7 @@ def _parse_axis(text: str) -> _Axis:
 def _ll_weight(spec_weights, values):
     """The LL weight at a point whose LH, HL and HH weights ``values`` holds
     (floats or arrays): the spec's own LL weight plus what each of the other
-    three gives up of the spec's, so an unswept weight adds exactly 0.  Each
-    difference falls as its swept value rises, and rounded addition is
-    monotone, so the LL weight never rises as a swept weight does."""
+    three gives up of the spec's, so an unswept weight adds exactly 0."""
     ll, lh, hl, hh = spec_weights
     return ll + ((lh - values["prob_lh"]) + (hl - values["prob_hl"])
                  + (hh - values["prob_hh"]))
@@ -81,9 +79,10 @@ def _state_weights(p_ll, p_lh, p_hl, p_hh):
     clipped at 0, then sqrt(w / total) squared.
 
     The total is not checked here.  The sweep refuses a grid whose heaviest
-    point has an LL weight below ``-NORMALIZATION_TOL``, so no point
-    evaluated here has one, and the total is the spec's own within a few
-    ulps, or, with the LL weight clipped, above it by at most that tolerance.
+    point has LH, HL and HH weights summing above 1 + ``NORMALIZATION_TOL``,
+    so no point evaluated here has them.  A clipped LL weight leaves the
+    total exactly that sum, which ``from_probabilities`` bounds in the same
+    way; otherwise the total is the spec's own within a few ulps.
     """
     probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
     total = probs[0] + probs[1] + probs[2] + probs[3]
@@ -115,13 +114,14 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     vecs = spec.payoff_vectors()
 
     # Every axis value and the [candidate] lie in [0, 1], so each profile is
-    # valid and each swept weight is a valid weight; only an LL weight below
-    # the tolerance can fail a point.  It never rises as a swept weight does,
-    # so the grid is valid exactly when its heaviest point is, and the first
-    # bad point in row order lies in the first row that is bad at the
-    # heaviest inner value.  A bad grid fails there with no CSV output.  The
-    # spec's weights are a prob_* spec's own, not the squares of to_state's
-    # square roots; an amp_* spec has only its normalized squares.
+    # valid and each swept weight is a valid weight; only LH, HL and HH
+    # weights summing above 1 by more than from_probabilities' tolerance can
+    # fail a point.  Rounded addition is monotone, so that sum never falls as
+    # a swept weight rises: the grid is valid exactly when its heaviest point
+    # is, and the first bad point in row order lies in the first row that is
+    # bad at the heaviest inner value.  A bad grid fails there with no CSV
+    # output.  The spec's weights are a prob_* spec's own, not the squares of
+    # to_state's square roots; an amp_* spec has only its normalized squares.
     spec_weights = [float(w) for w in spec.probabilities or state.squared_magnitudes()]
     fixed = dict(zip(cli._STATE_VARS, spec_weights[1:]))
     fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
@@ -135,7 +135,7 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
 
     def is_bad(lead, x):
         v = dict(fixed, **dict(zip(names, lead + (x,))))
-        return _ll_weight(spec_weights, v) < -NORMALIZATION_TOL
+        return 1.0 - (v["prob_lh"] + v["prob_hl"] + v["prob_hh"]) < -NORMALIZATION_TOL
 
     heaviest = max(inner.values)
     if is_bad(*leads([max(lead_values)]), heaviest):

@@ -162,45 +162,54 @@ def _gap_checks(f_row, f_col) -> list[CheckResult]:
             for player, form, text, expected in _GAP_CHECKS]
 
 
-# One row per case of the paper, checked on the reference state: the name of
-# its runner in qbg.scenarios (looked up when the checks run, as for the
-# strategy families below), the indices of its policy and public margins
+# One row per case of the paper, checked on the reference state: its runner
+# in qbg.scenarios (called through the module, so that a patch of the
+# module's function sees it), the indices of its policy and public margins
 # among the report's conditions, which are what the deviations to p=0, p=1,
-# q=0 and q=1 lose, in that order, the reference policy payoff, public
-# payoff and both margins in the reference forms, and their descriptions.
+# q=0 and q=1 lose, in that order, and its four checks in the reference
+# forms, as (id, description, expected value): the policy payoff, the public
+# payoff and the two margins.
 _CASES = (
-    ("case-a", "run_case_a", (0, 2),
-     lambda ref: (-ref.phh - 2.0 * ref.plh + ref.phl, -ref.plh - ref.phl,
-                  ref.keep_slope, 1.0 - 2.0 * ref.mismatch),
-     ("policy payoff when both players keep", "public payoff when both players keep",
-      "policy stability margin of the both-keep profile",
-      "public stability margin of the both-keep profile")),
-    ("case-b", "run_case_b", (1, 3),
-     lambda ref: (-ref.pll + ref.plh - 2.0 * ref.phl, -ref.plh - ref.phl,
-                  -ref.keep_slope, 1.0 - 2.0 * ref.mismatch),
-     ("policy payoff when both players flip", "public payoff when both players flip",
-      "policy stability margin of the both-flip profile",
-      "public stability margin of the both-flip profile")),
-    ("case-c", "run_case_c", (0, 2),
-     lambda ref: (-0.5, -0.5, 0.5 * ref.keep_slope, 0.0),
-     ("policy payoff under even mixing is -1/2 on any state",
-      "public payoff under even mixing is -1/2 on any state",
-      "policy stability margin under even mixing",
-      "public deviation effect vanishes under even mixing")),
+    (lambda state: scenarios.run_case_a(state), (0, 2), lambda ref: (
+        ("case-a.policy-payoff", "policy payoff when both players keep",
+         -ref.phh - 2.0 * ref.plh + ref.phl),
+        ("case-a.public-payoff", "public payoff when both players keep",
+         -ref.plh - ref.phl),
+        ("case-a.policy-condition", "policy stability margin of the both-keep profile",
+         ref.keep_slope),
+        ("case-a.public-condition", "public stability margin of the both-keep profile",
+         1.0 - 2.0 * ref.mismatch))),
+    (lambda state: scenarios.run_case_b(state), (1, 3), lambda ref: (
+        ("case-b.policy-payoff", "policy payoff when both players flip",
+         -ref.pll + ref.plh - 2.0 * ref.phl),
+        ("case-b.public-payoff", "public payoff when both players flip",
+         -ref.plh - ref.phl),
+        ("case-b.policy-condition", "policy stability margin of the both-flip profile",
+         -ref.keep_slope),
+        ("case-b.public-condition", "public stability margin of the both-flip profile",
+         1.0 - 2.0 * ref.mismatch))),
+    (lambda state: scenarios.run_case_c(state), (0, 2), lambda ref: (
+        ("case-c.policy-payoff", "policy payoff under even mixing is -1/2 on any state",
+         -0.5),
+        ("case-c.public-payoff", "public payoff under even mixing is -1/2 on any state",
+         -0.5),
+        ("case-c.policy-condition", "policy stability margin under even mixing",
+         0.5 * ref.keep_slope),
+        ("case-c.public-condition", "public deviation effect vanishes under even mixing",
+         0.0))),
 )
-_CASE_PARTS = ("policy-payoff", "public-payoff", "policy-condition", "public-condition")
 
 
 def _case_checks(state: engine.QuantumInitialState) -> list[CheckResult]:
     ref = _ReferenceForms(REFERENCE_PROBS)
     checks = []
-    for case, runner, (policy_margin, public_margin), expected, texts in _CASES:
-        report = getattr(scenarios, runner)(state)
+    for run, (policy_margin, public_margin), rows in _CASES:
+        report = run(state)
         computed = (report.policy_payoff, report.public_payoff,
                     report.conditions[policy_margin].value,
                     report.conditions[public_margin].value)
-        checks += [CheckResult(f"{case}.{part}", text, value, got)
-                   for part, text, value, got in zip(_CASE_PARTS, texts, expected(ref), computed)]
+        checks += [CheckResult(check_id, text, expected, got)
+                   for (check_id, text, expected), got in zip(rows(ref), computed)]
     return checks
 
 

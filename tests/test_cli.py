@@ -747,19 +747,15 @@ def reference_sweep(text, axes):
         assignment = dict(zip(names, point))
         probs = {"prob_lh": base[1], "prob_hl": base[2], "prob_hh": base[3]}
         probs.update((k, v) for k, v in assignment.items() if k in probs)
+        if 1.0 - sum(probs.values()) < -1e-9:
+            where = ", ".join(f"{n}={v:.12g}" for n, v in assignment.items())
+            raise SpecError(f"state weights exceed 1 at grid point ({where})")
         # the spec's LL weight plus what the other three give up of the spec's
         prob_ll = base[0] + ((base[1] - probs["prob_lh"]) + (base[2] - probs["prob_hl"])
                              + (base[3] - probs["prob_hh"]))
-        if prob_ll < -1e-9:
-            where = ", ".join(f"{n}={v:.12g}" for n, v in assignment.items())
-            raise SpecError(f"state weights exceed 1 at grid point ({where})")
         if set(assignment) & set(probs):
-            # from_probabilities' state, without its bound on the total: a
-            # clipped LL weight within the tolerance can leave the total just
-            # above 1 + 1e-9, and the check above is the sweep's only bound
-            weights = [max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"]]
-            total = weights[0] + weights[1] + weights[2] + weights[3]
-            state = QuantumInitialState(*(math.sqrt(w / total) for w in weights))
+            state = QuantumInitialState.from_probabilities(
+                max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
         else:   # no state axis: the spec's own state, as quantize builds it
             state = spec.to_state()
         p = assignment.get("p", candidate and candidate.p)
@@ -790,8 +786,13 @@ class TestSweepGolden:
         (MIXED_SPEC, [("prob_hh", 0, 0.3, 7), ("prob_lh", 0.5, 0, 700)]),
         (MIXED_SPEC, [("prob_hh", 0.1, 0.3, 2), ("prob_lh", 0.4, 0, sweep._BLOCK_POINTS + 1)]),
         (SIGNED_AMP_SPEC, [("prob_hl", 0, 0.7, sweep._BLOCK_POINTS + 904)]),
+        # the spec's weights total 1 - 9e-10, and the point's 1 + 5e-10
+        (MIXED_SPEC.replace("prob_ll = 0.4", "prob_ll = 0.3999999991"),
+         [("prob_lh", 0.5000000005, 0.5000000005, 1)]),
+        # LH and HH weights just within 1 + 1e-9; the LL weight is clipped at 0
+        (MATCHED_SPEC, [("prob_lh", 0.8000000009999999, 0.8000000009999999, 1)]),
     ], ids=["hh", "hh-p", "p-lh", "lh-hl", "p-q", "amp-p-q", "amp-hh-q", "amp-q",
-            "blocks", "row-per-block", "long-row"])
+            "blocks", "row-per-block", "long-row", "spec-below-1", "lh-at-bound"])
     def test_matches_per_point_reference(self, capsys, spec_path, text, axes):
         argv = ["sweep", "--spec", spec_path(text)]
         for var, lo, hi, steps in axes:
@@ -800,15 +801,22 @@ class TestSweepGolden:
         assert (code, err) == (0, "")
         assert out == reference_sweep(text, axes)
 
-    def test_first_bad_point_fails_before_any_output(self, capsys, spec_path):
-        axes = [("p", 0, 1, 3), ("prob_lh", 0, 1, 5)]
+    @pytest.mark.parametrize("axes, where", [
+        ([("p", 0, 1, 3), ("prob_lh", 0, 1, 5)], "(p=0, prob_lh=1)"),
+        # LH and HH weights just beyond 1 + 1e-9, which from_probabilities
+        # refuses too, though the LL weight is within 1e-9 of 0
+        ([("prob_lh", 0.800000001, 0.800000001, 1)], "(prob_lh=0.800000001)"),
+    ], ids=["p-lh", "lh-past-bound"])
+    def test_first_bad_point_fails_before_any_output(self, capsys, spec_path, axes, where):
         with pytest.raises(SpecError) as excinfo:
             reference_sweep(MATCHED_SPEC, axes)
-        code, out, err = run_cli(capsys, "sweep", "--spec", spec_path(MATCHED_SPEC),
-                                 "--axis", "p=0:1:3", "--axis", "prob_lh=0:1:5")
+        argv = ["sweep", "--spec", spec_path(MATCHED_SPEC)]
+        for var, lo, hi, steps in axes:
+            argv += ["--axis", f"{var}={lo}:{hi}:{steps}"]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {excinfo.value}\n"
-        assert "(p=0, prob_lh=1)" in err
+        assert where in err
 
     def test_first_bad_point_in_a_later_block(self, capsys, spec_path):
         # an inner axis longer than a block makes each row its own block;
@@ -840,8 +848,9 @@ class TestSweepGolden:
             steps = data.draw(st.integers(1, 7))
             bounds = [st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])]
             if var in base:
-                # a value within a few ulps of the one that puts the LL weight
-                # at -NORMALIZATION_TOL, the others at their base or last value
+                # a value within a few ulps of the one that puts the LH, HL and
+                # HH weights' sum at 1 + NORMALIZATION_TOL, the others at their
+                # base or last value
                 others = dict(base, **{v: hi for v, _, hi, _ in axes if v in base})
                 edge = 1.0 + 1e-9 - sum(w for k, w in others.items() if k != var)
                 for _ in range(data.draw(st.integers(0, 4))):

@@ -425,10 +425,12 @@ prob_hh = 0.1
             parse_spec(text)
         assert str(err.value) == message
 
-    def test_hand_built_amplitudes_whose_square_overflows_are_refused(self):
-        # parse_spec's reading of the same state: the square 1e200 ** 2 is inf
+    @pytest.mark.parametrize("amp", [10 ** 200, 10 ** 400], ids=["square", "value"])
+    def test_hand_built_amplitudes_beyond_the_float_range_are_refused(self, amp):
+        # the square 1e200 ** 2 is inf, as parse_spec reads it; 10**400 itself
+        # is no float, which parse_spec reports for its key
         spec = GameSpec(mode="builtin-bg", theta=1, a=2, b=2,
-                        amplitudes=(Fraction(10 ** 200), 0, 0, 0))
+                        amplitudes=(Fraction(amp), 0, 0, 0))
         with pytest.raises(SpecError) as err:
             spec.to_state()
         assert str(err.value) == "[quantum] amplitudes have squared norm inf, expected 1"
