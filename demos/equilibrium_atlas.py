@@ -1,10 +1,13 @@
-"""Exact equilibrium regions across a range of initial states.
+"""Equilibrium regions across a range of initial states.
 
 The enumerator exploits bilinearity: each player's best response is a
 threshold rule in the opponent's probability, so the equilibrium set is
 always a finite union of points, axis-aligned segments, and rectangles.
 This script maps those regions for several initial states and cross-checks
-a few samples with the verifier.
+a few samples with the verifier.  Regions are decided in floats against the
+absolute tolerance ``ALGEBRA_TOL`` (1e-12), not exactly: at some boundary
+states, and with one player's payoffs rescaled, they come out wrong (known
+defects 1 and 2 in ROADMAP.md, which item 1's exact core mends).
 
 Run: python3 demos/equilibrium_atlas.py
 """

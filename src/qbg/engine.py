@@ -13,8 +13,10 @@ canonical branch order is
 
     (keep, keep), (flip row qubit, keep), (keep, flip column qubit), (flip, flip)
 
-with weights (p*q, p*(1-q), (1-p)*q, (1-p)*(1-q)).  Under this pairing the
-trace payoffs agree exactly with the bilinear closed form
+with weights (p*q, p*(1-q), (1-p)*q, (1-p)*(1-q)).  ``_BRANCHES`` holds each
+branch's permutation of the basis in that order; it is qbg's one statement
+of the pairing, and both the closed form and the oracle read it.  The trace
+payoffs agree exactly with the bilinear closed form
 ``constant + coeff_p*p + coeff_q*q + coeff_pq*p*q``, collected from the
 payoff on each branch alone, which is what all equilibrium conditions are
 read from.  ``bilinear_coefficients`` computes that form for one state or,
@@ -49,6 +51,13 @@ from collections import namedtuple
 from ._records import NORMALIZATION_TOL, ValidatedRecord
 
 ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, slopes)
+
+# The branch pairing: row k is branch k's permutation s of the basis (LL, LH,
+# HL, HH), in the order of the branch weights (pq, p(1-q), (1-p)q,
+# (1-p)(1-q)); the branch moves the weight of basis state s[i] onto i.  Keep
+# both qubits, flip the row qubit (LL<->HL, LH<->HH), flip the column qubit
+# (LL<->LH, HL<->HH), flip both.  Every permutation is its own inverse.
+_BRANCHES = ((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
 
 # names of the density-matrix oracle that this module resolves from qbg.oracle
 _ORACLE_NAMES = frozenset({"DensityMatrix4", "initial_density", "final_density",
@@ -232,23 +241,20 @@ def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
     """(constant, coeff_p, coeff_q, coeff_pq) of the payoff on weights (LL, LH, HL, HH).
 
     r_k is the payoff on branch k alone: ``vec`` dotted with the weights
-    after branch k's operator has moved them.  Branch 0 keeps them, branch 1
-    (flip the row qubit) swaps LL with HL and LH with HH, branch 2 (flip the
-    column qubit) swaps LL with LH and HL with HH, and branch 3 does both.
-    With branch weights (pq, p(1-q), (1-p)q, (1-p)(1-q)), the payoff
-    collects to r3 + (r1-r3) p + (r2-r3) q + (r0-r1-r2+r3) pq.
+    after row k of ``_BRANCHES`` has moved them.  With the branch weights
+    (pq, p(1-q), (1-p)q, (1-p)(1-q)), the payoff collects to
+    r3 + (r1-r3) p + (r2-r3) q + (r0-r1-r2+r3) pq.
 
     The weights may be floats or numpy arrays of one shape.  Each r_k is
-    written out as terms x0..x3 summed in the fixed order
+    the terms x_i = w[s[i]] * v_i summed in the fixed order
     (x0 + x2) + (x1 + x3).  Floating-point addition is not associative, so a
     fixed order is what makes a grid of states evaluated as arrays agree bit
     for bit with each state evaluated alone.
     """
+    w = (w_ll, w_lh, w_hl, w_hh)
     v0, v1, v2, v3 = float(vec.ll), float(vec.lh), float(vec.hl), float(vec.hh)
-    r0 = (w_ll * v0 + w_hl * v2) + (w_lh * v1 + w_hh * v3)
-    r1 = (w_hl * v0 + w_ll * v2) + (w_hh * v1 + w_lh * v3)
-    r2 = (w_lh * v0 + w_hh * v2) + (w_ll * v1 + w_hl * v3)
-    r3 = (w_hh * v0 + w_lh * v2) + (w_hl * v1 + w_ll * v3)
+    r0, r1, r2, r3 = [(w[s0] * v0 + w[s2] * v2) + (w[s1] * v1 + w[s3] * v3)
+                      for s0, s1, s2, s3 in _BRANCHES]
     return r3, r1 - r3, r2 - r3, r0 - r1 - r2 + r3
 
 

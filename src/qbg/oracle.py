@@ -1,11 +1,12 @@
 """The density-matrix oracle: expected payoffs as traces, independent of the closed form.
 
 The initial state becomes a 4x4 density matrix; mixing conjugates it by the
-four branch operators I(x)I, C(x)I, I(x)C and C(x)C and adds the results with
-the branch weights of ``qbg.engine``'s module docstring; a payoff is the trace
-of the diagonal payoff operator against that final density.  None of this
-shares code with ``engine.bilinear_coefficients``, so the two agreeing checks
-the closed form.
+four branch operators, the permutation matrices of the rows of the pairing
+table ``engine._BRANCHES``, and adds the results with the branch weights; a
+payoff is the trace of the diagonal payoff operator against that final
+density.  The table is the one thing this module shares with the closed form:
+the two agreeing checks how ``engine.bilinear_coefficients`` collects and
+evaluates its four coefficients, not the pairing itself.
 
 Only ``quantize`` with a ``[candidate]`` and ``reproduce`` run this module.
 ``qbg.engine`` still resolves ``DensityMatrix4``, ``initial_density``,
@@ -80,34 +81,15 @@ def _shifted_cholesky_exists(rows) -> bool:
     return True
 
 
-# The 2x2 identity and strategy flip C as tables.  The oracle's branch
-# operators are their Kronecker products, built on first use; they share
-# nothing with the closed form's hand-written terms in bilinear_coefficients.
-_IDENTITY_2 = ((1, 0), (0, 1))
-_FLIP_2 = ((0, 1), (1, 0))
-
-
-def _kron(a, b):
-    """Kronecker product of two 2x2 tables."""
-    return tuple(tuple(a[i][j] * b[k][l] for j in (0, 1) for l in (0, 1))
-                 for i in (0, 1) for k in (0, 1))
-
-
 @functools.cache
-def _branch_gathers() -> tuple[tuple[int, ...], ...]:
-    """For each branch operator U, where each entry of U rho U^dagger comes from.
+def _branch_gathers(branches) -> tuple[tuple[int, ...], ...]:
+    """For each branch permutation s, where each entry of U rho U^dagger comes from.
 
-    The operators are I(x)I, C(x)I, I(x)C and C(x)C, in canonical branch
-    order.  Each U is a permutation matrix: with s[i] the column of the
-    single 1 in its row i, (U rho U^dagger)[i][j] = rho[s[i]][s[j]].
-    Entries are numbered row-major, 0 to 15.
+    U is the permutation matrix whose row i has its single 1 in column s[i],
+    so (U rho U^dagger)[i][j] = rho[s[i]][s[j]].  Entries are numbered
+    row-major, 0 to 15.  Cached per table.
     """
-    gathers = []
-    for op in (_kron(_IDENTITY_2, _IDENTITY_2), _kron(_FLIP_2, _IDENTITY_2),
-               _kron(_IDENTITY_2, _FLIP_2), _kron(_FLIP_2, _FLIP_2)):
-        s = [row.index(1) for row in op]
-        gathers.append(tuple(4 * i + j for i in s for j in s))
-    return tuple(gathers)
+    return tuple(tuple(4 * i + j for i in s for j in s) for s in branches)
 
 
 def _branch_weights(mix: engine.MixingProfile):
@@ -143,7 +125,7 @@ def final_density(state: engine.QuantumInitialState, mix: engine.MixingProfile) 
     """
     rho = _outer(state)
     out = [0j] * 16
-    for w, gather in zip(_branch_weights(mix), _branch_gathers()):
+    for w, gather in zip(_branch_weights(mix), _branch_gathers(engine._BRANCHES)):
         if w != 0.0:
             out = [o + w * rho[k] for o, k in zip(out, gather)]
     return _density(out)

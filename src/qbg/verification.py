@@ -55,7 +55,9 @@ class _ReferenceForms:
     """Analytic reference formulas in the squared magnitudes (pll..phh).
 
     keep_slope is the policy payoff's total derivative in p (constant in q),
-    mismatch is the combined weight on the LH and HL outcomes.
+    mismatch is the combined weight on the LH and HL outcomes.  They are
+    written by hand under qbg's pairing (p keeps the column qubit, q the row
+    one), without reading ``engine._BRANCHES``, so they check the pairing.
     """
 
     def __init__(self, probs):

@@ -18,6 +18,10 @@ from qbg import (
     expected_payoff_trace,
     final_density,
     parse_spec,
+    run_case_a,
+    run_case_b,
+    run_case_c,
+    run_verification,
     verify_nash,
 )
 from qbg import engine, oracle
@@ -85,9 +89,12 @@ class TestFlipOperator:
                 assert np.array(final_density(state, mix).rows).tobytes() == expected.tobytes()
 
     def test_involution_and_hermitian(self):
-        flip = np.array(oracle._FLIP_2)
-        assert np.array_equal(flip @ flip, np.eye(2))
-        assert np.array_equal(flip, flip.conj().T)
+        # row k of the pairing table is the permutation of the suite's own
+        # operator k, and each row undoes itself, so each operator is Hermitian
+        for s, op in zip(engine._BRANCHES, BRANCH_OPERATORS, strict=True):
+            assert np.array_equal(op, np.eye(4)[list(s)])
+            assert [s[i] for i in s] == [0, 1, 2, 3]
+            assert np.array_equal(op, op.conj().T)
         # each branch conjugation undoes itself: applying a corner twice to a
         # real state returns its initial density
         rng = fresh_rng(19)
@@ -311,9 +318,10 @@ class TestDensities:
             traced = np.trace(np.diag(np.array(vec, dtype=complex)) @ expected).real
             assert np.float64(expected_payoff_trace(vec, density)).tobytes() == traced.tobytes()
 
-    def test_oracle_does_not_read_the_closed_form_table(self, monkeypatch):
-        # the oracle's operators come from the 2x2 flip, not from the closed
-        # form's hand-written terms: a wrong closed form leaves it untouched
+    def test_oracle_does_not_read_the_closed_form_collection(self, monkeypatch):
+        # the oracle shares the pairing table with the closed form, but not
+        # how bilinear_coefficients collects the four coefficients from it: a
+        # wrong collection leaves the oracle untouched
         state = QuantumInitialState.from_probabilities(0.4, 0.1, 0.2, 0.3)
         mix = MixingProfile(0.3, 0.6)
         vec = PayoffVector(0.0, -2.0, 1.0, -1.0)
@@ -335,7 +343,8 @@ class TestDensities:
     def test_branch_operators_are_fresh_arrays(self):
         # the oracle's branch tables and its densities' rows are tuples, so
         # no caller can alter what a later call computes
-        assert all(isinstance(gather, tuple) for gather in oracle._branch_gathers())
+        assert all(isinstance(gather, tuple)
+                   for gather in oracle._branch_gathers(engine._BRANCHES))
         state, corner = QuantumInitialState(1, 0, 0, 0), MixingProfile(0.0, 0.0)
         rho = final_density(state, corner)
         with pytest.raises(TypeError):
@@ -841,3 +850,72 @@ class TestEnumerateEquilibria:
         scaled = PayoffVector(*(scale * v for v in policy_vec))
         assert (enumerate_equilibria(closed_form_payoff(state, scaled), f_col)
                 == enumerate_equilibria(closed_form_payoff(state, policy_vec), f_col))
+
+
+# qbg's table with branches 1 and 2 exchanged: the standard Marinatto-Weber
+# pairing, in which each player's own choice keeps or flips its own qubit
+STANDARD_BRANCHES = (engine._BRANCHES[0], engine._BRANCHES[2], engine._BRANCHES[1],
+                     engine._BRANCHES[3])
+# (0,0)-(1/2,0)-(1/2,1)-(1,1) and (0,1)-(1/2,1)-(1/2,0)-(1,0), as regions
+# (p_min, p_max, q_min, q_max)
+ZIGZAG = [(0, 0.5, 0, 0), (0.5, 0.5, 0, 1), (0.5, 1, 1, 1)]
+MISMATCH_ZIGZAG = [(0, 0.5, 1, 1), (0.5, 0.5, 0, 1), (0.5, 1, 0, 0)]
+# ROADMAP item 10's table on the paper's game: the state's weights (LL, LH,
+# HL, HH), then the Nash regions under qbg's pairing and under the standard one
+PAIRING_REGIONS = {
+    "LL": ((1, 0, 0, 0), [(1, 1, 1, 1)], [(0, 0, 0, 0)]),
+    "LL-HH-quarter": ((3 / 4, 0, 0, 1 / 4), [(1, 1, 1, 1)], [(0, 0, 0, 0)]),
+    "LL-HH-half": ((1 / 2, 0, 0, 1 / 2), ZIGZAG, ZIGZAG),
+    "LL-HH-three-quarters": ((1 / 4, 0, 0, 3 / 4), [(0, 0, 0, 0)], [(1, 1, 1, 1)]),
+    "reference": ((1 / 2, 1 / 5, 1 / 5, 1 / 10), [(1, 1, 1, 1)], [(0, 0, 0, 0)]),
+    "LH-HL-0": ((0, 0, 1, 0), [(1, 1, 0, 0)], [(1, 1, 0, 0)]),
+    "LH-HL-quarter": ((0, 1 / 4, 3 / 4, 0), [(1, 1, 0, 0)], [(1, 1, 0, 0)]),
+    "LH-HL-half": ((0, 1 / 2, 1 / 2, 0), MISMATCH_ZIGZAG, MISMATCH_ZIGZAG),
+    "LH-HL-1": ((0, 1, 0, 0), [(0, 0, 1, 1)], [(0, 0, 1, 1)]),
+}
+
+
+class TestPairing:
+    """The branch pairing is data: ``engine._BRANCHES`` alone decides it.
+
+    Each test runs under qbg's table and under the standard one, which both
+    the closed form and the oracle then read.
+    """
+
+    @pytest.fixture(params=["qbg", "standard"])
+    def pairing(self, request, monkeypatch):
+        if request.param == "standard":
+            monkeypatch.setattr(engine, "_BRANCHES", STANDARD_BRANCHES)
+        return request.param
+
+    @pytest.mark.parametrize("name", PAIRING_REGIONS)
+    def test_regions_of_the_papers_game(self, pairing, name):
+        weights, qbg_regions, standard_regions = PAIRING_REGIONS[name]
+        expected = qbg_regions if pairing == "qbg" else standard_regions
+        state = QuantumInitialState.from_probabilities(*weights)
+        policy_vec, public_vec = bg_payoff_vectors()
+        regions = enumerate_equilibria(closed_form_payoff(state, policy_vec),
+                                       closed_form_payoff(state, public_vec))
+        assert len(regions) == len(expected)
+        assert [x for r in regions for x in r] == pytest.approx(
+            [float(x) for r in expected for x in r], abs=1e-12)
+
+    def test_cases_on_the_reference_state(self, pairing):
+        state = QuantumInitialState.from_probabilities(1 / 2, 1 / 5, 1 / 5, 1 / 10)
+        verdicts = tuple(run(state).is_nash for run in (run_case_a, run_case_b, run_case_c))
+        assert verdicts == {"qbg": (True, False, False),
+                            "standard": (False, True, False)}[pairing]
+
+    def test_oracle_agrees_with_the_closed_form(self, pairing):
+        rng = fresh_rng(27)
+        for _ in range(200):
+            state, vec = random_state(rng), random_vector(rng)
+            mix = MixingProfile(float(rng.uniform()), float(rng.uniform()))
+            traced = expected_payoff_trace(vec, final_density(state, mix))
+            assert abs(closed_form_payoff(state, vec).evaluate(mix.p, mix.q) - traced) <= 1e-12
+
+    def test_reproduce_checks_the_pairing(self, monkeypatch):
+        # reproduce's reference forms are written under qbg's pairing without
+        # reading the table, so the standard table fails some of its checks
+        monkeypatch.setattr(engine, "_BRANCHES", STANDARD_BRANCHES)
+        assert not all(check.passed for check in run_verification())
