@@ -21,8 +21,8 @@ bind each other as modules (``from . import engine``), never names from
 them, so each function is bound once, in its own module, and a wrapper set
 there sees every call.  Every exported name resolves through the package's
 ``__getattr__``.  The density-matrix oracle (``final_density``,
-``expected_payoff_trace``) is ``qbg.oracle``; ``qbg.engine`` forwards its
-names there.
+``expected_payoff_trace``) is ``qbg.oracle``; ``qbg.engine`` forwards three
+of its names there.
 """
 
 import importlib.util
@@ -55,7 +55,7 @@ _EXPORTS = {name: module for module, names in (
     (game, ("BimatrixGame", "InflationProfile", "PolicyParams", "build_bg_game",
             "find_dominated_rows", "find_pure_nash", "optimal_discretionary_inflation",
             "policy_utility", "public_utility")),
-    (specfile, ("GameSpec", "SpecError", "parse_spec", "render_spec")),
+    (specfile, ("GameSpec", "SpecError", "parse_spec")),
     (scenarios, ("bg_payoff_vectors", "run_case_a", "run_case_b", "run_case_c",
                  "run_strategy_i", "run_strategy_ii", "weak_assumption_holds")),
     (verification, ("run_verification",)),

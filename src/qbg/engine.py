@@ -28,9 +28,8 @@ density matrix; because the operators are diagonal, payoffs depend only on
 squared amplitude magnitudes, so all results are invariant under rephasing
 any amplitude.  That density-matrix oracle lives in ``qbg.oracle``, which
 only ``quantize`` with a candidate and ``reproduce`` run; this module
-forwards its four public names (``DensityMatrix4``, ``initial_density``,
-``final_density``, ``expected_payoff_trace``) there, loading it at the
-first such lookup.
+forwards three of its names (``initial_density``, ``final_density``,
+``expected_payoff_trace``) there, loading it at the first such lookup.
 
 Every squared magnitude |z|**2, real or complex, is computed one way,
 ``z.real * z.real + z.imag * z.imag``: the closed form's weights, the norm
@@ -60,8 +59,7 @@ ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, 
 _BRANCHES = ((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
 
 # names of the density-matrix oracle that this module resolves from qbg.oracle
-_ORACLE_NAMES = frozenset({"DensityMatrix4", "initial_density", "final_density",
-                           "expected_payoff_trace"})
+_ORACLE_NAMES = frozenset({"initial_density", "final_density", "expected_payoff_trace"})
 
 
 def __getattr__(name):
@@ -245,14 +243,15 @@ def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
     (pq, p(1-q), (1-p)q, (1-p)(1-q)), the payoff collects to
     r3 + (r1-r3) p + (r2-r3) q + (r0-r1-r2+r3) pq.
 
-    The weights may be floats or numpy arrays of one shape.  Each r_k is
-    the terms x_i = w[s[i]] * v_i summed in the fixed order
-    (x0 + x2) + (x1 + x3).  Floating-point addition is not associative, so a
-    fixed order is what makes a grid of states evaluated as arrays agree bit
-    for bit with each state evaluated alone.
+    The weights may be floats or numpy arrays of one shape.  The payoffs are
+    used as given, so integer weights and payoffs give exact integer
+    coefficients.  Each r_k is the terms x_i = w[s[i]] * v_i summed in the
+    fixed order (x0 + x2) + (x1 + x3).  Floating-point addition is not
+    associative, so a fixed order is what makes a grid of states evaluated as
+    arrays agree bit for bit with each state evaluated alone.
     """
     w = (w_ll, w_lh, w_hl, w_hh)
-    v0, v1, v2, v3 = float(vec.ll), float(vec.lh), float(vec.hl), float(vec.hh)
+    v0, v1, v2, v3 = vec
     r0, r1, r2, r3 = [(w[s0] * v0 + w[s2] * v2) + (w[s1] * v1 + w[s3] * v3)
                       for s0, s1, s2, s3 in _BRANCHES]
     return r3, r1 - r3, r2 - r3, r0 - r1 - r2 + r3

@@ -9,9 +9,9 @@ the two agreeing checks how ``engine.bilinear_coefficients`` collects and
 evaluates its four coefficients, not the pairing itself.
 
 Only ``quantize`` with a ``[candidate]`` and ``reproduce`` run this module.
-``qbg.engine`` still resolves ``DensityMatrix4``, ``initial_density``,
-``final_density`` and ``expected_payoff_trace`` for callers that look them
-up there, by forwarding to this module at first use.
+``qbg.engine`` still resolves ``initial_density``, ``final_density`` and
+``expected_payoff_trace`` for callers that look them up there, by
+forwarding to this module at first use.
 """
 
 from __future__ import annotations

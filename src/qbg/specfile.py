@@ -43,8 +43,9 @@ bound that ``qbg.engine`` and the sweep apply to state weights too.
     p = ...   # row player's choice in [0, 1]: P(column qubit keeps the identity)
     q = ...   # column player's choice in [0, 1]: P(row qubit keeps the identity)
 
-Parsing keeps exact ``Fraction`` values so that rendering a spec and parsing
-it back reproduces the object exactly.  Payoffs and state weights are also
+Parsing keeps exact ``Fraction`` values: a builtin-bg table's cells are
+worked out exactly from them, and exact decisions on spec input (ROADMAP
+item 1) can start from them.  Payoffs and state weights are also
 used as floats, so each of them, and each payoff of a builtin-bg table, must
 lie within the float range.  A builtin-bg table is worked out from the
 integers of a and b: each cell is one int division n/d as a float, or a
@@ -205,8 +206,9 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
         else:
             numerator *= 10 ** shift
     value = Fraction(-numerator if sign == "-" else numerator, denominator)
-    # str(), which render_spec uses, limits an int's digits unless the limit is 0;
-    # the value's numerator and denominator have at most len(text) + shift digits.
+    # repr() of a GameSpec writes a Fraction's ints with str(), which limits an
+    # int's digits unless the limit is 0, so a value str() cannot write is
+    # refused; its numerator and denominator have at most len(text) + shift digits.
     limit = sys.get_int_max_str_digits()
     if limit and len(text) + shift > limit:
         try:
@@ -395,32 +397,3 @@ def parse_spec(text: str) -> GameSpec:
             raise SpecError(f"{key} exceeds the float range", *game[key][1:])
     return GameSpec(**fields)
 
-
-def render_spec(spec: GameSpec) -> str:
-    """Write a spec back to text; ``parse_spec(render_spec(s)) == s``."""
-    lines = ["[game]", f"mode = {spec.mode}"]
-    if spec.mode == "builtin-bg":
-        lines.append(f"theta = {spec.theta}")
-        lines.append(f"a = {spec.a}")
-        lines.append(f"b = {spec.b}")
-    else:
-        lines.append(f"row_labels = {spec.row_labels[0]},{spec.row_labels[1]}")
-        lines.append(f"col_labels = {spec.col_labels[0]},{spec.col_labels[1]}")
-        lines.append("row_payoffs = " + ",".join(str(v) for v in spec.row_payoffs))
-        lines.append("col_payoffs = " + ",".join(str(v) for v in spec.col_payoffs))
-    if spec.probabilities is not None:
-        lines.append("")
-        lines.append("[quantum]")
-        for key, value in zip(_PROB_KEYS, spec.probabilities):
-            lines.append(f"{key} = {value}")
-    elif spec.amplitudes is not None:
-        lines.append("")
-        lines.append("[quantum]")
-        for key, value in zip(_AMP_KEYS, spec.amplitudes):
-            lines.append(f"{key} = {value}")
-    if spec.candidate is not None:
-        lines.append("")
-        lines.append("[candidate]")
-        lines.append(f"p = {spec.candidate[0]}")
-        lines.append(f"q = {spec.candidate[1]}")
-    return "\n".join(lines) + "\n"

@@ -300,23 +300,11 @@ def _oracle_checks() -> list[CheckResult]:
                         0.0, worst)]
 
 
-def run_verification(fault_id: str | None = None) -> list[CheckResult]:
-    """Run the full check list; optionally corrupt one check for testing.
-
-    ``fault_id`` perturbs the named check's computed value so that failure
-    reporting can be exercised; unknown ids raise ValueError.
-    """
+def run_verification() -> list[CheckResult]:
+    """Run the full check list."""
     state = engine.QuantumInitialState.from_probabilities(*REFERENCE_PROBS)
     policy_vec, public_vec = scenarios.bg_payoff_vectors()
     forms = (engine.closed_form_payoff(state, policy_vec),
              engine.closed_form_payoff(state, public_vec))
-    checks = (_classical_checks() + _closed_form_checks(*forms) + _gap_checks(*forms)
-              + _case_checks(state) + _strategy_checks()
-              + _oracle_checks())
-    if fault_id is not None:
-        ids = [c.check_id for c in checks]
-        if fault_id not in ids:
-            raise ValueError(f"unknown check id {fault_id!r}")
-        checks = [c._replace(computed=c.computed + 1e-3) if c.check_id == fault_id else c
-                  for c in checks]
-    return checks
+    return (_classical_checks() + _closed_form_checks(*forms) + _gap_checks(*forms)
+            + _case_checks(state) + _strategy_checks() + _oracle_checks())

@@ -1161,7 +1161,7 @@ class TestPublicSurface:
                               text=True, env=child_env(), timeout=60)
         assert proc.stderr == ""
         surface = json.loads(proc.stdout)
-        assert len(surface["all"]) == 29
+        assert len(surface["all"]) == 28
         assert surface["bound"] == surface["all"]
         assert surface["same"]
         assert surface["undirected"] == []
@@ -1199,7 +1199,7 @@ class TestParser:
         # parser; each shape must come out as the top-level parser gives it
         for argv in (["--help"], ["-h"], ["sweep", "--help"], ["nope"], [], ["--"],
                      ["sweep", "--bogus"], ["classical", "--sp", "X"], ["quantize", "--cs"],
-                     ["sweep", "--ax", "p=0:1:3"], ["reproduce", "--inj", "case-c.policy-payoff"],
+                     ["sweep", "--ax", "p=0:1:3"], ["reproduce", "--cs"],
                      ["equilibria", "--spec=PATH"], ["classical", "--", "--spec"],
                      ["--", "classical"], ["--spec", "X", "classical"], ["Classical"],
                      ["class"], ["classical", "extra"], ["classical", "--csv", "--csv"],
@@ -1218,6 +1218,11 @@ class TestParser:
         assert alone is cli._command_parser(command) and alone is not nested
         assert (alone.prog, alone.format_usage(), alone.format_help()) == (
             nested.prog, nested.format_usage(), nested.format_help())
+        # the command's line in the top-level help claims no exactness: the
+        # regions are decided in floats against ALGEBRA_TOL
+        [line] = [action.help for action in subparsers._choices_actions
+                  if action.dest == command]
+        assert "exact" not in line
 
     @pytest.mark.parametrize("command, flag", [("sweep", "--csv"), ("reproduce", "--spec")])
     def test_commands_have_no_flag_they_would_ignore(self, capsys, spec_path, command, flag):
@@ -1236,17 +1241,37 @@ class TestParser:
 
     @pytest.mark.parametrize("argv, usage, extras", [
         (["reproduce", "--spec", "X"], "qbg reproduce [-h] [--csv]", "--spec X"),
+        (["reproduce", "--inject-fault", "X"], "qbg reproduce [-h] [--csv]",
+         "--inject-fault X"),
         (["sweep", "--csv", "--axis", "p=0:1:3"],
          "qbg sweep [-h] [--spec PATH] [--axis VAR=LO:HI:STEPS]", "--csv"),
         (["classical", "--spec", "X", "extra"], "qbg classical [-h] [--spec PATH] [--csv]",
          "extra"),
-    ], ids=["reproduce", "sweep", "classical"])
+    ], ids=["reproduce", "reproduce-fault", "sweep", "classical"])
     def test_unknown_argument_gets_the_subcommand_usage(self, capsys, argv, usage, extras):
         with pytest.raises(SystemExit) as usage_exit:
             main(argv)
         assert usage_exit.value.code == 2
         assert capsys.readouterr() == (
             "", f"usage: {usage}\nqbg {argv[0]}: error: unrecognized arguments: {extras}\n")
+
+
+FAULT_ID = "case-c.policy-payoff"
+# Code that wraps qbg.verification.run_verification so that check FAULT_ID's
+# computed value is off by 1e-3; reproduce looks the function up on the module
+INJECT_FAULT = f"""\
+import qbg.verification
+real = qbg.verification.run_verification
+qbg.verification.run_verification = lambda: [
+    c._replace(computed=c.computed + 1e-3) if c.check_id == {FAULT_ID!r} else c for c in real()]
+"""
+
+
+@pytest.fixture
+def injected_fault(monkeypatch):
+    """INJECT_FAULT run in this process, undone after the test."""
+    monkeypatch.setattr(verification, "run_verification", verification.run_verification)
+    exec(INJECT_FAULT, {})
 
 
 class TestReproduce:
@@ -1263,17 +1288,11 @@ class TestReproduce:
                            "passed", "detail"]
         assert all(r[4] == "true" for r in rows[1:])
 
-    def test_injected_fault_fails_and_names_check(self, capsys):
-        code, out, err = run_cli(capsys, "reproduce", "--inject-fault",
-                                 "case-c.policy-payoff")
+    def test_injected_fault_fails_and_names_check(self, capsys, injected_fault):
+        code, out, err = run_cli(capsys, "reproduce")
         assert code == 1
-        assert "case-c.policy-payoff" in err
-        assert "FAIL" in out
-
-    def test_unknown_fault_id_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "reproduce", "--inject-fault", "nope")
-        assert code == 2
-        assert "unknown check id" in err
+        assert err == f"failed checks: {FAULT_ID}\n"
+        assert f"[FAIL] {FAULT_ID}" in out
 
     def test_csv_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "reproduce", "--csv")
@@ -1371,13 +1390,19 @@ class TestEntryPoint:
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0), (["reproduce", "--help"], 0), ([], 2), (["nope"], 2),
         (["reproduce", "--spec", "X"], 2), (["classical"], 2),
-        (["reproduce", "--inject-fault", "case-c.policy-payoff"], 1),
     ], ids=["help", "reproduce-help", "no-command", "bad-command", "unknown-flag",
-            "no-spec", "fault"])
+            "no-spec"])
     def test_codes_and_bytes_pass_through(self, capsys, argv, code):
         proc = run_module(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(capsys, argv)
         assert proc.returncode == code
+
+    def test_failed_check_exits_1(self, capsys, injected_fault):
+        proc = subprocess.run(
+            [sys.executable, "-c", INJECT_FAULT + "import qbg.cli\nqbg.cli.run_and_exit()\n",
+             "reproduce"], capture_output=True, text=True, env=child_env(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(capsys, ["reproduce"])
+        assert proc.returncode == 1
 
     def test_payoffs_near_the_float_limit_print_numbers_or_fail_cleanly(self, spec_path):
         path = spec_path("""\

@@ -1,6 +1,7 @@
 """Quantization engine: operators, densities, payoffs, equilibria."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from qbg import (
     run_verification,
     verify_nash,
 )
-from qbg import engine, oracle
-from qbg.engine import deviation_gaps
+from qbg import engine, game, oracle
+from qbg.engine import (ClosedFormPayoff, EquilibriumRegion, bilinear_coefficients,
+                        deviation_gaps)
 from qbg.oracle import PSD_TOL, DensityMatrix4, initial_density
 
 KET = {label: np.eye(4)[i] for i, label in enumerate(("LL", "LH", "HL", "HH"))}
@@ -66,14 +68,15 @@ def corner_outcomes(state):
 
 
 class TestOracleNames:
-    @pytest.mark.parametrize("name", ["DensityMatrix4", "initial_density", "final_density",
+    @pytest.mark.parametrize("name", ["initial_density", "final_density",
                                       "expected_payoff_trace"])
     def test_engine_forwards_the_oracle_names(self, name):
         assert getattr(engine, name) is getattr(oracle, name)
 
-    def test_engine_forwards_nothing_else(self):
-        with pytest.raises(AttributeError, match="module 'qbg.engine' has no attribute 'PSD_TOL'"):
-            engine.PSD_TOL
+    @pytest.mark.parametrize("name", ["PSD_TOL", "DensityMatrix4"])
+    def test_engine_forwards_nothing_else(self, name):
+        with pytest.raises(AttributeError, match=f"module 'qbg.engine' has no attribute '{name}'"):
+            getattr(engine, name)
 
 
 class TestFlipOperator:
@@ -835,6 +838,17 @@ class TestEnumerateEquilibria:
             assert any(r.p_min <= 0.0 <= r.p_max and r.q_min <= q <= r.q_max
                        for r in regions), (q, regions)
 
+    def test_integer_forms_give_the_exact_regions(self):
+        # the spec above scaled to integers: weights x7, row payoffs x2; the
+        # coefficients are exact ints and the regions the exact segment
+        weights = (0, 4, 2, 1)
+        row = bilinear_coefficients(*weights, PayoffVector(1, -2, 0, 1))
+        col = bilinear_coefficients(*weights, PayoffVector(0, 3, -2, 0))
+        assert (row, col) == ((-3, 7, 9, -20), (-2, 5, 0, 5))
+        assert all(type(c) is int for c in row + col)
+        assert enumerate_equilibria(ClosedFormPayoff(*row), ClosedFormPayoff(*col)) == (
+            EquilibriumRegion(0, 0, 0.35, 1),)
+
     @pytest.mark.xfail(strict=True, reason=(
         "known defect 2: the absolute ALGEBRA_TOL on the forms makes the regions depend "
         "on the payoffs' scale; ROADMAP items 1 (exact core) and 3 (filtered sweep) mend it"))
@@ -875,6 +889,34 @@ PAIRING_REGIONS = {
 }
 
 
+# the weak type's classical table, table[r][c] = (row payoff, column payoff)
+WEAK_TABLE = (((0, 0), (-2, -1)), ((1, -1), (-1, 0)))
+
+
+def corners_in_regions(table):
+    """The corners (p, q) of the profile square inside the Nash regions of
+    ``table``'s game at |LL>."""
+    cells = [table[r][c] for r in (0, 1) for c in (0, 1)]   # basis order LL, LH, HL, HH
+    vectors = [PayoffVector(*(cell[k] for cell in cells)) for k in (0, 1)]
+    state = QuantumInitialState(1, 0, 0, 0)
+    regions = enumerate_equilibria(*(closed_form_payoff(state, vec) for vec in vectors))
+    return {(p, q) for p in (0, 1) for q in (0, 1)
+            if any(r.p_min <= p <= r.p_max and r.q_min <= q <= r.q_max for r in regions)}
+
+
+def classical_limit(table, pairing):
+    """The pure equilibria of the classical game that |LL> plays, as (p, q).
+
+    Under the standard table a player who keeps plays L, so the game is
+    ``table`` and profile (r, c) is (1 - r, 1 - c).  Under qbg's, p sets the
+    column letter and q the row letter: each player picks the other's letter,
+    so the game has G[c][r] = table[r][c] and profile (c, r) is (1 - c, 1 - r).
+    """
+    played = table if pairing == "standard" else tuple(zip(*table))
+    nash = game.find_pure_nash(game.BimatrixGame(("L", "H"), ("L", "H"), played))
+    return {(1 - n.row_index, 1 - n.col_index) for n in nash}
+
+
 class TestPairing:
     """The branch pairing is data: ``engine._BRANCHES`` alone decides it.
 
@@ -913,6 +955,17 @@ class TestPairing:
             mix = MixingProfile(float(rng.uniform()), float(rng.uniform()))
             traced = expected_payoff_trace(vec, final_density(state, mix))
             assert abs(closed_form_payoff(state, vec).evaluate(mix.p, mix.q) - traced) <= 1e-12
+
+    def test_weak_table_in_the_classical_limit(self, pairing):
+        expected = {"qbg": {(1, 1)}, "standard": {(0, 0)}}[pairing]
+        assert corners_in_regions(WEAK_TABLE) == classical_limit(WEAK_TABLE, pairing) == expected
+
+    def test_classical_limit_on_random_integer_tables(self, pairing):
+        rng = random.Random(10)
+        for _ in range(1000):
+            table = tuple(tuple((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in (0, 1))
+                          for _ in (0, 1))
+            assert corners_in_regions(table) == classical_limit(table, pairing), table
 
     def test_reproduce_checks_the_pairing(self, monkeypatch):
         # reproduce's reference forms are written under qbg's pairing without

@@ -17,11 +17,11 @@ from qbg import (
 from qbg.engine import (
     ClosedFormPayoff,
     ConditionCheck,
-    DensityMatrix4,
     EquilibriumRegion,
     EquilibriumReport,
 )
 from qbg.game import DominatedRow, PureProfile
+from qbg.oracle import DensityMatrix4
 from qbg.scenarios import ScenarioReport, WeakAssumption
 from qbg.verification import CheckResult
 

@@ -1,4 +1,4 @@
-"""Fuzzed spec files: every spec command exits 0 or 2, and what parses renders back.
+"""Fuzzed spec files: every spec command exits 0 or 2, and what parses reads back from its repr.
 
 The texts mix well-formed numbers with overflowing (``1e400``), underflowing
 (``5e-324``, ``1e-4000``), boundary (``0.5000000005``) and malformed ones, in
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbg import parse_spec, render_spec
+from qbg import GameSpec, parse_spec
 from qbg.cli import main
 from qbg.specfile import SpecError
 
@@ -107,7 +107,7 @@ def spec_file(tmp_path_factory):
 
 @FUZZ
 @given(text=spec_texts(), axis=st.sampled_from(["p=0:1:3", "q=0:1:2", "prob_hh=0:0.5:3"]))
-def test_commands_exit_0_or_2_and_what_parses_renders_back(spec_file, text, axis):
+def test_commands_exit_0_or_2_and_what_parses_reads_back_from_its_repr(spec_file, text, axis):
     spec_file.write_text(text, encoding="utf-8")
     for command in (["classical"], ["quantize"], ["equilibria"], ["sweep", "--axis", axis]):
         code, out, err = run([*command, "--spec", str(spec_file)])
@@ -120,4 +120,4 @@ def test_commands_exit_0_or_2_and_what_parses_renders_back(spec_file, text, axis
         spec = parse_spec(text)
     except SpecError:
         return
-    assert parse_spec(render_spec(spec)) == spec
+    assert eval(repr(spec), {"GameSpec": GameSpec, "Fraction": Fraction}) == spec

@@ -1,4 +1,4 @@
-"""Game description files: parsing, diagnostics, round-trip."""
+"""Game description files: parsing, diagnostics, repr round trip."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbg import GameSpec, SpecError, parse_spec, render_spec
+from qbg import GameSpec, SpecError, parse_spec
 from qbg.engine import NORMALIZATION_TOL, PayoffVector, payoff_vectors_from_game
 from qbg.game import PolicyParams, PureProfile, build_bg_game, find_pure_nash
 
@@ -314,6 +314,15 @@ class TestDiagnostics:
             f"line 4, column 4: {value!r} has more than {sys.get_int_max_str_digits()} "
             "digits in its numerator or denominator")
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_value_just_under_the_digit_limit_has_a_repr(self, sign):
+        # the numerator (or the denominator) has exactly as many digits as
+        # str() writes, so the spec's repr, which writes a Fraction's ints
+        # with str(), still reads back
+        limit = sys.get_int_max_str_digits()
+        spec = parse_spec(BUILTIN.replace("a = 2", f"a = 1e{sign}{limit - 1}"))
+        assert eval(repr(spec), {"GameSpec": GameSpec, "Fraction": Fraction}) == spec
+
     def test_duplicate_key(self):
         with pytest.raises(SpecError, match="duplicate key"):
             parse_spec(BUILTIN + "a = 3\n")
@@ -437,40 +446,21 @@ prob_hh = 0.1
 
 
 class TestRoundTrip:
-    SPECS = [
-        BUILTIN,
-        CUSTOM,
-        BUILTIN + "\n" + MATCHED_STATE,
-        CUSTOM + """
-[quantum]
-amp_ll = 3/5
-amp_lh = 0
-amp_hl = 0
-amp_hh = 4/5
+    """A parsed or hand-built spec reads back from its repr, Fractions and all."""
 
-[candidate]
-p = 1/2
-q = 1/3
-""",
-    ]
+    SPECS = [BUILTIN, CUSTOM, BUILTIN + "\n" + MATCHED_STATE, CUSTOM + AMP_STATE + CANDIDATE]
+
+    @staticmethod
+    def read_back(spec):
+        return eval(repr(spec), {"GameSpec": GameSpec, "Fraction": Fraction})
 
     @pytest.mark.parametrize("text", SPECS)
-    def test_parse_render_parse(self, text):
+    def test_parse_repr_eval(self, text):
         spec = parse_spec(text)
-        assert parse_spec(render_spec(spec)) == spec
+        assert self.read_back(spec) == spec
 
-    def test_render_is_stable(self):
-        spec = parse_spec(BUILTIN + "\n" + MATCHED_STATE)
-        assert render_spec(spec) == render_spec(parse_spec(render_spec(spec)))
-
-    @pytest.mark.parametrize("sign", ["", "-"])
-    def test_value_just_under_the_digit_limit_round_trips(self, sign):
-        # the numerator (or the denominator) has exactly as many digits as str() writes
-        limit = sys.get_int_max_str_digits()
-        spec = parse_spec(BUILTIN.replace("a = 2", f"a = 1e{sign}{limit - 1}"))
-        assert parse_spec(render_spec(spec)) == spec
-
-    def test_fractions_survive_round_trip(self):
-        spec = GameSpec(mode="builtin-bg", theta=1, a=Fraction(5, 2),
-                        b=Fraction(7, 3))
-        assert parse_spec(render_spec(spec)) == spec
+    def test_hand_built_fractions_survive(self):
+        spec = GameSpec(mode="builtin-bg", theta=1, a=Fraction(5, 2), b=Fraction(7, 3))
+        back = self.read_back(spec)
+        assert back == spec
+        assert (type(back.a), type(back.b)) == (Fraction, Fraction)

@@ -4,9 +4,9 @@
 
 Builds the seeded operations of the three benchmark workloads (sweep-grid,
 spec-corpus and cold-start, taken from ``qbgbench/`` of this tree, which is
-only read) and adds ``reproduce`` as text and as CSV, each also with an
-injected fault.  It also runs ``classical``, ``quantize`` and ``equilibria``,
-as text and as CSV, on fixed specs of two kinds: "spelling" specs, whose
+only read) and adds ``reproduce`` as text and as CSV.  It also runs
+``classical``, ``quantize`` and ``equilibria``, as text and as CSV, on
+fixed specs of two kinds: "spelling" specs, whose
 numbers are spelled in ways the workloads never write (``0.25``, ``25e-2``,
 ``+1/2``, ``1_000``, spaces in a number list, and the refused ``1e10000``,
 ``1e10001``, ``1/0`` and ``1/2e3``), and "normalization" specs, whose
@@ -45,7 +45,10 @@ this tree also runs once per tree, as its own child, and so does a
 "verification" operation, which prints the repr of each check
 ``qbg.verification.run_verification()`` returns, one per line: the
 full-precision values behind ``reproduce``, which together make
-``repr(run_verification())``.  A "library" operation, also one child per
+``repr(run_verification())``.  Two "fault" operations, one child each per
+tree, run ``reproduce`` as text and as CSV with that function wrapped so
+that one check's computed value is off by 1e-3, which exercises the failure
+report and exit code 1.  A "library" operation, also one child per
 tree, prints the repr of ``qbg.game.build_bg_game`` for theta 0 and 1 on
 int, Fraction, float and mixed coefficients, some of whose tables underflow
 to zeros, and then of ``qbg.scenarios.bg_payoff_vectors()``: no command
@@ -72,17 +75,28 @@ sys.path.insert(0, str(ROOT / "qbgbench"))
 
 from workloads import WORKLOADS, child_env  # noqa: E402
 
-FAULT_ID = "case-c.policy-payoff"
-REPRODUCE_OPS = [["reproduce"], ["reproduce", "--csv"],
-                 ["reproduce", "--inject-fault", FAULT_ID],
-                 ["reproduce", "--csv", "--inject-fault", FAULT_ID]]
+REPRODUCE_OPS = [["reproduce"], ["reproduce", "--csv"]]
 CHILD_TIMEOUT_S = 1800
 # one usage error per command, each reported by that command's own parser
 COMMAND_USAGE_ERRORS = [["classical", "--spec"], ["quantize", "--csv", "extra"],
                         ["equilibria", "--nope"], ["sweep", "--axis"],
-                        ["reproduce", "--inject-fault"]]
+                        ["reproduce", "--csv", "extra"]]
 VERIFICATION_CODE = ("import qbg.verification\n"
                      "print(*map(repr, qbg.verification.run_verification()), sep='\\n')")
+# reproduce, with the argv after -c, once qbg.verification.run_verification
+# adds 1e-3 to one check's computed value; the wrapper passes on any keyword
+# arguments, so it also runs against a tree whose function still takes some
+FAULT_CODE = """\
+import sys
+import qbg.cli
+import qbg.verification
+real = qbg.verification.run_verification
+def faulty(**kwargs):
+    return [c._replace(computed=c.computed + 1e-3) if c.check_id == "case-c.policy-payoff" else c
+            for c in real(**kwargs)]
+qbg.verification.run_verification = faulty
+sys.exit(qbg.cli.main(sys.argv[1:]))
+"""
 # The builtin-bg table on coefficients (a, b) of every kind build_bg_game takes.
 LIBRARY_CODE = """\
 from fractions import Fraction
@@ -348,7 +362,7 @@ def argv_shapes(spec: str) -> list[list[str]]:
     """Argv that starts with a command name and argv that does not, each
     routed by ``main`` as the top-level parser routes it."""
     return [["classical", "--sp", spec], ["quantize", "--cs", "--spec", spec],
-            ["sweep", "--spec", spec, "--ax", "p=0:1:3"], ["reproduce", "--inj", FAULT_ID],
+            ["sweep", "--spec", spec, "--ax", "p=0:1:3"], ["reproduce", "--cs"],
             ["equilibria", f"--spec={spec}"], ["classical", "--", "--spec"],
             ["--", "classical"], ["--spec", spec, "classical"], ["Classical"], ["class"],
             ["classical", "--spec", spec, "extra"],
@@ -427,6 +441,9 @@ def main() -> int:
     results = [*results, *((run_demo(parent, name), run_demo(ROOT, name)) for name in demos)]
     ops.append(("verification", ["run_verification()"]))
     results.append(tuple(run_python(tree, ["-c", VERIFICATION_CODE]) for tree in (parent, ROOT)))
+    for argv in REPRODUCE_OPS:
+        ops.append(("fault", argv))
+        results.append(tuple(run_python(tree, ["-c", FAULT_CODE, *argv]) for tree in (parent, ROOT)))
     ops.append(("library", ["build_bg_game", "bg_payoff_vectors()"]))
     results.append(tuple(run_python(tree, ["-c", LIBRARY_CODE]) for tree in (parent, ROOT)))
 
