@@ -1,9 +1,9 @@
 """Quantized Barro-Gordon monetary policy game.
 
 Classical 2x2 payoff tables for the policy maker / public game, an
-operator-mixing quantization over an entangled initial state, exact Nash
-equilibrium analysis, and the named scenarios that resolve the game's time
-inconsistency in the quantum setting.
+operator-mixing quantization over an entangled initial state, Nash
+equilibrium analysis of its closed form in floating point, and the named
+scenarios that resolve the game's time inconsistency in the quantum setting.
 
 The package exports the records a user constructs and the functions a user
 calls.  Records that qbg only returns (``ClosedFormPayoff``,
@@ -11,8 +11,8 @@ calls.  Records that qbg only returns (``ClosedFormPayoff``,
 density-matrix oracle's building blocks are imported from their modules.
 
 A command runs only the modules it needs, so ``import qbg`` runs none of
-them: it registers ``qbg.engine``, ``qbg.game``, ``qbg.oracle``,
-``qbg.scenarios``, ``qbg.specfile`` and ``qbg.verification`` with
+them: it registers ``qbg.engine``, ``qbg.game``, ``qbg.scenarios``,
+``qbg.specfile`` and ``qbg.verification`` with
 ``importlib.util.LazyLoader``, and a module's code runs at its first
 attribute access.  Their module objects sit in ``sys.modules`` from
 ``import qbg`` on, so code that walks the loaded qbg modules (a tracer or a
@@ -20,9 +20,7 @@ monkeypatch) finds them as if they had been imported eagerly.  The modules
 bind each other as modules (``from . import engine``), never names from
 them, so each function is bound once, in its own module, and a wrapper set
 there sees every call.  Every exported name resolves through the package's
-``__getattr__``.  The density-matrix oracle (``final_density``,
-``expected_payoff_trace``) is ``qbg.oracle``; ``qbg.engine`` forwards three
-of its names there.
+``__getattr__``.
 """
 
 import importlib.util
@@ -42,7 +40,6 @@ def _lazy_submodule(name):
 
 engine = _lazy_submodule("engine")
 game = _lazy_submodule("game")
-oracle = _lazy_submodule("oracle")
 scenarios = _lazy_submodule("scenarios")
 specfile = _lazy_submodule("specfile")
 verification = _lazy_submodule("verification")
@@ -50,8 +47,8 @@ verification = _lazy_submodule("verification")
 # exported name -> the lazily run module that defines it
 _EXPORTS = {name: module for module, names in (
     (engine, ("MixingProfile", "PayoffVector", "QuantumInitialState", "closed_form_payoff",
-              "enumerate_equilibria", "verify_nash")),
-    (oracle, ("expected_payoff_trace", "final_density")),
+              "enumerate_equilibria", "expected_payoff_trace", "final_density",
+              "verify_nash")),
     (game, ("BimatrixGame", "InflationProfile", "PolicyParams", "build_bg_game",
             "find_dominated_rows", "find_pure_nash", "optimal_discretionary_inflation",
             "policy_utility", "public_utility")),

@@ -27,8 +27,8 @@ looks each name up at call time: importing a name would run its module at
 once, and a function bound only in its own module is seen by a wrapper set
 there on every call.  So ``classical`` runs ``specfile`` and ``game`` but not
 ``engine``; ``equilibria`` and ``quantize`` run ``specfile`` and ``engine``
-but not ``game``; only ``quantize`` with a ``[candidate]`` runs ``oracle``;
-and only ``reproduce`` runs ``verification`` and ``scenarios``.
+but not ``game``; and only ``reproduce`` runs ``verification`` and
+``scenarios``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import gc
 import os
 import sys
 
-from . import engine, game, oracle, specfile, verification   # each runs at its first use
+from . import engine, game, specfile, verification   # each runs at its first use
 
 EXIT_BROKEN_PIPE = 141
 
@@ -78,10 +78,6 @@ def _csv_writer(stream):
 def cmd_classical(args) -> int:
     spec = _load_spec(args.spec)
     table = spec.to_game()
-    nash = sorted((profile.row_index, profile.col_index)
-                  for profile in game.find_pure_nash(table))
-    dominated = sorted((d.index, d.strict) for d in game.find_dominated_rows(table))
-
     if args.csv:
         writer = _csv_writer(sys.stdout)
         writer.writerow(["row_label", "col_label", "row_payoff", "col_payoff"])
@@ -92,6 +88,9 @@ def cmd_classical(args) -> int:
                                  _fmt(table.col_payoff(r, c), 12)])
         return 0
 
+    nash = sorted((profile.row_index, profile.col_index)
+                  for profile in game.find_pure_nash(table))
+    dominated = sorted((d.index, d.strict) for d in game.find_dominated_rows(table))
     print("Payoff table (rows: policy maker, columns: public)")
     cells = [[f"({_fmt(table.row_payoff(r, c))}, {_fmt(table.col_payoff(r, c))})"
               for c in (0, 1)] for r in (0, 1)]
@@ -135,9 +134,9 @@ def cmd_quantize(args) -> int:
                  (f"{name}.coeff_pq", form.coeff_pq)]
     report = None
     if candidate is not None:
-        rho = oracle.final_density(state, candidate)
-        trace_row = oracle.expected_payoff_trace(vec_row, rho)
-        trace_col = oracle.expected_payoff_trace(vec_col, rho)
+        rho = engine.final_density(state, candidate)
+        trace_row = engine.expected_payoff_trace(vec_row, rho)
+        trace_col = engine.expected_payoff_trace(vec_col, rho)
         report = engine.verify_nash(f_row, f_col, candidate)
         rows += [
             ("candidate.p", candidate.p),

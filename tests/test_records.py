@@ -21,7 +21,7 @@ from qbg.engine import (
     EquilibriumReport,
 )
 from qbg.game import DominatedRow, PureProfile
-from qbg.oracle import DensityMatrix4
+from qbg.engine import DensityMatrix4
 from qbg.scenarios import ScenarioReport, WeakAssumption
 from qbg.verification import CheckResult
 
