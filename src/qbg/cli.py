@@ -10,7 +10,13 @@ Subcommands::
 
 All numeric output uses 6 significant digits for human tables and 12 for
 CSV; CSV is comma-separated with a header row, LF line endings, and a fixed
-row order, so repeated runs are byte-identical.
+row order, so repeated runs are byte-identical.  Output is rendered with
+``%``-templates (``%.6g`` for text, ``%.12g`` for CSV): ``sweep`` writes a
+row at a time, every other command its whole report at once.  The one text
+that comes from the spec, ``classical``'s labels, goes into CSV through
+``csv.writer``, which quotes it where needed; every other CSV field is a
+number, a fixed id or fixed text with no comma, quote or line break, so
+none needs quoting.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or spec error,
 141 standard output closed before all output was written (the status a shell
@@ -18,8 +24,8 @@ reports for a process ended by SIGPIPE).
 
 A command loads only what it runs: ``main`` builds the invoked command's
 parser alone (the top-level parser only for argv that does not start with a
-command name), ``csv`` is imported at the first CSV write, and ``sweep`` runs
-in ``qbg.sweep``, qbg's one numpy user, imported only by that command.
+command name), ``csv`` is imported only by ``classical --csv``, and ``sweep``
+runs in ``qbg.sweep``, qbg's one numpy user, imported only by that command.
 ``import qbg`` puts qbg's other modules in ``sys.modules`` as lazily executed
 modules, whose code runs at their first attribute access.  Like every qbg
 module, this one binds the modules themselves, not names from them, and
@@ -48,10 +54,6 @@ _STATE_VARS = ("prob_lh", "prob_hl", "prob_hh")
 _SWEEP_VARS = ("p", "q") + _STATE_VARS
 
 
-def _fmt(value, precision: int = 6) -> str:
-    return f"{float(value):.{precision}g}"
-
-
 def _load_spec(path: str | None) -> specfile.GameSpec:
     if path is None:
         raise specfile.SpecError("this command needs --spec <path>")
@@ -70,49 +72,34 @@ def _load_spec(path: str | None) -> specfile.GameSpec:
     return specfile.parse_spec(text)   # splitlines() ends a line at \r\n and \r too
 
 
-def _csv_writer(stream):
-    import csv
-    return csv.writer(stream, lineterminator="\n")
-
-
 def cmd_classical(args) -> int:
     spec = _load_spec(args.spec)
     table = spec.to_game()
     if args.csv:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["row_label", "col_label", "row_payoff", "col_payoff"])
-        for r in (0, 1):
-            for c in (0, 1):
-                writer.writerow([table.row_labels[r], table.col_labels[c],
-                                 _fmt(table.row_payoff(r, c), 12),
-                                 _fmt(table.col_payoff(r, c), 12)])
+        import csv
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            [("row_label", "col_label", "row_payoff", "col_payoff")]
+            + [(table.row_labels[r], table.col_labels[c], "%.12g" % table.row_payoff(r, c),
+                "%.12g" % table.col_payoff(r, c)) for r in (0, 1) for c in (0, 1)])
         return 0
 
     nash = sorted((profile.row_index, profile.col_index)
                   for profile in game.find_pure_nash(table))
     dominated = sorted((d.index, d.strict) for d in game.find_dominated_rows(table))
-    print("Payoff table (rows: policy maker, columns: public)")
-    cells = [[f"({_fmt(table.row_payoff(r, c))}, {_fmt(table.col_payoff(r, c))})"
+    cells = [["(%.6g, %.6g)" % (table.row_payoff(r, c), table.col_payoff(r, c))
               for c in (0, 1)] for r in (0, 1)]
     width = max(len(text) for row in cells for text in row) + 2
-    header = "      " + "".join(label.ljust(width) for label in table.col_labels)
-    print(header)
-    for r in (0, 1):
-        print(f"  {table.row_labels[r]:<4}"
-              + "".join(cells[r][c].ljust(width) for c in (0, 1)))
-    if nash:
-        pretty = ", ".join(f"({table.row_labels[r]}, {table.col_labels[c]})"
-                           for r, c in nash)
-    else:
-        pretty = "none"
-    print(f"Pure Nash equilibria: {pretty}")
-    if dominated:
-        pretty = ", ".join(
-            f"{table.row_labels[i]} ({'strict' if strict else 'weak'})"
-            for i, strict in dominated)
-    else:
-        pretty = "none"
-    print(f"Dominated rows: {pretty}")
+    lines = ["Payoff table (rows: policy maker, columns: public)\n      "
+             + "".join(label.ljust(width) for label in table.col_labels) + "\n"]
+    lines += ["  %-4s%s\n" % (table.row_labels[r], "".join(text.ljust(width) for text in cells[r]))
+              for r in (0, 1)]
+    pretty_nash = ", ".join("(%s, %s)" % (table.row_labels[r], table.col_labels[c])
+                            for r, c in nash)
+    pretty_dominated = ", ".join("%s (%s)" % (table.row_labels[i], "strict" if strict else "weak")
+                                 for i, strict in dominated)
+    lines.append("Pure Nash equilibria: %s\nDominated rows: %s\n"
+                 % (pretty_nash or "none", pretty_dominated or "none"))
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -125,57 +112,42 @@ def cmd_quantize(args) -> int:
     f_row = engine.closed_form_payoff(state, vec_row)
     f_col = engine.closed_form_payoff(state, vec_col)
     candidate = spec.to_candidate()
-
-    rows: list[tuple[str, object]] = []
-    for name, form in (("policy", f_row), ("public", f_col)):
-        rows += [(f"{name}.constant", form.constant),
-                 (f"{name}.coeff_p", form.coeff_p),
-                 (f"{name}.coeff_q", form.coeff_q),
-                 (f"{name}.coeff_pq", form.coeff_pq)]
-    report = None
-    if candidate is not None:
-        rho = engine.final_density(state, candidate)
-        trace_row = engine.expected_payoff_trace(vec_row, rho)
-        trace_col = engine.expected_payoff_trace(vec_col, rho)
-        report = engine.verify_nash(f_row, f_col, candidate)
-        rows += [
-            ("candidate.p", candidate.p),
-            ("candidate.q", candidate.q),
-            ("policy_payoff.trace", trace_row),
-            ("policy_payoff.closed_form", report.row_payoff),
-            ("public_payoff.trace", trace_col),
-            ("public_payoff.closed_form", report.col_payoff),
-            ("nash.weak", report.is_nash),
-            ("nash.strict", report.is_strict_nash),
-        ]
+    forms = f_row + f_col   # one tuple: policy's four coefficients, then public's
 
     if args.csv:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["item", "value"])
-        for key, value in rows:
-            if isinstance(value, bool):
-                writer.writerow([key, "true" if value else "false"])
-            else:
-                writer.writerow([key, _fmt(value, 12)])
-        return 0
-
-    print("Closed form: payoff(p, q) = constant + coeff_p*p + coeff_q*q + coeff_pq*p*q")
-    for name, form in (("policy", f_row), ("public", f_col)):
-        print(f"  {name}: constant={_fmt(form.constant)} coeff_p={_fmt(form.coeff_p)}"
-              f" coeff_q={_fmt(form.coeff_q)} coeff_pq={_fmt(form.coeff_pq)}")
-    if report is not None:
-        print(f"Candidate profile: p={_fmt(report.candidate.p)}, "
-              f"q={_fmt(report.candidate.q)}")
-        print(f"  policy payoff: trace={_fmt(trace_row)}, "
-              f"closed-form={_fmt(report.row_payoff)}")
-        print(f"  public payoff: trace={_fmt(trace_col)}, "
-              f"closed-form={_fmt(report.col_payoff)}")
-        print(f"  Nash (weak): {'yes' if report.is_nash else 'no'}")
-        print(f"  Nash (strict): {'yes' if report.is_strict_nash else 'no'}")
-        print("  conditions:")
-        for check in report.conditions:
-            mark = "ok" if check.satisfied else "VIOLATED"
-            print(f"    [{mark}] {check.description}: gap={_fmt(check.value)}")
+        out = ("item,value\n"
+               "policy.constant,%.12g\npolicy.coeff_p,%.12g\n"
+               "policy.coeff_q,%.12g\npolicy.coeff_pq,%.12g\n"
+               "public.constant,%.12g\npublic.coeff_p,%.12g\n"
+               "public.coeff_q,%.12g\npublic.coeff_pq,%.12g\n") % forms
+    else:
+        out = ("Closed form: payoff(p, q) = constant + coeff_p*p + coeff_q*q + coeff_pq*p*q\n"
+               "  policy: constant=%.6g coeff_p=%.6g coeff_q=%.6g coeff_pq=%.6g\n"
+               "  public: constant=%.6g coeff_p=%.6g coeff_q=%.6g coeff_pq=%.6g\n") % forms
+    if candidate is not None:
+        rho = engine.final_density(state, candidate)
+        report = engine.verify_nash(f_row, f_col, candidate)
+        values = (candidate.p, candidate.q,
+                  engine.expected_payoff_trace(vec_row, rho), report.row_payoff,
+                  engine.expected_payoff_trace(vec_col, rho), report.col_payoff)
+        if args.csv:
+            out += ("candidate.p,%.12g\ncandidate.q,%.12g\n"
+                    "policy_payoff.trace,%.12g\npolicy_payoff.closed_form,%.12g\n"
+                    "public_payoff.trace,%.12g\npublic_payoff.closed_form,%.12g\n"
+                    "nash.weak,%s\nnash.strict,%s\n") % (
+                values + ("true" if report.is_nash else "false",
+                          "true" if report.is_strict_nash else "false"))
+        else:
+            out += ("Candidate profile: p=%.6g, q=%.6g\n"
+                    "  policy payoff: trace=%.6g, closed-form=%.6g\n"
+                    "  public payoff: trace=%.6g, closed-form=%.6g\n"
+                    "  Nash (weak): %s\n  Nash (strict): %s\n  conditions:\n") % (
+                values + ("yes" if report.is_nash else "no",
+                          "yes" if report.is_strict_nash else "no"))
+            out += "".join("    [%s] %s: gap=%.6g\n" % ("ok" if check.satisfied else "VIOLATED",
+                                                         check.description, check.value)
+                           for check in report.conditions)
+    sys.stdout.write(out)
     return 0
 
 
@@ -189,28 +161,18 @@ def cmd_equilibria(args) -> int:
                                           engine.closed_form_payoff(state, vec_col))
 
     if args.csv:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["kind", "p_min", "p_max", "q_min", "q_max"])
-        for region in regions:
-            writer.writerow([region.kind, _fmt(region.p_min, 12),
-                             _fmt(region.p_max, 12), _fmt(region.q_min, 12),
-                             _fmt(region.q_max, 12)])
+        sys.stdout.write("kind,p_min,p_max,q_min,q_max\n" + "".join(
+            "%s,%.12g,%.12g,%.12g,%.12g\n" % ((region.kind,) + region) for region in regions))
         return 0
 
-    if not regions:
-        print("No Nash equilibria.")
-        return 0
-    print("Nash equilibrium regions (p, q = identity probabilities):")
-    for region in regions:
-        if region.p_min == region.p_max:
-            p_text = f"p={_fmt(region.p_min)}"
-        else:
-            p_text = f"p in [{_fmt(region.p_min)}, {_fmt(region.p_max)}]"
-        if region.q_min == region.q_max:
-            q_text = f"q={_fmt(region.q_min)}"
-        else:
-            q_text = f"q in [{_fmt(region.q_min)}, {_fmt(region.q_max)}]"
-        print(f"  {region.kind}: {p_text}, {q_text}")
+    def interval(name, lo, hi):
+        return "%s=%.6g" % (name, lo) if lo == hi else "%s in [%.6g, %.6g]" % (name, lo, hi)
+
+    lines = "".join("  %s: %s, %s\n" % (region.kind, interval("p", region.p_min, region.p_max),
+                                         interval("q", region.q_min, region.q_max))
+                    for region in regions)
+    sys.stdout.write("Nash equilibrium regions (p, q = identity probabilities):\n" + lines
+                     if regions else "No Nash equilibria.\n")
     return 0
 
 
@@ -225,26 +187,19 @@ def cmd_reproduce(args) -> int:
     failed = [c for c in checks if not c.passed]
 
     if args.csv:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["check_id", "expected", "computed", "tolerance",
-                         "passed", "detail"])
-        for c in checks:
-            writer.writerow([c.check_id, _fmt(c.expected, 12),
-                             _fmt(c.computed, 12), _fmt(c.tolerance, 12),
-                             "true" if c.passed else "false", c.detail])
+        out = "check_id,expected,computed,tolerance,passed,detail\n" + "".join(
+            "%s,%.12g,%.12g,%.12g,%s,%s\n" % (c.check_id, c.expected, c.computed, c.tolerance,
+                                             "true" if c.passed else "false", c.detail)
+            for c in checks)
     else:
         width = max(len(c.check_id) for c in checks)
-        for c in checks:
-            mark = "ok  " if c.passed else "FAIL"
-            line = (f"[{mark}] {c.check_id.ljust(width)} "
-                    f"expected={_fmt(c.expected, 12)} computed={_fmt(c.computed, 12)}")
-            if c.detail:
-                line += f"  ({c.detail})"
-            print(line)
-        print(f"{len(checks) - len(failed)} passed, {len(failed)} failed")
+        out = "".join("[%s] %-*s expected=%.12g computed=%.12g%s\n" % (
+            "ok  " if c.passed else "FAIL", width, c.check_id, c.expected, c.computed,
+            "  (%s)" % c.detail if c.detail else "") for c in checks)
+        out += "%d passed, %d failed\n" % (len(checks) - len(failed), len(failed))
+    sys.stdout.write(out)
     if failed:
-        print("failed checks: " + ", ".join(c.check_id for c in failed),
-              file=sys.stderr)
+        sys.stderr.write("failed checks: %s\n" % ", ".join(c.check_id for c in failed))
         return 1
     return 0
 

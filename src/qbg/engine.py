@@ -167,9 +167,11 @@ class PayoffVector(ValidatedRecord, namedtuple("PayoffVector", "ll lh hl hh")):
         values = tuple([v if type(v) in (int, Fraction) else float(v)
                         for v in (ll, lh, hl, hh)])
         for v in values:
-            if not math.isfinite(v):
-                raise ValueError("payoffs must be finite")
-            if abs(v) > 2.0 ** 1019:
+            # compared unconverted: an int or Fraction beyond the float range
+            # has no float; nan fails the comparison too
+            if not abs(v) <= 2.0 ** 1019:
+                if v != v or abs(v) == math.inf:
+                    raise ValueError("payoffs must be finite")
                 raise ValueError(f"payoffs must be at most 2**1019 in magnitude, got {v!r}")
         return tuple.__new__(cls, values)
 
@@ -279,16 +281,17 @@ def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q):
     """
     row_payoff = f_row.evaluate(p, q)
     col_payoff = f_col.evaluate(p, q)
-    gaps = (row_payoff - f_row.evaluate(0.0, q), row_payoff - f_row.evaluate(1.0, q),
-            col_payoff - f_col.evaluate(p, 0.0), col_payoff - f_col.evaluate(p, 1.0))
+    # the int edges keep exact forms exact; with floats x * 0 is x * 0.0
+    gaps = (row_payoff - f_row.evaluate(0, q), row_payoff - f_row.evaluate(1, q),
+            col_payoff - f_col.evaluate(p, 0), col_payoff - f_col.evaluate(p, 1))
     return row_payoff, col_payoff, gaps, tuple(gap >= -ALGEBRA_TOL for gap in gaps)
 
 
 # The extreme deviations in the order of ``deviation_gaps``: (description, edge).
-_EDGE_DEVIATIONS = (("row deviation to p=0 does not gain", 0.0),
-                    ("row deviation to p=1 does not gain", 1.0),
-                    ("column deviation to q=0 does not gain", 0.0),
-                    ("column deviation to q=1 does not gain", 1.0))
+_EDGE_DEVIATIONS = (("row deviation to p=0 does not gain", 0),
+                    ("row deviation to p=1 does not gain", 1),
+                    ("column deviation to q=0 does not gain", 0),
+                    ("column deviation to q=1 does not gain", 1))
 
 
 def verify_nash(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff,

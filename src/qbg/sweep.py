@@ -141,7 +141,7 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     if is_bad(*leads([max(lead_values)]), heaviest):
         lead = next(lead for lead in leads(lead_values) if is_bad(lead, heaviest))
         x = next(x for x in inner.values if is_bad(lead, x))
-        where = ", ".join(f"{n}={cli._fmt(v, 12)}" for n, v in zip(names, lead + (x,)))
+        where = ", ".join("%s=%.12g" % item for item in zip(names, lead + (x,)))
         raise specfile.SpecError(f"state weights exceed 1 at grid point ({where})")
 
     # Unswept variables are scalars.  The grid is evaluated in blocks of
@@ -155,7 +155,7 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     # in one object array per block.  No field can need CSV quoting.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
-    slots = [cli._fmt(x, 12) + ",%.12g,%.12g,%s\n" for x in inner.values]
+    slots = ["%.12g" % x + ",%.12g,%.12g,%s\n" for x in inner.values]
     verdicts = np.array(["false", "true"], dtype=object)
     values = dict(fixed)
     values[inner.var] = np.array([inner.values])
@@ -180,7 +180,7 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
         cells[..., 1] = col_payoff
         cells[..., 2] = verdicts[(h0 & h1 & h2 & h3).astype(np.intp)]
         for lead, row_cells in zip(rows, cells.reshape(len(rows), -1).tolist()):
-            prefix = "".join(cli._fmt(x, 12) + "," for x in lead)
+            prefix = "".join("%.12g," % x for x in lead)
             out.write((prefix + prefix.join(slots)) % tuple(row_cells))
 
     block_rows = max(1, _BLOCK_POINTS // len(inner.values))

@@ -172,6 +172,27 @@ class TestClassical:
         assert code == 0
         assert counts == {"find_pure_nash": calls, "find_dominated_rows": calls}
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ([], "Payoff table (rows: policy maker, columns: public)\n"
+             "      L's            H\"             \n"
+             "  \"L\" (1, 0.333333)  (-2, 2)        \n"
+             "  H H (3, -1)        (0.5, 1)       \n"
+             "Pure Nash equilibria: (H H, H\")\n"
+             "Dominated rows: \"L\" (strict)\n"),
+        (["--csv"], "row_label,col_label,row_payoff,col_payoff\n"
+                    "\"\"\"L\"\"\",L's,1,0.333333333333\n"
+                    "\"\"\"L\"\"\",\"H\"\"\",-2,2\n"
+                    "H H,L's,3,-1\n"
+                    "H H,\"H\"\"\",0.5,1\n"),
+    ], ids=["text", "csv"])
+    def test_report_bytes_with_quoted_labels(self, capsys, spec_path, fmt, expected):
+        # labels come from the spec: the CSV quotes those holding a quote
+        code, out, err = run_cli(capsys, "classical", *fmt,
+                                 "--spec", spec_path(QUOTED_LABELS_SPEC))
+        assert (code, out, err) == (0, expected, "")
+        if fmt:
+            assert parse_csv(out)[2][:2] == ['"L"', 'H"']
+
     def test_zero_custom_game_all_nash(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "classical",
                                "--spec", spec_path(ZERO_GAME_SPEC))
@@ -426,6 +447,36 @@ class TestQuantize:
         assert rows["nash.weak"] == "true"
         assert rows["policy.coeff_pq"] == "0"
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ([], "Closed form: payoff(p, q) = constant + coeff_p*p + coeff_q*q + coeff_pq*p*q\n"
+             "  policy: constant=-0.168 coeff_p=-0.5 coeff_q=0.536 coeff_pq=-0.4\n"
+             "  public: constant=0.09 coeff_p=-0.663333 coeff_q=-0.85 coeff_pq=1.58333\n"
+             "Candidate profile: p=1, q=0.333333\n"
+             "  policy payoff: trace=-0.622667, closed-form=-0.622667\n"
+             "  public payoff: trace=-0.328889, closed-form=-0.328889\n"
+             "  Nash (weak): no\n"
+             "  Nash (strict): no\n"
+             "  conditions:\n"
+             "    [VIOLATED] row deviation to p=0 does not gain: gap=-0.633333\n"
+             "    [ok] row deviation to p=1 does not gain: gap=0\n"
+             "    [ok] column deviation to q=0 does not gain: gap=0.244444\n"
+             "    [VIOLATED] column deviation to q=1 does not gain: gap=-0.488889\n"),
+        (["--csv"], "item,value\n"
+                    "policy.constant,-0.168\npolicy.coeff_p,-0.5\n"
+                    "policy.coeff_q,0.536\npolicy.coeff_pq,-0.4\n"
+                    "public.constant,0.09\npublic.coeff_p,-0.663333333333\n"
+                    "public.coeff_q,-0.85\npublic.coeff_pq,1.58333333333\n"
+                    "candidate.p,1\ncandidate.q,0.333333333333\n"
+                    "policy_payoff.trace,-0.622666666667\n"
+                    "policy_payoff.closed_form,-0.622666666667\n"
+                    "public_payoff.trace,-0.328888888889\n"
+                    "public_payoff.closed_form,-0.328888888889\n"
+                    "nash.weak,false\nnash.strict,false\n"),
+    ], ids=["text", "csv"])
+    def test_report_bytes_with_a_candidate(self, capsys, spec_path, fmt, expected):
+        code, out, err = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(ZERO_AMP_SPEC))
+        assert (code, out, err) == (0, expected, "")
+
     def test_requires_quantum_block(self, capsys, spec_path):
         code, _, err = run_cli(capsys, "quantize", "--spec", spec_path(WEAK_SPEC))
         assert code == 2
@@ -452,6 +503,34 @@ class TestEquilibria:
         code, _, _ = run_cli(capsys, "equilibria", *fmt, "--spec", spec_path(MIXED_SPEC))
         assert code == 0
         assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
+
+    @pytest.mark.parametrize("payoffs, text, csv_text", [
+        (("-1/7,0,-1,0", "2,1/3,0,2"),
+         "  point: p=0, q=0\n  point: p=0.512727, q=0.313333\n  point: p=1, q=1\n",
+         "point,0,0,0,0\npoint,0.512727272727,0.512727272727,0.313333333333,0.313333333333\n"
+         "point,1,1,1,1\n"),
+        (("0,0,0,0", "1,0,2,0"),
+         "  segment: p in [0, 0.64], q=1\n  segment: p=0.64, q in [0, 1]\n"
+         "  segment: p in [0.64, 1], q=0\n",
+         "segment,0,0.64,1,1\nsegment,0.64,0.64,0,1\nsegment,0.64,1,0,0\n"),
+        (("0,0,0,0", "0,0,0,0"), "  rectangle: p in [0, 1], q in [0, 1]\n",
+         "rectangle,0,1,0,1\n"),
+    ], ids=["points", "segments", "rectangle"])
+    def test_report_bytes(self, capsys, spec_path, payoffs, text, csv_text):
+        path = spec_path(ZERO_AMP_SPEC.replace(GENERAL_GAME, CUSTOM_GAME % payoffs))
+        assert run_cli(capsys, "equilibria", "--spec", path) == (
+            0, "Nash equilibrium regions (p, q = identity probabilities):\n" + text, "")
+        assert run_cli(capsys, "equilibria", "--csv", "--spec", path) == (
+            0, "kind,p_min,p_max,q_min,q_max\n" + csv_text, "")
+
+    def test_report_bytes_without_equilibria(self, capsys, spec_path, monkeypatch):
+        # every game of the closed forms has an equilibrium, so the empty
+        # report is reached through the enumeration alone
+        monkeypatch.setattr(engine, "enumerate_equilibria", lambda f_row, f_col: ())
+        path = spec_path(MIXED_SPEC)
+        assert run_cli(capsys, "equilibria", "--spec", path) == (0, "No Nash equilibria.\n", "")
+        assert run_cli(capsys, "equilibria", "--csv", "--spec", path) == (
+            0, "kind,p_min,p_max,q_min,q_max\n", "")
 
     def test_requires_quantum_block(self, capsys, spec_path):
         code, _, err = run_cli(capsys, "equilibria",
@@ -521,6 +600,36 @@ amp_hh = -0.1
 [candidate]
 p = 1
 q = 0.7
+"""
+
+# a state with a zero and a -0 amplitude, so the density oracle's entries
+# and traces hold signed zeros
+ZERO_AMP_SPEC = GENERAL_GAME + """
+[quantum]
+amp_ll = 3/5
+amp_lh = -0
+amp_hl = 0
+amp_hh = -4/5
+
+[candidate]
+p = 1
+q = 1/3
+"""
+
+CUSTOM_GAME = """\
+[game]
+mode = custom
+row_payoffs = %s
+col_payoffs = %s
+"""
+
+QUOTED_LABELS_SPEC = """\
+[game]
+mode = custom
+row_labels = "L",H H
+col_labels = L's,H"
+row_payoffs = 1,-2,3,0.5
+col_payoffs = 1/3,2,-1,1
 """
 
 # MIXED_SPEC with its candidate's q at a value that every route through the
@@ -1044,14 +1153,18 @@ class TestNumpyImport:
 class TestColdStartLoads:
     """A command loads only what it runs."""
 
-    @pytest.mark.parametrize("command", ["classical", "equilibria", "quantize"])
-    def test_text_output_loads_neither_csv_nor_the_sweep(self, spec_path, command):
-        # CSV output loads csv; sweep loads qbg.sweep and numpy, and no csv
+    @pytest.mark.parametrize("command, csv_loads", [
+        ("classical", ["csv"]), ("equilibria", []), ("quantize", []), ("reproduce", []),
+    ], ids=["classical", "equilibria", "quantize", "reproduce"])
+    def test_text_output_loads_neither_csv_nor_the_sweep(self, spec_path, command, csv_loads):
+        # only classical's CSV output loads csv, as its labels come from the
+        # spec; sweep loads qbg.sweep and numpy, and no csv
         path = spec_path(MIXED_SPEC)
-        argvs = [[command, "--spec", path], [command, "--csv", "--spec", path],
+        spec = [] if command == "reproduce" else ["--spec", path]
+        argvs = [[command, *spec], [command, "--csv", *spec],
                  ["sweep", "--spec", path, "--axis", "p=0:1:3"]]
         assert modules_loaded(["csv", "qbg.sweep", "numpy"], argvs) == [
-            [0, []], [0, ["csv"]], [0, ["csv", "qbg.sweep", "numpy"]]]
+            [0, []], [0, csv_loads], [0, csv_loads + ["qbg.sweep", "numpy"]]]
 
     def test_a_command_builds_its_parser_alone_once(self, spec_path):
         # neither the top-level parser nor another command's is built, and a
@@ -1322,6 +1435,34 @@ class TestReproduce:
         _, first, _ = run_cli(capsys, "reproduce", "--csv")
         _, second, _ = run_cli(capsys, "reproduce", "--csv")
         assert first == second
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["text", "csv"])
+    def test_report_bytes(self, capsys, injected_fault, fmt):
+        # the report of the checks, rendered here field by field: CSV through
+        # csv.writer, which quotes nothing in it
+        checks = verification.run_verification()
+        failed = [c for c in checks if not c.passed]
+        if fmt:
+            stream = io.StringIO()
+            csv.writer(stream, lineterminator="\n").writerows(
+                [["check_id", "expected", "computed", "tolerance", "passed", "detail"]]
+                + [[c.check_id, f"{c.expected:.12g}", f"{c.computed:.12g}",
+                    f"{c.tolerance:.12g}", str(c.passed).lower(), c.detail] for c in checks])
+            expected = stream.getvalue()
+            assert '"' not in expected
+            assert expected.startswith("check_id,expected,computed,tolerance,passed,detail\n")
+        else:
+            width = max(len(c.check_id) for c in checks)
+            expected = "".join(
+                f"[{'ok  ' if c.passed else 'FAIL'}] {c.check_id:<{width}} "
+                f"expected={c.expected:.12g} computed={c.computed:.12g}"
+                + (f"  ({c.detail})" if c.detail else "") + "\n" for c in checks)
+            expected += f"{len(checks) - 1} passed, 1 failed\n"
+            assert expected.endswith("56 passed, 1 failed\n")
+        assert [c.check_id for c in failed] == [FAULT_ID]
+        assert any(c.detail for c in checks)
+        assert run_cli(capsys, "reproduce", *fmt) == (1, expected,
+                                                      f"failed checks: {FAULT_ID}\n")
 
     @pytest.mark.parametrize("utility", ["policy_utility", "public_utility"])
     def test_classical_checks_run_the_utility_functions(self, capsys, monkeypatch, utility):

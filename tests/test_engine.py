@@ -473,6 +473,15 @@ class TestPayoffOperators:
         with pytest.raises(ValueError, match="2\\*\\*1019"):
             PayoffVector(0, 0, 0, 2 ** 1020)
 
+    @pytest.mark.parametrize("payoff, message", [
+        (10 ** 400, "2\\*\\*1019"), (-10 ** 400, "2\\*\\*1019"),
+        (Fraction(10 ** 400, 3), "2\\*\\*1019"), (float("-inf"), "finite"),
+    ], ids=["int", "negative-int", "fraction", "infinity"])
+    def test_payoffs_beyond_the_float_range_are_value_errors(self, payoff, message):
+        # an int or Fraction with no float is compared as it is, not converted
+        with pytest.raises(ValueError, match=message):
+            PayoffVector(0, 0, 0, payoff)
+
     def test_trace_payoff_on_maximally_mixed(self):
         rng = fresh_rng(15)
         rho = DensityMatrix4(np.eye(4, dtype=complex) / 4)
@@ -736,6 +745,38 @@ class TestNashMachinery:
                 f_row.evaluate(p, q) - f_row.evaluate(1.0, q),
                 f_col.evaluate(p, q) - f_col.evaluate(p, 0.0),
                 f_col.evaluate(p, q) - f_col.evaluate(p, 1.0))
+
+    def test_exact_forms_give_exact_gaps(self):
+        # the edges are the ints 0 and 1, so integer forms at a Fraction
+        # profile give Fraction gaps: the last one is exactly 0, not -2.2e-16
+        weights = (2, 2, 2, 0)
+        f_row = ClosedFormPayoff(*bilinear_coefficients(*weights, PayoffVector(1, 3, 0, 2)))
+        f_col = ClosedFormPayoff(*bilinear_coefficients(*weights, PayoffVector(1, -2, -1, 3)))
+        p = q = Fraction(2, 7)
+        gaps = deviation_gaps(f_row, f_col, p, q)[2]
+        assert gaps == (Fraction(-8, 7), Fraction(20, 7), 0, 0)
+        assert all(type(gap) is Fraction for gap in gaps)
+        report = verify_nash(f_row, f_col, MixingProfile(p, q))
+        assert tuple(check.value for check in report.conditions) == gaps
+
+    def test_float_and_array_gaps_are_those_of_float_edges(self):
+        # x * 0 is x * 0.0 for a float or a float array, signed zeros included
+        rng = fresh_rng(30)
+        signed_zero = ClosedFormPayoff(-0.0, -0.0, -0.0, -0.0)
+        for _ in range(50):
+            state = random_state(rng)
+            forms = [closed_form_payoff(state, random_vector(rng)) for _ in range(2)]
+            for f_row, f_col in (forms, (signed_zero, forms[0]), (forms[1], signed_zero)):
+                for p, q in ((float(rng.uniform()), float(rng.uniform())), (0.0, -0.0),
+                             (rng.uniform(size=(3, 1)), rng.uniform(size=(1, 4)))):
+                    row_payoff, col_payoff, gaps, _ = deviation_gaps(f_row, f_col, p, q)
+                    reference = (row_payoff - f_row.evaluate(0.0, q),
+                                 row_payoff - f_row.evaluate(1.0, q),
+                                 col_payoff - f_col.evaluate(p, 0.0),
+                                 col_payoff - f_col.evaluate(p, 1.0))
+                    for gap, expected in zip(gaps, reference):
+                        assert np.array_equal(gap, expected)
+                        assert np.array_equal(np.signbit(gap), np.signbit(expected))
 
     def test_verify_nash_matched_outcome_state(self):
         policy_vec, public_vec = bg_payoff_vectors()
