@@ -22,10 +22,13 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or spec error,
 141 standard output closed before all output was written (the status a shell
 reports for a process ended by SIGPIPE).
 
-A command loads only what it runs: ``main`` builds the invoked command's
-parser alone (the top-level parser only for argv that does not start with a
-command name), ``csv`` is imported only by ``classical --csv``, and ``sweep``
-runs in ``qbg.sweep``, qbg's one numpy user, imported only by that command.
+A command loads only what it runs: ``main`` reads well-formed argv straight
+from ``_COMMANDS`` and loads no ``argparse``; only help and usage errors,
+and argv spelled in other ways argparse accepts, import it and build the
+invoked command's parser alone (the top-level parser only for argv that
+does not start with a command name).  ``csv`` is imported only by
+``classical --csv``, and ``sweep`` runs in ``qbg.sweep``, qbg's one numpy
+user, imported only by that command.
 ``import qbg`` puts qbg's other modules in ``sys.modules`` as lazily executed
 modules, whose code runs at their first attribute access.  Like every qbg
 module, this one binds the modules themselves, not names from them, and
@@ -39,11 +42,11 @@ but not ``game``; and only ``reproduce`` runs ``verification`` and
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import os
 import sys
+import types
 
 from . import engine, game, specfile, verification   # each runs at its first use
 
@@ -204,17 +207,6 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: it reports an argument it does not take itself,
-    with its own usage line, instead of leaving it to the top-level parser."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
-
 _SPEC_FLAG = ("--spec", {"metavar": "PATH",
                         "help": "game description file (see README for the grammar)"})
 _CSV_FLAG = ("--csv", {"action": "store_true",
@@ -237,7 +229,40 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+def _read_argv(argv: list[str]):
+    """The namespace the top-level parser gives for well-formed ``argv``, read
+    from ``_COMMANDS`` alone, or None for any other argv.
+
+    Well-formed argv is a command name and then only that command's flags,
+    each spelled in full, with each flag that takes a value followed by a
+    token that does not start with ``-``.  argparse reads such argv token by
+    token just so: a flag left out keeps its default (False or None), the
+    last ``--spec`` wins and each ``--axis`` is appended.  Help, abbreviations,
+    ``--spec=PATH``, ``--``, a missing value and every error are left to
+    argparse, the one source of usage lines and messages.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, flags = _COMMANDS[argv[0]]
+    options = dict(flags)
+    args = {flag[2:]: False if option.get("action") == "store_true" else None
+            for flag, option in flags}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in options:
+            return None
+        action, dest = options[flag].get("action"), flag[2:]
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")   # a missing value is left to argparse too
+        if value.startswith("-"):
+            return None
+        args[dest] = (args[dest] or []) + [value] if action == "append" else value
+    return types.SimpleNamespace(command=argv[0], func=func, **args)
+
+
+def _add_command(parser, name: str):
     """Give ``parser`` the flags and function of command ``name``."""
     _, func, flags = _COMMANDS[name]
     for flag, options in flags:
@@ -247,32 +272,57 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.Argumen
 
 
 @functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """Command ``name``'s parser, equal to the top-level parser's, built alone
-    once per process; parsing never mutates it."""
-    return _add_command(_CommandParser(prog=f"qbg {name}"), name)
+def _command_parser_class():
+    """A subcommand's parser class, defined at first use so that argparse is
+    imported only for argv that ``_read_argv`` leaves to it."""
+    import argparse
+
+    class _CommandParser(argparse.ArgumentParser):
+        """A subcommand's parser: it reports an argument it does not take itself,
+        with its own usage line, instead of leaving it to the top-level parser."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
+
+    return _CommandParser
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _command_parser(name: str):
+    """Command ``name``'s parser, equal to the top-level parser's, built alone
+    once per process; parsing never mutates it."""
+    return _add_command(_command_parser_class()(prog=f"qbg {name}"), name)
+
+
+@functools.cache
+def _build_parser():
     """The top-level parser, built once per process; parsing never mutates it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qbg",
         description="Classical and quantized analysis of the Barro-Gordon "
                     "monetary policy game.")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
+                                parser_class=_command_parser_class())
     for name, (help_text, _, _) in _COMMANDS.items():
         _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parse_args(argv):
     """The namespace the top-level parser gives for ``argv``, with its messages
-    and exit codes.  That parser hands everything after a command name to the
-    command's parser, so argv that starts with one goes there directly, and
-    only other argv builds the top-level parser."""
+    and exit codes.  Well-formed argv is read without argparse.  The top-level
+    parser hands everything after a command name to the command's parser, so
+    other argv that starts with one goes there directly, and only argv that
+    does not builds the top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is not None:
+        return args
     if not argv or argv[0] not in _COMMANDS:
         return _build_parser().parse_args(argv)
     args = _command_parser(argv[0]).parse_args(argv[1:])

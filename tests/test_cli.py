@@ -1110,6 +1110,31 @@ def modules_loaded(watched, argvs):
     return [[code, loaded] for code, loaded, _, _ in probe(watched, argvs)[2:]]
 
 
+ARGPARSE_PROBE = """\
+import contextlib, io, json, sys
+import qbg.cli
+loaded = ["argparse" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = qbg.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded.append([code, "argparse" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def argparse_loaded(argvs):
+    """Whether ``argparse`` is in ``sys.modules`` after ``import qbg.cli``, and
+    the exit code and whether it is after each of ``argvs`` in turn, in one
+    fresh interpreter that never imports argparse itself."""
+    proc = subprocess.run([sys.executable, "-c", ARGPARSE_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
 ENGINE_PROBE = """\
 import sys
 import qbg.engine as engine
@@ -1167,12 +1192,31 @@ class TestColdStartLoads:
             [0, []], [0, csv_loads], [0, csv_loads + ["qbg.sweep", "numpy"]]]
 
     def test_a_command_builds_its_parser_alone_once(self, spec_path):
-        # neither the top-level parser nor another command's is built, and a
-        # command's own parser is built once per process
+        # well-formed argv builds no parser at all; an abbreviated flag builds
+        # its command's parser alone, neither the top-level parser nor
+        # another command's, and once per process
         path = spec_path(MIXED_SPEC)
         argvs = [["classical", "--spec", path], ["classical", "--csv", "--spec", path],
-                 ["quantize", "--spec", path]]
-        assert [built for _, _, built, _ in probe([], argvs)[2:]] == [1, 0, 1]
+                 ["quantize", "--spec", path], ["quantize", "--cs", "--spec", path],
+                 ["quantize", "--cs", "--spec", path]]
+        assert [built for _, _, built, _ in probe([], argvs)[2:]] == [0, 0, 0, 1, 0]
+
+    def test_well_formed_argv_never_loads_argparse(self, spec_path):
+        # every command, as text and as CSV, and a two-axis sweep; a usage
+        # error comes last, as a check that the probe can see argparse
+        path = spec_path(MIXED_SPEC)
+        argvs = [[command, *fmt, "--spec", path]
+                 for command in ("classical", "quantize", "equilibria")
+                 for fmt in ([], ["--csv"])]
+        argvs += [["sweep", "--spec", path, "--axis", "p=0:1:3", "--axis", "q=0:1:3"],
+                  ["reproduce"], ["reproduce", "--csv"], ["quantize", "--bogus"]]
+        assert argparse_loaded(argvs) == [False] + [[0, False]] * 9 + [[2, True]]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["quantize", "-h"], 0), (["-h"], 0), (["quantize", "--cs"], 2), (["nope"], 2),
+    ], ids=["command-help", "help", "abbreviation", "no-command"])
+    def test_help_and_usage_errors_load_argparse(self, argv, code):
+        assert argparse_loaded([argv]) == [False, [code, True]]
 
     def test_scenarios_and_verification_run_only_for_reproduce(self, spec_path):
         # import qbg and the scalar commands, as text and CSV, execute neither
@@ -1340,11 +1384,30 @@ class TestParser:
                      ["equilibria", "--spec=PATH"], ["classical", "--", "--spec"],
                      ["--", "classical"], ["--spec", "X", "classical"], ["Classical"],
                      ["class"], ["classical", "extra"], ["classical", "--csv", "--csv"],
-                     ["classical", "--csv", "--spec", "X"], ["reproduce"]):
+                     ["classical", "--csv", "--spec", "X"], ["reproduce"],
+                     ["classical", "--spec", "-x"], ["classical", "--spec", ""],
+                     ["quantize", "--csv", "--spec"], ["quantize", "--spec", "X", "--spec", "Y"],
+                     ["sweep", "--axis", "p=0:1:3", "--spec", "X", "--axis", "q=0:1:3"],
+                     ["equilibria", "--csv", "-h"]):
             expected = outcome(fresh.parse_args, argv)
             assert outcome(cli._parse_args, argv) == expected, argv
             if not isinstance(expected[0], dict):
                 assert outcome(main, argv) == expected, argv
+
+    # command names, flags in full and abbreviated, --, -h and values
+    ARGV_TOKENS = (list(cli._COMMANDS) + ["--spec", "--csv", "--axis", "--sp", "--cs", "--ax",
+                                          "--", "-h", "x", "-x", "", "-1", "--spec=x"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(head=st.sampled_from(ARGV_TOKENS + list(cli._COMMANDS) * 8),
+           tail=st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
+    def test_read_argv_agrees_with_argparse(self, head, tail):
+        # the reader reads argv as the top-level parser does, or leaves it to
+        # it; argv mostly starts with a command name, as all it reads does
+        argv = [head, *tail]
+        args = cli._read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(cli._build_parser.__wrapped__().parse_args(argv)), argv
 
     @pytest.mark.parametrize("command", ["classical", "quantize", "equilibria", "sweep",
                                          "reproduce"])

@@ -977,6 +977,32 @@ class TestEnumerateEquilibria:
                     assert report.is_nash == truth.weak == inside, (game, p, q)
                     assert report.is_strict_nash == truth.strict, (game, p, q)
 
+    # Symmetries: a map of one integer game into another whose regions
+    # follow from the first's.  The players swap with their qubits, so the
+    # basis (LL, LH, HL, HH) is read as (LL, HL, LH, HH) and the row and column
+    # payoffs trade places.  Relabelling L<->H on one qubit or both moves the
+    # weights and both payoff vectors by that flip, a row of engine._BRANCHES.
+    SWAP_PLAYERS = (0, 2, 1, 3)
+    RELABELLINGS = {"row-qubit": (2, 3, 0, 1), "column-qubit": (1, 0, 3, 2),
+                    "both-qubits": (3, 2, 1, 0)}
+
+    def test_swapping_the_players_transposes_the_regions(self):
+        rng = random.Random(30)
+        for _ in range(1000):
+            weights, row, col = game = random_integer_game(rng)
+            swapped = [permuted(self.SWAP_PLAYERS, x) for x in (weights, col, row)]
+            transposed = sorted((q_min, q_max, p_min, p_max) for p_min, p_max, q_min, q_max
+                                in regions_as_floats(integer_regions(*game)))
+            assert regions_as_floats(integer_regions(*swapped)) == transposed, game
+
+    @pytest.mark.parametrize("flip", RELABELLINGS.values(), ids=RELABELLINGS)
+    def test_relabelling_a_qubit_keeps_the_regions(self, flip):
+        rng = random.Random(31)
+        for _ in range(1000):
+            game = random_integer_game(rng)
+            relabelled = [permuted(flip, x) for x in game]
+            assert integer_regions(*relabelled) == integer_regions(*game), game
+
     @pytest.mark.xfail(strict=True, reason=(
         "known defect 2: the absolute ALGEBRA_TOL on the forms makes the regions depend "
         "on the payoffs' scale; ROADMAP items 1 (exact core) and 3 (filtered sweep) mend it"))
@@ -1017,6 +1043,16 @@ def integer_forms(weights, row, col):
     exact = tuple(REFERENCE.closed_form(weights, [Fraction(v) for v in vec])
                   for vec in (row, col))
     return forms, exact
+
+
+def integer_regions(weights, row, col):
+    """``enumerate_equilibria`` on an integer game's exact forms."""
+    return enumerate_equilibria(*integer_forms(weights, row, col)[0])
+
+
+def permuted(perm, values):
+    """``values`` moved by ``perm``: entry i is ``values[perm[i]]``."""
+    return tuple(values[k] for k in perm)
 
 
 def regions_as_floats(regions):

@@ -40,7 +40,10 @@ and closes the pipe (exit 141); "argv" operations pass argv shapes that
 ``main`` must route exactly as the top-level parser does: abbreviated
 flags, ``--spec=PATH``, ``--`` before and after the command, a flag before
 the command, a misspelled or abbreviated command, an extra argument, a
-repeated ``--csv``, ``-h`` and no arguments at all.  Each demo script of
+repeated ``--csv``, ``-h`` and no arguments at all, and the edges of the
+argv that ``main`` reads without argparse: a ``--spec`` value that starts
+with ``-``, an empty ``--spec`` value, a trailing ``--spec``, two ``--spec``
+(the last wins), two ``--axis`` and ``--csv -h``.  Each demo script of
 this tree also runs once per tree, as its own child, and so does a
 "verification" operation, which prints the repr of each check
 ``qbg.verification.run_verification()`` returns, one per line: the
@@ -360,13 +363,18 @@ def build_child_ops(work: Path) -> list[tuple[str, list[str]]]:
 
 def argv_shapes(spec: str) -> list[list[str]]:
     """Argv that starts with a command name and argv that does not, each
-    routed by ``main`` as the top-level parser routes it."""
+    routed by ``main`` as the top-level parser routes it, and the edges of
+    the argv ``main`` reads without argparse."""
     return [["classical", "--sp", spec], ["quantize", "--cs", "--spec", spec],
             ["sweep", "--spec", spec, "--ax", "p=0:1:3"], ["reproduce", "--cs"],
             ["equilibria", f"--spec={spec}"], ["classical", "--", "--spec"],
             ["--", "classical"], ["--spec", spec, "classical"], ["Classical"], ["class"],
             ["classical", "--spec", spec, "extra"],
-            ["classical", "--csv", "--csv", "--spec", spec], ["-h"], []]
+            ["classical", "--csv", "--csv", "--spec", spec], ["-h"], [],
+            ["classical", "--spec", "-x"], ["classical", "--spec", ""],
+            ["quantize", "--csv", "--spec"], ["quantize", "--spec", "X", "--spec", spec],
+            ["sweep", "--spec", spec, "--axis", "p=0:1:3", "--axis", "q=0:1:2"],
+            ["equilibria", "--csv", "-h"]]
 
 
 def run_module(tree: Path, kind: str, argv: list[str]) -> list:
