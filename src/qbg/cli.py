@@ -57,14 +57,29 @@ _STATE_VARS = ("prob_lh", "prob_hl", "prob_hh")
 _SWEEP_VARS = ("p", "q") + _STATE_VARS
 
 
+# A spec is a page of text.  A larger file, or an endless stream such as
+# /dev/zero, is refused once more than this many bytes have been read.
+MAX_SPEC_BYTES = 1 << 20
+_READ_SIZE = 1 << 16   # a read() of the whole limit would allocate it on every call
+
+
 def _load_spec(path: str | None) -> specfile.GameSpec:
     if path is None:
         raise specfile.SpecError("this command needs --spec <path>")
+    chunks, size = [], 0
     try:
         with open(path, "rb", buffering=0) as fh:
-            data = fh.read()
+            while size <= MAX_SPEC_BYTES:
+                chunk = fh.read(min(_READ_SIZE, MAX_SPEC_BYTES + 1 - size))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
     except OSError as exc:
         raise specfile.SpecError(f"cannot read spec file {path!r}: {exc}") from None
+    if size > MAX_SPEC_BYTES:
+        raise specfile.SpecError(f"spec file {path!r} is larger than {MAX_SPEC_BYTES} bytes")
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

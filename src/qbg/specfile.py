@@ -20,6 +20,10 @@ Grammar (one page, deliberately small):
   list, numbers are separated by commas with optional whitespace around each.
   A decimal exponent may be at most ``MAX_EXPONENT`` in magnitude, and a
   value's numerator and denominator must each be writable by ``str()``.
+  The pattern ``_NUMBER`` is the grammar's one statement and the source of
+  every "not a number" message; only the two shapes ``str(Fraction)``
+  writes, ``[-]digits`` and ``[-]digits/digits`` with a nonzero
+  denominator, are read without it, with ``str.isdecimal`` and ``int``.
 
 ``[game]`` keys::
 
@@ -64,16 +68,23 @@ from fractions import Fraction
 from . import engine, game   # each runs at its first use, not at import
 from ._records import NORMALIZATION_TOL, check_policy_fields
 
-_SECTIONS = ("game", "quantum", "candidate")
 # Each mode's own [game] keys, in the order another mode refuses them, and
 # the keys it requires, in the order they are looked for.
 _MODE_KEYS = {"builtin-bg": (("theta", "a", "b"), ("theta", "a", "b")),
               "custom": (("row_labels", "col_labels", "row_payoffs", "col_payoffs"),
                          ("row_payoffs", "col_payoffs"))}
-_GAME_KEYS = {"mode"}.union(*(own for own, _ in _MODE_KEYS.values()))
+# Each mode's foreign [game] keys, each with the mode it belongs to, in the
+# order they are refused.
+_FOREIGN_KEYS = {mode: tuple((key, other) for other, (own, _) in _MODE_KEYS.items()
+                             if other != mode for key in own)
+                 for mode in _MODE_KEYS}
+_GAME_KEYS = frozenset({"mode"}.union(*(own for own, _ in _MODE_KEYS.values())))
 _PROB_KEYS = ("prob_ll", "prob_lh", "prob_hl", "prob_hh")
 _AMP_KEYS = ("amp_ll", "amp_lh", "amp_hl", "amp_hh")
 _CANDIDATE_KEYS = ("p", "q")
+# Each section's keys; _entries refuses any other.
+_SECTION_KEYS = {"game": _GAME_KEYS, "quantum": frozenset(_PROB_KEYS + _AMP_KEYS),
+                 "candidate": frozenset(_CANDIDATE_KEYS)}
 _BG_OVERFLOW = "the builtin-bg payoffs for these a and b exceed the float range"
 
 # A value is built with 10**exponent exactly, so a short text like 1e100000000
@@ -177,6 +188,21 @@ class GameSpec(namedtuple("GameSpec", (
 
 
 def _parse_number(text: str, line: int, column: int) -> Fraction:
+    # The two shapes str(Fraction) writes, [-]digits and [-]digits/digits with
+    # a nonzero denominator, are read without the pattern: isdecimal() is true
+    # for exactly the characters \d matches, and int() reads them.  int()'s
+    # ValueError for too many digits leaves the text to _NUMBER's message.
+    num, slash, denom = text.partition("/")
+    if (num[1:] if num[:1] == "-" else num).isdecimal():
+        try:
+            if not slash:
+                return Fraction(int(num))
+            if denom.isdecimal():
+                denominator = int(denom)
+                if denominator:
+                    return Fraction(int(num), denominator)
+        except ValueError:
+            pass
     match = _NUMBER.match(text)
     try:   # int() refuses more digits than sys.get_int_max_str_digits(), as Fraction() does
         if match is None:
@@ -220,10 +246,11 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
 
 
 def _fits_float(values) -> bool:
-    """Whether every value converts to a float without overflowing."""
+    """Whether every Fraction in ``values`` converts to a float without
+    overflowing."""
     try:
         for value in values:
-            float(value)
+            value.numerator / value.denominator
     except OverflowError:
         return False
     return True
@@ -264,6 +291,7 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
     """Split the file into sections mapping key -> (value, line, column)."""
     sections: dict[str, dict[str, tuple[str, int, int]]] = {}
     current: str | None = None
+    entries = None   # sections[current]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "#;":
@@ -272,17 +300,17 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
             if not line.endswith("]"):
                 raise SpecError("unterminated section header", lineno, len(raw))
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _SECTION_KEYS:
                 raise SpecError(f"unknown section [{name}]", lineno)
             if name in sections:
                 raise SpecError(f"duplicate section [{name}]", lineno)
-            sections[name] = {}
+            entries = sections[name] = {}
             current = name
             continue
         key, equals, value = raw.partition("=")
         if not equals:
             raise SpecError(f"expected 'key = value', got {line!r}", lineno)
-        if current is None:
+        if entries is None:
             raise SpecError("key outside any [section]", lineno)
         column = len(key) + 2
         key = key.strip()
@@ -291,18 +319,20 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
             raise SpecError("empty key", lineno)
         if not value:
             raise SpecError(f"key {key!r} has no value", lineno, column)
-        if key in sections[current]:
+        if key in entries:
             raise SpecError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (value, lineno, column)
+        entries[key] = (value, lineno, column)
     return sections
 
 
-def _entries(sections, name: str, keys) -> dict[str, tuple[str, int, int]]:
-    """Section ``name``'s key -> (value, line, column), refusing a key not in ``keys``."""
+def _entries(sections, name: str) -> dict[str, tuple[str, int, int]]:
+    """Section ``name``'s key -> (value, line, column), refusing a key not in
+    ``_SECTION_KEYS[name]``; the first such key in file order is named."""
     entries = sections[name]
-    for key in entries:
-        if key not in keys:
-            raise SpecError(f"unknown key {key!r} in [{name}]", entries[key][1])
+    keys = _SECTION_KEYS[name]
+    if not entries.keys() <= keys:
+        key = next(key for key in entries if key not in keys)
+        raise SpecError(f"unknown key {key!r} in [{name}]", entries[key][1])
     return entries
 
 
@@ -312,7 +342,7 @@ def parse_spec(text: str) -> GameSpec:
     if "game" not in sections:
         raise SpecError("missing required section [game]")
 
-    game = _entries(sections, "game", _GAME_KEYS)
+    game = _entries(sections, "game")
     if "mode" not in game:
         raise SpecError("missing key 'mode' in [game]")
     mode = game["mode"][0]
@@ -322,11 +352,9 @@ def parse_spec(text: str) -> GameSpec:
     for key in _MODE_KEYS[mode][1]:
         if key not in game:
             raise SpecError(f"{mode} mode requires key {key!r} in [game]")
-    for other, (own, _) in _MODE_KEYS.items():
-        if other != mode:
-            for key in own:
-                if key in game:
-                    raise SpecError(f"key {key!r} is only valid in {other} mode", game[key][1])
+    for key, other in _FOREIGN_KEYS[mode]:
+        if key in game:
+            raise SpecError(f"key {key!r} is only valid in {other} mode", game[key][1])
 
     fields: dict = {"mode": mode}
     if mode == "builtin-bg":
@@ -349,9 +377,9 @@ def parse_spec(text: str) -> GameSpec:
             fields[key] = _parse_payoffs(*game[key])
 
     if "quantum" in sections:
-        quantum = _entries(sections, "quantum", _PROB_KEYS + _AMP_KEYS)
-        has_probs = any(k in quantum for k in _PROB_KEYS)
-        has_amps = any(k in quantum for k in _AMP_KEYS)
+        quantum = _entries(sections, "quantum")
+        has_probs = not quantum.keys().isdisjoint(_PROB_KEYS)
+        has_amps = not quantum.keys().isdisjoint(_AMP_KEYS)
         if has_probs and has_amps:
             raise SpecError("[quantum] mixes prob_* and amp_* keys; use one family")
         if not (has_probs or has_amps):
@@ -367,7 +395,7 @@ def parse_spec(text: str) -> GameSpec:
                 if value.numerator < 0:
                     raise SpecError(f"{key} must be nonnegative", *quantum[key][1:])
         try:
-            weights = [float(value) for value in values]
+            weights = [value.numerator / value.denominator for value in values]
         except OverflowError:
             key = next(k for k, value in zip(family, values) if not _fits_float((value,)))
             raise SpecError(f"{key} exceeds the float range", *quantum[key][1:]) from None
@@ -380,7 +408,7 @@ def parse_spec(text: str) -> GameSpec:
         fields["probabilities" if has_probs else "amplitudes"] = tuple(values)
 
     if "candidate" in sections:
-        candidate = _entries(sections, "candidate", _CANDIDATE_KEYS)
+        candidate = _entries(sections, "candidate")
         for key in _CANDIDATE_KEYS:
             if key not in candidate:
                 raise SpecError(f"[candidate] is missing key {key!r}")

@@ -225,6 +225,29 @@ class TestClassical:
         assert err == (f"error: cannot decode spec file {str(path)!r} as UTF-8: "
                        f"byte 0x{byte:02x} on line {line}: {reason}\n")
 
+    @pytest.mark.parametrize("source", ["sparse", "/dev/zero"])
+    def test_a_spec_past_the_size_limit_is_refused(self, capsys, tmp_path, source):
+        # an endless stream ends the read too: at most one byte past the limit is read
+        if source == "sparse":
+            path = tmp_path / "huge.spec"
+            with open(path, "wb") as fh:
+                fh.truncate(cli.MAX_SPEC_BYTES + 1)
+            source = str(path)
+        elif not os.path.exists(source):
+            pytest.skip(f"no {source} on this platform")
+        code, out, err = run_cli(capsys, "classical", "--spec", source)
+        assert (code, out) == (2, "")
+        assert err == f"error: spec file {source!r} is larger than {cli.MAX_SPEC_BYTES} bytes\n"
+
+    def test_a_spec_at_the_size_limit_is_read(self, capsys, tmp_path):
+        path = tmp_path / "padded.spec"
+        padding = cli.MAX_SPEC_BYTES - len(WEAK_SPEC) - 1
+        path.write_bytes(WEAK_SPEC.encode() + b"#" * padding + b"\n")
+        assert path.stat().st_size == cli.MAX_SPEC_BYTES
+        code, out, err = run_cli(capsys, "classical", "--spec", str(path))
+        assert (code, err) == (0, "")
+        assert "Pure Nash equilibria: (H, H)" in out
+
     def test_parse_error_exit_code(self, capsys, spec_path):
         path = spec_path("[game]\nmode = builtin-bg\ntheta = 5\na = 2\nb = 2\n")
         code, _, err = run_cli(capsys, "classical", "--spec", path)

@@ -420,6 +420,11 @@ prob_hh = 0.1
         (BUILTIN + CANDIDATE.replace("q = 1", "q = 3/2"), "line 9, column 4: q must lie in [0, 1]"),
         (CUSTOM.replace("col_payoffs = 3,5,0,1", "col_payoffs = 3,5,0,-2e308"),
          "line 6, column 14: col_payoffs exceeds the float range"),
+        # the first unknown key in file order; foreign keys in the other mode's order
+        (BUILTIN + "zeta = 1\nalpha = 2\n", "line 6: unknown key 'zeta' in [game]"),
+        (BUILTIN + "col_payoffs = 1,2,3,4\nrow_labels = A,B\n",
+         "line 7: key 'row_labels' is only valid in custom mode"),
+        (BUILTIN.replace("a = 2", "a = -1/0"), "line 4, column 4: not a number: '-1/0'"),
     ], ids=["unterminated-header", "unknown-section", "duplicate-section", "no-equals",
             "key-outside-section", "empty-key", "no-value", "duplicate-key", "not-a-number",
             "exponent", "digits", "labels", "number-count", "missing-game", "unknown-game-key",
@@ -428,7 +433,8 @@ prob_hh = 0.1
             "empty-quantum", "missing-quantum-key", "negative-weight", "weight-overflow",
             "weight-sum", "amplitude-overflow", "amplitude-norm", "amplitude-square-overflow",
             "unknown-candidate-key", "missing-candidate-key", "candidate-range",
-            "payoff-overflow"])
+            "payoff-overflow", "first-unknown-key", "first-foreign-key",
+            "negative-zero-denominator"])
     def test_each_refusal_reads_exactly(self, text, message):
         with pytest.raises(SpecError) as err:
             parse_spec(text)

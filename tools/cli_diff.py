@@ -8,8 +8,10 @@ only read) and adds ``reproduce`` as text and as CSV.  It also runs
 ``classical``, ``quantize`` and ``equilibria``, as text and as CSV, on
 fixed specs of two kinds: "spelling" specs, whose
 numbers are spelled in ways the workloads never write (``0.25``, ``25e-2``,
-``+1/2``, ``1_000``, spaces in a number list, and the refused ``1e10000``,
-``1e10001``, ``1/0`` and ``1/2e3``), and "normalization" specs, whose
+``+1/2``, ``1_000``, spaces in a number list, the edges of the shapes read
+without the number pattern, ``٣/٤``, ``007``, ``-0/05`` and ``-12``, and the
+refused ``1e10000``, ``1e10001``, ``1/0``, ``-1/0``, ``1/-2``, ``--1`` and
+``1/2e3``), and "normalization" specs, whose
 ``prob_*`` weights sum to 1 within 1e-9 exactly but not as floats, to just
 inside 1e-9 either way, or to 1.1.  "corner" operations run ``quantize``,
 as text and as CSV, with a ``[candidate]`` at (0,0), (0,1), (1,0), (1,1) and
@@ -25,9 +27,12 @@ from a plain one only in bytes that a text-mode read of the file handled:
 CRLF and lone CR line endings, a UTF-8 byte order mark, invalid UTF-8 in
 the first line and in a trailing comment, a form feed, NEL and U+2028
 inside a line, a NUL, an empty file, and builtin-bg specs whose table just
-fits the float range or just overflows it.  "flag" operations pass a flag the command does not take:
-``sweep --csv`` and ``reproduce --spec``.  The spec files are written once,
-to one temporary directory, so both sides read them at the same paths.
+fits the float range or just overflows it; ``classical`` also runs on a
+spec padded with a comment to exactly 1 MiB, the largest the command line
+reads, and on one a byte longer, which it refuses.  "flag" operations pass
+a flag the command does not take: ``sweep --csv`` and ``reproduce --spec``.
+The spec files are written once, to one temporary directory, so both sides
+read them at the same paths.
 Each tree then runs every operation in one child process of its own,
 calling ``qbg.cli.main`` from that tree's ``src/`` once per operation.
 "child" operations go through the entry point instead, one ``python -m qbg``
@@ -164,6 +169,26 @@ prob_hh = 1/2
     "zero-denominator": "[game]\nmode = builtin-bg\ntheta = 1\na = 1/0\nb = 2\n",
     "fraction-with-exponent": ("[game]\nmode = custom\n"
                                "row_payoffs = 0,1/2e3,0,0\ncol_payoffs = 0,0,0,0\n"),
+    # the edges of the shapes read without the pattern, [-]n and [-]n/d
+    "short-edges": """[game]
+mode = custom
+row_payoffs = ٣/٤,007,-0/05,-12
+col_payoffs = -12,٣/٤,007,-0/05
+
+[quantum]
+prob_ll = ٣/٤
+prob_lh = -0/05
+prob_hl = 000
+prob_hh = 1/4
+
+[candidate]
+p = -0/05
+q = 007/0010
+""",
+    "negative-zero-denominator": "[game]\nmode = builtin-bg\ntheta = 1\na = -1/0\nb = 2\n",
+    "negative-denominator": "[game]\nmode = builtin-bg\ntheta = 1\na = 2\nb = 1/-2\n",
+    "double-minus": ("[game]\nmode = custom\n"
+                     "row_payoffs = 0,--1,0,0\ncol_payoffs = 0,0,0,0\n"),
 }
 
 # prob_* sums on both sides of the 1e-9 normalization tolerance.
@@ -232,6 +257,8 @@ FILE_BYTES_SPECS = {
     "float-edge-fits": _BYTES_SPEC.format("1", _FLOAT_EDGE),
     "float-edge-overflows": _BYTES_SPEC.format("1", _FLOAT_EDGE + 1),
 }
+# The largest spec file the command line reads, in bytes.
+SIZE_LIMIT = 1 << 20
 FIXED_SPECS = {"spelling": SPELLING_SPECS, "normalization": NORMALIZATION_SPECS,
                "file-bytes": FILE_BYTES_SPECS}
 SPEC_COMMANDS = [[command, *fmt] for command in ("classical", "quantize", "equilibria")
@@ -328,6 +355,10 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
             path.write_bytes(text.encode("utf-8", "surrogateescape"))
             ops += [(kind, [*argv, "--spec", str(path)]) for argv in SPEC_COMMANDS]
     ops.append(("file-bytes", ["sweep", "--spec", str(work / "crlf.spec"), "--axis", "p=0:1:5"]))
+    for name, size in (("at-size-limit", SIZE_LIMIT), ("past-size-limit", SIZE_LIMIT + 1)):
+        path = work / f"{name}.spec"
+        path.write_bytes(_PLAIN.encode() + b"#" * (size - len(_PLAIN) - 1) + b"\n")
+        ops.append(("file-bytes", ["classical", "--spec", str(path)]))
     for name, text in CORNER_SPECS.items():
         (work / f"{name}.spec").write_text(text, encoding="utf-8")
     ops += [("corner", argv) for argv in corner_argvs(work)]
