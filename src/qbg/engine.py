@@ -396,6 +396,11 @@ class DensityMatrix4(ValidatedRecord, namedtuple("DensityMatrix4", "rows")):
     factors as L D L^H with every pivot in D positive (Cholesky without
     square roots), which holds exactly when every eigenvalue of M exceeds
     -PSD_TOL.
+
+    The constructor, ``_make``, ``_replace`` and ``initial_density`` check
+    all three.  ``final_density`` builds its result valid by construction:
+    it checks the trace as the constructor does, while its matrix is
+    Hermitian and positive semidefinite by construction.
     """
 
     __slots__ = ()
@@ -410,12 +415,17 @@ class DensityMatrix4(ValidatedRecord, namedtuple("DensityMatrix4", "rows")):
         if any(abs(rows[i][j] - rows[j][i].conjugate()) > ALGEBRA_TOL
                for i in range(4) for j in range(i, 4)):
             raise ValueError("density matrix is not Hermitian")
-        trace = (rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3])
-        if abs(trace.real - 1.0) > ALGEBRA_TOL or abs(trace.imag) > ALGEBRA_TOL:
-            raise ValueError("density matrix trace is not 1")
+        _check_trace(rows)
         if not _shifted_cholesky_exists(rows):
             raise ValueError("density matrix is not positive semidefinite")
         return tuple.__new__(cls, (rows,))
+
+
+def _check_trace(rows) -> None:
+    """Raise ValueError unless the trace of ``rows`` is 1 within ``ALGEBRA_TOL``."""
+    trace = (rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3])
+    if abs(trace.real - 1.0) > ALGEBRA_TOL or abs(trace.imag) > ALGEBRA_TOL:
+        raise ValueError("density matrix trace is not 1")
 
 
 def _shifted_cholesky_exists(rows) -> bool:
@@ -477,19 +487,39 @@ def initial_density(state: QuantumInitialState) -> DensityMatrix4:
     return _density(_outer(state))
 
 
-def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
-    """Convex combination of the four conjugated initial densities.
+def _mixed_entries(state: QuantumInitialState, mix: MixingProfile) -> list[complex]:
+    """The 16 entries of the final density, row-major.
 
     The branches are added in canonical order onto zeros, skipping zero
     weights, as ``sum(w * U @ rho @ U^dagger)`` over numpy arrays would;
-    starting from +0 also gives every zero entry numpy's sign.
+    starting from +0 also gives every zero entry numpy's sign.  Each weight
+    is used as a float, which is how Python multiplies an int or a
+    ``Fraction`` by a complex number, so every entry is a Python complex.
     """
     rho = _outer(state)
     out = [0j] * 16
     for w, gather in zip(_branch_weights(mix), _branch_gathers(_BRANCHES)):
         if w != 0.0:
+            w = float(w)
             out = [o + w * rho[k] for o, k in zip(out, gather)]
-    return _density(out)
+    return out
+
+
+def final_density(state: QuantumInitialState, mix: MixingProfile) -> DensityMatrix4:
+    """Convex combination of the four conjugated initial densities.
+
+    Only the trace is checked.  Each term w * U a (U a)^dagger is Hermitian
+    to the bit (entry (j, i) is the conjugate of entry (i, j), rounded
+    alike), and so is their sum; a convex mix of rank-1 projectors is
+    positive semidefinite, and rounding moves its eigenvalues by about
+    1e-16, far inside ``PSD_TOL``.  A state whose squared norm sits at the
+    edge of ``ALGEBRA_TOL`` can round the mix's trace past it, so that check
+    stays, and this raises exactly where ``DensityMatrix4`` would.
+    """
+    out = _mixed_entries(state, mix)
+    rows = (tuple(out[0:4]), tuple(out[4:8]), tuple(out[8:12]), tuple(out[12:16]))
+    _check_trace(rows)
+    return tuple.__new__(DensityMatrix4, (rows,))
 
 
 def expected_payoff_trace(vec: PayoffVector, rho: DensityMatrix4) -> float:

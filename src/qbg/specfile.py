@@ -53,8 +53,15 @@ item 1) can start from them.  Payoffs and state weights are also
 used as floats, so each of them, and each payoff of a builtin-bg table, must
 lie within the float range.  A builtin-bg table is worked out from the
 integers of a and b: each cell is one int division n/d as a float, or a
-``Fraction(n, d)`` for ``to_game``.  Custom payoffs become floats straight
-from their fractions.
+``Fraction(n, d)`` for ``to_game``.  Every other value becomes a float
+through ``_to_float``, once per use: a ``Fraction`` as the one int division
+``numerator / denominator``, anything else with ``float()``.
+
+Spec values feed the density oracle only through ``to_state`` and
+``to_candidate``: ``engine.final_density`` builds its result valid by
+construction (trace checked, Hermitian and positive semidefinite by
+construction), while every other way of building an
+``engine.DensityMatrix4`` checks all three.
 """
 
 from __future__ import annotations
@@ -87,6 +94,9 @@ _SECTION_KEYS = {"game": _GAME_KEYS, "quantum": frozenset(_PROB_KEYS + _AMP_KEYS
                  "candidate": frozenset(_CANDIDATE_KEYS)}
 _BG_OVERFLOW = "the builtin-bg payoffs for these a and b exceed the float range"
 
+# An error message quotes at most this many characters of spec or --axis
+# text, so that one bad line of a large file makes one short message.
+_MAX_QUOTE = 80
 # A value is built with 10**exponent exactly, so a short text like 1e100000000
 # would stall the parser; numbers with a larger exponent are refused unbuilt.
 MAX_EXPONENT = 10_000
@@ -102,7 +112,9 @@ _NUMBER = re.compile(r"""
 
 
 class SpecError(ValueError):
-    """Parse or validation failure, with source position when known."""
+    """Parse or validation failure, with source position when known.
+
+    A message quotes spec or ``--axis`` text through ``_clip``."""
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None):
@@ -149,7 +161,7 @@ class GameSpec(namedtuple("GameSpec", (
         if self.mode == "builtin-bg":
             cells = self._bg_cells()
         else:
-            cells = tuple(map(float, self.row_payoffs + self.col_payoffs))
+            cells = tuple(map(_to_float, self.row_payoffs + self.col_payoffs))
         return engine.PayoffVector(*cells[:4]), engine.PayoffVector(*cells[4:])
 
     def _bg_cells(self, exact: bool = False) -> tuple:
@@ -175,8 +187,11 @@ class GameSpec(namedtuple("GameSpec", (
         return tuple([Fraction(n, d) for n, d in cells]) if exact else floats
 
     def to_state(self) -> engine.QuantumInitialState | None:
+        # Both constructors check the weights' sum again: parse_spec checked
+        # it, but a hand-built spec reaches this unchecked.
         if self.probabilities is not None:
-            return engine.QuantumInitialState.from_probabilities(*self.probabilities)
+            return engine.QuantumInitialState.from_probabilities(
+                *map(_to_float, self.probabilities))
         if self.amplitudes is not None:
             return engine.QuantumInitialState.normalized(*_unit_amplitudes(self.amplitudes))
         return None
@@ -184,7 +199,13 @@ class GameSpec(namedtuple("GameSpec", (
     def to_candidate(self) -> engine.MixingProfile | None:
         if self.candidate is None:
             return None
-        return engine.MixingProfile(float(self.candidate[0]), float(self.candidate[1]))
+        return engine.MixingProfile(_to_float(self.candidate[0]), _to_float(self.candidate[1]))
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first ``_MAX_QUOTE`` characters followed by ``...``
+    when it is longer: the part of spec or ``--axis`` text a message quotes."""
+    return text if len(text) <= _MAX_QUOTE else text[:_MAX_QUOTE] + "..."
 
 
 def _parse_number(text: str, line: int, column: int) -> Fraction:
@@ -217,7 +238,7 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
         if not denominator:
             raise ValueError(text)
     except ValueError:
-        raise SpecError(f"not a number: {text!r}", line, column) from None
+        raise SpecError(f"not a number: {_clip(text)!r}", line, column) from None
     shift = 0
     if exp:
         try:
@@ -225,7 +246,7 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
         except ValueError:            # more digits than int() converts
             shift = MAX_EXPONENT + 1
         if shift > MAX_EXPONENT:
-            raise SpecError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude",
+            raise SpecError(f"exponent of {_clip(text)!r} exceeds {MAX_EXPONENT} in magnitude",
                             line, column)
         if exp_sign == "-":
             denominator *= 10 ** shift
@@ -240,17 +261,27 @@ def _parse_number(text: str, line: int, column: int) -> Fraction:
         try:
             str(value)
         except ValueError:
-            raise SpecError(f"{text!r} has more than {limit} digits in its numerator "
+            raise SpecError(f"{_clip(text)!r} has more than {limit} digits in its numerator "
                             "or denominator", line, column) from None
     return value
 
 
+def _to_float(value) -> float:
+    """``value`` as a float: a ``Fraction`` as ``numerator / denominator``,
+    which is what ``float(Fraction)`` computes on Python 3.10-3.13 (the same
+    bits and the same ``OverflowError``) without its generic dispatch, and
+    anything else with ``float()``."""
+    if type(value) is Fraction:
+        return value.numerator / value.denominator
+    return float(value)
+
+
 def _fits_float(values) -> bool:
-    """Whether every Fraction in ``values`` converts to a float without
+    """Whether every number in ``values`` converts to a float without
     overflowing."""
     try:
         for value in values:
-            value.numerator / value.denominator
+            _to_float(value)
     except OverflowError:
         return False
     return True
@@ -262,7 +293,7 @@ def _unit_amplitudes(amps) -> list[float]:
     rule).  An amplitude or a square beyond the float range makes the norm
     inf."""
     try:
-        floats = [float(a) for a in amps]
+        floats = [_to_float(a) for a in amps]
         norm = sum(a ** 2 for a in floats)
     except OverflowError:
         norm = math.inf
@@ -274,7 +305,7 @@ def _unit_amplitudes(amps) -> list[float]:
 def _parse_labels(text: str, line: int, column: int) -> tuple[str, str]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2 or not all(parts):
-        raise SpecError(f"expected two comma-separated labels, got {text!r}",
+        raise SpecError(f"expected two comma-separated labels, got {_clip(text)!r}",
                         line, column)
     return (parts[0], parts[1])
 
@@ -283,7 +314,8 @@ def _parse_payoffs(text: str, line: int, column: int):
     """A player's four payoffs, in basis order."""
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 4:
-        raise SpecError(f"expected 4 comma-separated numbers, got {text!r}", line, column)
+        raise SpecError(f"expected 4 comma-separated numbers, got {_clip(text)!r}",
+                        line, column)
     return tuple(_parse_number(part, line, column) for part in parts)
 
 
@@ -301,7 +333,7 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
                 raise SpecError("unterminated section header", lineno, len(raw))
             name = line[1:-1].strip()
             if name not in _SECTION_KEYS:
-                raise SpecError(f"unknown section [{name}]", lineno)
+                raise SpecError(f"unknown section [{_clip(name)}]", lineno)
             if name in sections:
                 raise SpecError(f"duplicate section [{name}]", lineno)
             entries = sections[name] = {}
@@ -309,7 +341,7 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
             continue
         key, equals, value = raw.partition("=")
         if not equals:
-            raise SpecError(f"expected 'key = value', got {line!r}", lineno)
+            raise SpecError(f"expected 'key = value', got {_clip(line)!r}", lineno)
         if entries is None:
             raise SpecError("key outside any [section]", lineno)
         column = len(key) + 2
@@ -318,9 +350,9 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
         if not key:
             raise SpecError("empty key", lineno)
         if not value:
-            raise SpecError(f"key {key!r} has no value", lineno, column)
+            raise SpecError(f"key {_clip(key)!r} has no value", lineno, column)
         if key in entries:
-            raise SpecError(f"duplicate key {key!r} in [{current}]", lineno)
+            raise SpecError(f"duplicate key {_clip(key)!r} in [{current}]", lineno)
         entries[key] = (value, lineno, column)
     return sections
 
@@ -332,7 +364,7 @@ def _entries(sections, name: str) -> dict[str, tuple[str, int, int]]:
     keys = _SECTION_KEYS[name]
     if not entries.keys() <= keys:
         key = next(key for key in entries if key not in keys)
-        raise SpecError(f"unknown key {key!r} in [{name}]", entries[key][1])
+        raise SpecError(f"unknown key {_clip(key)!r} in [{name}]", entries[key][1])
     return entries
 
 
@@ -347,7 +379,7 @@ def parse_spec(text: str) -> GameSpec:
         raise SpecError("missing key 'mode' in [game]")
     mode = game["mode"][0]
     if mode not in _MODE_KEYS:
-        raise SpecError(f"mode must be 'builtin-bg' or 'custom', got {mode!r}",
+        raise SpecError(f"mode must be 'builtin-bg' or 'custom', got {_clip(mode)!r}",
                         *game["mode"][1:])
     for key in _MODE_KEYS[mode][1]:
         if key not in game:
@@ -361,7 +393,7 @@ def parse_spec(text: str) -> GameSpec:
         # range checks compare a Fraction's ints; its denominator is positive
         theta = _parse_number(*game["theta"])
         if theta.denominator != 1 or theta.numerator not in (0, 1):
-            raise SpecError(f"theta must be 0 or 1, got {game['theta'][0]!r}",
+            raise SpecError(f"theta must be 0 or 1, got {_clip(game['theta'][0])!r}",
                             *game["theta"][1:])
         fields["theta"] = theta.numerator
         for key in ("a", "b"):
@@ -395,7 +427,7 @@ def parse_spec(text: str) -> GameSpec:
                 if value.numerator < 0:
                     raise SpecError(f"{key} must be nonnegative", *quantum[key][1:])
         try:
-            weights = [value.numerator / value.denominator for value in values]
+            weights = [_to_float(value) for value in values]
         except OverflowError:
             key = next(k for k, value in zip(family, values) if not _fits_float((value,)))
             raise SpecError(f"{key} exceeds the float range", *quantum[key][1:]) from None

@@ -37,26 +37,29 @@ def _parse_axis(text: str) -> _Axis:
     var, sep, rest = text.partition("=")
     var = var.strip()
     if not sep or var not in cli._SWEEP_VARS:
-        raise specfile.SpecError(f"bad axis {text!r}; expected VAR=LO:HI:STEPS with VAR "
-                                 f"one of {', '.join(cli._SWEEP_VARS)}")
+        raise specfile.SpecError(f"bad axis {specfile._clip(text)!r}; expected "
+                                 f"VAR=LO:HI:STEPS with VAR one of {', '.join(cli._SWEEP_VARS)}")
     parts = rest.split(":")
     if len(parts) != 3:
-        raise specfile.SpecError(f"bad axis range {rest!r}; expected LO:HI:STEPS")
+        raise specfile.SpecError(f"bad axis range {specfile._clip(rest)!r}; "
+                                 "expected LO:HI:STEPS")
     try:
         # + 0.0 turns a bound written -0 into 0
         lo, hi = float(parts[0]) + 0.0, float(parts[1]) + 0.0
         steps = int(parts[2])
     except ValueError:
-        raise specfile.SpecError(f"bad axis range {rest!r}") from None
+        raise specfile.SpecError(f"bad axis range {specfile._clip(rest)!r}") from None
     if steps < 1:
         raise specfile.SpecError("axis needs at least 1 step")
     if steps > _MAX_AXIS_STEPS:
-        raise specfile.SpecError(f"axis {text!r} has more than {_MAX_AXIS_STEPS} steps")
+        raise specfile.SpecError(f"axis {specfile._clip(text)!r} has more than "
+                                 f"{_MAX_AXIS_STEPS} steps")
     if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
         raise specfile.SpecError("axis range must stay within [0, 1]")
     if steps == 1:
         if lo != hi:
-            raise specfile.SpecError(f"axis {text!r} has 1 step, so LO and HI must be equal")
+            raise specfile.SpecError(f"axis {specfile._clip(text)!r} has 1 step, "
+                                     "so LO and HI must be equal")
         values = (lo,)
     else:
         # the last value is HI itself: the formula can miss it by an ulp

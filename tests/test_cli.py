@@ -248,6 +248,16 @@ class TestClassical:
         assert (code, err) == (0, "")
         assert "Pure Nash equilibria: (H, H)" in out
 
+    def test_a_spec_of_nul_bytes_gets_one_short_error_line(self, capsys, tmp_path):
+        # the whole file is one line that is not 'key = value'; the message
+        # quotes its first 80 characters, not all of its 1 MiB
+        path = tmp_path / "nul.spec"
+        with open(path, "wb") as fh:
+            fh.truncate(cli.MAX_SPEC_BYTES)
+        code, out, err = run_cli(capsys, "classical", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1: expected 'key = value', got {chr(0) * 80 + '...'!r}\n"
+
     def test_parse_error_exit_code(self, capsys, spec_path):
         path = spec_path("[game]\nmode = builtin-bg\ntheta = 5\na = 2\nb = 2\n")
         code, _, err = run_cli(capsys, "classical", "--spec", path)
@@ -747,6 +757,22 @@ prob_hh = 0
                                "--axis", "p=0.2:0.2:1")
         assert code == 0
         assert [row[0] for row in parse_csv(out)] == ["p", "0.2"]
+
+    @pytest.mark.parametrize("axis, quoted, message", [
+        ("z" * 1000, "z" * 1000, "bad axis {!r}; expected VAR=LO:HI:STEPS with VAR one of "
+                                 "p, q, prob_lh, prob_hl, prob_hh"),
+        ("p=" + "0" * 1000, "0" * 1000, "bad axis range {!r}; expected LO:HI:STEPS"),
+        ("p=x:" + "0" * 1000 + ":3", "x:" + "0" * 1000 + ":3", "bad axis range {!r}"),
+        ("p=0:1:" + "9" * 1000, "p=0:1:" + "9" * 1000, "axis {!r} has more than 100000 steps"),
+        ("p=0.2:0." + "9" * 1000 + ":1", "p=0.2:0." + "9" * 1000 + ":1",
+         "axis {!r} has 1 step, so LO and HI must be equal"),
+    ], ids=["variable", "range-shape", "range-number", "steps", "one-step"])
+    def test_axis_messages_quote_at_most_80_characters(self, capsys, spec_path, axis, quoted,
+                                                       message):
+        code, out, err = run_cli(capsys, "sweep", "--spec", spec_path(MATCHED_SPEC),
+                                 "--axis", axis)
+        assert (code, out) == (2, "")
+        assert err == "error: " + message.format(quoted[:80] + "...") + "\n"
 
     def test_last_axis_value_is_hi(self, capsys, spec_path):
         # lo + (hi - lo) * k / (steps - 1) misses HI by an ulp on these axes,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (BRANCH_OPERATORS, FLIP_2, branch_weights, fresh_rng, random_state,
                       random_vector)
@@ -31,8 +32,9 @@ from qbg import (
     verify_nash,
 )
 from qbg import engine, game
-from qbg.engine import (PSD_TOL, ClosedFormPayoff, DensityMatrix4, EquilibriumRegion,
-                        bilinear_coefficients, deviation_gaps, initial_density)
+from qbg.engine import (ALGEBRA_TOL, PSD_TOL, ClosedFormPayoff, DensityMatrix4,
+                        EquilibriumRegion, bilinear_coefficients, deviation_gaps,
+                        initial_density)
 
 KET = {label: np.eye(4)[i] for i, label in enumerate(("LL", "LH", "HL", "HH"))}
 
@@ -227,6 +229,50 @@ class TestQuantumInitialState:
         assert checked >= 20_000
 
 
+# States for the final density's property test: every way a state is made,
+# and squared norms a few ulps from either edge of ALGEBRA_TOL, where the mixed
+# trace can round past the edge that the state's own norm check kept.
+PARTS = st.floats(-4.0, 4.0, allow_nan=False)
+COMPLEX_STATES = st.tuples(*[st.builds(complex, PARTS, PARTS)] * 4).filter(
+    lambda amps: max(map(abs, amps)) > 1e-6).map(
+    lambda amps: QuantumInitialState.normalized(*amps))
+PROB_STATES = st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(any).map(
+    lambda w: QuantumInitialState.from_probabilities(*(x / sum(w) for x in w)))
+SIGNED_ZEROS = st.builds(complex, st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]))
+ONE_HOT_STATES = st.tuples(st.integers(0, 3), st.sampled_from([1.0, -1.0, 1j, -1j]),
+                           st.tuples(*[SIGNED_ZEROS] * 4)).map(
+    lambda hot: QuantumInitialState(*(hot[1] if i == hot[0] else z
+                                      for i, z in enumerate(hot[2]))))
+
+
+@st.composite
+def edge_states(draw):
+    """A state whose squared norm lies within a few ulps of 1 +- ALGEBRA_TOL."""
+    direction = draw(COMPLEX_STATES)
+    target = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * ALGEBRA_TOL
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    scale = math.sqrt(target)
+    try:
+        return QuantumInitialState(*(a * scale for a in direction))
+    except ValueError:   # its own norm rounds past the edge
+        return direction
+
+
+PROFILES = st.one_of(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0),
+                                      (0.5, 0.5)]),
+                     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+# a state accepted at the edge whose mixed trace is not 1 within ALGEBRA_TOL
+EDGE_STATE = QuantumInitialState(
+    -0.25506874116136935 + 0.08689041378064115j, -0.6136357116736842 + 0.43526144598927397j,
+    0.07350155883636922 - 0.20745044390315953j, -0.3820003074551198 + 0.4086884871704127j)
+
+
+def entry_bits(rows):
+    return [(type(z), z.real.hex(), z.imag.hex()) for row in rows for z in row]
+
+
 class TestDensities:
     def test_initial_density_basis_projector(self):
         rho = initial_density(QuantumInitialState(1, 0, 0, 0))
@@ -284,6 +330,28 @@ class TestDensities:
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             assert abs(np.trace(m).real - 1.0) < 1e-12
             assert np.min(np.linalg.eigvalsh(m)) > -1e-10
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(COMPLEX_STATES, PROB_STATES, ONE_HOT_STATES, edge_states()), PROFILES)
+    @example(EDGE_STATE, (0.02222705014619164, 0.5845286727230791))
+    def test_final_density_agrees_with_the_full_checks(self, state, profile):
+        # final_density checks only the trace: on its own 16 entries the
+        # constructor's full checks build the same rows and raise alike
+        mix = MixingProfile(*profile)
+        entries = engine._mixed_entries(state, mix)
+        try:
+            checked = DensityMatrix4([entries[0:4], entries[4:8], entries[8:12], entries[12:16]])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                final_density(state, mix)
+            assert str(raised.value) == str(exc)
+        else:
+            assert entry_bits(final_density(state, mix).rows) == entry_bits(checked.rows)
+
+    def test_the_edge_state_is_refused_by_the_trace_alone(self):
+        mix = MixingProfile(0.02222705014619164, 0.5845286727230791)
+        with pytest.raises(ValueError, match="^density matrix trace is not 1$"):
+            final_density(EDGE_STATE, mix)
 
     def test_final_density_is_bitwise_the_operator_formula(self):
         # the conjugation pairs are built once; the sums must not move a bit

@@ -20,6 +20,11 @@ ALPHABET = "0123456789٣_./eEd+- \t"
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+def quoted(text):
+    """How a message quotes spec text: its first 80 characters at most."""
+    return repr(text if len(text) <= 80 else text[:80] + "...")
+
+
 def fraction_outcome(text):
     """The value, or the SpecError text, decided by Fraction(str) itself."""
     exponent = _EXPONENT.search(text)
@@ -30,13 +35,13 @@ def fraction_outcome(text):
     try:   # Fraction(text) would build 10**exponent: check the rest with e0
         value = Fraction(text[:exponent.start()] + "e0" if too_large else text)
     except (ValueError, ZeroDivisionError):
-        return f"line 1, column 1: not a number: {text!r}"
+        return f"line 1, column 1: not a number: {quoted(text)}"
     if too_large:
-        return f"line 1, column 1: exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude"
+        return f"line 1, column 1: exponent of {quoted(text)} exceeds {MAX_EXPONENT} in magnitude"
     try:
         str(value)
     except ValueError:
-        return (f"line 1, column 1: {text!r} has more than {sys.get_int_max_str_digits()} "
+        return (f"line 1, column 1: {quoted(text)} has more than {sys.get_int_max_str_digits()} "
                 "digits in its numerator or denominator")
     return value
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbg import GameSpec, SpecError, parse_spec
+from qbg import GameSpec, MixingProfile, QuantumInitialState, SpecError, parse_spec
 from qbg.engine import NORMALIZATION_TOL, PayoffVector, payoff_vectors_from_game
+from qbg.specfile import _to_float
 from qbg.game import PolicyParams, PureProfile, build_bg_game, find_pure_nash
 
 BUILTIN = """\
@@ -292,7 +293,8 @@ class TestDiagnostics:
         with pytest.raises(SpecError) as err:
             parse_spec(BUILTIN.replace("a = 2", f"a = {value}"))
         assert (err.value.line, err.value.column) == (4, 4)
-        assert str(err.value) == (f"line 4, column 4: exponent of {value!r} exceeds "
+        quoted = value if len(value) <= 80 else value[:80] + "..."   # the quote limit
+        assert str(err.value) == (f"line 4, column 4: exponent of {quoted!r} exceeds "
                                   "10000 in magnitude")
 
     def test_exponent_in_a_number_list_reports_the_line(self):
@@ -440,6 +442,36 @@ prob_hh = 0.1
             parse_spec(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, long, message", [
+        ("[{}]\n", "s" * 1000, "line 1: unknown section [{}]"),
+        ("[game]\n{}\n", "m" * 1000, "line 2: expected 'key = value', got {!r}"),
+        ("[game]\n{} =\n", "k" * 1000, "line 2, column 1003: key {!r} has no value"),
+        ("[game]\n{0} = 1\n{0} = 2\n", "k" * 1000, "line 3: duplicate key {!r} in [game]"),
+        (BUILTIN + "{} = 1\n", "k" * 1000, "line 6: unknown key {!r} in [game]"),
+        (BUILTIN.replace("theta = 1", "theta = {}"), "o" * 1000,
+         "line 3, column 8: not a number: {!r}"),
+        (BUILTIN.replace("a = 2", "a = {}"), "1e" + "9" * 1000,
+         "line 4, column 4: exponent of {!r} exceeds 10000 in magnitude"),
+        (BUILTIN.replace("a = 2", "a = {}"), "1" * 100 + "e5000",
+         "line 4, column 4: {!r} has more than %d digits in its numerator or denominator"
+         % sys.get_int_max_str_digits()),
+        (CUSTOM.replace("row_labels = C,D", "row_labels = {}"), "C" * 1000,
+         "line 3, column 13: expected two comma-separated labels, got {!r}"),
+        (CUSTOM.replace("col_payoffs = 3,5,0,1", "col_payoffs = {}"), "3," * 500 + "1",
+         "line 6, column 14: expected 4 comma-separated numbers, got {!r}"),
+        (BUILTIN.replace("builtin-bg", "{}"), "b" * 1000,
+         "line 2, column 7: mode must be 'builtin-bg' or 'custom', got {!r}"),
+        (BUILTIN.replace("theta = 1", "theta = {}"), "1" + "0" * 999,
+         "line 3, column 8: theta must be 0 or 1, got {!r}"),
+    ], ids=["unknown-section", "no-equals", "no-value", "duplicate-key", "unknown-key",
+            "not-a-number", "exponent", "digits", "labels", "number-count", "bad-mode",
+            "theta"])
+    def test_each_message_quotes_at_most_80_characters(self, text, long, message):
+        # the quoted text is cut to its first 80 characters, marked "..."
+        with pytest.raises(SpecError) as err:
+            parse_spec(text.format(long))
+        assert str(err.value) == message.format(long[:80] + "...")
+
     @pytest.mark.parametrize("amp", [10 ** 200, 10 ** 400], ids=["square", "value"])
     def test_hand_built_amplitudes_beyond_the_float_range_are_refused(self, amp):
         # the square 1e200 ** 2 is inf, as parse_spec reads it; 10**400 itself
@@ -470,3 +502,71 @@ class TestRoundTrip:
         back = self.read_back(spec)
         assert back == spec
         assert (type(back.a), type(back.b)) == (Fraction, Fraction)
+
+
+def float_outcome(convert, value):
+    """What ``convert(value)`` gives: a float's bits, or the error it raises."""
+    try:
+        return convert(value).hex()
+    except OverflowError as exc:
+        return ("OverflowError", str(exc))
+
+
+def record_bits(record):
+    """Every number of a state, vector or profile, as (type, bits)."""
+    return [(type(x), complex(x).real.hex(), complex(x).imag.hex()) for x in record]
+
+
+class TestFloatConversion:
+    """``_to_float`` is ``float()``, bit for bit and error for error, and the
+    spec's conversions give what converting each field with ``float()`` gives."""
+
+    EDGES = [Fraction(10 ** 400, 7), -Fraction(10 ** 400, 7), Fraction(1, 10 ** 320),
+             -Fraction(1, 10 ** 320), Fraction(1, 10 ** 400), Fraction(FLOAT_OVERFLOW),
+             Fraction(FLOAT_OVERFLOW - 1), -Fraction(FLOAT_OVERFLOW), Fraction(0),
+             Fraction(-1, 3), Fraction(2 ** 53 + 1), Fraction(3, 2 ** 1075), 7, -(10 ** 400),
+             0.1, -0.0, math.inf]
+
+    def test_each_value_converts_as_float_does(self):
+        rng = random.Random(31)
+        values = self.EDGES + [Fraction(rng.randrange(-10 ** rng.randrange(1, 400),
+                                                      10 ** rng.randrange(1, 400)),
+                                        rng.randrange(1, 10 ** rng.randrange(1, 400)))
+                               for _ in range(2000)]
+        for value in values:
+            assert float_outcome(_to_float, value) == float_outcome(float, value), value
+        assert float_outcome(_to_float, Fraction(10 ** 400, 7))[0] == "OverflowError"
+
+    @pytest.mark.parametrize("kind", [int, float, Fraction])
+    def test_hand_built_fields_give_float_of_each_field(self, kind):
+        rng = random.Random(37)
+        for _ in range(200):
+            weights = [rng.randrange(0, 8) for _ in range(4)]
+            weights[rng.randrange(4)] += 1
+            if kind is int:
+                probabilities = [0, 0, 0, 0]
+                probabilities[rng.randrange(4)] = 1
+                amplitudes = [0, 0, 0, 0]
+                amplitudes[rng.randrange(4)] = rng.choice([1, -1])
+                candidate = (rng.randrange(2), rng.randrange(2))
+            else:
+                probabilities = [kind(Fraction(w, sum(weights))) for w in weights]
+                norm = math.sqrt(sum(w * w for w in weights))
+                amplitudes = [kind(Fraction(w / norm)) for w in weights]
+                candidate = (kind(Fraction(rng.randrange(8), 7)),
+                             kind(Fraction(rng.randrange(3), 2)))
+            payoffs = [kind(Fraction(rng.randrange(-40, 41), rng.randrange(1, 9)))
+                       if kind is not int else rng.randrange(-9, 10) for _ in range(8)]
+            spec = GameSpec(mode="custom", row_payoffs=tuple(payoffs[:4]),
+                            col_payoffs=tuple(payoffs[4:]), probabilities=tuple(probabilities),
+                            candidate=candidate)
+            assert record_bits(spec.to_state()) == record_bits(
+                QuantumInitialState.from_probabilities(*map(float, probabilities)))
+            amp_spec = spec._replace(probabilities=None, amplitudes=tuple(amplitudes))
+            assert record_bits(amp_spec.to_state()) == record_bits(
+                QuantumInitialState.normalized(*map(float, amplitudes)))
+            assert [record_bits(v) for v in spec.payoff_vectors()] == [
+                record_bits(PayoffVector(*map(float, payoffs[:4]))),
+                record_bits(PayoffVector(*map(float, payoffs[4:])))]
+            assert record_bits(spec.to_candidate()) == record_bits(
+                MixingProfile(*map(float, candidate)))
