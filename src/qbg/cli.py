@@ -25,10 +25,9 @@ reports for a process ended by SIGPIPE).
 A command loads only what it runs: ``main`` reads well-formed argv straight
 from ``_COMMANDS`` and loads no ``argparse``; only help and usage errors,
 and argv spelled in other ways argparse accepts, import it and build the
-invoked command's parser alone (the top-level parser only for argv that
-does not start with a command name).  ``csv`` is imported only by
-``classical --csv``, and ``sweep`` runs in ``qbg.sweep``, qbg's one numpy
-user, imported only by that command.
+top-level parser.  ``csv`` is imported only by ``classical --csv``, and
+``sweep`` runs in ``qbg.sweep``, qbg's one numpy user, imported only by
+that command.
 ``import qbg`` puts qbg's other modules in ``sys.modules`` as lazily executed
 modules, whose code runs at their first attribute access.  Like every qbg
 module, this one binds the modules themselves, not names from them, and
@@ -75,18 +74,21 @@ def _load_spec(path: str | None) -> specfile.GameSpec:
                     break
                 chunks.append(chunk)
                 size += len(chunk)
-    except OSError as exc:
-        raise specfile.SpecError(f"cannot read spec file {path!r}: {exc}") from None
+    except OSError as exc:   # its str() quotes the path again, in full
+        raise specfile.SpecError(f"cannot read spec file {specfile._clip(path)!r}: "
+                                 f"[Errno {exc.errno}] {exc.strerror}") from None
     if size > MAX_SPEC_BYTES:
-        raise specfile.SpecError(f"spec file {path!r} is larger than {MAX_SPEC_BYTES} bytes")
+        raise specfile.SpecError(f"spec file {specfile._clip(path)!r} is larger than "
+                                 f"{MAX_SPEC_BYTES} bytes")
     data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # numbered as parse_spec numbers lines; the bytes before the bad one decode
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise specfile.SpecError(f"cannot decode spec file {path!r} as UTF-8: byte "
-                                 f"0x{data[exc.start]:02x} on line {line}: {exc.reason}") from None
+        raise specfile.SpecError(
+            f"cannot decode spec file {specfile._clip(path)!r} as UTF-8: byte "
+            f"0x{data[exc.start]:02x} on line {line}: {exc.reason}") from None
     return specfile.parse_spec(text)   # splitlines() ends a line at \r\n and \r too
 
 
@@ -277,19 +279,11 @@ def _read_argv(argv: list[str]):
     return types.SimpleNamespace(command=argv[0], func=func, **args)
 
 
-def _add_command(parser, name: str):
-    """Give ``parser`` the flags and function of command ``name``."""
-    _, func, flags = _COMMANDS[name]
-    for flag, options in flags:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(func=func)
-    return parser
-
-
 @functools.cache
-def _command_parser_class():
-    """A subcommand's parser class, defined at first use so that argparse is
-    imported only for argv that ``_read_argv`` leaves to it."""
+def _build_parser():
+    """The top-level parser, built once per process at first use, so that
+    argparse is imported only for argv that ``_read_argv`` leaves to it;
+    parsing never mutates it."""
     import argparse
 
     class _CommandParser(argparse.ArgumentParser):
@@ -302,47 +296,26 @@ def _command_parser_class():
                 self.error(f"unrecognized arguments: {' '.join(extras)}")
             return namespace, extras
 
-    return _CommandParser
-
-
-@functools.cache
-def _command_parser(name: str):
-    """Command ``name``'s parser, equal to the top-level parser's, built alone
-    once per process; parsing never mutates it."""
-    return _add_command(_command_parser_class()(prog=f"qbg {name}"), name)
-
-
-@functools.cache
-def _build_parser():
-    """The top-level parser, built once per process; parsing never mutates it."""
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="qbg",
         description="Classical and quantized analysis of the Barro-Gordon "
                     "monetary policy game.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_command_parser_class())
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, (help_text, func, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 
 def _parse_args(argv):
     """The namespace the top-level parser gives for ``argv``, with its messages
-    and exit codes.  Well-formed argv is read without argparse.  The top-level
-    parser hands everything after a command name to the command's parser, so
-    other argv that starts with one goes there directly, and only argv that
-    does not builds the top-level parser."""
+    and exit codes.  Well-formed argv is read without argparse; only other
+    argv builds the top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
-    if args is not None:
-        return args
-    if not argv or argv[0] not in _COMMANDS:
-        return _build_parser().parse_args(argv)
-    args = _command_parser(argv[0]).parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

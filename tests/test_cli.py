@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import gc
 import importlib
 import io
@@ -33,7 +34,7 @@ from qbg import (
     parse_spec,
     verify_nash,
 )
-from qbg import cli, engine, game, scenarios, sweep, verification
+from qbg import cli, engine, game, scenarios, specfile, sweep, verification
 from qbg.cli import main
 from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
 from qbg.specfile import SpecError
@@ -206,9 +207,20 @@ class TestClassical:
         assert "--spec" in err
 
     def test_missing_spec_file(self, capsys):
-        code, _, err = run_cli(capsys, "classical", "--spec", "/no/such/file")
-        assert code == 2
-        assert "cannot read" in err
+        code, out, err = run_cli(capsys, "classical", "--spec", "/no/such/file")
+        assert (code, out) == (2, "")
+        assert err == ("error: cannot read spec file '/no/such/file': "
+                       f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}\n")
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["text", "csv"])
+    def test_a_long_spec_path_gets_one_short_error_line(self, capsys, fmt):
+        # the path is quoted once, cut at 80 characters, and the OS reason
+        # (a name too long, or no such file) does not repeat it
+        path = "x" * 100_000
+        code, out, err = run_cli(capsys, "classical", *fmt, "--spec", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read spec file {'x' * 80 + '...'!r}: [Errno ")
+        assert err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize("data, byte, line, reason", [
         (b"\xff[game]\n", 0xFF, 1, "invalid start byte"),
@@ -222,7 +234,7 @@ class TestClassical:
         path.write_bytes(data)
         code, out, err = run_cli(capsys, "classical", "--spec", str(path))
         assert (code, out) == (2, "")
-        assert err == (f"error: cannot decode spec file {str(path)!r} as UTF-8: "
+        assert err == (f"error: cannot decode spec file {specfile._clip(str(path))!r} as UTF-8: "
                        f"byte 0x{byte:02x} on line {line}: {reason}\n")
 
     @pytest.mark.parametrize("source", ["sparse", "/dev/zero"])
@@ -237,7 +249,8 @@ class TestClassical:
             pytest.skip(f"no {source} on this platform")
         code, out, err = run_cli(capsys, "classical", "--spec", source)
         assert (code, out) == (2, "")
-        assert err == f"error: spec file {source!r} is larger than {cli.MAX_SPEC_BYTES} bytes\n"
+        assert err == (f"error: spec file {specfile._clip(source)!r} is larger than "
+                       f"{cli.MAX_SPEC_BYTES} bytes\n")
 
     def test_a_spec_at_the_size_limit_is_read(self, capsys, tmp_path):
         path = tmp_path / "padded.spec"
@@ -1240,15 +1253,15 @@ class TestColdStartLoads:
         assert modules_loaded(["csv", "qbg.sweep", "numpy"], argvs) == [
             [0, []], [0, csv_loads], [0, csv_loads + ["qbg.sweep", "numpy"]]]
 
-    def test_a_command_builds_its_parser_alone_once(self, spec_path):
-        # well-formed argv builds no parser at all; an abbreviated flag builds
-        # its command's parser alone, neither the top-level parser nor
-        # another command's, and once per process
+    def test_only_argv_left_to_argparse_builds_the_parsers_once(self, spec_path):
+        # well-formed argv builds no parser at all; the first argv left to
+        # argparse, here an abbreviated flag, builds the top-level parser and
+        # its five subparsers, and later argv reuses them
         path = spec_path(MIXED_SPEC)
         argvs = [["classical", "--spec", path], ["classical", "--csv", "--spec", path],
                  ["quantize", "--spec", path], ["quantize", "--cs", "--spec", path],
                  ["quantize", "--cs", "--spec", path]]
-        assert [built for _, _, built, _ in probe([], argvs)[2:]] == [0, 0, 0, 1, 0]
+        assert [built for _, _, built, _ in probe([], argvs)[2:]] == [0, 0, 0, 6, 0]
 
     def test_well_formed_argv_never_loads_argparse(self, spec_path):
         # every command, as text and as CSV, and a two-axis sweep; a usage
@@ -1425,8 +1438,8 @@ class TestParser:
                 result = exc.code
             return result, capsys.readouterr()
 
-        # main hands argv that starts with a command name to that command's
-        # parser; each shape must come out as the top-level parser gives it
+        # main reads well-formed argv itself and hands the rest to the cached
+        # parser; each shape must come out as a freshly built parser gives it
         for argv in (["--help"], ["-h"], ["sweep", "--help"], ["nope"], [], ["--"],
                      ["sweep", "--bogus"], ["classical", "--sp", "X"], ["quantize", "--cs"],
                      ["sweep", "--ax", "p=0:1:3"], ["reproduce", "--cs"],
@@ -1460,15 +1473,11 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["classical", "quantize", "equilibria", "sweep",
                                          "reproduce"])
-    def test_command_parser_is_the_top_level_subparser(self, command):
-        [subparsers] = [action for action in cli._build_parser()._actions
-                        if isinstance(action, argparse._SubParsersAction)]
-        nested, alone = subparsers.choices[command], cli._command_parser(command)
-        assert alone is cli._command_parser(command) and alone is not nested
-        assert (alone.prog, alone.format_usage(), alone.format_help()) == (
-            nested.prog, nested.format_usage(), nested.format_help())
+    def test_command_help_line_claims_no_exactness(self, command):
         # the command's line in the top-level help claims no exactness: the
         # regions are decided in floats against ALGEBRA_TOL
+        [subparsers] = [action for action in cli._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)]
         [line] = [action.help for action in subparsers._choices_actions
                   if action.dest == command]
         assert "exact" not in line

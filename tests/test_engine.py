@@ -1087,6 +1087,36 @@ class TestEnumerateEquilibria:
         assert (enumerate_equilibria(closed_form_payoff(state, scaled), f_col)
                 == enumerate_equilibria(closed_form_payoff(state, policy_vec), f_col))
 
+    # ROADMAP item 8, the shift: on integer games the forms are exact ints, so
+    # a map v -> a*v + c of one player's payoffs (a >= 1) adds c times the
+    # weights' sum to that player's constant, which each gap cancels, and
+    # multiplies the rest by a.  Float input stays with the xfail above.
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.tuples(*[st.integers(0, 3)] * 4).filter(any),
+           vectors=st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=2, max_size=2),
+           player=st.sampled_from((0, 1)), a=st.integers(1, 6), c=st.integers(-6, 6))
+    def test_an_affine_map_of_one_players_payoffs_keeps_the_verdicts(self, weights, vectors,
+                                                                     player, a, c):
+        mapped = list(vectors)
+        mapped[player] = tuple(a * v + c for v in vectors[player])
+        forms, exact = integer_forms(weights, *vectors)
+        mapped_forms = integer_forms(weights, *mapped)[0]
+        assert enumerate_equilibria(*mapped_forms) == enumerate_equilibria(*forms)
+        # a grid of Fraction profiles and the exact corners of every region
+        grid = {Fraction(k, 4) for k in range(5)}
+        regions = REFERENCE.equilibrium_regions(*exact)
+        ps = grid | {x for r in regions for x in (r.p_min, r.p_max)}
+        qs = grid | {x for r in regions for x in (r.q_min, r.q_max)}
+        factors = (a, a, 1, 1) if player == 0 else (1, 1, a, a)
+        for p in ps:
+            for q in qs:
+                before = verify_nash(*forms, MixingProfile(p, q))
+                after = verify_nash(*mapped_forms, MixingProfile(p, q))
+                assert (after.is_nash, after.is_strict_nash) == (
+                    before.is_nash, before.is_strict_nash), (p, q)
+                assert [check.value for check in after.conditions] == [
+                    k * check.value for k, check in zip(factors, before.conditions)], (p, q)
+
 
 REFERENCE = load_by_path("reference")
 

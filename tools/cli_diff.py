@@ -29,8 +29,11 @@ the first line and in a trailing comment, a form feed, NEL and U+2028
 inside a line, a NUL, an empty file, and builtin-bg specs whose table just
 fits the float range or just overflows it; ``classical`` also runs on a
 spec padded with a comment to exactly 1 MiB, the largest the command line
-reads, and on one a byte longer, which it refuses.  "flag" operations pass
-a flag the command does not take: ``sweep --csv`` and ``reproduce --spec``.
+reads, and on one a byte longer, which it refuses.  "missing-path"
+operations run ``classical``, as text and as CSV, on a short path that names
+no file and on a 100,000-character one, which the messages quote cut.
+"flag" operations pass a flag the command does not take: ``sweep --csv``
+and ``reproduce --spec``.
 The spec files are written once, to one temporary directory, so both sides
 read them at the same paths.
 Each tree then runs every operation in one child process of its own,
@@ -63,7 +66,8 @@ to zeros, and then of ``qbg.scenarios.bg_payoff_vectors()``: no command
 reaches a float coefficient, so this is what compares the library's tables.
 
 Every operation whose exit code, standard output or standard error differs
-between the trees is listed, with the first differing line of each stream.
+between the trees is listed, with the first differing line of each stream;
+each argument and line shown is cut at 160 characters.
 Exits 1 if any operation differs, 0 if none does, 2 on a usage error.
 """
 
@@ -367,6 +371,8 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
     ops += [("sweep-shapes", ["sweep", "--spec", str(sweep_spec),
                               *(arg for axis in axes for arg in ("--axis", axis))])
             for axes in SWEEP_SHAPES]
+    ops += [("missing-path", ["classical", *fmt, "--spec", str(path)])
+            for path in (work / "missing.spec", work / ("m" * 100_000)) for fmt in ([], ["--csv"])]
     ops += [("flag", ["sweep", "--csv", "--spec", str(work / "inside-boundary.spec"),
                       "--axis", "p=0:1:3"]),
             ("flag", ["reproduce", "--spec", "X"])]
@@ -493,7 +499,7 @@ def main() -> int:
         if old == new:
             continue
         differing += 1
-        print(f"DIFF [{kind}] {' '.join(argv)}")
+        print(f"DIFF [{kind}] {' '.join(arg[:160] for arg in argv)}")
         for label, a, b in zip(("exit code", "stdout", "stderr"), old, new):
             if a != b:
                 detail = (f"parent {a!r}, this tree {b!r}" if label == "exit code"
