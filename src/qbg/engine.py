@@ -38,7 +38,8 @@ The state constructors, the closed form and the Nash tests work on Python
 numbers, and this module never imports numpy.  ``qbg.sweep``, behind the
 command line's ``sweep`` and loaded only by it, is qbg's one numpy user: it
 passes arrays to ``bilinear_coefficients``, ``ClosedFormPayoff.evaluate``
-and ``deviation_gaps``, which then work elementwise.
+and the Nash test's ``slopes``, ``_sign`` and ``_edge_checks``, which then
+work elementwise.
 """
 
 from __future__ import annotations
@@ -268,87 +269,77 @@ def payoff_vectors_from_game(game) -> tuple[PayoffVector, PayoffVector]:
             PayoffVector(*[float(cell[1]) for cell in cells]))
 
 
-def deviation_gaps(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q):
-    """Payoffs at (p, q) and what each extreme unilateral deviation loses.
-
-    Returns (row payoff, column payoff, gaps, holds).  ``gaps`` are the
-    payoff losses of the row player moving to p=0 and to p=1 and of the
-    column player moving to q=0 and to q=1, in that order; ``holds`` says,
-    for each, that the deviation gains at most ``ALGEBRA_TOL``.  The weak Nash
-    verdict is that every entry of ``holds`` is true.  The forms and the
-    profile may hold numpy arrays; everything then works elementwise with
-    the operation order of the scalar case.
-    """
-    row_payoff = f_row.evaluate(p, q)
-    col_payoff = f_col.evaluate(p, q)
-    # the int edges keep exact forms exact; with floats x * 0 is x * 0.0
-    gaps = (row_payoff - f_row.evaluate(0, q), row_payoff - f_row.evaluate(1, q),
-            col_payoff - f_col.evaluate(p, 0), col_payoff - f_col.evaluate(p, 1))
-    return row_payoff, col_payoff, gaps, tuple(gap >= -ALGEBRA_TOL for gap in gaps)
+def slopes(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff, p, q):
+    """(sigma_r, sigma_c): the row player's payoff slope in p, coeff_p +
+    coeff_pq*q, and the column player's in q, coeff_q + coeff_pq*p, elementwise
+    on arrays.  A move from p to p' changes the row payoff by (p' - p)*sigma_r."""
+    return f_row.coeff_p + f_row.coeff_pq * q, f_col.coeff_q + f_col.coeff_pq * p
 
 
-# The extreme deviations in the order of ``deviation_gaps``: (description, edge).
-_EDGE_DEVIATIONS = (("row deviation to p=0 does not gain", 0),
-                    ("row deviation to p=1 does not gain", 1),
-                    ("column deviation to q=0 does not gain", 0),
-                    ("column deviation to q=1 does not gain", 1))
+def _sign(slope):
+    """-1, 0 or 1, elementwise, a slope within ``ALGEBRA_TOL`` of 0 being 0:
+    the one tolerance test behind every Nash verdict and region."""
+    return (slope > ALGEBRA_TOL) * 1 - (slope < -ALGEBRA_TOL)
+
+
+def _edge_checks(sign_r, sign_c, p, q):
+    """Whether the moves to p=0, p=1, q=0 and q=1 each gain nothing, elementwise:
+    a player's two checks together say it plays a best response to its slope."""
+    return ((sign_r >= 0) | (p == 0), (sign_r <= 0) | (p == 1),
+            (sign_c >= 0) | (q == 0), (sign_c <= 0) | (q == 1))
+
+
+# The conditions' descriptions, in the order of ``_edge_checks``.
+_EDGE_DEVIATIONS = ("row deviation to p=0 does not gain", "row deviation to p=1 does not gain",
+                    "column deviation to q=0 does not gain",
+                    "column deviation to q=1 does not gain")
 
 
 def verify_nash(f_row: ClosedFormPayoff, f_col: ClosedFormPayoff,
                 candidate: MixingProfile) -> EquilibriumReport:
     """Test a candidate profile against every unilateral deviation.
 
-    ``f_row`` and ``f_col`` are the two players' closed forms, as
-    ``closed_form_payoff(state, vec)`` builds them.  Each payoff is affine in
-    the player's own probability at a fixed opponent probability, so checking
-    the two extreme deviations (0 and 1) decides the condition for the whole
-    interval.  The weak verdict allows ties; the strict verdict requires every
-    actual deviation to lose.
+    Each payoff is affine in the player's own probability, so the sign of
+    its slope decides for the whole interval: weak Nash holds when p is a
+    best response to sigma_r and q to sigma_c, and strict Nash when, besides,
+    neither slope is 0.  A condition's value is what its deviation loses:
+    p*sigma_r, (p-1)*sigma_r, q*sigma_c and (q-1)*sigma_c.
     """
     p, q = candidate.p, candidate.q
-    row_payoff, col_payoff, gaps, holds = deviation_gaps(f_row, f_col, p, q)
-
-    checks = []
-    strict = True
-    for (description, edge), own, gap, ok in zip(_EDGE_DEVIATIONS, (p, p, q, q), gaps, holds):
-        if abs(edge - own) > ALGEBRA_TOL:
-            strict = strict and gap > ALGEBRA_TOL
-        checks.append(ConditionCheck(description, gap, ok))
-
-    return EquilibriumReport(candidate=candidate, row_payoff=row_payoff,
-                             col_payoff=col_payoff, is_nash=all(holds),
-                             is_strict_nash=strict, conditions=tuple(checks))
+    slope_r, slope_c = slopes(f_row, f_col, p, q)
+    sign_r, sign_c = _sign(slope_r), _sign(slope_c)
+    holds = _edge_checks(sign_r, sign_c, p, q)
+    # + 0 turns the -0.0 of a move to one's own edge into 0.0
+    gaps = (p * slope_r + 0, (p - 1) * slope_r + 0, q * slope_c + 0, (q - 1) * slope_c + 0)
+    is_nash = all(holds)
+    return EquilibriumReport(
+        candidate=candidate, row_payoff=f_row.evaluate(p, q), col_payoff=f_col.evaluate(p, q),
+        is_nash=is_nash, is_strict_nash=is_nash and sign_r != 0 and sign_c != 0,
+        conditions=tuple(map(ConditionCheck, _EDGE_DEVIATIONS, gaps, holds)))
 
 
-def _best_response_pieces(lin: float, bil: float):
+def _best_response_pieces(lin, bil):
     """Pieces ((own_lo, own_hi), (other_lo, other_hi)) of a best-response set.
 
-    The player's payoff slope in its own probability is ``lin + bil * other``;
-    the best response is 1 where the slope is positive, 0 where negative, and
-    the whole interval at an exact zero.
+    The slope ``lin + bil * other`` makes the best response 1 where positive,
+    0 where negative and anything at 0.  Its signs at other = 0 and 1 decide:
+    equal signs give one piece, and a 0 at one end puts the crossing on that
+    edge.  Else the crossing -lin/bil is exactly in [0, 1], and so, rounding
+    being monotone, is its float.
     """
-    if abs(bil) <= ALGEBRA_TOL:
-        if abs(lin) <= ALGEBRA_TOL:
-            return [((0.0, 1.0), (0.0, 1.0))]
-        own = 1.0 if lin > 0 else 0.0
-        return [((own, own), (0.0, 1.0))]
+    lo, hi = _sign(lin), _sign(lin + bil)
+    if lo == hi == 0:
+        return [((0.0, 1.0), (0.0, 1.0))]
+    lower, upper = (1.0 if lo > 0 else 0.0), (1.0 if hi > 0 else 0.0)
+    if lo == hi:
+        return [((lower, lower), (0.0, 1.0))]
+    if lo == 0:
+        return [((0.0, 1.0), (0.0, 0.0)), ((upper, upper), (0.0, 1.0))]
+    if hi == 0:
+        return [((lower, lower), (0.0, 1.0)), ((0.0, 1.0), (1.0, 1.0))]
     crossing = -lin / bil
-    upper_own = 1.0 if bil > 0 else 0.0   # best response where other > crossing
-    lower_own = 1.0 - upper_own
-    if crossing < 0.0:
-        return [((upper_own, upper_own), (0.0, 1.0))]
-    if crossing > 1.0:
-        return [((lower_own, lower_own), (0.0, 1.0))]
-    return [
-        ((lower_own, lower_own), (0.0, crossing)),
-        ((0.0, 1.0), (crossing, crossing)),
-        ((upper_own, upper_own), (crossing, 1.0)),
-    ]
-
-
-def _intersect(a: tuple[float, float], b: tuple[float, float]):
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return (lo, hi) if lo <= hi else None
+    return [((lower, lower), (0.0, crossing)), ((0.0, 1.0), (crossing, crossing)),
+            ((upper, upper), (crossing, 1.0))]
 
 
 def enumerate_equilibria(f_row: ClosedFormPayoff,
@@ -362,13 +353,12 @@ def enumerate_equilibria(f_row: ClosedFormPayoff,
     row_pieces = _best_response_pieces(f_row.coeff_p, f_row.coeff_pq)   # own = p
     col_pieces = _best_response_pieces(f_col.coeff_q, f_col.coeff_pq)   # own = q
     regions = set()
-    for p_own, q_other in row_pieces:
-        for q_own, p_other in col_pieces:
-            p_int = _intersect(p_own, p_other)
-            q_int = _intersect(q_other, q_own)
-            if p_int is not None and q_int is not None:
-                regions.add(EquilibriumRegion(p_int[0], p_int[1],
-                                              q_int[0], q_int[1]))
+    for (p_lo, p_hi), (q_lo, q_hi) in row_pieces:
+        for (q_from, q_to), (p_from, p_to) in col_pieces:
+            p_min, p_max = max(p_lo, p_from), min(p_hi, p_to)
+            q_min, q_max = max(q_lo, q_from), min(q_hi, q_to)
+            if p_min <= p_max and q_min <= q_max:
+                regions.add(EquilibriumRegion(p_min, p_max, q_min, q_max))
 
     def covered(r: EquilibriumRegion) -> bool:
         return any(o != r
@@ -376,9 +366,7 @@ def enumerate_equilibria(f_row: ClosedFormPayoff,
                    and o.q_min <= r.q_min and r.q_max <= o.q_max
                    for o in regions)
 
-    kept = [r for r in regions if not covered(r)]
-    kept.sort(key=lambda r: (r.p_min, r.p_max, r.q_min, r.q_max))
-    return tuple(kept)
+    return tuple(sorted(r for r in regions if not covered(r)))
 
 
 # The density-matrix oracle: the final density is the branch-weighted sum of

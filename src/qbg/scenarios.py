@@ -48,9 +48,11 @@ class ScenarioReport(namedtuple("ScenarioReport", (
 
     ``conditions`` are ``verify_nash``'s four checks, in its order: the
     policy maker's deviations to p=0 and p=1, then the public's to q=0 and
-    q=1.  Each value is what that deviation loses, and it holds when the
-    deviation gains at most ``ALGEBRA_TOL``; so ``is_nash`` is exactly that
-    all four hold.
+    q=1.  Each value is what that deviation loses: p*sigma_r, (p-1)*sigma_r,
+    q*sigma_c and (q-1)*sigma_c, from the two payoff slopes.  A check holds
+    unless the slope, outside ``ALGEBRA_TOL``, favours that edge and the
+    player is off it; each player's two checks are its best-response test,
+    so ``is_nash`` is exactly that all four hold.
     """
 
     __slots__ = ()

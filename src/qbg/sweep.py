@@ -8,9 +8,9 @@ builds from it.  Each row gives the swept values, both players' payoffs
 and the weak Nash verdict.
 
 This is qbg's one numpy user: the grid is evaluated in blocks of rows on
-arrays, through ``engine.bilinear_coefficients`` and
-``engine.deviation_gaps``.  The command line imports this module only when
-``sweep`` runs.
+arrays: ``engine.bilinear_coefficients`` gives the forms, and the verdict
+is decided from ``engine.slopes`` through the sign test ``verify_nash``
+uses.  The command line imports this module only when ``sweep`` runs.
 """
 
 from __future__ import annotations
@@ -90,6 +90,14 @@ def _state_weights(p_ll, p_lh, p_hl, p_hh):
     probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
     total = probs[0] + probs[1] + probs[2] + probs[3]
     return [a * a for a in (np.sqrt(p / total) for p in probs)]
+
+
+def _evaluate(f_row, f_col, p, q):
+    """Both payoffs and the weak Nash verdict at (p, q), elementwise on arrays:
+    the payoffs are ``evaluate``'s and the verdict is ``verify_nash``'s."""
+    slope_r, slope_c = engine.slopes(f_row, f_col, p, q)
+    h0, h1, h2, h3 = engine._edge_checks(engine._sign(slope_r), engine._sign(slope_c), p, q)
+    return f_row.evaluate(p, q), f_col.evaluate(p, q), h0 & h1 & h2 & h3
 
 
 def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
@@ -176,12 +184,11 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
                                      values["prob_hl"], values["prob_hh"])
             f_row, f_col = (engine.ClosedFormPayoff(*engine.bilinear_coefficients(*weights, vec))
                             for vec in vecs)
-        row_payoff, col_payoff, _, (h0, h1, h2, h3) = engine.deviation_gaps(
-            f_row, f_col, values["p"], values["q"])
+        row_payoff, col_payoff, nash = _evaluate(f_row, f_col, values["p"], values["q"])
         cells = np.empty(row_payoff.shape + (3,), dtype=object)
         cells[..., 0] = row_payoff
         cells[..., 1] = col_payoff
-        cells[..., 2] = verdicts[(h0 & h1 & h2 & h3).astype(np.intp)]
+        cells[..., 2] = verdicts[nash.astype(np.intp)]
         for lead, row_cells in zip(rows, cells.reshape(len(rows), -1).tolist()):
             prefix = "".join("%.12g," % x for x in lead)
             out.write((prefix + prefix.join(slots)) % tuple(row_cells))

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,18 @@ def random_state(rng) -> QuantumInitialState:
 
 def random_vector(rng, scale: float = 2.0) -> PayoffVector:
     return PayoffVector(*rng.uniform(-scale, scale, size=4))
+
+
+def load_by_path(name):
+    """A module of the benchmark in qbgbench/, loaded from its file once."""
+    module = sys.modules.get(f"qbgbench_{name}")
+    if module is None:
+        path = Path(__file__).resolve().parents[1] / "qbgbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"qbgbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module   # dataclasses reads a class's module from there
+        spec.loader.exec_module(module)
+    return module
 
 
 def fresh_rng(seed: int = 20240809) -> np.random.Generator:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import fresh_rng, random_vector
+from conftest import fresh_rng, load_by_path, random_vector
 
 from qbg import (
     MixingProfile,
@@ -36,7 +36,7 @@ from qbg import (
 )
 from qbg import cli, engine, game, scenarios, specfile, sweep, verification
 from qbg.cli import main
-from qbg.engine import ClosedFormPayoff, bilinear_coefficients, deviation_gaps
+from qbg.engine import ClosedFormPayoff, bilinear_coefficients
 from qbg.specfile import SpecError
 
 WEAK_SPEC = """\
@@ -523,6 +523,35 @@ class TestQuantize:
         code, out, err = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(ZERO_AMP_SPEC))
         assert (code, out, err) == (0, expected, "")
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ([], "Candidate profile: p=1, q=1\n"
+             "  policy payoff: trace=-0.15, closed-form=-0.15\n"
+             "  public payoff: trace=-0.4, closed-form=-0.4\n"
+             "  Nash (weak): no\n"
+             "  Nash (strict): no\n"
+             "  conditions:\n"
+             "    [ok] row deviation to p=0 does not gain: gap=0.4\n"
+             "    [VIOLATED] row deviation to p=1 does not gain: gap=-4.00124e-14\n"
+             "    [ok] column deviation to q=0 does not gain: gap=0.2\n"
+             "    [ok] column deviation to q=1 does not gain: gap=0\n"),
+        (["--csv"], "candidate.p,1\ncandidate.q,1\n"
+                    "policy_payoff.trace,-0.15\npolicy_payoff.closed_form,-0.15\n"
+                    "public_payoff.trace,-0.4\npublic_payoff.closed_form,-0.4\n"
+                    "nash.weak,false\nnash.strict,false\n"),
+    ], ids=["text", "csv"])
+    def test_a_candidate_near_an_edge_gets_the_exact_verdict(self, capsys, spec_path, fmt,
+                                                            expected):
+        # the keep slope is 0.4, so the move from p = 1 - 1e-13 to p = 1 gains
+        # 4e-14: within the tolerance as a gap, but the slope's sign decides
+        code, out, err = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(NEAR_EDGE_SPEC))
+        assert (code, out[out.index("candidate" if fmt else "Candidate"):], err) == (
+            0, expected, "")
+        game = REFERENCE.bg_game(1, Fraction(1), Fraction(1))
+        truth = REFERENCE.verdict(*[REFERENCE.closed_form(REFERENCE.REFERENCE_PROBS, vec)
+                                    for vec in (game.row, game.col)],
+                                  Fraction("0.9999999999999"), 1)
+        assert (truth.weak, truth.strict, truth.gaps[1] < 0) == (False, False, True)
+
     def test_requires_quantum_block(self, capsys, spec_path):
         code, _, err = run_cli(capsys, "quantize", "--spec", spec_path(WEAK_SPEC))
         assert code == 2
@@ -578,6 +607,40 @@ class TestEquilibria:
         assert run_cli(capsys, "equilibria", "--csv", "--spec", path) == (
             0, "kind,p_min,p_max,q_min,q_max\n", "")
 
+    @pytest.mark.parametrize("name, text, csv_text", [
+        ("defect", "  segment: p=0, q in [0.35, 1]\n", "segment,0,0,0.35,1\n"),
+        ("corpus0464", "  segment: p in [0, 0.5], q=0\n  point: p=1, q=1\n",
+         "segment,0,0.5,0,0\npoint,1,1,1,1\n"),
+    ])
+    def test_a_crossing_on_an_edge_keeps_its_piece(self, capsys, spec_path, name, text,
+                                                   csv_text):
+        # a slope of 0 at one end of the other's interval, within a residue,
+        # puts the crossing exactly on that edge, as the exact regions have it
+        path = spec_path({"defect": DEFECT_SPEC, "corpus0464": CORPUS0464_SPEC}[name])
+        assert run_cli(capsys, "equilibria", "--spec", path) == (
+            0, "Nash equilibrium regions (p, q = identity probabilities):\n" + text, "")
+        assert run_cli(capsys, "equilibria", "--csv", "--spec", path) == (
+            0, "kind,p_min,p_max,q_min,q_max\n" + csv_text, "")
+
+    def test_random_rational_specs_match_the_exact_reference(self, capsys, tmp_path):
+        # ROADMAP item 1's spec-path test: small rational games and states hit
+        # crossings on an edge often; each printed region is the reference's
+        # within the benchmark checker's 1e-9
+        rng = random.Random(34)
+        path = tmp_path / "game.spec"
+        for _ in range(1000):
+            text, weights, row, col = random_rational_spec(rng)
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "equilibria", "--csv", "--spec", str(path))
+            expected = REFERENCE.equilibrium_regions(REFERENCE.closed_form(weights, row),
+                                                     REFERENCE.closed_form(weights, col))
+            got = parse_csv(out)[1:]
+            assert (code, err, [r[0] for r in got]) == (0, "", [r.kind for r in expected]), text
+            for printed, region in zip(got, expected):
+                assert all(math.isclose(float(x), y, rel_tol=1e-9, abs_tol=1e-9) for x, y in
+                           zip(printed[1:], (region.p_min, region.p_max, region.q_min,
+                                             region.q_max))), (text, printed, region)
+
     def test_requires_quantum_block(self, capsys, spec_path):
         code, _, err = run_cli(capsys, "equilibria",
                                "--spec", spec_path(WEAK_SPEC))
@@ -616,6 +679,34 @@ p = 1
 q = 1/4
 """
 
+# the candidate sits 1e-13 below the edge p=1 that the keep slope favours
+NEAR_EDGE_SPEC = BUILTIN_REFERENCE_SPEC.replace("a = 2\nb = 2", "a = 1\nb = 1").replace(
+    "p = 1\nq = 1/4", "p = 0.9999999999999\nq = 1")
+
+REFERENCE = load_by_path("reference")
+
+
+def random_rational_spec(rng):
+    """A spec with rational weights k/d and a builtin-bg or small rational
+    custom game: (text, weights, row payoffs, column payoffs), exact."""
+    d = rng.randint(1, 12)
+    cuts = sorted(rng.randint(0, d) for _ in range(3))
+    weights = [Fraction(k, d) for k in (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1],
+                                        d - cuts[2])]
+    if rng.random() < 0.3:
+        theta = rng.randint(0, 1)
+        a, b = (Fraction(rng.randint(1, 6), rng.choice((1, 2, 3))) for _ in range(2))
+        game = REFERENCE.bg_game(theta, a, b)
+        row, col = game.row, game.col
+        lines = ["mode = builtin-bg", f"theta = {theta}", f"a = {a}", f"b = {b}"]
+    else:
+        row, col = ([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4))) for _ in range(4)]
+                    for _ in range(2))
+        lines = ["mode = custom", "row_payoffs = " + ",".join(map(str, row)),
+                 "col_payoffs = " + ",".join(map(str, col))]
+    lines += ["[quantum]"] + [f"prob_{key} = {w}" for key, w in zip(("ll", "lh", "hl", "hh"),
+                                                                    weights)]
+    return "[game]\n" + "\n".join(lines) + "\n", weights, row, col
 
 GENERAL_GAME = """\
 [game]
@@ -667,6 +758,25 @@ CUSTOM_GAME = """\
 mode = custom
 row_payoffs = %s
 col_payoffs = %s
+"""
+
+# known defect 1 on spec input: the column player's slope is 0 at p=0 (this
+# spec) and the row player's at q=0 (the seed-1 corpus0464 spec), so each
+# best-response crossing lies exactly on an edge
+DEFECT_SPEC = CUSTOM_GAME % ("1/2, -1, 0, 1/2", "0, 3, -2, 0") + """
+[quantum]
+prob_ll = 0
+prob_lh = 4/7
+prob_hl = 2/7
+prob_hh = 1/7
+"""
+
+CORPUS0464_SPEC = CUSTOM_GAME % ("0, -3, 1/2, 3/2", "2, 2, -4, -1/2") + """
+[quantum]
+prob_ll = 1/2
+prob_lh = 0
+prob_hl = 1/3
+prob_hh = 1/6
 """
 
 QUOTED_LABELS_SPEC = """\
@@ -1089,7 +1199,7 @@ class TestSweepGolden:
         assert sweep._BLOCK_POINTS // 400 == 10
         assert peak(400) <= 1.05 * peak(10)
 
-    def test_chunk_is_bitwise_the_scalar_path(self):
+    def test_block_is_bitwise_the_scalar_path(self):
         # CSV rounding to 12 digits hides last-bit drift, so the array core
         # the sweep runs on is compared with the per-state path at full
         # precision: normalization, closed forms, payoffs and the weak verdict
@@ -1105,8 +1215,7 @@ class TestSweepGolden:
                      for vec in (vec_row, vec_col)]
             p = rng.choice([0.0, 1.0, rng.uniform()], size=30)
             q = rng.choice([0.0, 1.0, rng.uniform()], size=30)
-            row, col, gaps, holds = deviation_gaps(*forms, p, q)
-            weak = np.all(holds, axis=0)
+            row, col, nash = sweep._evaluate(*forms, p, q)
             for k, state in enumerate(states):
                 for form, vec in zip(forms, (vec_row, vec_col)):
                     scalar = closed_form_payoff(state, vec)
@@ -1116,10 +1225,8 @@ class TestSweepGolden:
                 report = verify_nash(closed_form_payoff(state, vec_row),
                                      closed_form_payoff(state, vec_col),
                                      MixingProfile(p[k], q[k]))
-                assert (row[k], col[k], weak[k]) == (
+                assert (row[k], col[k], nash[k]) == (
                     report.row_payoff, report.col_payoff, report.is_nash)
-                assert [(g[k], h[k]) for g, h in zip(gaps, holds)] == [
-                    (c.value, c.satisfied) for c in report.conditions]
 
 
 IMPORT_PROBE = """\

@@ -1,19 +1,16 @@
 """Quantization engine: operators, densities, payoffs, equilibria."""
 
 import importlib
-import importlib.util
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (BRANCH_OPERATORS, FLIP_2, branch_weights, fresh_rng, random_state,
-                      random_vector)
+from conftest import (BRANCH_OPERATORS, FLIP_2, branch_weights, fresh_rng, load_by_path,
+                      random_state, random_vector)
 
 from qbg import (
     MixingProfile,
@@ -33,8 +30,7 @@ from qbg import (
 )
 from qbg import engine, game
 from qbg.engine import (ALGEBRA_TOL, PSD_TOL, ClosedFormPayoff, DensityMatrix4,
-                        EquilibriumRegion, bilinear_coefficients, deviation_gaps,
-                        initial_density)
+                        EquilibriumRegion, bilinear_coefficients, initial_density)
 
 KET = {label: np.eye(4)[i] for i, label in enumerate(("LL", "LH", "HL", "HH"))}
 
@@ -71,16 +67,6 @@ def corner_outcomes(state):
     """Branch-outcome matrix read off the oracle: row k is the diagonal of
     the final density at the corner that puts all weight on branch k."""
     return np.array([np.diag(np.array(final_density(state, mix).rows)).real for mix in CORNERS])
-
-
-def load_by_path(name):
-    """A module of the benchmark in qbgbench/, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "qbgbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"qbgbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # dataclasses reads a class's module from there
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestTracedNames:
@@ -769,6 +755,12 @@ class TestClosedForm:
                 assert abs(form.coeff_pq) <= tol
 
 
+def gaps(f_row, f_col, p, q):
+    """``verify_nash``'s four gaps at (p, q)."""
+    report = verify_nash(f_row, f_col, MixingProfile(p, q))
+    return tuple(check.value for check in report.conditions)
+
+
 class TestNashMachinery:
     def test_gap_zero_for_deviation_to_the_candidate_itself(self):
         # at a corner candidate, the deviation to its own edge changes nothing
@@ -779,8 +771,8 @@ class TestNashMachinery:
         f_col = closed_form_payoff(state, public_vec)
         for p in (0.0, 1.0):
             for q in (0.0, 1.0):
-                gaps = deviation_gaps(f_row, f_col, p, q)[2]
-                assert (gaps[int(p)], gaps[2 + int(q)]) == (0.0, 0.0)
+                found = gaps(f_row, f_col, p, q)
+                assert (found[int(p)], found[2 + int(q)]) == (0.0, 0.0)
 
     def test_row_gap_from_identity_corner(self):
         # deviating from (1, 1) to p costs (1 - p) times the keep-slope
@@ -795,56 +787,54 @@ class TestNashMachinery:
             keep_slope = 2 * (pll - phh + phl - plh)
             row_gap = f_row.evaluate(1.0, 1.0) - f_row.evaluate(p_dev, 1.0)
             assert row_gap == pytest.approx((1 - p_dev) * keep_slope, abs=1e-12)
-            edge_gap = deviation_gaps(f_row, f_col, 1.0, 1.0)[2][0]
+            edge_gap = gaps(f_row, f_col, 1.0, 1.0)[0]
             assert edge_gap == pytest.approx(keep_slope, abs=1e-12)
 
-    def test_gaps_match_closed_form_differences(self):
-        # each edge gap is the candidate's payoff minus the deviation's, bit for bit
-        rng = fresh_rng(28)
-        for _ in range(200):
-            state = random_state(rng)
-            f_row = closed_form_payoff(state, random_vector(rng))
-            f_col = closed_form_payoff(state, random_vector(rng))
-            p, q = float(rng.uniform()), float(rng.uniform())
-            row_payoff, col_payoff, gaps, _ = deviation_gaps(f_row, f_col, p, q)
-            assert (row_payoff, col_payoff) == (f_row.evaluate(p, q), f_col.evaluate(p, q))
-            assert gaps == (
-                f_row.evaluate(p, q) - f_row.evaluate(0.0, q),
-                f_row.evaluate(p, q) - f_row.evaluate(1.0, q),
-                f_col.evaluate(p, q) - f_col.evaluate(p, 0.0),
-                f_col.evaluate(p, q) - f_col.evaluate(p, 1.0))
+    def test_gaps_are_the_payoff_differences_on_integer_games(self):
+        # on exact forms each gap, p*sigma_r, (p-1)*sigma_r, q*sigma_c or
+        # (q-1)*sigma_c, is the payoff difference itself, and both verdicts
+        # are the reference's, which decides from those differences
+        rng = random.Random(32)
+        profiles = [Fraction(k, 4) for k in range(5)] + [Fraction(1, 3), Fraction(5, 7)]
+        for _ in range(300):
+            game = random_integer_game(rng)
+            (f_row, f_col), exact = integer_forms(*game)
+            for p in rng.sample(profiles, 3):
+                for q in rng.sample(profiles, 3):
+                    report = verify_nash(f_row, f_col, MixingProfile(p, q))
+                    row, col = f_row.evaluate(p, q), f_col.evaluate(p, q)
+                    assert tuple(check.value for check in report.conditions) == (
+                        row - f_row.evaluate(0, q), row - f_row.evaluate(1, q),
+                        col - f_col.evaluate(p, 0), col - f_col.evaluate(p, 1)), (game, p, q)
+                    truth = REFERENCE.verdict(*exact, p, q)
+                    assert (report.is_nash, report.is_strict_nash) == (truth.weak, truth.strict)
 
     def test_exact_forms_give_exact_gaps(self):
-        # the edges are the ints 0 and 1, so integer forms at a Fraction
-        # profile give Fraction gaps: the last one is exactly 0, not -2.2e-16
+        # integer forms at a Fraction profile give Fraction slopes, so the
+        # gaps p*sigma_r, ..., (q-1)*sigma_c are Fractions: the last is exactly 0
         weights = (2, 2, 2, 0)
         f_row = ClosedFormPayoff(*bilinear_coefficients(*weights, PayoffVector(1, 3, 0, 2)))
         f_col = ClosedFormPayoff(*bilinear_coefficients(*weights, PayoffVector(1, -2, -1, 3)))
         p = q = Fraction(2, 7)
-        gaps = deviation_gaps(f_row, f_col, p, q)[2]
-        assert gaps == (Fraction(-8, 7), Fraction(20, 7), 0, 0)
-        assert all(type(gap) is Fraction for gap in gaps)
-        report = verify_nash(f_row, f_col, MixingProfile(p, q))
-        assert tuple(check.value for check in report.conditions) == gaps
+        found = gaps(f_row, f_col, p, q)
+        assert found == (Fraction(-8, 7), Fraction(20, 7), 0, 0)
+        assert all(type(gap) is Fraction for gap in found)
 
-    def test_float_and_array_gaps_are_those_of_float_edges(self):
-        # x * 0 is x * 0.0 for a float or a float array, signed zeros included
+    def test_a_move_to_ones_own_edge_gains_positive_zero(self):
+        # 0.0 * slope and (1.0 - 1) * slope are -0.0 for a negative slope, or
+        # for a -0.0 one; the gap adds + 0, so that no gap prints as -0
         rng = fresh_rng(30)
         signed_zero = ClosedFormPayoff(-0.0, -0.0, -0.0, -0.0)
         for _ in range(50):
             state = random_state(rng)
             forms = [closed_form_payoff(state, random_vector(rng)) for _ in range(2)]
-            for f_row, f_col in (forms, (signed_zero, forms[0]), (forms[1], signed_zero)):
-                for p, q in ((float(rng.uniform()), float(rng.uniform())), (0.0, -0.0),
-                             (rng.uniform(size=(3, 1)), rng.uniform(size=(1, 4)))):
-                    row_payoff, col_payoff, gaps, _ = deviation_gaps(f_row, f_col, p, q)
-                    reference = (row_payoff - f_row.evaluate(0.0, q),
-                                 row_payoff - f_row.evaluate(1.0, q),
-                                 col_payoff - f_col.evaluate(p, 0.0),
-                                 col_payoff - f_col.evaluate(p, 1.0))
-                    for gap, expected in zip(gaps, reference):
-                        assert np.array_equal(gap, expected)
-                        assert np.array_equal(np.signbit(gap), np.signbit(expected))
+            for f_row, f_col in (forms, (signed_zero, forms[0]), (forms[1], signed_zero),
+                                 [ClosedFormPayoff(*(-abs(c) for c in f)) for f in forms]):
+                for p in (0.0, -0.0, 1.0):
+                    for q in (0.0, -0.0, 1.0):
+                        found = gaps(f_row, f_col, p, q)
+                        for gap in (found[int(p)], found[2 + int(q)]):
+                            assert math.copysign(1.0, gap) == 1.0 and gap == 0.0
 
     def test_verify_nash_matched_outcome_state(self):
         policy_vec, public_vec = bg_payoff_vectors()
@@ -966,8 +956,9 @@ class TestEnumerateEquilibria:
                            for r in regions), f"grid equilibrium ({p}, {q}) not covered"
 
     @pytest.mark.xfail(strict=True, reason=(
-        "known defect: float residues of ~1e-16 in the forms shrink the exact segment "
-        "p=0, q in [7/20, 1] to one point; ROADMAP item 1 (exact rational core) mends it"))
+        "known defect 1 on float input: the enumerated segment p=0 starts at "
+        "q=0.35000000000000003, one ulp above the q=0.35 that verify_nash accepts, since "
+        "a float crossing rounds; ROADMAP item 1 (exact rational core) mends it"))
     def test_every_verified_profile_lies_in_an_enumerated_region(self):
         state = QuantumInitialState.from_probabilities(0, 4 / 7, 2 / 7, 1 / 7)
         f_row = closed_form_payoff(state, PayoffVector(1 / 2, -1, 0, 1 / 2))

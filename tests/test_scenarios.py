@@ -248,9 +248,10 @@ class TestConditionsRestateTheVerdict:
     def test_even_mix_gaps_are_half_the_keep_slope(self):
         report = run_case_c(QuantumInitialState.from_probabilities(
             0.25 + 4e-13, 0.25, 0.25, 0.25 - 4e-13))
-        assert report.is_nash
-        assert all(check.satisfied for check in report.conditions)
-        # the keep-slope is 1.6e-12, and p = 1/2 lies half a unit from either edge
+        # the keep-slope is 1.6e-12, beyond the tolerance, so p = 1/2 is no best
+        # response: the move to p=1 gains, and both gaps are half the slope
+        assert not report.is_nash
+        assert [check.satisfied for check in report.conditions] == [True, False, True, True]
         assert report.conditions[0].value == pytest.approx(8e-13, abs=1e-14)
         assert report.conditions[1].value == pytest.approx(-8e-13, abs=1e-14)
 

@@ -32,6 +32,11 @@ spec padded with a comment to exactly 1 MiB, the largest the command line
 reads, and on one a byte longer, which it refuses.  "missing-path"
 operations run ``classical``, as text and as CSV, on a short path that names
 no file and on a 100,000-character one, which the messages quote cut.
+"edge" operations run ``quantize`` and ``equilibria``, as text and as CSV,
+on three specs where a payoff slope is 0 at an edge up to a float residue:
+ROADMAP's known-defect spec and the seed-1 corpus0464 spec, whose
+best-response crossings lie exactly on an edge, and a builtin-bg spec whose
+candidate sits 1e-13 below the edge p=1 that its keep slope favours.
 "flag" operations pass a flag the command does not take: ``sweep --csv``
 and ``reproduce --spec``.
 The spec files are written once, to one temporary directory, so both sides
@@ -261,6 +266,49 @@ FILE_BYTES_SPECS = {
     "float-edge-fits": _BYTES_SPEC.format("1", _FLOAT_EDGE),
     "float-edge-overflows": _BYTES_SPEC.format("1", _FLOAT_EDGE + 1),
 }
+# Specs where a slope is 0 at an edge up to a residue: a best-response
+# crossing exactly on an edge (the first two), and a candidate 1e-13 from the
+# edge its slope of 0.4 favours.
+EDGE_SPECS = {
+    "defect": """[game]
+mode = custom
+row_payoffs = 1/2, -1, 0, 1/2
+col_payoffs = 0, 3, -2, 0
+
+[quantum]
+prob_ll = 0
+prob_lh = 4/7
+prob_hl = 2/7
+prob_hh = 1/7
+""",
+    "corpus0464": """[game]
+mode = custom
+row_payoffs = 0, -3, 1/2, 3/2
+col_payoffs = 2, 2, -4, -1/2
+
+[quantum]
+prob_ll = 1/2
+prob_lh = 0
+prob_hl = 1/3
+prob_hh = 1/6
+""",
+    "near-edge": """[game]
+mode = builtin-bg
+theta = 1
+a = 1
+b = 1
+
+[quantum]
+prob_ll = 1/2
+prob_lh = 1/5
+prob_hl = 1/5
+prob_hh = 1/10
+
+[candidate]
+p = 0.9999999999999
+q = 1
+""",
+}
 # The largest spec file the command line reads, in bytes.
 SIZE_LIMIT = 1 << 20
 FIXED_SPECS = {"spelling": SPELLING_SPECS, "normalization": NORMALIZATION_SPECS,
@@ -359,6 +407,11 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
             path.write_bytes(text.encode("utf-8", "surrogateescape"))
             ops += [(kind, [*argv, "--spec", str(path)]) for argv in SPEC_COMMANDS]
     ops.append(("file-bytes", ["sweep", "--spec", str(work / "crlf.spec"), "--axis", "p=0:1:5"]))
+    for name, text in EDGE_SPECS.items():
+        path = work / f"{name}.spec"
+        path.write_text(text, encoding="utf-8")
+        ops += [("edge", [*argv, "--spec", str(path)]) for argv in SPEC_COMMANDS
+                if argv[0] != "classical"]
     for name, size in (("at-size-limit", SIZE_LIMIT), ("past-size-limit", SIZE_LIMIT + 1)):
         path = work / f"{name}.spec"
         path.write_bytes(_PLAIN.encode() + b"#" * (size - len(_PLAIN) - 1) + b"\n")
