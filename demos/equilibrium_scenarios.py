@@ -29,7 +29,8 @@ def show(report):
           f"public {report.public_payoff:+.4f}")
     for check in report.conditions:
         mark = "ok" if check.satisfied else "FAILS"
-        print(f"    [{mark}] {check.description} (value {check.value:+.4f})")
+        value = round(check.value, 4) + 0.0   # a residue that rounds to -0 prints +0.0000
+        print(f"    [{mark}] {check.description} (value {value:+.4f})")
     verdict = "equilibrium" if report.is_nash else "not an equilibrium"
     print(f"    verdict: {verdict} ({report.verdict})")
     if report.notes:

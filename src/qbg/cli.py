@@ -127,10 +127,8 @@ def cmd_quantize(args) -> int:
     spec = _load_spec(args.spec)
     if not spec.has_quantum:
         raise specfile.SpecError("quantize needs a [quantum] section in the spec")
-    state = spec.to_state()
     vec_row, vec_col = spec.payoff_vectors()
-    f_row = engine.closed_form_payoff(state, vec_row)
-    f_col = engine.closed_form_payoff(state, vec_col)
+    f_row, f_col = engine._closed_forms(spec._weights(), (vec_row, vec_col))
     candidate = spec.to_candidate()
     forms = f_row + f_col   # one tuple: policy's four coefficients, then public's
 
@@ -145,7 +143,8 @@ def cmd_quantize(args) -> int:
                "  policy: constant=%.6g coeff_p=%.6g coeff_q=%.6g coeff_pq=%.6g\n"
                "  public: constant=%.6g coeff_p=%.6g coeff_q=%.6g coeff_pq=%.6g\n") % forms
     if candidate is not None:
-        rho = engine.final_density(state, candidate)
+        # the oracle's own state, independent of the closed forms' arithmetic
+        rho = engine.final_density(spec.to_state(), candidate)
         report = engine.verify_nash(f_row, f_col, candidate)
         values = (candidate.p, candidate.q,
                   engine.expected_payoff_trace(vec_row, rho), report.row_payoff,
@@ -175,10 +174,8 @@ def cmd_equilibria(args) -> int:
     spec = _load_spec(args.spec)
     if not spec.has_quantum:
         raise specfile.SpecError("equilibria needs a [quantum] section in the spec")
-    state = spec.to_state()
-    vec_row, vec_col = spec.payoff_vectors()
-    regions = engine.enumerate_equilibria(engine.closed_form_payoff(state, vec_row),
-                                          engine.closed_form_payoff(state, vec_col))
+    regions = engine.enumerate_equilibria(*engine._closed_forms(spec._weights(),
+                                                                spec.payoff_vectors()))
 
     if args.csv:
         sys.stdout.write("kind,p_min,p_max,q_min,q_max\n" + "".join(

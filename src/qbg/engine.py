@@ -24,6 +24,10 @@ what all equilibrium conditions are read from.  ``bilinear_coefficients``
 computes that form for one state or, on numpy arrays, for a whole grid of
 states, summing in one fixed order so that both give the same bits.
 
+A state enters the closed form only through its four weights, which
+``_unit_weights`` alone normalizes.  The spec commands and the sweep pass
+weights, never amplitudes, to ``_closed_forms``.
+
 Expected payoffs are traces of diagonal payoff operators against the final
 density matrix; because the operators are diagonal, payoffs depend only on
 squared amplitude magnitudes, so all results are invariant under rephasing
@@ -37,9 +41,9 @@ check and the oracle's diagonal ``z * z.conjugate()`` get the same bits.
 The state constructors, the closed form and the Nash tests work on Python
 numbers, and this module never imports numpy.  ``qbg.sweep``, behind the
 command line's ``sweep`` and loaded only by it, is qbg's one numpy user: it
-passes arrays to ``bilinear_coefficients``, ``ClosedFormPayoff.evaluate``
-and the Nash test's ``slopes``, ``_sign`` and ``_edge_checks``, which then
-work elementwise.
+passes arrays to ``_closed_forms``, ``ClosedFormPayoff.evaluate`` and the
+Nash test's ``slopes``, ``_sign`` and ``_edge_checks``, which then work
+elementwise.
 """
 
 from __future__ import annotations
@@ -87,24 +91,14 @@ class QuantumInitialState(ValidatedRecord,
 
     @classmethod
     def normalized(cls, amp_ll, amp_lh, amp_hl, amp_hh) -> "QuantumInitialState":
-        """Rescale arbitrary amplitudes to unit norm (rejects the zero vector).
-
-        The arithmetic is that of ``amps / np.linalg.norm(amps)``, bit for
-        bit: the norm sums the squared real parts and the squared imaginary
-        parts each as (x0 + x2) + (x1 + x3), and dividing a complex number by
-        a real one multiplies both parts by its reciprocal after adding a
-        zero cross term, which fixes the signs of zero parts.
-        """
+        """Rescale arbitrary amplitudes to unit norm (rejects the zero vector):
+        each part is divided by the square root of the squared magnitudes,
+        summed in basis order."""
         amps = [complex(a) for a in (amp_ll, amp_lh, amp_hl, amp_hh)]
-        re = [a.real * a.real for a in amps]
-        im = [a.imag * a.imag for a in amps]
-        norm = math.sqrt(((re[0] + re[2]) + (re[1] + re[3]))
-                         + ((im[0] + im[2]) + (im[1] + im[3])))
+        norm = math.sqrt(sum(_squared_magnitude(a) for a in amps))
         if norm < 1e-15:
             raise ValueError("cannot normalize the zero vector")
-        scale = 1.0 / norm
-        return cls(*(complex((a.real + a.imag * 0.0) * scale,
-                             (a.imag - a.real * 0.0) * scale) for a in amps))
+        return cls(*(complex(a.real / norm, a.imag / norm) for a in amps))
 
     @classmethod
     def from_probabilities(cls, p_ll, p_lh, p_hl, p_hh) -> "QuantumInitialState":
@@ -112,9 +106,8 @@ class QuantumInitialState(ValidatedRecord,
 
         Each weight is clipped at 0, and the clipped weights must sum to 1
         within ``NORMALIZATION_TOL`` (decimal input is expected to carry
-        rounding fuzz); each amplitude is then sqrt(w / total), so the state
-        is rescaled exactly.  The command line's ``sweep`` does the same
-        arithmetic on arrays, with numpy.
+        rounding fuzz); each amplitude is then the square root of
+        ``_unit_weights``' w / total, so the state is rescaled exactly.
         """
         probs = [float(p) for p in (p_ll, p_lh, p_hl, p_hh)]
         for p in probs:
@@ -124,7 +117,7 @@ class QuantumInitialState(ValidatedRecord,
         total = probs[0] + probs[1] + probs[2] + probs[3]
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"squared magnitudes sum to {total!r}, expected 1")
-        return cls(*(complex(math.sqrt(p / total)) for p in probs))
+        return cls(*(complex(math.sqrt(w)) for w in _unit_weights(*probs)))
 
     def squared_magnitudes(self) -> tuple[float, float, float, float]:
         """Squared magnitudes in basis order; these drive every payoff.
@@ -252,6 +245,20 @@ def bilinear_coefficients(w_ll, w_lh, w_hl, w_hh, vec: PayoffVector):
     r0, r1, r2, r3 = [(w[s0] * v0 + w[s2] * v2) + (w[s1] * v1 + w[s3] * v3)
                       for s0, s1, s2, s3 in _BRANCHES]
     return r3, r1 - r3, r2 - r3, r0 - r1 - r2 + r3
+
+
+def _unit_weights(w_ll, w_lh, w_hl, w_hh):
+    """The four weights divided by their sum, added in basis order: qbg's one
+    normalization of state weights, on floats or numpy arrays alike."""
+    total = w_ll + w_lh + w_hl + w_hh
+    return w_ll / total, w_lh / total, w_hl / total, w_hh / total
+
+
+def _closed_forms(weights, vecs) -> list[ClosedFormPayoff]:
+    """Each payoff vector's closed form on the state of the weights (LL, LH,
+    HL, HH), normalized: floats, or numpy arrays of many states at once."""
+    unit = _unit_weights(*weights)
+    return [ClosedFormPayoff(*bilinear_coefficients(*unit, vec)) for vec in vecs]
 
 
 def closed_form_payoff(state: QuantumInitialState, vec: PayoffVector) -> ClosedFormPayoff:

@@ -38,9 +38,10 @@ Grammar (one page, deliberately small):
     prob_ll, prob_lh, prob_hl, prob_hh   # squared magnitudes, sum 1
     amp_ll,  amp_lh,  amp_hl,  amp_hh    # real amplitudes, norm 1
 
-The sum (or squared norm) is the state's: the values as floats, added in
-basis order.  It must be 1 within ``NORMALIZATION_TOL`` (1e-9), the one
-bound that ``qbg.engine`` and the sweep apply to state weights too.
+The state's weights, the prob_* values or the squares of the amp_* values
+as floats, must sum in basis order to 1 within ``NORMALIZATION_TOL`` (1e-9),
+and each prob_* value must be nonnegative: ``_state_weights``' one rule,
+for parsed and hand-built specs alike.
 
 ``[candidate]`` keys::
 
@@ -57,11 +58,11 @@ integers of a and b: each cell is one int division n/d as a float, or a
 through ``_to_float``, once per use: a ``Fraction`` as the one int division
 ``numerator / denominator``, anything else with ``float()``.
 
-Spec values feed the density oracle only through ``to_state`` and
-``to_candidate``: ``engine.final_density`` builds its result valid by
-construction (trace checked, Hermitian and positive semidefinite by
-construction), while every other way of building an
-``engine.DensityMatrix4`` checks all three.
+Spec weights feed the closed forms only through ``_weights``, and the
+density oracle only through ``to_state`` and ``to_candidate``:
+``engine.final_density`` builds its result valid by construction (trace
+checked, Hermitian and positive semidefinite by construction), while every
+other way of building an ``engine.DensityMatrix4`` checks all three.
 """
 
 from __future__ import annotations
@@ -186,15 +187,21 @@ class GameSpec(namedtuple("GameSpec", (
             raise SpecError(_BG_OVERFLOW) from None
         return tuple([Fraction(n, d) for n, d in cells]) if exact else floats
 
-    def to_state(self) -> engine.QuantumInitialState | None:
-        # Both constructors check the weights' sum again: parse_spec checked
-        # it, but a hand-built spec reaches this unchecked.
+    def _weights(self) -> list[float]:
+        """The state's weights (LL, LH, HL, HH), not normalized, under the [quantum] rule."""
         if self.probabilities is not None:
-            return engine.QuantumInitialState.from_probabilities(
-                *map(_to_float, self.probabilities))
-        if self.amplitudes is not None:
-            return engine.QuantumInitialState.normalized(*_unit_amplitudes(self.amplitudes))
-        return None
+            return _state_weights(self.probabilities, _PROB_KEYS)
+        return _state_weights(self.amplitudes, _AMP_KEYS)
+
+    def to_state(self) -> engine.QuantumInitialState | None:
+        """The state of the prob_* weights, or of the amp_* amplitudes
+        normalized, once they meet the [quantum] rule; None without one."""
+        if not self.has_quantum:
+            return None
+        weights = self._weights()
+        if self.probabilities is not None:
+            return engine.QuantumInitialState.from_probabilities(*weights)
+        return engine.QuantumInitialState.normalized(*map(_to_float, self.amplitudes))
 
     def to_candidate(self) -> engine.MixingProfile | None:
         if self.candidate is None:
@@ -287,19 +294,35 @@ def _fits_float(values) -> bool:
     return True
 
 
-def _unit_amplitudes(amps) -> list[float]:
-    """The amp_* amplitudes ``amps`` as floats, refused unless their squares
-    summed in basis order are 1 within ``NORMALIZATION_TOL`` (the [quantum]
-    rule).  An amplitude or a square beyond the float range makes the norm
-    inf."""
+def _state_weights(values, family, entries=None) -> list[float]:
+    """The [quantum] rule: the ``family`` (``_PROB_KEYS`` or ``_AMP_KEYS``)
+    ``values`` as float weights, an amp_* value squared with ``** 2``.
+    Refused unless every prob_* value is nonnegative, every value is a float
+    and the weights sum to 1 within ``NORMALIZATION_TOL`` (so nan and inf
+    never pass), checked in that order; a message names the first key at
+    fault, with its place if ``entries`` maps it to (value, line, column)."""
+    where = entries or dict.fromkeys(family, (None, None, None))
+    if family is _PROB_KEYS:
+        for key, value in zip(family, values):
+            # a Fraction's sign is its numerator's, read without Fraction's comparison
+            if (value.numerator if type(value) is Fraction else value) < 0:
+                raise SpecError(f"{key} must be nonnegative", *where[key][1:])
     try:
-        floats = [_to_float(a) for a in amps]
-        norm = sum(a ** 2 for a in floats)
+        weights = [_to_float(value) for value in values]
     except OverflowError:
-        norm = math.inf
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise SpecError(f"[quantum] amplitudes have squared norm {norm!r}, expected 1")
-    return floats
+        key = next(k for k, value in zip(family, values) if not _fits_float((value,)))
+        raise SpecError(f"{key} exceeds the float range", *where[key][1:]) from None
+    if family is _AMP_KEYS:
+        try:
+            weights = [a ** 2 for a in weights]
+        except OverflowError:   # a square beyond the float range makes the norm inf
+            weights = [math.inf] * 4
+    total = weights[0] + weights[1] + weights[2] + weights[3]
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
+        raise SpecError(f"[quantum] amplitudes have squared norm {total!r}, expected 1"
+                        if family is _AMP_KEYS else
+                        f"[quantum] squared magnitudes sum to {total!r}, expected 1")
+    return weights
 
 
 def _parse_labels(text: str, line: int, column: int) -> tuple[str, str]:
@@ -422,21 +445,7 @@ def parse_spec(text: str) -> GameSpec:
             if key not in quantum:
                 raise SpecError(f"[quantum] is missing key {key!r}")
             values.append(_parse_number(*quantum[key]))
-        if has_probs:
-            for key, value in zip(family, values):
-                if value.numerator < 0:
-                    raise SpecError(f"{key} must be nonnegative", *quantum[key][1:])
-        try:
-            weights = [_to_float(value) for value in values]
-        except OverflowError:
-            key = next(k for k, value in zip(family, values) if not _fits_float((value,)))
-            raise SpecError(f"{key} exceeds the float range", *quantum[key][1:]) from None
-        if has_amps:
-            _unit_amplitudes(weights)
-        else:   # from_probabilities' sum, bit for bit
-            total = weights[0] + weights[1] + weights[2] + weights[3]
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                raise SpecError(f"[quantum] squared magnitudes sum to {total!r}, expected 1")
+        _state_weights(values, family, quantum)
         fields["probabilities" if has_probs else "amplitudes"] = tuple(values)
 
     if "candidate" in sections:

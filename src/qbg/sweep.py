@@ -1,16 +1,18 @@
 """The ``qbg sweep`` command: a deterministic CSV sweep of the quantized game.
 
 One or two axes vary the identity probabilities p, q or the state weights
-prob_lh, prob_hl, prob_hh.  When a state weight is swept, the LL weight
-takes up what the swept weights move from the spec's own; when none is,
-every point has the spec's own state and the closed forms ``quantize``
-builds from it.  Each row gives the swept values, both players' payoffs
-and the weak Nash verdict.
+prob_lh, prob_hl, prob_hh.  A point's weights start from the spec's own,
+as ``quantize`` and ``equilibria`` take them, and the LL weight takes up
+what the swept weights move from those; when none is swept, every point has
+the spec's own weights and the closed forms ``quantize`` builds from them.
+Each row gives the swept values, both players' payoffs and the weak Nash
+verdict.
 
 This is qbg's one numpy user: the grid is evaluated in blocks of rows on
-arrays: ``engine.bilinear_coefficients`` gives the forms, and the verdict
-is decided from ``engine.slopes`` through the sign test ``verify_nash``
-uses.  The command line imports this module only when ``sweep`` runs.
+arrays: ``engine._closed_forms`` gives the forms, normalizing the weights
+by the spec commands' one rule, and the verdict is decided from
+``engine.slopes`` through the sign test ``verify_nash`` uses.  The command
+line imports this module only when ``sweep`` runs.
 """
 
 from __future__ import annotations
@@ -67,29 +69,17 @@ def _parse_axis(text: str) -> _Axis:
     return _Axis(var, values)
 
 
-def _ll_weight(spec_weights, values):
-    """The LL weight at a point whose LH, HL and HH weights ``values`` holds
-    (floats or arrays): the spec's own LL weight plus what each of the other
-    three gives up of the spec's, so an unswept weight adds exactly 0."""
+def _point_weights(spec_weights, values):
+    """The weights (LL, LH, HL, HH) at a point whose LH, HL and HH weights
+    ``values`` holds (floats or arrays).  LL is the spec's own LL weight plus
+    what each of the other three gives up of the spec's (an unswept weight
+    adds exactly 0), clipped at 0.  The sweep refuses a grid whose LH, HL and
+    HH weights sum above 1 + ``NORMALIZATION_TOL`` anywhere, so a clipped LL
+    leaves a total in (1, 1 + ``NORMALIZATION_TOL``]."""
     ll, lh, hl, hh = spec_weights
-    return ll + ((lh - values["prob_lh"]) + (hl - values["prob_hl"])
+    rest = ll + ((lh - values["prob_lh"]) + (hl - values["prob_hl"])
                  + (hh - values["prob_hh"]))
-
-
-def _state_weights(p_ll, p_lh, p_hl, p_hh):
-    """The squared magnitudes ``QuantumInitialState.from_probabilities`` would
-    give the weights (LL, LH, HL, HH), elementwise on arrays and bit for bit:
-    clipped at 0, then sqrt(w / total) squared.
-
-    The total is not checked here.  The sweep refuses a grid whose heaviest
-    point has LH, HL and HH weights summing above 1 + ``NORMALIZATION_TOL``,
-    so no point evaluated here has them.  A clipped LL weight leaves the
-    total exactly that sum, which ``from_probabilities`` bounds in the same
-    way; otherwise the total is the spec's own within a few ulps.
-    """
-    probs = [np.maximum(w, 0.0) for w in (p_ll, p_lh, p_hl, p_hh)]
-    total = probs[0] + probs[1] + probs[2] + probs[3]
-    return [a * a for a in (np.sqrt(p / total) for p in probs)]
+    return np.maximum(rest, 0.0), values["prob_lh"], values["prob_hl"], values["prob_hh"]
 
 
 def _evaluate(f_row, f_col, p, q):
@@ -115,7 +105,7 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     if not spec.has_quantum:
         raise specfile.SpecError("sweep needs a [quantum] section in the spec")
 
-    state = spec.to_state()
+    spec_weights = spec._weights()
     candidate = spec.to_candidate()
     if "p" not in names and candidate is None:
         raise specfile.SpecError("p is unresolved: sweep it or provide a [candidate]")
@@ -126,14 +116,12 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
 
     # Every axis value and the [candidate] lie in [0, 1], so each profile is
     # valid and each swept weight is a valid weight; only LH, HL and HH
-    # weights summing above 1 by more than from_probabilities' tolerance can
-    # fail a point.  Rounded addition is monotone, so that sum never falls as
-    # a swept weight rises: the grid is valid exactly when its heaviest point
+    # weights summing above 1 by more than NORMALIZATION_TOL can fail a
+    # point.  Rounded addition is monotone, so that sum never falls as a
+    # swept weight rises: the grid is valid exactly when its heaviest point
     # is, and the first bad point in row order lies in the first row that is
     # bad at the heaviest inner value.  A bad grid fails there with no CSV
-    # output.  The spec's weights are a prob_* spec's own, not the squares of
-    # to_state's square roots; an amp_* spec has only its normalized squares.
-    spec_weights = [float(w) for w in spec.probabilities or state.squared_magnitudes()]
+    # output.  The spec's weights are ``GameSpec._weights``, not normalized.
     fixed = dict(zip(cli._STATE_VARS, spec_weights[1:]))
     fixed.update(p=candidate and candidate.p, q=candidate and candidate.q)
     outer, inner = axes if len(axes) == 2 else (None, axes[0])
@@ -158,32 +146,25 @@ def run(spec: specfile.GameSpec, axis_texts: list[str] | None) -> int:
     # Unswept variables are scalars.  The grid is evaluated in blocks of
     # outer rows (a 1-axis sweep is one row): the outer axis is a (rows, 1)
     # array and the inner one a (1, inner) array, and the scalars broadcast
-    # into them, so memory is bounded by the block size.  An unswept state's
-    # closed forms are quantize's, built once; a swept state's weights and
-    # forms are computed once per block.  Each row is written with one
-    # %-format: its template holds the outer prefix and inner value of every
-    # point, and its slots take the two payoffs and the verdict, interleaved
-    # in one object array per block.  No field can need CSV quoting.
+    # into them, so memory is bounded by the block size.  The weights and
+    # forms are computed once per block; with no state axis the weights are
+    # the spec's own scalars, so every block has quantize's forms.  Each row
+    # is written with one %-format: its template holds the outer prefix and
+    # inner value of every point, and its slots take the two payoffs and the
+    # verdict, interleaved in one object array per block.  No field can need
+    # CSV quoting.
     out = sys.stdout
     out.write(",".join(names + ["policy_payoff", "public_payoff", "nash"]) + "\n")
     slots = ["%.12g" % x + ",%.12g,%.12g,%s\n" for x in inner.values]
     verdicts = np.array(["false", "true"], dtype=object)
     values = dict(fixed)
     values[inner.var] = np.array([inner.values])
-    forms = None if set(names) & set(cli._STATE_VARS) else [
-        engine.closed_form_payoff(state, vec) for vec in vecs]
 
     def write_block(rows):
         # a function, so that the block's arrays are freed before the next one's
         if outer:
             values[outer.var] = np.array(rows)
-        if forms:
-            f_row, f_col = forms
-        else:
-            weights = _state_weights(_ll_weight(spec_weights, values), values["prob_lh"],
-                                     values["prob_hl"], values["prob_hh"])
-            f_row, f_col = (engine.ClosedFormPayoff(*engine.bilinear_coefficients(*weights, vec))
-                            for vec in vecs)
+        f_row, f_col = engine._closed_forms(_point_weights(spec_weights, values), vecs)
         row_payoff, col_payoff, nash = _evaluate(f_row, f_col, values["p"], values["q"])
         cells = np.empty(row_payoff.shape + (3,), dtype=object)
         cells[..., 0] = row_payoff

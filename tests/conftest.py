@@ -66,3 +66,19 @@ def closed_form_calls(monkeypatch):
 
     monkeypatch.setattr(qbg.engine, "closed_form_payoff", counted)
     return calls
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """The argument tuples of every ``bilinear_coefficients`` call made in the
+    test: one per closed form built, from a state or from a spec's weights."""
+    import qbg.engine
+    original = qbg.engine.bilinear_coefficients
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qbg.engine, "bilinear_coefficients", counted)
+    return calls

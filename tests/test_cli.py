@@ -406,6 +406,33 @@ class TestNormalizationBoundary:
         assert verdicts_differ   # the search reached the specs the arithmetic decides
 
 
+class TestHandBuiltWeights:
+    """A spec built in code meets the [quantum] rule that parse_spec applies:
+    the weights the closed forms are built from refuse what a parsed spec
+    could not hold, before any output."""
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("probabilities", (2, 0, 0, 0), "[quantum] squared magnitudes sum to 2.0, expected 1"),
+        ("probabilities", (1.5, -0.5, 0.0, 0.0), "prob_lh must be nonnegative"),
+        ("probabilities", (math.nan, 0, 0, 1), "[quantum] squared magnitudes sum to nan, "
+                                               "expected 1"),
+        ("amplitudes", (2, 0, 0, 0), "[quantum] amplitudes have squared norm 4.0, expected 1"),
+        ("amplitudes", (math.inf, 0, 0, 0), "[quantum] amplitudes have squared norm inf, "
+                                            "expected 1"),
+    ], ids=["prob-sum", "prob-negative", "prob-nan", "amp-norm", "amp-inf"])
+    def test_refused_by_every_command(self, capsys, monkeypatch, field, values, message):
+        spec = specfile.GameSpec(mode="custom", row_payoffs=(1, 0, 0, 2),
+                                 col_payoffs=(0, 1, 3, 0), candidate=(0.5, 0.5),
+                                 **{field: values})
+        monkeypatch.setattr(cli, "_load_spec", lambda path: spec)
+        for argv in (["quantize"], ["quantize", "--csv"], ["equilibria"]):
+            assert run_cli(capsys, *argv, "--spec", "unread.spec") == (
+                2, "", f"error: {message}\n")
+        with pytest.raises(ValueError) as err:
+            sweep.run(spec, ["p=0:1:3"])
+        assert str(err.value) == message
+
+
 class TestLargeExponent:
     def test_refused_before_the_value_is_built(self, spec_path):
         # Fraction('1e100000000') would build 10**100000000 exactly; the
@@ -477,11 +504,12 @@ class TestQuantize:
         assert out.count("trace") == 2
 
     @pytest.mark.parametrize("fmt", [[], ["--csv"]])
-    def test_each_closed_form_built_once(self, capsys, spec_path, closed_form_calls, fmt):
-        # the candidate's payoffs and Nash verdict reuse the two printed forms
+    def test_each_closed_form_built_once(self, capsys, spec_path, form_calls, fmt):
+        # the candidate's payoffs and Nash verdict reuse the two printed forms,
+        # and the density oracle builds none
         code, _, _ = run_cli(capsys, "quantize", *fmt, "--spec", spec_path(MIXED_SPEC))
         assert code == 0
-        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
+        assert [args[-1] for args in form_calls] == list(parse_spec(MIXED_SPEC).payoff_vectors())
 
     def test_csv_items(self, capsys, spec_path):
         code, out, _ = run_cli(capsys, "quantize", "--csv",
@@ -574,10 +602,10 @@ class TestEquilibria:
         assert ["point", "1", "1", "1", "1"] in rows
 
     @pytest.mark.parametrize("fmt", [[], ["--csv"]])
-    def test_each_closed_form_built_once(self, capsys, spec_path, closed_form_calls, fmt):
+    def test_each_closed_form_built_once(self, capsys, spec_path, form_calls, fmt):
         code, _, _ = run_cli(capsys, "equilibria", *fmt, "--spec", spec_path(MIXED_SPEC))
         assert code == 0
-        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
+        assert [args[-1] for args in form_calls] == list(parse_spec(MIXED_SPEC).payoff_vectors())
 
     @pytest.mark.parametrize("payoffs, text, csv_text", [
         (("-1/7,0,-1,0", "2,1/3,0,2"),
@@ -1026,14 +1054,17 @@ q = 1/2
 
 
 def unswept_weights(spec):
-    """The sweep's (LL, LH, HL, HH) weights where no state axis sets them: a
-    prob_* spec's own, or an amp_* spec's normalized squares."""
-    return [float(w) for w in spec.probabilities or spec.to_state().squared_magnitudes()]
+    """The sweep's (LL, LH, HL, HH) weights where no state axis sets them, not
+    normalized: a prob_* spec's own, or the squares of an amp_* spec's."""
+    if spec.probabilities:
+        return [float(w) for w in spec.probabilities]
+    return [float(a) ** 2 for a in spec.amplitudes]
 
 
 def reference_sweep(text, axes):
-    """CSV text of a sweep computed point by point: a fresh state, both closed
-    forms and a verify_nash call at every grid point."""
+    """CSV text of a sweep computed point by point: the point's weights
+    divided by their sum, both closed forms and a verify_nash call at every
+    grid point."""
     spec = parse_spec(text)
     names = [var for var, _, _, _ in axes]
     grids = [[lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)] + [hi]
@@ -1049,18 +1080,17 @@ def reference_sweep(text, axes):
         if 1.0 - sum(probs.values()) < -1e-9:
             where = ", ".join(f"{n}={v:.12g}" for n, v in assignment.items())
             raise SpecError(f"state weights exceed 1 at grid point ({where})")
-        # the spec's LL weight plus what the other three give up of the spec's
+        # the spec's LL weight plus what the other three give up of the spec's,
+        # clipped at 0; with no state axis, the spec's own weights
         prob_ll = base[0] + ((base[1] - probs["prob_lh"]) + (base[2] - probs["prob_hl"])
                              + (base[3] - probs["prob_hh"]))
-        if set(assignment) & set(probs):
-            state = QuantumInitialState.from_probabilities(
-                max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"])
-        else:   # no state axis: the spec's own state, as quantize builds it
-            state = spec.to_state()
+        weights = [max(prob_ll, 0.0), probs["prob_lh"], probs["prob_hl"], probs["prob_hh"]]
+        total = weights[0] + weights[1] + weights[2] + weights[3]
         p = assignment.get("p", candidate and candidate.p)
         q = assignment.get("q", candidate and candidate.q)
-        f_row = closed_form_payoff(state, vec_row)
-        f_col = closed_form_payoff(state, vec_col)
+        unit = [w / total for w in weights]
+        f_row, f_col = (ClosedFormPayoff(*bilinear_coefficients(*unit, vec))
+                        for vec in (vec_row, vec_col))
         report = verify_nash(f_row, f_col, MixingProfile(p, q))
         row = f_row.evaluate(p, q)
         col = f_col.evaluate(p, q)
@@ -1201,32 +1231,46 @@ class TestSweepGolden:
 
     def test_block_is_bitwise_the_scalar_path(self):
         # CSV rounding to 12 digits hides last-bit drift, so the array core
-        # the sweep runs on is compared with the per-state path at full
-        # precision: normalization, closed forms, payoffs and the weak verdict
+        # the sweep runs on is compared with its scalar path at full
+        # precision: point weights, closed forms, payoffs and the weak verdict.
+        # The spec weights are prob_* values or amp_* squares; a point keeps
+        # the spec's own weights (quantize's), takes random ones, or has LH,
+        # HL and HH weights summing into (1, 1 + 1e-9], so that LL is clipped
         rng = fresh_rng(23)
-        for _ in range(20):
-            vec_row, vec_col = random_vector(rng), random_vector(rng)
-            weights = rng.uniform(size=(4, 30)) * (rng.uniform(size=(4, 30)) < 0.7)
-            weights[0, weights.sum(axis=0) == 0] = 1.0
-            weights /= weights.sum(axis=0)
-            states = [QuantumInitialState.from_probabilities(*w) for w in weights.T]
-            squared = sweep._state_weights(*weights)
-            forms = [ClosedFormPayoff(*bilinear_coefficients(*squared, vec))
-                     for vec in (vec_row, vec_col)]
+        clipped = 0
+        for trial in range(20):
+            vecs = (random_vector(rng), random_vector(rng))
+            if trial % 2:
+                amps = rng.normal(size=4) * (rng.uniform(size=4) < 0.8)
+                amps[0] += not amps.any()
+                spec_weights = [float(a) ** 2 for a in amps / np.linalg.norm(amps)]
+            else:
+                spec_weights = rng.uniform(size=4) * (rng.uniform(size=4) < 0.7)
+                spec_weights[0] += not spec_weights.any()
+                spec_weights = [float(w) for w in spec_weights / spec_weights.sum()]
+            kind = rng.integers(3, size=30)
+            swept = rng.dirichlet(np.ones(4), size=30)[:, 1:].T
+            swept[2] = np.where(kind == 2, 1 + rng.uniform(0, 1e-9, size=30)
+                                - swept[0] - swept[1], swept[2])
+            swept = np.where(kind == 0, np.array(spec_weights[1:])[:, None], swept)
+            values = dict(zip(cli._STATE_VARS, swept))
+            weights = sweep._point_weights(spec_weights, values)
+            clipped += int(((kind == 2) & (weights[0] == 0)).sum())
+            block = engine._closed_forms(weights, vecs)
             p = rng.choice([0.0, 1.0, rng.uniform()], size=30)
             q = rng.choice([0.0, 1.0, rng.uniform()], size=30)
-            row, col, nash = sweep._evaluate(*forms, p, q)
-            for k, state in enumerate(states):
-                for form, vec in zip(forms, (vec_row, vec_col)):
-                    scalar = closed_form_payoff(state, vec)
-                    assert (form.constant[k], form.coeff_p[k], form.coeff_q[k],
-                            form.coeff_pq[k]) == (scalar.constant, scalar.coeff_p,
-                                                  scalar.coeff_q, scalar.coeff_pq)
-                report = verify_nash(closed_form_payoff(state, vec_row),
-                                     closed_form_payoff(state, vec_col),
-                                     MixingProfile(p[k], q[k]))
+            row, col, nash = sweep._evaluate(*block, p, q)
+            for k in range(30):
+                point = {var: float(w[k]) for var, w in values.items()}
+                if kind[k] == 0:   # quantize's weights, as the spec gives them
+                    assert list(sweep._point_weights(spec_weights, point)) == spec_weights
+                scalar = engine._closed_forms(sweep._point_weights(spec_weights, point), vecs)
+                for form, one in zip(block, scalar):
+                    assert tuple(c[k] for c in form) == tuple(one)
+                report = verify_nash(*scalar, MixingProfile(p[k], q[k]))
                 assert (row[k], col[k], nash[k]) == (
                     report.row_payoff, report.col_payoff, report.is_nash)
+        assert clipped
 
 
 IMPORT_PROBE = """\
@@ -1434,7 +1478,8 @@ class TestOneBinding:
     """qbg's modules call each other's functions through the defining module,
     so a wrapper set there alone sees every call, whichever module loaded first."""
 
-    WRAPPED = ((engine, "closed_form_payoff"), (engine, "verify_nash"),
+    WRAPPED = ((engine, "closed_form_payoff"), (engine, "bilinear_coefficients"),
+               (engine, "verify_nash"),
                (engine, "enumerate_equilibria"), (engine, "final_density"),
                (engine, "expected_payoff_trace"), (scenarios, "run_strategy_ii"))
 
@@ -1454,16 +1499,17 @@ class TestOneBinding:
 
     def test_run_verification(self, calls):
         verification.run_verification()
-        assert calls == {"closed_form_payoff": 562, "verify_nash": 205,
+        assert calls == {"closed_form_payoff": 562, "bilinear_coefficients": 562,
+                         "verify_nash": 205,
                          "enumerate_equilibria": 0, "final_density": 50,
                          "expected_payoff_trace": 150, "run_strategy_ii": 101}
 
     @pytest.mark.parametrize("argv, seen", [
-        (["quantize"], {"closed_form_payoff": 2, "verify_nash": 1, "final_density": 1,
+        (["quantize"], {"bilinear_coefficients": 2, "verify_nash": 1, "final_density": 1,
                         "expected_payoff_trace": 2}),
-        (["equilibria"], {"closed_form_payoff": 2, "enumerate_equilibria": 1}),
-        (["sweep", "--axis", "p=0:1:3"], {"closed_form_payoff": 2}),
-        (["sweep", "--axis", "prob_lh=0:0.5:3"], {}),
+        (["equilibria"], {"bilinear_coefficients": 2, "enumerate_equilibria": 1}),
+        (["sweep", "--axis", "p=0:1:3"], {"bilinear_coefficients": 2}),
+        (["sweep", "--axis", "prob_lh=0:0.5:3"], {"bilinear_coefficients": 2}),
     ], ids=["quantize", "equilibria", "sweep", "sweep-state"])
     def test_commands(self, capsys, spec_path, calls, argv, seen):
         # qbg.sweep was imported with this module, before the wrappers were set

@@ -472,15 +472,19 @@ prob_hh = 0.1
             parse_spec(text.format(long))
         assert str(err.value) == message.format(long[:80] + "...")
 
-    @pytest.mark.parametrize("amp", [10 ** 200, 10 ** 400], ids=["square", "value"])
-    def test_hand_built_amplitudes_beyond_the_float_range_are_refused(self, amp):
-        # the square 1e200 ** 2 is inf, as parse_spec reads it; 10**400 itself
-        # is no float, which parse_spec reports for its key
+    @pytest.mark.parametrize("amp, message", [
+        (10 ** 200, "[quantum] amplitudes have squared norm inf, expected 1"),
+        (10 ** 400, "amp_ll exceeds the float range"),
+    ], ids=["square", "value"])
+    def test_hand_built_amplitudes_beyond_the_float_range_are_refused(self, amp, message):
+        # the square 1e200 ** 2 is inf; 10**400 itself is no float.  A
+        # hand-built spec meets parse_spec's rule, and gets its messages
+        # without a line
         spec = GameSpec(mode="builtin-bg", theta=1, a=2, b=2,
                         amplitudes=(Fraction(amp), 0, 0, 0))
         with pytest.raises(SpecError) as err:
             spec.to_state()
-        assert str(err.value) == "[quantum] amplitudes have squared norm inf, expected 1"
+        assert str(err.value) == message
 
 
 class TestRoundTrip:

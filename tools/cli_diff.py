@@ -19,9 +19,14 @@ as text and as CSV, with a ``[candidate]`` at (0,0), (0,1), (1,0), (1,1) and
 one-hot state, where the density oracle's entries and traces hold signed
 zeros.  "sweep-shapes" operations run ``sweep`` on grids the benchmark's
 9x17 grids never reach: several blocks of rows, an inner axis longer than a
-block, two state axes, descending and one-step axes, ``-0`` bounds, and bad
-grids that fail in the first row, in a later row and halfway along a later
-block.  "file-bytes" operations run ``classical``, ``quantize`` and
+block, two state axes, descending and one-step axes, ``-0`` bounds, a grid
+whose heaviest point has LH, HL and HH weights summing into (1, 1 + 1e-9],
+so that its LL weight is clipped at 0, and bad grids that fail in the
+first row, in a later row and halfway along a later block.
+"sweep-weights" operations run ``sweep`` over an unswept p x q grid and
+over a state axis on an ``amp_*`` spec and on the "inside-boundary"
+normalization spec, whose weights the sweep takes as the spec commands do.
+"file-bytes" operations run ``classical``, ``quantize`` and
 ``equilibria``, as text and as CSV, and one ``sweep``, on specs that differ
 from a plain one only in bytes that a text-mode read of the file handled:
 CRLF and lone CR line endings, a UTF-8 byte order mark, invalid UTF-8 in
@@ -371,7 +376,27 @@ SWEEP_SHAPES = (
     ("prob_hh=0:0.9:10", "q=0:1:5"),                 # bad in a later row
     ("prob_hh=0.5:0.7:2", "prob_lh=0:0.2:4097"),     # bad halfway along a later block
     ("prob_hh=0:1:11",),                             # bad in a 1-axis sweep
+    ("prob_lh=0:0.5000000005:5", "q=0:1:3"),         # LH+HL+HH up to 1 + 5e-10: LL clipped
 )
+# sweep over p x q and over a state axis on the state of each SWEEP_WEIGHT_SPECS
+# spec; the "inside-boundary" one is written for the normalization operations.
+SWEEP_AMP_SPEC = """[game]
+mode = custom
+row_payoffs = 0.3,-2,1.7,-1
+col_payoffs = 0,-1/3,-1,0.25
+
+[quantum]
+amp_ll = 1/2
+amp_lh = -1/10
+amp_hl = 7/10
+amp_hh = 1/2
+
+[candidate]
+p = 1/3
+q = 1/2
+"""
+SWEEP_WEIGHT_SPECS = ("sweep-amp", "inside-boundary")
+SWEEP_WEIGHT_SHAPES = (("p=0:1:9", "q=0:1:9"), ("prob_hh=0:0.2:5", "q=0:1:3"))
 
 # Runs in a child with one tree's src/ on the path: argv lists in, results out.
 RUNNER = """\
@@ -424,6 +449,10 @@ def build_ops(seed: int, work: Path) -> list[tuple[str, list[str]]]:
     ops += [("sweep-shapes", ["sweep", "--spec", str(sweep_spec),
                               *(arg for axis in axes for arg in ("--axis", axis))])
             for axes in SWEEP_SHAPES]
+    (work / "sweep-amp.spec").write_text(SWEEP_AMP_SPEC, encoding="utf-8")
+    ops += [("sweep-weights", ["sweep", "--spec", str(work / f"{name}.spec"),
+                               *(arg for axis in axes for arg in ("--axis", axis))])
+            for name in SWEEP_WEIGHT_SPECS for axes in SWEEP_WEIGHT_SHAPES]
     ops += [("missing-path", ["classical", *fmt, "--spec", str(path)])
             for path in (work / "missing.spec", work / ("m" * 100_000)) for fmt in ([], ["--csv"])]
     ops += [("flag", ["sweep", "--csv", "--spec", str(work / "inside-boundary.spec"),
