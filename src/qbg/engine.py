@@ -25,8 +25,11 @@ computes that form for one state or, on numpy arrays, for a whole grid of
 states, summing in one fixed order so that both give the same bits.
 
 A state enters the closed form only through its four weights, which
-``_unit_weights`` alone normalizes.  The spec commands and the sweep pass
-weights, never amplitudes, to ``_closed_forms``.
+``_unit_weights`` alone normalizes, and ``_closed_forms`` is the one place
+where weights become forms: the spec commands, the sweep, the scenarios and
+the verification checks all pass weights to it, never amplitudes, and
+``closed_form_payoff`` hands it a state's squared magnitudes.  The square
+root survives only in the state records the oracle and the reports hold.
 
 Expected payoffs are traces of diagonal payoff operators against the final
 density matrix; because the operators are diagonal, payoffs depend only on
@@ -262,8 +265,9 @@ def _closed_forms(weights, vecs) -> list[ClosedFormPayoff]:
 
 
 def closed_form_payoff(state: QuantumInitialState, vec: PayoffVector) -> ClosedFormPayoff:
-    """Expand the branch-weighted expected payoff into its bilinear form."""
-    return ClosedFormPayoff(*bilinear_coefficients(*state.squared_magnitudes(), vec))
+    """The bilinear form of ``vec``'s payoff on ``state``: ``_closed_forms``
+    on the state's squared magnitudes, normalized as any weights are."""
+    return _closed_forms(state.squared_magnitudes(), (vec,))[0]
 
 
 def payoff_vectors_from_game(game) -> tuple[PayoffVector, PayoffVector]:

@@ -4,8 +4,13 @@ Each function runs one candidate profile or one family of initial states
 through the engine and packages the result as a ``ScenarioReport``.  Every
 number in a report is recomputed through the engine; the module stores no
 payoff constants of its own (the payoff vectors are derived from the
-classical table builder).  Every Nash verdict is ``verify_nash``'s, and a
-report's conditions are that verdict's own four deviation checks.
+classical table builder).  Both forms of a run come from one
+``engine._closed_forms`` call on the state's weights: a strategy family's
+own weights, with no square-root round trip, or a given state's squared
+magnitudes.  The report's ``state`` record, built with
+``from_probabilities``, is the only place a square root is taken.  Every
+Nash verdict is ``verify_nash``'s, and a report's conditions are that
+verdict's own four deviation checks.
 
 The headline story lives in ``run_strategy_ii``: on states mixing only the
 matched outcomes LL and HH, the both-keep profile is a Nash equilibrium
@@ -78,13 +83,12 @@ def weak_assumption_holds(state: engine.QuantumInitialState) -> WeakAssumption:
     return WeakAssumption(holds=gap > 0.0, gap=gap)
 
 
-def _run_candidate(scenario: str, state: engine.QuantumInitialState,
+def _run_candidate(scenario: str, state: engine.QuantumInitialState, weights,
                    candidate: engine.MixingProfile, verdict: str | None = None,
                    notes: tuple[str, ...] = ()) -> ScenarioReport:
-    """Decide ``candidate`` on ``state`` with ``verify_nash``, each form built once."""
-    policy_vec, public_vec = bg_payoff_vectors()
-    report = engine.verify_nash(engine.closed_form_payoff(state, policy_vec),
-                                engine.closed_form_payoff(state, public_vec), candidate)
+    """Decide ``candidate`` with ``verify_nash`` on the forms of ``weights``,
+    the weights (LL, LH, HL, HH) of ``state``, both built in one call."""
+    report = engine.verify_nash(*engine._closed_forms(weights, bg_payoff_vectors()), candidate)
     if verdict is None:
         verdict = VERDICT_NASH if report.is_nash else VERDICT_NO_NASH
     return ScenarioReport(
@@ -103,7 +107,8 @@ def _run_candidate(scenario: str, state: engine.QuantumInitialState,
 
 def run_case_a(state: engine.QuantumInitialState) -> ScenarioReport:
     """Both players keep the identity with certainty: candidate (1, 1)."""
-    return _run_candidate("case-a", state, engine.MixingProfile(1.0, 1.0))
+    return _run_candidate("case-a", state, state.squared_magnitudes(),
+                          engine.MixingProfile(1.0, 1.0))
 
 
 def run_case_b(state: engine.QuantumInitialState) -> ScenarioReport:
@@ -113,7 +118,8 @@ def run_case_b(state: engine.QuantumInitialState) -> ScenarioReport:
     more), the opposite of what a weak policy maker's state is assumed to
     satisfy, so the report carries a note flagging that tension.
     """
-    return _run_candidate("case-b", state, engine.MixingProfile(0.0, 0.0),
+    return _run_candidate("case-b", state, state.squared_magnitudes(),
+                          engine.MixingProfile(0.0, 0.0),
                           notes=(NOTE_OPPOSITE_PREFERENCE,))
 
 
@@ -126,7 +132,8 @@ def run_case_c(state: engine.QuantumInitialState) -> ScenarioReport:
     are plus and minus half the keep-slope, so it is stable only when the
     keep-slope vanishes.
     """
-    return _run_candidate("case-c", state, engine.MixingProfile(0.5, 0.5),
+    return _run_candidate("case-c", state, state.squared_magnitudes(),
+                          engine.MixingProfile(0.5, 0.5),
                           verdict=VERDICT_DOMINATED,
                           notes=(NOTE_NEGATIVE_PAYOFFS,))
 
@@ -140,8 +147,10 @@ def run_strategy_i(lh_prob: float) -> ScenarioReport:
     """
     if not 0.0 <= lh_prob <= 1.0:
         raise ValueError(f"LH weight must lie in [0, 1], got {lh_prob!r}")
-    state = engine.QuantumInitialState.from_probabilities(0.0, lh_prob, 1.0 - lh_prob, 0.0)
-    return _run_candidate("strategy-i", state, engine.MixingProfile(1.0, 1.0),
+    w = float(lh_prob)
+    weights = (0.0, w, 1.0 - w, 0.0)
+    state = engine.QuantumInitialState.from_probabilities(*weights)
+    return _run_candidate("strategy-i", state, weights, engine.MixingProfile(1.0, 1.0),
                           notes=(NOTE_PUBLIC_ALWAYS_LOSES,))
 
 
@@ -156,8 +165,10 @@ def run_strategy_ii(hh_prob: float) -> ScenarioReport:
     """
     if not 0.0 <= hh_prob <= 1.0:
         raise ValueError(f"HH weight must lie in [0, 1], got {hh_prob!r}")
-    state = engine.QuantumInitialState.from_probabilities(1.0 - hh_prob, 0.0, 0.0, hh_prob)
-    report = _run_candidate("strategy-ii", state, engine.MixingProfile(1.0, 1.0))
+    w = float(hh_prob)
+    weights = (1.0 - w, 0.0, 0.0, w)
+    state = engine.QuantumInitialState.from_probabilities(*weights)
+    report = _run_candidate("strategy-ii", state, weights, engine.MixingProfile(1.0, 1.0))
     notes = []
     if report.is_nash:
         notes.append(NOTE_TIME_CONSISTENT)

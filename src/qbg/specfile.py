@@ -67,7 +67,6 @@ other way of building an ``engine.DensityMatrix4`` checks all three.
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from collections import namedtuple
@@ -296,7 +295,9 @@ def _fits_float(values) -> bool:
 
 def _state_weights(values, family, entries=None) -> list[float]:
     """The [quantum] rule: the ``family`` (``_PROB_KEYS`` or ``_AMP_KEYS``)
-    ``values`` as float weights, an amp_* value squared with ``** 2``.
+    ``values`` as float weights, an amp_* value squared as ``a * a``, the
+    square ``engine`` gives the oracle's state, so a spec is accepted by the
+    norm its state is built from (a square past the float range is inf).
     Refused unless every prob_* value is nonnegative, every value is a float
     and the weights sum to 1 within ``NORMALIZATION_TOL`` (so nan and inf
     never pass), checked in that order; a message names the first key at
@@ -313,10 +314,7 @@ def _state_weights(values, family, entries=None) -> list[float]:
         key = next(k for k, value in zip(family, values) if not _fits_float((value,)))
         raise SpecError(f"{key} exceeds the float range", *where[key][1:]) from None
     if family is _AMP_KEYS:
-        try:
-            weights = [a ** 2 for a in weights]
-        except OverflowError:   # a square beyond the float range makes the norm inf
-            weights = [math.inf] * 4
+        weights = [a * a for a in weights]
     total = weights[0] + weights[1] + weights[2] + weights[3]
     if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise SpecError(f"[quantum] amplitudes have squared norm {total!r}, expected 1"

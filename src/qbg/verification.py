@@ -291,10 +291,10 @@ def _oracle_checks() -> list[CheckResult]:
         rho = engine.final_density(state, mix)
         vectors = [policy_vec, public_vec,
                    engine.PayoffVector(*(rng.uniform(-2.0, 2.0) for _ in range(4)))]
-        for vec in vectors:
+        forms = engine._closed_forms(state.squared_magnitudes(), vectors)
+        for vec, form in zip(vectors, forms):
             traced = engine.expected_payoff_trace(vec, rho)
-            closed = engine.closed_form_payoff(state, vec).evaluate(mix.p, mix.q)
-            worst = max(worst, abs(traced - closed))
+            worst = max(worst, abs(traced - form.evaluate(mix.p, mix.q)))
     return [CheckResult("oracle.trace-vs-closed-form",
                         "trace payoffs agree with the bilinear closed form",
                         0.0, worst)]
@@ -303,8 +303,6 @@ def _oracle_checks() -> list[CheckResult]:
 def run_verification() -> list[CheckResult]:
     """Run the full check list."""
     state = engine.QuantumInitialState.from_probabilities(*REFERENCE_PROBS)
-    policy_vec, public_vec = scenarios.bg_payoff_vectors()
-    forms = (engine.closed_form_payoff(state, policy_vec),
-             engine.closed_form_payoff(state, public_vec))
+    forms = engine._closed_forms(REFERENCE_PROBS, scenarios.bg_payoff_vectors())
     return (_classical_checks() + _closed_form_checks(*forms) + _gap_checks(*forms)
             + _case_checks(state) + _strategy_checks() + _oracle_checks())

@@ -51,20 +51,22 @@ def fresh_rng(seed: int = 20240809) -> np.random.Generator:
 
 @pytest.fixture
 def closed_form_calls(monkeypatch):
-    """The argument tuples of every ``closed_form_payoff`` call made in the test.
+    """The argument tuples (weights, vecs) of every ``_closed_forms`` call
+    made in the test, each vecs made a tuple.
 
     qbg's modules call the function through ``qbg.engine``, so patching it
     there sees every call.
     """
     import qbg.engine
-    original = qbg.engine.closed_form_payoff
+    original = qbg.engine._closed_forms
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(weights, vecs):
+        vecs = tuple(vecs)
+        calls.append((tuple(weights), vecs))
+        return original(weights, vecs)
 
-    monkeypatch.setattr(qbg.engine, "closed_form_payoff", counted)
+    monkeypatch.setattr(qbg.engine, "_closed_forms", counted)
     return calls
 
 

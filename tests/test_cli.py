@@ -1478,7 +1478,7 @@ class TestOneBinding:
     """qbg's modules call each other's functions through the defining module,
     so a wrapper set there alone sees every call, whichever module loaded first."""
 
-    WRAPPED = ((engine, "closed_form_payoff"), (engine, "bilinear_coefficients"),
+    WRAPPED = ((engine, "_closed_forms"), (engine, "bilinear_coefficients"),
                (engine, "verify_nash"),
                (engine, "enumerate_equilibria"), (engine, "final_density"),
                (engine, "expected_payoff_trace"), (scenarios, "run_strategy_ii"))
@@ -1499,17 +1499,19 @@ class TestOneBinding:
 
     def test_run_verification(self, calls):
         verification.run_verification()
-        assert calls == {"closed_form_payoff": 562, "bilinear_coefficients": 562,
+        assert calls == {"_closed_forms": 256, "bilinear_coefficients": 562,
                          "verify_nash": 205,
                          "enumerate_equilibria": 0, "final_density": 50,
                          "expected_payoff_trace": 150, "run_strategy_ii": 101}
 
     @pytest.mark.parametrize("argv, seen", [
-        (["quantize"], {"bilinear_coefficients": 2, "verify_nash": 1, "final_density": 1,
-                        "expected_payoff_trace": 2}),
-        (["equilibria"], {"bilinear_coefficients": 2, "enumerate_equilibria": 1}),
-        (["sweep", "--axis", "p=0:1:3"], {"bilinear_coefficients": 2}),
-        (["sweep", "--axis", "prob_lh=0:0.5:3"], {"bilinear_coefficients": 2}),
+        (["quantize"], {"_closed_forms": 1, "bilinear_coefficients": 2, "verify_nash": 1,
+                        "final_density": 1, "expected_payoff_trace": 2}),
+        (["equilibria"], {"_closed_forms": 1, "bilinear_coefficients": 2,
+                          "enumerate_equilibria": 1}),
+        (["sweep", "--axis", "p=0:1:3"], {"_closed_forms": 1, "bilinear_coefficients": 2}),
+        (["sweep", "--axis", "prob_lh=0:0.5:3"], {"_closed_forms": 1,
+                                                  "bilinear_coefficients": 2}),
     ], ids=["quantize", "equilibria", "sweep", "sweep-state"])
     def test_commands(self, capsys, spec_path, calls, argv, seen):
         # qbg.sweep was imported with this module, before the wrappers were set
@@ -1784,21 +1786,25 @@ class TestReproduce:
         assert weights == list(verification.GRID) and len(weights) == 101
 
     def test_reference_state_forms_built_once(self, closed_form_calls):
-        # the closed-form, gap and case checks share one pair of forms; each
-        # of the three case runners builds its own pair
+        # the closed-form and gap checks share one pair of forms, built from
+        # the reference weights; each of the three case runners builds its
+        # own pair from the reference state's squared magnitudes
         reference = QuantumInitialState.from_probabilities(*verification.REFERENCE_PROBS)
+        vecs = scenarios.bg_payoff_vectors()
         verification.run_verification()
-        assert sum(args[0] == reference for args in closed_form_calls) == 8
+        assert closed_form_calls.count((verification.REFERENCE_PROBS, vecs)) == 1
+        assert closed_form_calls.count((reference.squared_magnitudes(), vecs)) == 3
 
     def test_strategy_grid_builds_two_forms_per_point(self, closed_form_calls):
-        # each grid run builds its policy and public forms once, and the checks
-        # read their margins from the run's report instead of building them again
-        grid_states = {QuantumInitialState.from_probabilities(*weights)
-                       for w in verification.GRID
-                       for weights in ((0.0, w, 1.0 - w, 0.0), (1.0 - w, 0.0, 0.0, w))}
+        # each grid run builds its policy and public forms in one call on
+        # its family's weights, and the checks read their margins from the
+        # run's report instead of building them again
+        grid_weights = {weights for w in verification.GRID
+                        for weights in ((0.0, w, 1.0 - w, 0.0), (1.0 - w, 0.0, 0.0, w))}
         verification.run_verification()
-        assert len(grid_states) == 202
-        assert sum(args[0] in grid_states for args in closed_form_calls) == 404
+        assert len(grid_weights) == 202
+        grid_calls = [vecs for weights, vecs in closed_form_calls if weights in grid_weights]
+        assert grid_calls == [scenarios.bg_payoff_vectors()] * 202
 
 
 def run_module(*argv):

@@ -1,5 +1,7 @@
 """Named scenario analyses of the quantized policy game."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,17 @@ from qbg import (
     bg_payoff_vectors,
     expected_payoff_trace,
     final_density,
+    parse_spec,
     run_case_a,
     run_case_b,
     run_case_c,
     run_strategy_i,
     run_strategy_ii,
+    verify_nash,
     weak_assumption_holds,
 )
+from qbg import verification
+from qbg.engine import _closed_forms
 from qbg.scenarios import (
     NOTE_CLASSICAL_LIMIT,
     NOTE_NEGATIVE_PAYOFFS,
@@ -27,6 +33,20 @@ from qbg.scenarios import (
 )
 
 REFERENCE = QuantumInitialState.from_probabilities(0.5, 0.2, 0.2, 0.1)
+
+MATCHED_SPEC = """\
+[game]
+mode = builtin-bg
+theta = 1
+a = 2
+b = 2
+
+[quantum]
+prob_ll = {ll!r}
+prob_lh = 0
+prob_hl = 0
+prob_hh = {hh!r}
+"""
 
 
 def trace_payoffs(state, candidate):
@@ -277,12 +297,38 @@ class TestConditionsRestateTheVerdict:
 
 
 class TestEachFormBuiltOnce:
+    # one _closed_forms call builds the policy and the public form, each once
     @pytest.mark.parametrize("run", SCENARIOS_ON_STATES)
-    def test_runs_on_a_state(self, run, closed_form_calls):
+    def test_runs_on_a_state(self, run, closed_form_calls, form_calls):
         run(REFERENCE)
-        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
+        assert closed_form_calls == [(REFERENCE.squared_magnitudes(), bg_payoff_vectors())]
+        assert len(form_calls) == 2
 
     @pytest.mark.parametrize("run", SCENARIOS_ON_WEIGHTS)
-    def test_runs_on_a_weight(self, run, closed_form_calls):
+    def test_runs_on_a_weight(self, run, closed_form_calls, form_calls):
+        # the family's own weights, with no square-root round trip
+        weights = {run_strategy_i: (0.0, 0.3, 0.7, 0.0),
+                   run_strategy_ii: (0.7, 0.0, 0.0, 0.3)}[run]
         run(0.3)
-        assert len(closed_form_calls) == len(set(closed_form_calls)) == 2
+        assert closed_form_calls == [(weights, bg_payoff_vectors())]
+        assert len(form_calls) == 2
+
+
+class TestFormsFromTheFamilyWeights:
+    """The strategy families' forms come from their own weights, normalized
+    once, so the public q=0 margin comes out exact on every grid point."""
+
+    @pytest.mark.parametrize("w", verification.GRID + (Fraction(1, 2),))
+    def test_public_margins_are_exact(self, w):
+        assert run_strategy_ii(w).conditions[2].value == 1.0
+        assert run_strategy_i(w).conditions[2].value == -1.0
+
+    @pytest.mark.parametrize("w", [0.0, 0.01, 0.1, 0.3, 0.49, 0.5, 0.51, 0.77, 1.0])
+    def test_spec_path_agrees_bit_for_bit(self, w):
+        spec = parse_spec(MATCHED_SPEC.format(ll=1.0 - w, hh=w))
+        from_spec = verify_nash(*_closed_forms(spec._weights(), spec.payoff_vectors()),
+                                MixingProfile(1, 1))
+        report = run_strategy_ii(w)
+        # compared as reprs, so that 0.0 and -0.0 differ
+        assert repr((from_spec.row_payoff, from_spec.col_payoff, from_spec.conditions)) \
+            == repr((report.policy_payoff, report.public_payoff, report.conditions))

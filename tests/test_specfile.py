@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbg import GameSpec, MixingProfile, QuantumInitialState, SpecError, parse_spec
-from qbg.engine import NORMALIZATION_TOL, PayoffVector, payoff_vectors_from_game
+from qbg.engine import (NORMALIZATION_TOL, PayoffVector, _squared_magnitude,
+                        payoff_vectors_from_game)
 from qbg.specfile import _to_float
 from qbg.game import PolicyParams, PureProfile, build_bg_game, find_pure_nash
 
@@ -74,26 +76,29 @@ def unlimited_int_digits():
     sys.set_int_max_str_digits(limit)
 
 
-def amplitudes_at_the_tolerance(count=8):
-    """Amplitude pairs (x, y) whose squared norm x**2 + y**2 lies within the
-    normalization tolerance, while x*x + y*y, whose squares can differ from
-    x**2 and y**2 in the last bit, lies outside it."""
+def amplitudes_at_the_tolerance(count=4):
+    """Amplitude pairs (x, y) at the normalization tolerance on which the two
+    ways of squaring disagree: ``count`` pairs whose squared norm
+    x**2 + y**2 lies within the tolerance while x*x + y*y lies outside it,
+    then ``count`` pairs the other way round."""
     def within(squares):
         return abs(sum(squares) - 1.0) <= NORMALIZATION_TOL
 
     rng = random.Random(5)
-    pairs = []
+    found = {False: [], True: []}   # keyed by whether x*x + y*y is within
     for _ in range(100_000):
         x = rng.uniform(0.1, 0.99)
         for bound in (1.0 - NORMALIZATION_TOL, 1.0 + NORMALIZATION_TOL):
             y0 = math.sqrt(bound - x ** 2)
             for y in (y0 + k * math.ulp(y0) for k in range(-4, 5)):
-                if within(a ** 2 for a in (x, y)) and not within(a * a for a in (x, y)):
-                    pairs.append((x, y))
-                    if len(pairs) == count:
-                        return pairs
+                products = within(a * a for a in (x, y))
+                if within(a ** 2 for a in (x, y)) != products:
+                    if len(found[products]) < count:
+                        found[products].append((x, y))
                     break
-    return pairs
+        if all(len(pairs) == count for pairs in found.values()):
+            break
+    return found[False] + found[True]
 
 
 class TestParsing:
@@ -136,12 +141,22 @@ amp_hh = 0.8
         assert state.squared_magnitudes()[3] == pytest.approx(0.64)
 
     def test_amplitudes_accepted_at_the_tolerance_build_a_state(self):
+        # at the edge, parse_spec decides by the squares the oracle's state
+        # is normalized from, x*x + 0*0 (not x**2, which can round apart)
         pairs = amplitudes_at_the_tolerance()
         assert len(pairs) == 8
         for x, y in pairs:
-            spec = parse_spec(BUILTIN + f"[quantum]\namp_ll = {x!r}\namp_lh = 0\n"
-                                        f"amp_hl = 0\namp_hh = {y!r}\n")
-            assert spec.to_state().amp_ll == pytest.approx(x)
+            text = (BUILTIN + f"[quantum]\namp_ll = {x!r}\namp_lh = 0\n"
+                              f"amp_hl = 0\namp_hh = {y!r}\n")
+            squares = [_squared_magnitude(complex(a)) for a in (x, 0.0, 0.0, y)]
+            total = squares[0] + squares[1] + squares[2] + squares[3]
+            if abs(total - 1.0) <= NORMALIZATION_TOL:
+                spec = parse_spec(text)
+                assert spec._weights() == squares
+                assert spec.to_state().amp_ll == pytest.approx(x)
+            else:
+                with pytest.raises(SpecError, match=f"squared norm {re.escape(repr(total))},"):
+                    parse_spec(text)
 
     def test_hand_built_amplitudes_are_still_checked(self):
         spec = GameSpec(mode="builtin-bg", theta=1, a=Fraction(2), b=Fraction(2),
